@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import quasi_gorenstein_test
@@ -261,24 +260,20 @@ def _corpus_run(count: int, seed: int, as_json: bool) -> int:
     if count < 1:
         sys.stderr.write("reesgor: error: --corpus needs a positive count\n")
         return EXIT_USAGE
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [
-            pool.submit(corpus_case, index, seed) for index in range(count)
-        ]
-        results = []
-        for index, fut in enumerate(futures):
-            try:
-                results.append(fut.result())
-            except Exception as exc:  # noqa: BLE001 - recorded, run goes on
-                results.append(
-                    {
-                        "index": index,
-                        "ideal": "?",
-                        "dim": 0,
-                        "ok": False,
-                        "failures": [f"{type(exc).__name__}: {exc}"],
-                    }
-                )
+    results = []
+    for index in range(count):
+        try:
+            results.append(corpus_case(index, seed))
+        except Exception as exc:  # noqa: BLE001 - recorded, run goes on
+            results.append(
+                {
+                    "index": index,
+                    "ideal": "?",
+                    "dim": 0,
+                    "ok": False,
+                    "failures": [f"{type(exc).__name__}: {exc}"],
+                }
+            )
     if as_json:
         sys.stdout.write(
             to_json({"corpus": count, "seed": seed, "results": results})

@@ -19,9 +19,19 @@ minimal generators, the degree invariant, and the Gorenstein property
 (canonical module principal). The Gorenstein decision is always run
 along two independent routes that must agree:
 
-  route 1: every interior lattice point v in the certified search
-           region satisfies M v >= M (1, ..., 1, q) componentwise,
+  route 1: every row of the facet matrix takes the value 1 at
+           (1, ..., 1, q),
   route 2: the computed minimal generator set is a singleton.
+
+Route 1 is the Danilov-Stanley criterion (Bruns-Herzog, Cohen-Macaulay
+Rings, 6.3): a normal affine semigroup ring is Gorenstein iff some
+lattice point takes the value 1 on every primitive support form. The
+rows are those forms: a lifted row (a - h*1, h) is primitive because
+the facet normal a is, so its entries have gcd(a, h) = 1; a coordinate
+row is primitive too. The coordinate rows force the point to be
+(1, ..., 1, t), and since the lifted rows grow with t, the only
+candidate is t = q. Route 1 enumerates nothing, so it does not depend
+on the search region that route 2 relies on.
 
 A disagreement raises InvariantViolationError rather than returning
 either answer.
@@ -29,7 +39,6 @@ either answer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -42,11 +51,13 @@ from .errors import (
     NotMPrimaryError,
 )
 from .ideals import MonomialIdeal, Vector
-from .polyhedra import FacetSystem, extreme_rays, newton_polyhedron
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+from .polyhedra import (
+    FacetSystem,
+    _column_minima,
+    _dot,
+    extreme_rays,
+    newton_polyhedron,
+)
 
 
 def embed_phi(vector: Sequence[int]) -> Vector:
@@ -148,39 +159,43 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
 
     Every minimal generator lies, coordinatewise, under the sum of the
     extreme rays (a point beyond that splits off an extreme ray while
-    staying interior). Points of that box are processed in order of
-    increasing coordinate sum; a point is a generator iff it is not a
-    previously accepted generator plus a cone point. A final sweep
-    over the enlarged box re-checks that the accepted set generates
-    every interior point there, so an undersized search region fails
-    loudly instead of returning a short list.
+    staying interior). Interior points of that box are processed in
+    order of increasing coordinate sum; a point is a generator iff it
+    is not a previously accepted generator plus a cone point. A final
+    sweep over the enlarged box re-checks that the accepted set
+    generates every interior point there, so an undersized search
+    region fails loudly instead of returning a short list.
+
+    Both passes visit only the least interior point of each column
+    (the points sharing their first d coordinates), and stay exact:
+
+    - e_{d+1} is in the cone: the coordinate rows are 0 on it and the
+      lifted rows equal h > 0.
+    - So the interior points of each column are upward-closed.
+    - A point above its column minimum m is m plus a multiple of
+      e_{d+1}, so it is generated whenever m is. Since m comes first
+      in the order, no such point is ever accepted, and the sweep
+      fails on it only if it fails on m, which lies in the same box.
     """
     d = cone.dim
     q = compute_q(cone)
     box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
-    interior = [
-        v
-        for v in itertools.product(*(range(b + 1) for b in box))
-        if cone.relint_member(v)
-    ]
-    interior.sort(key=lambda v: (sum(v), v))
+    sweep = tuple(b + 1 for b in box)
+    rows = [(row, 1) for row in cone.matrix]
     accepted: List[Vector] = []
-    for v in interior:
-        generated = any(
+
+    def generated(v: Vector) -> bool:
+        return any(
             cone.cone_member(tuple(a - b for a, b in zip(v, g)))
             for g in accepted
         )
-        if not generated:
-            accepted.append(v)
 
-    sweep = tuple(b + 1 for b in box)
-    for v in itertools.product(*(range(b + 1) for b in sweep)):
-        if not cone.relint_member(v):
-            continue
-        if not any(
-            cone.cone_member(tuple(a - b for a, b in zip(v, g)))
-            for g in accepted
-        ):
+    interior = [v for v in _column_minima(rows, box[:d]) if v[d] <= box[d]]
+    for v in sorted(interior, key=lambda v: (sum(v), v)):
+        if not generated(v):
+            accepted.append(v)
+    for v in _column_minima(rows, sweep[:d]):
+        if v[d] <= sweep[d] and not generated(v):
             raise IncompleteSearchError(
                 f"interior point {v} is not generated by {accepted}; "
                 f"search box {box} was too small"
@@ -234,21 +249,14 @@ def is_gorenstein_normalization(
     data = canonical_generators(cone)
 
     base = (1,) * cone.dim + (data.q,)
-    w = [_dot(row, base) for row in cone.matrix]
-    route1 = True
-    witness: Optional[Vector] = None
-    for v in itertools.product(*(range(b + 1) for b in data.search_box)):
-        if not cone.relint_member(v):
-            continue
-        if any(_dot(row, v) < wi for row, wi in zip(cone.matrix, w)):
-            route1 = False
-            witness = v
-            break
+    values = [_dot(row, base) for row in cone.matrix]
+    route1 = all(w == 1 for w in values)
     route2 = data.gorenstein
     if route1 != route2:
         raise InvariantViolationError(
-            f"Gorenstein routes disagree: interior-shift says {route1} "
-            f"(witness {witness}), generator count says {route2} "
+            f"Gorenstein routes disagree: the facet rows take the values "
+            f"{values} at {base}, so the facet check says {route1}; "
+            f"generator count says {route2} "
             f"({len(data.generators)} generators)"
         )
     return route2, data

@@ -25,9 +25,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
+    BudgetExceededError,
     ConeGeometryError,
     DimensionMismatchError,
     InvalidIdealError,
@@ -302,6 +303,48 @@ def closure_power_member(
     return facets.contains_power(v, n)
 
 
+# A column scan refuses a box with more columns than this, so that an
+# oversized input fails at once with its box size instead of running
+# for minutes.
+COLUMN_BUDGET = 2_000_000
+
+
+def _column_minima(
+    rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
+) -> Iterator[Vector]:
+    """Least lattice point of every column of a polyhedron over a box.
+
+    `rows` are (normal, rhs) pairs, each the half-space
+    <normal, v> >= rhs on vectors one longer than `bounds`, and the
+    last entry of every normal is >= 0. For each prefix in the box
+    prod_j [0, bounds_j], in lexicographic order, yields
+    prefix + (t,) with t >= 0 the least value that meets every row.
+    Because the last entries are >= 0, every row only gets easier as
+    t grows, so t is a max of ceilings; a prefix that some row with
+    last entry 0 rejects has no such t and is skipped.
+
+    Raises BudgetExceededError, before scanning any column, when the
+    box holds more than COLUMN_BUDGET columns.
+    """
+    columns = math.prod(b + 1 for b in bounds)
+    if columns > COLUMN_BUDGET:
+        raise BudgetExceededError(
+            f"column scan over the box {tuple(bounds)} needs {columns} "
+            f"columns, budget is {COLUMN_BUDGET}"
+        )
+    split = [(normal[:-1], normal[-1], rhs) for normal, rhs in rows]
+    for prefix in itertools.product(*(range(b + 1) for b in bounds)):
+        t = 0
+        for head, last, rhs in split:
+            need = rhs - _dot(head, prefix)
+            if need > 0:
+                if last == 0:
+                    break
+                t = max(t, -(-need // last))
+        else:
+            yield prefix + (t,)
+
+
 def _dilate_minimal_points(
     facets: FacetSystem, n: int, maxexp: Vector
 ) -> Tuple[Vector, ...]:
@@ -320,24 +363,9 @@ def _dilate_minimal_points(
     if not facets.bounded:
         return ((0,) * d,)
     bounds = [n * m for m in maxexp]
-    candidates = []
-    for prefix in itertools.product(*(range(b + 1) for b in bounds[: d - 1])):
-        t = 0
-        feasible = True
-        for f in facets.bounded:
-            partial = _dot(f.normal[: d - 1], prefix)
-            need = n * f.offset - partial
-            wd = f.normal[d - 1]
-            if wd == 0:
-                if need > 0:
-                    feasible = False
-                    break
-            elif need > 0:
-                t = max(t, -(-need // wd))
-        if feasible:
-            candidates.append(prefix + (t,))
+    rows = [(f.normal, n * f.offset) for f in facets.bounded]
     gens = []
-    for v in candidates:
+    for v in _column_minima(rows, bounds[: d - 1]):
         minimal = True
         for j in range(d):
             if v[j] == 0:

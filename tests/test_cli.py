@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from reesgor import cli
 from reesgor.cli import (
     EXIT_INAPPLICABLE,
     EXIT_OK,
@@ -77,6 +78,13 @@ def test_bad_job_shapes_are_usage_errors(job):
 def test_fast_gorenstein_needs_pure_powers(job, capsys):
     assert main(["gorenstein", "--fast", job(SQUARE)]) == EXIT_INAPPLICABLE
     assert "pure powers" in capsys.readouterr().err
+
+
+def test_oversized_gorenstein_job_is_untrusted(job, capsys):
+    exps = (7, 11, 13, 17, 19, 23)
+    gens = [[a if i == j else 0 for j in range(6)] for i, a in enumerate(exps)]
+    assert main(["gorenstein", job({"dim": 6, "gens": gens})]) == EXIT_UNTRUSTED
+    assert "11612160 columns" in capsys.readouterr().err
 
 
 def test_qgor_needs_pure_power_reduction(job, capsys):
@@ -221,6 +229,24 @@ def test_corpus_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["results"]) == 3
     assert all(case["ok"] for case in payload["results"])
+
+
+def test_corpus_records_a_raising_case(monkeypatch, capsys):
+    real = cli.corpus_case
+
+    def flaky_case(index, seed):
+        if index == 1:
+            raise RuntimeError("boom")
+        return real(index, seed)
+
+    monkeypatch.setattr(cli, "corpus_case", flaky_case)
+    assert main(["--json", "--corpus", "3", "--seed", "5"]) == EXIT_UNTRUSTED
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [case["index"] for case in results] == [0, 1, 2]
+    assert not results[1]["ok"]
+    assert results[1]["failures"] == ["RuntimeError: boom"]
+    for other in (results[0], results[2]):
+        assert other["ok"] and other["ideal"] != "?"
 
 
 def test_corpus_rejects_bad_count(capsys):

@@ -17,6 +17,7 @@ from reesgor import (
     pure_power_gorenstein_test,
 )
 from reesgor.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     InapplicableError,
     NotMPrimaryError,
@@ -218,6 +219,52 @@ def test_gorenstein_shift_identity():
         assert cone.relint_member(v) == cone.cone_member(shifted)
 
 
+def _full_box_generators(cone, box):
+    """The canonical generators by the full box scan: every interior
+    point of the box, in (sum, v) order, kept unless an already kept
+    generator plus a cone point gives it."""
+    interior = sorted(
+        (
+            v
+            for v in itertools.product(*(range(b + 1) for b in box))
+            if cone.relint_member(v)
+        ),
+        key=lambda v: (sum(v), v),
+    )
+    kept = []
+    for v in interior:
+        if not any(
+            cone.cone_member(tuple(a - b for a, b in zip(v, g))) for g in kept
+        ):
+            kept.append(v)
+    return tuple(kept)
+
+
+def _interior_shift_route(cone, box, q):
+    """The Gorenstein route by interior shift: every interior point v
+    of the box has M v >= M (1, ..., 1, q) row by row."""
+    def values(v):
+        return [sum(a * b for a, b in zip(row, v)) for row in cone.matrix]
+
+    floor = values((1,) * cone.dim + (q,))
+    return all(
+        all(x >= y for x, y in zip(values(v), floor))
+        for v in itertools.product(*(range(b + 1) for b in box))
+        if cone.relint_member(v)
+    )
+
+
+def test_column_scan_matches_full_box_scan():
+    rng = seeded(35)
+    for i in range(60):
+        ideal = random_m_primary(rng, 2 + i % 3)
+        gorenstein, data = is_gorenstein_normalization(ideal)
+        cone = lift_halfspaces(newton_polyhedron(ideal))
+        box = data.search_box
+        assert data.generators == _full_box_generators(cone, box), ideal
+        assert gorenstein == _interior_shift_route(cone, box, data.q), ideal
+
+
 def test_filtration_reduction_number():
     _, data = is_gorenstein_normalization(
         MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 4)))
@@ -265,8 +312,20 @@ def test_pure_power_test_rejects_other_shapes():
 
 def test_fast_and_full_agree_on_samples():
     for exps in [(2, 2), (2, 3), (3, 3), (5, 2), (2, 2, 2), (2, 3, 3),
-                 (2, 2, 4), (3, 3, 3), (2, 3, 6), (4, 4, 2)]:
+                 (2, 2, 4), (3, 3, 3), (2, 3, 6), (4, 4, 2),
+                 (2, 3, 5, 7), (3, 5, 7, 11), (2, 3, 5, 7, 11),
+                 (3, 5, 7, 11, 13)]:
         ideal = MonomialIdeal.pure_powers(exps)
         fast = pure_power_gorenstein_test(ideal).gorenstein
         full, _ = is_gorenstein_normalization(ideal)
         assert fast == full, exps
+
+
+def test_oversized_box_fails_fast():
+    # 11.6M columns: refused before any of them is scanned
+    ideal = MonomialIdeal.pure_powers((7, 11, 13, 17, 19, 23))
+    with pytest.raises(BudgetExceededError) as info:
+        is_gorenstein_normalization(ideal)
+    message = str(info.value)
+    assert "(7, 11, 13, 17, 19, 23)" in message
+    assert "11612160 columns" in message

@@ -13,8 +13,13 @@ from reesgor import (
     integral_closure,
     newton_polyhedron,
 )
-from reesgor.errors import ConeGeometryError, InvalidIdealError
+from reesgor.errors import (
+    BudgetExceededError,
+    ConeGeometryError,
+    InvalidIdealError,
+)
 from reesgor.oracle import oracle_iclosure_member
+from reesgor.polyhedra import COLUMN_BUDGET, _column_minima
 
 from conftest import random_ideal, random_m_primary, seeded
 
@@ -167,6 +172,41 @@ def test_extreme_rays_satisfy_rows():
                 sum(a * b for a, b in zip(row, r)) >= 0 for row in rows
             )
             assert math.gcd(*r) == 1
+
+
+# ------------------------------------------------------------------ #
+# column scan
+
+
+def test_column_minima_are_least_feasible_points():
+    rng = seeded(28)
+    for _ in range(10):
+        rows = [
+            (
+                (rng.randint(-2, 3), rng.randint(-2, 3), rng.randint(0, 2)),
+                rng.randint(-1, 4),
+            )
+            for _ in range(3)
+        ]
+
+        def meets(v):
+            return all(
+                sum(a * b for a, b in zip(normal, v)) >= rhs
+                for normal, rhs in rows
+            )
+
+        # no row needs t above 16 when its last entry is positive
+        expected = []
+        for prefix in itertools.product(range(4), repeat=2):
+            column = [t for t in range(17) if meets(prefix + (t,))]
+            if column:
+                expected.append(prefix + (column[0],))
+        assert list(_column_minima(rows, (3, 3))) == expected
+
+
+def test_column_scan_budget():
+    with pytest.raises(BudgetExceededError, match=f"{COLUMN_BUDGET + 1} columns"):
+        next(_column_minima([], (COLUMN_BUDGET,)))
 
 
 # ------------------------------------------------------------------ #
