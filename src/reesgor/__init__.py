@@ -59,7 +59,6 @@ from .polyhedra import (
     FacetSystem,
     HalfSpace,
     closure_power,
-    closure_power_member,
     extreme_rays,
     integral_closure,
     newton_polyhedron,
@@ -95,7 +94,6 @@ __all__ = [
     "canonical_piece",
     "closure_nilpotency_index",
     "closure_power",
-    "closure_power_member",
     "cohen_macaulay_test",
     "compute_q",
     "conductor_exponent",

@@ -446,16 +446,45 @@ def core_matches_power(
 
 
 def conductor_exponent(
-    ideal: MonomialIdeal,
-    horizon: int = 8,
-    facets: Optional[FacetSystem] = None,
+    ideal: MonomialIdeal, facets: Optional[FacetSystem] = None
 ) -> int:
     """The least c such that the closure of ideal^(n+c) lies inside
-    ideal^n for every n up to the horizon. Raises StabilizationError
-    when no c up to the horizon works."""
+    ideal^n for every n >= 1.
+
+    Both stopping bounds are proved, for any nonzero monomial ideal I
+    in d variables. Let x^z be integral over I^m, i.e. z lies in the
+    m-fold dilate of NP(I). Lower the coordinates of z/m one at a time,
+    each as far as NP(I) allows. The end point p <= z/m has no
+    coordinate that can be lowered, so the least face of NP(I) holding
+    p has no recession direction e_j: it is a bounded face, of
+    dimension at most d - 1 and spanned by generators. By Caratheodory,
+    z >= sum m*l_i g_i over at most d generators g_i, with l_i >= 0 and
+    sum l_i = 1.
+
+    Lemma A: for m >= d, some m*l_i >= 1, and then z - g_i >= (m - 1)
+    times a convex combination of the g_i, so x^(z - g_i) is integral
+    over I^(m-1). The other inclusion always holds, so
+    closure(I^m) = I * closure(I^(m-1)) for every m >= d.
+
+    Lemma B (monomial Briancon-Skoda): for m = n + d - 1 the floors
+    satisfy sum floor(m*l_i) > m - d = n - 1, so z >= sum
+    floor(m*l_i) g_i puts x^z in I^n. Hence closure(I^(n+d-1)) lies
+    in I^n, and c <= d - 1.
+
+    Horizon for n: if c works for every n <= N_c = max(1, d - 1 - c),
+    it works for every n. Induct on n > N_c: then n + c >= d, so by
+    Lemma A closure(I^(n+c)) = I * closure(I^(n-1+c)), which lies in
+    I * I^(n-1) = I^n.
+
+    So the scan checks c = 0, ..., d - 1, each for n = 1, ..., N_c;
+    it forms closures up to I^d and powers up to I^max(1, d-1). If no c
+    passes, Lemma B is contradicted and InvariantViolationError
+    reports it.
+    """
     if facets is None:
         facets = newton_polyhedron(ideal)
-    i_pows = powers_upto(ideal, horizon)
+    d = ideal.dim
+    i_pows = powers_upto(ideal, max(1, d - 1))
     closures: Dict[int, MonomialIdeal] = {}
 
     def closure(n: int) -> MonomialIdeal:
@@ -463,13 +492,15 @@ def conductor_exponent(
             closures[n] = closure_power(ideal, n, facets)
         return closures[n]
 
-    for c in range(horizon + 1):
+    for c in range(d):
+        n_max = max(1, d - 1 - c)
         if all(
-            closure(n + c).is_subset(i_pows[n]) for n in range(1, horizon + 1)
+            closure(n + c).is_subset(i_pows[n]) for n in range(1, n_max + 1)
         ):
             return c
-    raise StabilizationError(
-        f"no conductor exponent up to the horizon {horizon}"
+    raise InvariantViolationError(
+        f"no conductor exponent c <= d - 1 = {d - 1} for {ideal.to_str()}, "
+        f"against the Briancon-Skoda bound"
     )
 
 
@@ -499,7 +530,6 @@ class ConsistencyReport:
 def a_invariant_consistency(
     ideal: MonomialIdeal,
     reduction: Optional[MonomialIdeal] = None,
-    horizon: int = 8,
 ) -> ConsistencyReport:
     """Compare the degree invariant of the normalized algebra with its
     algebra-side characterizations:
@@ -542,7 +572,7 @@ def a_invariant_consistency(
     except InapplicableError:
         verdict = None
     if verdict is not None and verdict.quasi_gorenstein:
-        c = conductor_exponent(ideal, horizon, facets)
+        c = conductor_exponent(ideal, facets)
         shifted = verdict.a + c
         checks.append(
             ConsistencyCheck(

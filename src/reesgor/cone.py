@@ -50,7 +50,7 @@ from .errors import (
     InvariantViolationError,
     NotMPrimaryError,
 )
-from .ideals import MonomialIdeal, Vector
+from .ideals import MonomialIdeal, Vector, leq
 from .polyhedra import (
     FacetSystem,
     _column_minima,
@@ -176,6 +176,10 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
       e_{d+1}, so it is generated whenever m is. Since m comes first
       in the order, no such point is ever accepted, and the sweep
       fails on it only if it fails on m, which lies in the same box.
+
+    The sweep skips the column minima inside the search box: the first
+    pass accepted each of them or found it generated, and the accepted
+    set only grows, so the final set generates each of them.
     """
     d = cone.dim
     q = compute_q(cone)
@@ -195,7 +199,7 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
         if not generated(v):
             accepted.append(v)
     for v in _column_minima(rows, sweep[:d]):
-        if v[d] <= sweep[d] and not generated(v):
+        if v[d] <= sweep[d] and not leq(v, box) and not generated(v):
             raise IncompleteSearchError(
                 f"interior point {v} is not generated by {accepted}; "
                 f"search box {box} was too small"

@@ -30,7 +30,8 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
 
     Deduplicates, drops every vector dominated by another, and returns
     the survivors sorted lexicographically. Raises InvalidIdealError on
-    malformed input (wrong arity, negative or non-integer entries).
+    malformed input (wrong arity, negative or non-integer entries;
+    booleans count as non-integers).
     """
     unique = set()
     for raw in vectors:
@@ -40,7 +41,10 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
                 f"generator {v} has {len(v)} entries, expected {dim}"
             )
         for entry in v:
-            if not isinstance(entry, int):
+            # bool is an int subclass, but True is no exponent
+            if type(entry) is not int and (
+                isinstance(entry, bool) or not isinstance(entry, int)
+            ):
                 raise InvalidIdealError(f"non-integer exponent in {v}")
             if entry < 0:
                 raise InvalidIdealError(f"negative exponent in {v}")
@@ -63,7 +67,11 @@ class MonomialIdeal:
     gens: Tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if (
+            not isinstance(self.dim, int)
+            or isinstance(self.dim, bool)
+            or self.dim < 1
+        ):
             raise InvalidIdealError("ambient dimension must be a positive int")
         object.__setattr__(self, "gens", minimalize(self.gens, self.dim))
 

@@ -295,14 +295,6 @@ def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
 # integral closures of powers
 
 
-def closure_power_member(
-    v: Sequence[int], facets: FacetSystem, n: int
-) -> bool:
-    """Membership of x^v in the integral closure of I^n, decided on
-    the facet description of NP(I)."""
-    return facets.contains_power(v, n)
-
-
 # A column scan refuses a box with more columns than this, so that an
 # oversized input fails at once with its box size instead of running
 # for minutes.

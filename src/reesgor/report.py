@@ -58,7 +58,7 @@ def job_from_dict(data: object) -> JobSpec:
     if "dim" not in data or "gens" not in data:
         raise ValueError("job needs 'dim' and 'gens'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("'dim' must be a positive integer")
     gens = data["gens"]
     if not isinstance(gens, list) or not all(

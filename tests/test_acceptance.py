@@ -37,7 +37,6 @@ from reesgor import (
     conductor_exponent,
     core_compute,
     core_matches_power,
-    closure_power_member,
     embed_phi,
     filtration_reduction_number,
     find_pure_power_reduction,
@@ -303,7 +302,7 @@ def test_criterion_4_randomized_oracle_agreement():
         outside = [
             v
             for v in itertools.product(*(range(b + 1) for b in box))
-            if not closure_power_member(v, facets, 1)
+            if not facets.contains_power(v, 1)
         ]
         outside_set = set(outside)
         for v in outside:

@@ -1,29 +1,40 @@
 """Reductions, colon criteria, cores, conductors, consistency."""
 
+import json
+
 import pytest
 
 from reesgor import (
     MonomialIdeal,
     a_invariant_consistency,
+    analysis,
     analyze_reduction,
     canonical_piece,
     closure_nilpotency_index,
+    closure_power,
     cohen_macaulay_test,
     conductor_exponent,
     core_compute,
     core_matches_power,
     find_pure_power_reduction,
+    integral_closure,
     is_monomial_reduction,
+    newton_polyhedron,
     nilpotency_index,
+    powers_upto,
     quasi_gorenstein_test,
     reduction_number,
     two_standard_test,
 )
+from reesgor.cli import EXIT_UNTRUSTED, main
 from reesgor.errors import (
     InapplicableError,
+    InvariantViolationError,
     NotAReductionError,
     NotMPrimaryError,
 )
+
+from conftest import random_ideal, random_m_primary, seeded
 
 M = MonomialIdeal.maximal(2)
 M2 = M ** 2
@@ -211,6 +222,94 @@ def test_conductor_values():
     assert conductor_exponent(MonomialIdeal(2, ((2, 0), (0, 3)))) == 1
     assert conductor_exponent(RICH) == 1
     assert conductor_exponent(CRIT) == 1
+
+
+def _horizon_eight_conductor(ideal):
+    """The scan the proved horizon replaced: least c <= 8 with the
+    closure of ideal^(n+c) inside ideal^n for every n <= 8."""
+    facets = newton_polyhedron(ideal)
+    i_pows = powers_upto(ideal, 8)
+    for c in range(9):
+        if all(
+            closure_power(ideal, n + c, facets).is_subset(i_pows[n])
+            for n in range(1, 9)
+        ):
+            return c
+    raise AssertionError(f"no c <= 8 for {ideal.to_str()}")
+
+
+def test_conductor_matches_horizon_eight_scan():
+    rng = seeded(31)
+    seen = set()
+    for k in range(40):
+        ideal = random_m_primary(rng, 2 + k % 2, max_coord=4)
+        c = conductor_exponent(ideal)
+        assert c == _horizon_eight_conductor(ideal), ideal.to_str()
+        seen.add((ideal.dim, c))
+    # the bound c <= d - 1 is reached in both dimensions
+    assert {(2, 1), (3, 2)} <= seen
+    # integrally closed but not normal: c = 0 passes n = 1 and fails n = 2
+    closed = integral_closure(MonomialIdeal.pure_powers((5, 7, 2)))
+    assert closure_power(closed, 1) == closed
+    assert conductor_exponent(closed) == _horizon_eight_conductor(closed) == 1
+    four = MonomialIdeal(
+        4, ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+    )
+    assert conductor_exponent(four) == 2
+
+
+def test_conductor_lemmas_on_random_ideals():
+    rng = seeded(32)
+    for d in (2, 3, 4):
+        for k in range(8):
+            make = random_ideal if k % 2 else random_m_primary
+            ideal = make(rng, d, max_coord=3 if d == 4 else 4)
+            facets = newton_polyhedron(ideal)
+            # Lemma A: closure(I^m) = I * closure(I^(m-1)) for m >= d
+            for m in (d, d + 1):
+                above = closure_power(ideal, m, facets)
+                below = closure_power(ideal, m - 1, facets)
+                assert above == ideal * below, (ideal.to_str(), m)
+            # Lemma B: closure(I^(n+d-1)) lies in I^n
+            for n in (1, 2):
+                assert closure_power(ideal, n + d - 1, facets).is_subset(
+                    ideal ** n
+                ), (ideal.to_str(), n)
+
+
+def test_conductor_closes_no_power_above_the_dimension(monkeypatch):
+    formed = []
+
+    def recording(ideal, n, facets=None):
+        formed.append(n)
+        return closure_power(ideal, n, facets)
+
+    monkeypatch.setattr(analysis, "closure_power", recording)
+    rng = seeded(33)
+    ideals = [random_m_primary(rng, d, max_coord=4) for d in (2, 3, 3, 4)]
+    for ideal in ideals + [RICH, CRIT]:
+        formed.clear()
+        conductor_exponent(ideal)
+        assert formed and max(formed) <= ideal.dim, (ideal.to_str(), formed)
+
+
+def test_conductor_without_a_passing_c_raises(monkeypatch, tmp_path, capsys):
+    # Closures up to I^d replaced by the unit ideal defeat every c <= d - 1,
+    # while the closure index, which goes past I^d, still stabilizes.
+    def defeating(ideal, n, facets=None):
+        if n <= ideal.dim:
+            return MonomialIdeal.unit(ideal.dim)
+        return closure_power(ideal, n, facets)
+
+    monkeypatch.setattr(analysis, "closure_power", defeating)
+    with pytest.raises(InvariantViolationError, match="Briancon-Skoda"):
+        conductor_exponent(J22)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"dim": 2, "gens": [[2, 0], [0, 2]]}))
+    assert main(["--json", "report", str(path)]) == EXIT_UNTRUSTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Briancon-Skoda" in captured.err
 
 
 def test_consistency_all_checks_applicable():

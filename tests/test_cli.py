@@ -75,6 +75,20 @@ def test_bad_job_shapes_are_usage_errors(job):
     )
 
 
+def test_boolean_job_data_is_usage_error(job, capsys):
+    assert main(["--json", "report", job({"dim": True, "gens": [[3]]})]) == (
+        EXIT_USAGE
+    )
+    assert "'dim' must be a positive integer" in capsys.readouterr().err
+    bool_exponent = {"dim": 2, "gens": [[True, 0], [0, 2]]}
+    assert main(["--json", "report", job(bool_exponent)]) == EXIT_USAGE
+    assert "non-integer exponent" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        job_from_dict({"dim": True, "gens": [[3]]})
+    with pytest.raises(ValueError):
+        job_from_dict(bool_exponent)
+
+
 def test_fast_gorenstein_needs_pure_powers(job, capsys):
     assert main(["gorenstein", "--fast", job(SQUARE)]) == EXIT_INAPPLICABLE
     assert "pure powers" in capsys.readouterr().err

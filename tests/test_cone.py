@@ -1,5 +1,6 @@
 """The lifted semigroup cone and the canonical module read off it."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -20,6 +21,7 @@ from reesgor.errors import (
     BudgetExceededError,
     DimensionMismatchError,
     InapplicableError,
+    IncompleteSearchError,
     NotMPrimaryError,
 )
 from reesgor.oracle import oracle_relint_points
@@ -329,3 +331,15 @@ def test_oversized_box_fails_fast():
     message = str(info.value)
     assert "(7, 11, 13, 17, 19, 23)" in message
     assert "11612160 columns" in message
+
+
+def test_undersized_search_box_is_reported():
+    # With the unit vectors as rays the search box is (1, 1, 1), which
+    # holds no interior point; the sweep then meets (1, 1, 2) outside it.
+    cone = cone_of(((3, 0), (1, 1), (0, 3)))
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(IncompleteSearchError) as info:
+        canonical_generators(dataclasses.replace(cone, rays=units))
+    message = str(info.value)
+    assert "interior point (1, 1, 2)" in message
+    assert "search box (1, 1, 1)" in message

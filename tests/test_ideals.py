@@ -40,6 +40,15 @@ def test_minimalize_rejects_bad_input():
         minimalize([(1, 1.5)], 2)
 
 
+def test_booleans_are_not_ideal_data():
+    with pytest.raises(InvalidIdealError):
+        minimalize([(True, 0), (0, 2)], 2)
+    with pytest.raises(InvalidIdealError):
+        MonomialIdeal(2, ((True, 0), (0, 2)))
+    with pytest.raises(InvalidIdealError):
+        MonomialIdeal(True, ((3,),))
+
+
 def test_constructor_canonicalizes():
     a = I(2, (2, 0), (0, 2), (3, 1))
     b = I(2, (0, 2), (2, 0))
