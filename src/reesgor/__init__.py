@@ -3,7 +3,7 @@ Cohen-Macaulay properties of (normalized) extended Rees algebras of
 monomial ideals, with the derived invariants: reduction numbers,
 nilpotency indices, degree invariants, cores, conductor exponents.
 
-All arithmetic is exact (arbitrary-precision integers and rationals);
+All arithmetic is exact (arbitrary-precision integers only);
 every nontrivial verdict is cross-checked along an independent route
 before it is returned.
 """

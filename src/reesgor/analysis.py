@@ -36,15 +36,33 @@ def powers_upto(ideal: MonomialIdeal, n: int) -> List[MonomialIdeal]:
     return out
 
 
+# How far the power characterization of a reduction is evaluated.
+POWER_HORIZON = 20
+
+
+def _absorption_index(
+    candidate: MonomialIdeal, ideal: MonomialIdeal
+) -> Optional[int]:
+    """The least n <= POWER_HORIZON with candidate * ideal^n equal to
+    ideal^(n+1), or None when there is none."""
+    current = MonomialIdeal.unit(ideal.dim)  # ideal^n
+    for n in range(POWER_HORIZON + 1):
+        nxt = current * ideal
+        if candidate * current == nxt:
+            return n
+        current = nxt
+    return None
+
+
 def is_monomial_reduction(
-    candidate: MonomialIdeal, ideal: MonomialIdeal, power_horizon: int = 20
+    candidate: MonomialIdeal, ideal: MonomialIdeal
 ) -> bool:
     """Is candidate a reduction of ideal (candidate * ideal^n equals
     ideal^(n+1) for some n)?
 
     Decided on the Newton polyhedra: a subideal is a reduction iff the
     two polyhedra coincide. The power characterization is evaluated as
-    well, up to power_horizon, and the two answers must agree; if they
+    well, up to POWER_HORIZON, and the two answers must agree; if they
     do not, something is broken and InvariantViolationError reports it.
     Candidates that are not contained in the ideal are rejected with
     NotAReductionError before any geometry runs.
@@ -54,20 +72,12 @@ def is_monomial_reduction(
             f"{candidate.to_str()} is not contained in {ideal.to_str()}"
         )
     np_equal = newton_polyhedron(candidate) == newton_polyhedron(ideal)
-
-    power_equal = False
-    current = MonomialIdeal.unit(ideal.dim)  # ideal^n
-    for _ in range(power_horizon + 1):
-        nxt = current * ideal
-        if candidate * current == nxt:
-            power_equal = True
-            break
-        current = nxt
+    power_equal = _absorption_index(candidate, ideal) is not None
     if np_equal != power_equal:
         raise InvariantViolationError(
             f"reduction tests disagree for {candidate.to_str()} in "
             f"{ideal.to_str()}: polyhedra say {np_equal}, powers up to "
-            f"{power_horizon} say {power_equal}"
+            f"{POWER_HORIZON} say {power_equal}"
         )
     return np_equal
 
@@ -98,24 +108,16 @@ def find_pure_power_reduction(
     return candidate
 
 
-def reduction_number(
-    ideal: MonomialIdeal, reduction: MonomialIdeal, guard: int = 60
-) -> int:
+def reduction_number(ideal: MonomialIdeal, reduction: MonomialIdeal) -> int:
     """The least n with reduction * ideal^n == ideal^(n+1). Validates
-    that the argument really is a reduction first."""
+    that the argument really is a reduction first; a confirmed
+    reduction absorbs a power by POWER_HORIZON, or the validation
+    would have raised."""
     if not is_monomial_reduction(reduction, ideal):
         raise NotAReductionError(
             f"{reduction.to_str()} is not a reduction of {ideal.to_str()}"
         )
-    current = MonomialIdeal.unit(ideal.dim)  # ideal^n
-    for n in range(guard + 1):
-        nxt = current * ideal
-        if reduction * current == nxt:
-            return n
-        current = nxt
-    raise InvariantViolationError(
-        f"confirmed reduction did not absorb a power by n = {guard}"
-    )
+    return _absorption_index(reduction, ideal)
 
 
 def nilpotency_index(
@@ -139,19 +141,26 @@ def closure_nilpotency_index(
     ideal: MonomialIdeal,
     reduction: MonomialIdeal,
     facets: Optional[FacetSystem] = None,
-    guard: Optional[int] = None,
 ) -> int:
     """The least i with the integral closure of ideal^(i+1) contained
-    in the reduction (the nilpotency index of the closure filtration)."""
+    in the reduction (the nilpotency index of the closure filtration).
+
+    It is at most r + d - 1, with r the reduction number and d the
+    dimension: by Lemma B in conductor_exponent (monomial
+    Briancon-Skoda), closure(I^(r+d)) lies in I^(r+1), and
+    I^(r+1) = J * I^r lies in J. The scan stops there; passing the
+    bound raises InvariantViolationError.
+    """
     if facets is None:
         facets = newton_polyhedron(ideal)
-    if guard is None:
-        guard = reduction_number(ideal, reduction) + ideal.dim + 10
-    for i in range(guard + 1):
+    bound = reduction_number(ideal, reduction) + ideal.dim - 1
+    for i in range(bound + 1):
         if closure_power(ideal, i + 1, facets).is_subset(reduction):
             return i
-    raise StabilizationError(
-        f"closure filtration not inside the reduction by step {guard}"
+    raise InvariantViolationError(
+        f"the closure of {ideal.to_str()}^{bound + 1} is not inside "
+        f"{reduction.to_str()}, against the Briancon-Skoda bound "
+        f"r + d - 1 = {bound}"
     )
 
 

@@ -3,8 +3,9 @@
 The Newton polyhedron of a monomial ideal is the convex hull of its
 exponent vectors plus the nonnegative orthant. Its facet inequalities
 are computed exactly: homogenize the generators into a cone one
-dimension up, run incremental double description over rationals to get
-the extreme rays of the dual cone, and read each dual ray back as a
+dimension up, run incremental double description over the integers
+(one fraction-free Gauss-Jordan helper, no rationals) to get the
+extreme rays of the dual cone, and read each dual ray back as a
 facet. A dual ray (w, -h) with w nonzero dehomogenizes to the
 inequality <w, x> >= h; rays with w = 0 are the horizon facet and are
 dropped. Offsets h > 0 give the bounded facets, h = 0 the coordinate
@@ -24,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -45,75 +45,59 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 # exact linear algebra
 
 
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _inverse_columns(matrix: Sequence[Sequence[int]]) -> List[Tuple[Fraction, ...]]:
-    """Columns of the inverse of a square integer matrix, as exact
-    rational vectors."""
-    n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ConeGeometryError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [tuple(aug[i][n + j] for i in range(n)) for j in range(n)]
-
-
 def _int_primitive(v: Sequence[int]) -> Vector:
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
+    g = math.gcd(*v)
     if g == 0:
         raise ConeGeometryError("zero vector cannot be made primitive")
     return tuple(c // g for c in v)
 
 
-def _fraction_primitive(col: Sequence[Fraction]) -> Vector:
-    scale = math.lcm(*(x.denominator for x in col))
-    return _int_primitive([int(x * scale) for x in col])
+def _content_free(v: Sequence[int], col: int) -> List[int]:
+    """v divided by its content, signed so that v[col] > 0."""
+    g = math.gcd(*v)
+    if v[col] < 0:
+        g = -g
+    return [c // g for c in v]
+
+
+def _row_reduce(
+    rows: Sequence[Sequence[int]],
+) -> Tuple[List[int], List[Tuple[int, List[int]]]]:
+    """Integer Gauss-Jordan elimination, one row at a time.
+
+    Takes the rows in order and keeps a row when it is independent of
+    the rows kept before it. Eliminates by cross-multiplication and
+    divides out the content, so every entry stays an integer. Returns
+    the indices of the kept rows and, for each, its pivot column and
+    reduced row: positive in its own pivot column, zero in every other
+    pivot column.
+    """
+    kept: List[int] = []
+    pivots: List[Tuple[int, List[int]]] = []
+    for idx, row in enumerate(rows):
+        v = list(row)
+        for col, p in pivots:
+            if v[col]:
+                f, g = p[col], v[col]
+                v = [f * x - g * y for x, y in zip(v, p)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        v = _content_free(v, col)
+        for k, (c, p) in enumerate(pivots):
+            if p[col]:
+                f, g = v[col], p[col]
+                p = [f * x - g * y for x, y in zip(p, v)]
+                pivots[k] = (c, _content_free(p, c))
+        pivots.append((col, v))
+        kept.append(idx)
+        if len(pivots) == len(v):
+            break
+    return kept, pivots
 
 
 # -------------------------------------------------------------------- #
 # double description
-
-
-def _tight_mask(ray: Vector, constraints: Sequence[Vector]) -> int:
-    mask = 0
-    for i, a in enumerate(constraints):
-        if _dot(a, ray) == 0:
-            mask |= 1 << i
-    return mask
 
 
 def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
@@ -129,61 +113,61 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     constraints = [tuple(int(x) for x in row) for row in rows]
     if any(len(a) != dim for a in constraints):
         raise DimensionMismatchError("constraint row of wrong length")
-    if _rank(constraints) < dim:
+    base, _ = _row_reduce(constraints)
+    if len(base) < dim:
         raise ConeGeometryError(
             "cone is not pointed: constraint normals do not span"
         )
 
-    # Start from a simplicial subcone cut by dim independent rows; its
-    # extreme rays are the columns of the inverse matrix.
-    base: List[Vector] = []
-    base_indices = set()
-    for idx, a in enumerate(constraints):
-        if _rank(base + [a]) > len(base):
-            base.append(a)
-            base_indices.add(idx)
-            if len(base) == dim:
-                break
-    rays: List[Vector] = sorted(
-        _fraction_primitive(col) for col in _inverse_columns(base)
+    # Start from the simplicial subcone cut by the dim independent rows
+    # `base`. Reducing [base | identity] leaves, in the pivot row of
+    # column c, d_c times row c of the inverse on the right; ray j is
+    # column j of the inverse, tight on every base row except row j.
+    # A ray's mask has bit i set when row i has been processed and the
+    # ray is tight on it.
+    _, reduced = _row_reduce(
+        [constraints[i] + (0,) * j + (1,) + (0,) * (dim - 1 - j)
+         for j, i in enumerate(base)]
     )
-    processed: List[Vector] = list(base)
+    reduced.sort()
+    scale = math.lcm(*(row[c] for c, row in reduced))
+    base_mask = sum(1 << i for i in base)
+    masks = {}
+    for j, i in enumerate(base):
+        column = [row[dim + j] * (scale // row[c]) for c, row in reduced]
+        masks[_int_primitive(column)] = base_mask & ~(1 << i)
 
     for idx, a in enumerate(constraints):
-        if idx in base_indices:
+        bit = 1 << idx
+        if base_mask & bit:
             continue
-        values = {r: _dot(a, r) for r in rays}
-        if all(v >= 0 for v in values.values()):
-            processed.append(a)
-            continue
-        positive = [r for r in rays if values[r] > 0]
-        zero = [r for r in rays if values[r] == 0]
-        negative = [r for r in rays if values[r] < 0]
-        masks = {r: _tight_mask(r, processed) for r in rays}
-
-        def adjacent(p: Vector, q: Vector) -> bool:
-            common = masks[p] & masks[q]
-            if common.bit_count() < dim - 2:
-                return False
-            for r in rays:
-                if r != p and r != q and (masks[r] & common) == common:
-                    return False
-            return True
-
-        kept = set(positive) | set(zero)
+        values = {r: _dot(a, r) for r in masks}
+        positive = [r for r, v in values.items() if v > 0]
+        negative = [r for r, v in values.items() if v < 0]
+        combined = {}
         for p in positive:
-            vp = values[p]
             for q in negative:
-                if adjacent(p, q):
-                    vq = values[q]
-                    combined = tuple(
-                        vp * qc - vq * pc for pc, qc in zip(p, q)
-                    )
-                    kept.add(_int_primitive(combined))
-        processed.append(a)
-        rays = sorted(kept)
+                common = masks[p] & masks[q]
+                if common.bit_count() < dim - 2 or any(
+                    r != p and r != q and (masks[r] & common) == common
+                    for r in masks
+                ):
+                    continue
+                # The new ray is vp * q + |vq| * p with vp, |vq| > 0, and
+                # p, q are >= 0 on every row processed so far, so it is
+                # tight exactly where both are, and on row idx.
+                vp, vq = values[p], values[q]
+                ray = [vp * qc - vq * pc for pc, qc in zip(p, q)]
+                combined[_int_primitive(ray)] = common | bit
+        for r, v in values.items():
+            if v < 0:
+                del masks[r]
+            elif v == 0:
+                masks[r] |= bit
+        masks.update(combined)
 
-    if _rank(rays) < dim:
+    rays = sorted(masks)
+    if len(_row_reduce(rays)[0]) < dim:
         raise ConeGeometryError(
             "cone is not full dimensional: extreme rays span a proper subspace"
         )

@@ -186,6 +186,8 @@ def cm_section(
 def core_section(
     ideal: MonomialIdeal, reduction: Optional[MonomialIdeal], u: int
 ) -> Dict:
+    if u < 1:
+        raise ValueError("core power u must be at least 1")
     if reduction is None:
         reduction = find_pure_power_reduction(ideal)
         if reduction is None:
@@ -240,13 +242,14 @@ def invariants_section(
     }
 
 
-def build_report(job: JobSpec, closure_n: int = 2, core_u: int = 1) -> Dict:
-    """One dict with every section; sections whose criterion does not
-    apply to this input are embedded as {'inapplicable': reason}."""
+def build_report(job: JobSpec) -> Dict:
+    """One dict with every section, the closure of I^2 and the core of
+    I^1 among them; sections whose criterion does not apply to this
+    input are embedded as {'inapplicable': reason}."""
     ideal = job.ideal
     out: Dict = {"schema_version": SCHEMA_VERSION, "ideal": ideal_dict(ideal)}
     out["newton"] = facet_section(ideal)
-    out["integral_closure"] = closure_section(ideal, closure_n)
+    out["integral_closure"] = closure_section(ideal, 2)
 
     def guarded(builder, *args) -> Dict:
         try:
@@ -260,7 +263,7 @@ def build_report(job: JobSpec, closure_n: int = 2, core_u: int = 1) -> Dict:
     out["invariants"] = guarded(invariants_section, ideal, job.reduction)
     out["quasi_gorenstein"] = guarded(qgor_section, ideal, job.reduction)
     out["cohen_macaulay"] = guarded(cm_section, ideal, job.reduction)
-    out["core"] = guarded(core_section, ideal, job.reduction, core_u)
+    out["core"] = guarded(core_section, ideal, job.reduction, 1)
     out["consistency"] = guarded(consistency_section, ideal, job.reduction)
     return out
 

@@ -312,6 +312,47 @@ def test_conductor_without_a_passing_c_raises(monkeypatch, tmp_path, capsys):
     assert "Briancon-Skoda" in captured.err
 
 
+def test_closure_index_stays_within_the_briancon_skoda_bound(monkeypatch):
+    formed = []
+
+    def recording(ideal, n, facets=None):
+        formed.append(n)
+        return closure_power(ideal, n, facets)
+
+    monkeypatch.setattr(analysis, "closure_power", recording)
+    rng = seeded(36)
+    cases = [(M2, J22), (CRIT, CRIT), (RICH, J44), (M, M)]
+    while len(cases) < 40:
+        ideal = random_m_primary(rng, rng.choice((2, 3)), max_coord=4)
+        reduction = find_pure_power_reduction(ideal)
+        if reduction is not None:
+            cases.append((ideal, reduction))
+    at_bound = 0
+    for ideal, reduction in cases:
+        formed.clear()
+        s_bar = closure_nilpotency_index(ideal, reduction)
+        r, d = reduction_number(ideal, reduction), ideal.dim
+        assert formed and max(formed) <= r + d, (ideal.to_str(), formed)
+        at_bound += s_bar == r + d - 1
+    assert at_bound > 0
+
+
+def test_closure_index_past_the_bound_raises(monkeypatch, tmp_path, capsys):
+    # closures that never fit inside the reduction
+    def outside(ideal, n, facets=None):
+        return MonomialIdeal.unit(ideal.dim)
+
+    monkeypatch.setattr(analysis, "closure_power", outside)
+    with pytest.raises(InvariantViolationError, match="r \\+ d - 1 = 2"):
+        closure_nilpotency_index(M2, J22)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"dim": 2, "gens": [[2, 0], [0, 2]]}))
+    assert main(["--json", "report", str(path)]) == EXIT_UNTRUSTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Briancon-Skoda" in captured.err
+
+
 def test_consistency_all_checks_applicable():
     rep = a_invariant_consistency(CRIT)
     assert rep.all_ok

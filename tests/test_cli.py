@@ -173,6 +173,16 @@ def test_core_power_flag(job, capsys):
     assert payload["power_formula"]["matches"] is True
 
 
+def test_core_power_below_one_is_usage_error(job, capsys):
+    for payload in (PURE, TWO_FACETS):
+        for u in ("0", "-1"):
+            assert main(["--json", "core", "--u", u, job(payload)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "u must be at least 1" in captured.err
+    assert main(["--json", "core", "--u", "2", job(PURE)]) == EXIT_OK
+
+
 def test_json_output_is_deterministic(job, capsys):
     main(["--json", "report", job(SQUARE)])
     first = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,10 +16,11 @@ from reesgor import (
 from reesgor.errors import (
     BudgetExceededError,
     ConeGeometryError,
+    DimensionMismatchError,
     InvalidIdealError,
 )
 from reesgor.oracle import oracle_iclosure_member
-from reesgor.polyhedra import COLUMN_BUDGET, _column_minima
+from reesgor.polyhedra import COLUMN_BUDGET, _column_minima, _row_reduce
 
 from conftest import random_ideal, random_m_primary, seeded
 
@@ -171,6 +173,229 @@ def test_extreme_rays_satisfy_rows():
                 sum(a * b for a, b in zip(row, r)) >= 0 for row in rows
             )
             assert math.gcd(*r) == 1
+
+
+# ------------------------------------------------------------------ #
+# the rational double description, kept as the reference
+
+
+def _reference_rank(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    rank = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][c]
+        for i in range(len(m)):
+            if i != rank and m[i][c] != 0:
+                f = m[i][c] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _reference_inverse_columns(matrix):
+    n = len(matrix)
+    aug = [
+        [Fraction(matrix[i][j]) for j in range(n)]
+        + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [tuple(aug[i][n + j] for i in range(n)) for j in range(n)]
+
+
+def _reference_primitive(v):
+    g = 0
+    for c in v:
+        g = math.gcd(g, c)
+    if g == 0:
+        raise ConeGeometryError("zero vector cannot be made primitive")
+    return tuple(c // g for c in v)
+
+
+def _reference_extreme_rays(rows, dim):
+    """extreme_rays as it was over Fraction: the base picked by one
+    rank per row, its rays from a rational inverse, and every ray's
+    tight set recomputed from scratch at every step."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    constraints = [tuple(int(x) for x in row) for row in rows]
+    if any(len(a) != dim for a in constraints):
+        raise DimensionMismatchError("constraint row of wrong length")
+    if _reference_rank(constraints) < dim:
+        raise ConeGeometryError(
+            "cone is not pointed: constraint normals do not span"
+        )
+    base, base_indices = [], set()
+    for idx, a in enumerate(constraints):
+        if _reference_rank(base + [a]) > len(base):
+            base.append(a)
+            base_indices.add(idx)
+            if len(base) == dim:
+                break
+    rays = sorted(
+        _reference_primitive(
+            [int(x * math.lcm(*(y.denominator for y in col))) for x in col]
+        )
+        for col in _reference_inverse_columns(base)
+    )
+    processed = list(base)
+    for idx, a in enumerate(constraints):
+        if idx in base_indices:
+            continue
+        values = {r: dot(a, r) for r in rays}
+        if all(v >= 0 for v in values.values()):
+            processed.append(a)
+            continue
+        masks = {
+            r: sum(1 << i for i, b in enumerate(processed) if dot(b, r) == 0)
+            for r in rays
+        }
+
+        def adjacent(p, q):
+            common = masks[p] & masks[q]
+            if common.bit_count() < dim - 2:
+                return False
+            return not any(
+                r != p and r != q and (masks[r] & common) == common
+                for r in rays
+            )
+
+        kept = {r for r in rays if values[r] >= 0}
+        for p in rays:
+            for q in rays:
+                if values[p] > 0 and values[q] < 0 and adjacent(p, q):
+                    kept.add(_reference_primitive(
+                        [values[p] * qc - values[q] * pc for pc, qc in zip(p, q)]
+                    ))
+        processed.append(a)
+        rays = sorted(kept)
+    if _reference_rank(rays) < dim:
+        raise ConeGeometryError(
+            "cone is not full dimensional: extreme rays span a proper subspace"
+        )
+    return tuple(rays)
+
+
+def _outcome(fn, rows, dim):
+    try:
+        return fn(rows, dim)
+    except (ConeGeometryError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+def _row_sets(rng, count):
+    """Seeded constraint sets for extreme_rays: homogenized Newton
+    constraints, lifted cone rows, and random rows in [-4, 4] with
+    repeated, scaled, negated, summed and zero rows mixed in, so that
+    non-pointed, not full-dimensional, redundant and degenerate cones
+    all occur."""
+    for i in range(count):
+        kind = i % 4
+        dim = rng.randint(2, 6) if kind == 3 else rng.randint(2, 4)
+        if kind == 0:
+            ideal = random_ideal(rng, dim, max_coord=4)
+            rows = [g + (1,) for g in ideal.gens] + [
+                tuple(int(k == j) for k in range(dim + 1)) for j in range(dim)
+            ]
+            yield rows, dim + 1
+            continue
+        if kind == 1:
+            facets = newton_polyhedron(random_m_primary(rng, dim, max_coord=4))
+            rows = [
+                tuple(a - f.offset for a in f.normal) + (f.offset,)
+                for f in facets.bounded
+            ] + [
+                tuple(int(k == j) for k in range(dim + 1)) for j in range(dim)
+            ]
+            yield rows, dim + 1
+            continue
+        rows = [
+            tuple(rng.randint(-4, 4) for _ in range(dim))
+            for _ in range(rng.randint(1, dim + 3))
+        ]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(rng.choice((
+                a,
+                tuple(2 * x for x in a),
+                tuple(-x for x in a),
+                tuple(x + y for x, y in zip(a, b)),
+                (0,) * dim,
+            )))
+        rng.shuffle(rows)
+        yield rows, dim
+
+
+def test_extreme_rays_match_the_rational_reference():
+    rng = seeded(29)
+    outcomes = set()
+    for rows, dim in _row_sets(rng, 1500):
+        expected = _outcome(_reference_extreme_rays, rows, dim)
+        assert _outcome(extreme_rays, rows, dim) == expected, (rows, dim)
+        outcomes.add(expected[1] if isinstance(expected[0], type) else "rays")
+    assert outcomes == {
+        "rays",
+        "cone is not pointed: constraint normals do not span",
+        "cone is not full dimensional: extreme rays span a proper subspace",
+    }
+
+
+def test_row_reduce_keeps_the_rank_rises_and_inverts():
+    rng = seeded(30)
+    for _ in range(200):
+        width = rng.randint(1, 6)
+        rows = [
+            tuple(rng.randint(-4, 4) for _ in range(width))
+            for _ in range(rng.randint(1, width + 3))
+        ]
+        rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(rows)
+        kept, pivots = _row_reduce(rows)
+        assert kept == [
+            i for i in range(len(rows))
+            if _reference_rank(rows[: i + 1]) > _reference_rank(rows[:i])
+        ]
+        columns = [c for c, _ in pivots]
+        for c, row in pivots:
+            assert row[c] > 0
+            assert all(row[k] == 0 for k in columns if k != c)
+        if len(kept) < width:
+            continue
+        # a nonsingular base: recover the inverse columns from the
+        # reduced [base | identity] and multiply back
+        base = [rows[i] for i in kept]
+        _, reduced = _row_reduce(
+            [b + tuple(int(k == j) for k in range(width))
+             for j, b in enumerate(base)]
+        )
+        reduced.sort()
+        scale = math.lcm(*(row[c] for c, row in reduced))
+        inverse = [
+            [row[width + j] * (scale // row[c]) for c, row in reduced]
+            for j in range(width)
+        ]
+        for i, b in enumerate(base):
+            for j, col in enumerate(inverse):
+                value = sum(x * y for x, y in zip(b, col))
+                assert value == (scale if i == j else 0)
+        assert scale > 0
 
 
 # ------------------------------------------------------------------ #
