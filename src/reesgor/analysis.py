@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .cone import is_gorenstein_normalization
 from .errors import (
     InapplicableError,
     InvariantViolationError,
     NotAReductionError,
-    StabilizationError,
 )
 from .ideals import MonomialIdeal
 from .polyhedra import FacetSystem, closure_power, newton_polyhedron
@@ -213,7 +213,9 @@ def canonical_piece(
 
     Requires a pure-power reduction (so its minimal generator count
     equals the dimension) and k at least the reduction number; the
-    value is then independent of k, which is verified at k, k+1, k+2.
+    value is then independent of k by the colon-shift lemma in
+    core_compute (J^(m+1) : J = J^m for a pure-power J, and
+    I^(k+1) = J * I^k), and this is verified at k, k+1, k+2.
     """
     if reduction.pure_power_exponents() is None:
         raise InapplicableError(
@@ -414,15 +416,25 @@ def two_standard_test(ideal: MonomialIdeal, reduction: MonomialIdeal) -> bool:
 def core_compute(
     ideal: MonomialIdeal, reduction: MonomialIdeal, u: int
 ) -> MonomialIdeal:
-    """The core of ideal^u (intersection of all its reductions),
-    computed as the stable value of the colon ladder
+    """The core of ideal^u (intersection of all its reductions).
 
-        C_n = (reduction_scaled)^(n+1) : (ideal^u)^n,
+    With B = ideal^u, K generated by the u-th powers of the pure-power
+    reduction's generators, and r_u the reduction number of B with
+    respect to K, the core is C_n = K^(n+1) : B^n for any n >= r_u
+    (Polini-Ulrich, A formula for the core of an ideal). It is formed
+    at n = r_u, and the value is the same at every later n:
 
-    where reduction_scaled is generated by the u-th powers of the
-    reduction's generators. The ladder starts at the reduction number
-    of the base ideal and must repeat a value within d + 4 further
-    steps; failing that raises StabilizationError.
+    1. Let K have generators x_i^(k_i). Then x^v lies in K^m iff
+       sum floor(v_i / k_i) >= m; multiplying by x_j^(k_j) raises that
+       sum by exactly one, so K^(m+1) : K = K^m.
+    2. For n >= r_u, B^(n+1) = K * B^n, so
+       C_(n+1) = K^(n+2) : (K * B^n) = (K^(n+2) : K) : B^n = C_n.
+    3. K is a reduction of B whenever the reduction is one of ideal:
+       NP(K) = u * NP(reduction) = u * NP(ideal) = NP(B), and
+       reduction_number validates the pair before returning r_u.
+
+    The next rung C_(r_u + 1) is formed as well and must equal C_(r_u);
+    if it does not, InvariantViolationError names both rungs.
     """
     if not isinstance(u, int) or u < 1:
         raise InapplicableError("the power u must be a positive int")
@@ -430,28 +442,25 @@ def core_compute(
         raise InapplicableError(
             "core computation needs a reduction generated by pure powers"
         )
-    r = reduction_number(ideal, reduction)
-    scaled = reduction.bracket_power(u)
     base = ideal ** u
-    guard = r + ideal.dim + 4
-    previous: Optional[MonomialIdeal] = None
-    ladder: List[str] = []
-    for n in range(r, guard + 1):
-        current = (scaled ** (n + 1)).colon(base ** n)
-        ladder.append(current.to_str())
-        if previous is not None and current == previous:
-            return current
-        previous = current
-    raise StabilizationError(
-        f"core ladder did not repeat by n = {guard}: {' -> '.join(ladder)}"
-    )
+    scaled = reduction.bracket_power(u)
+    r_u = reduction_number(base, scaled)
+    core = (scaled ** (r_u + 1)).colon(base ** r_u)
+    check = (scaled ** (r_u + 2)).colon(base ** (r_u + 1))
+    if check != core:
+        raise InvariantViolationError(
+            f"core colon changes past the reduction number {r_u} of "
+            f"{base.to_str()}: {core.to_str()} at n = {r_u} vs "
+            f"{check.to_str()} at n = {r_u + 1}"
+        )
+    return core
 
 
 def core_matches_power(
-    ideal: MonomialIdeal, reduction: MonomialIdeal, u: int, a: int
+    ideal: MonomialIdeal, core: MonomialIdeal, u: int, a: int
 ) -> bool:
-    """Does core(ideal^u) equal ideal^(d*u + a)?"""
-    return core_compute(ideal, reduction, u) == ideal ** (ideal.dim * u + a)
+    """Does core, the core of ideal^u, equal ideal^(d*u + a)?"""
+    return core == ideal ** (ideal.dim * u + a)
 
 
 def conductor_exponent(
@@ -552,60 +561,37 @@ def a_invariant_consistency(
     only when the quasi-Gorenstein test is positive; inapplicable
     checks are recorded as such and count as passing.
     """
-    from .cone import is_gorenstein_normalization
-
     d = ideal.dim
     facets = newton_polyhedron(ideal)
-    _, data = is_gorenstein_normalization(ideal, facets)
-    checks: List[ConsistencyCheck] = []
+    a_inv = is_gorenstein_normalization(ideal, facets)[1].a_invariant
+    # check name -> (expected, actual), or None when inapplicable
+    table: Dict[str, Optional[Tuple[int, int]]] = dict.fromkeys(
+        ("closure-index", "conductor-shift", "nilpotency-degree")
+    )
 
     if reduction is None:
         reduction = find_pure_power_reduction(ideal, facets)
-    if reduction is None:
-        checks.append(ConsistencyCheck("closure-index", False, True, None, None))
-        checks.append(ConsistencyCheck("conductor-shift", False, True, None, None))
-        checks.append(ConsistencyCheck("nilpotency-degree", False, True, None, None))
-        return ConsistencyReport(tuple(checks))
+    if reduction is not None:
+        s_bar = closure_nilpotency_index(ideal, reduction, facets)
+        table["closure-index"] = (s_bar - d + 1, a_inv)
+        try:
+            verdict = quasi_gorenstein_test(ideal, reduction)
+        except InapplicableError:
+            verdict = None
+        if verdict is not None and verdict.quasi_gorenstein:
+            c = conductor_exponent(ideal, facets)
+            table["conductor-shift"] = (verdict.a + c, a_inv)
+            s = verdict.nilpotency_index
+            if s == verdict.reduction_number:
+                table["nilpotency-degree"] = (s - d + 1, verdict.a)
 
-    s_bar = closure_nilpotency_index(ideal, reduction, facets)
-    expected = s_bar - d + 1
-    checks.append(
-        ConsistencyCheck(
-            "closure-index", True, data.a_invariant == expected, expected,
-            data.a_invariant,
-        )
-    )
-
-    try:
-        verdict = quasi_gorenstein_test(ideal, reduction)
-    except InapplicableError:
-        verdict = None
-    if verdict is not None and verdict.quasi_gorenstein:
-        c = conductor_exponent(ideal, facets)
-        shifted = verdict.a + c
-        checks.append(
-            ConsistencyCheck(
-                "conductor-shift", True, data.a_invariant == shifted,
-                shifted, data.a_invariant,
-            )
-        )
-        if verdict.nilpotency_index == verdict.reduction_number:
-            s_expected = verdict.nilpotency_index - d + 1
-            checks.append(
-                ConsistencyCheck(
-                    "nilpotency-degree", True, verdict.a == s_expected,
-                    s_expected, verdict.a,
-                )
-            )
+    checks: List[ConsistencyCheck] = []
+    for name, pair in table.items():
+        if pair is None:
+            checks.append(ConsistencyCheck(name, False, True, None, None))
         else:
+            expected, actual = pair
             checks.append(
-                ConsistencyCheck("nilpotency-degree", False, True, None, None)
+                ConsistencyCheck(name, True, expected == actual, expected, actual)
             )
-    else:
-        checks.append(
-            ConsistencyCheck("conductor-shift", False, True, None, None)
-        )
-        checks.append(
-            ConsistencyCheck("nilpotency-degree", False, True, None, None)
-        )
     return ConsistencyReport(tuple(checks))

@@ -177,9 +177,11 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
       in the order, no such point is ever accepted, and the sweep
       fails on it only if it fails on m, which lies in the same box.
 
-    The sweep skips the column minima inside the search box: the first
-    pass accepted each of them or found it generated, and the accepted
-    set only grows, so the final set generates each of them.
+    One scan over the sweep box serves both passes. Its column minima
+    inside the search box are the candidates; every other one up to the
+    sweep height must be generated by the final accepted set. The
+    candidates need no re-check: each was accepted or found generated,
+    and the accepted set only grows.
     """
     d = cone.dim
     q = compute_q(cone)
@@ -194,12 +196,18 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
             for g in accepted
         )
 
-    interior = [v for v in _column_minima(rows, box[:d]) if v[d] <= box[d]]
-    for v in sorted(interior, key=lambda v: (sum(v), v)):
+    candidates: List[Vector] = []
+    rest: List[Vector] = []
+    for v in _column_minima(rows, sweep[:d]):
+        if leq(v, box):
+            candidates.append(v)
+        elif v[d] <= sweep[d]:
+            rest.append(v)
+    for v in sorted(candidates, key=lambda v: (sum(v), v)):
         if not generated(v):
             accepted.append(v)
-    for v in _column_minima(rows, sweep[:d]):
-        if v[d] <= sweep[d] and not leq(v, box) and not generated(v):
+    for v in rest:
+        if not generated(v):
             raise IncompleteSearchError(
                 f"interior point {v} is not generated by {accepted}; "
                 f"search box {box} was too small"

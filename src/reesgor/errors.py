@@ -54,4 +54,7 @@ class IncompleteSearchError(RuntimeError):
 
 
 class StabilizationError(RuntimeError):
-    """An iteration that must stabilize by a proven bound failed to."""
+    """An iteration that must stabilize by a proven bound failed to.
+    Nothing in the library raises it: every iteration stops at a proved
+    bound, and a failed bound raises InvariantViolationError. It stays
+    exported, and the command line still maps it to exit 3."""

@@ -73,6 +73,11 @@ def job_from_dict(data: object) -> JobSpec:
             isinstance(g, list) for g in red
         ):
             raise ValueError("'reduction' must be a list of exponent lists")
+        if not red:
+            raise ValueError(
+                "'reduction' is empty, which is the zero ideal; list its "
+                "generators, or give null to search for one"
+            )
         reduction = MonomialIdeal(dim, tuple(tuple(g) for g in red))
         if not reduction.is_subset(ideal):
             raise ValueError("the supplied reduction is not inside the ideal")
@@ -204,7 +209,7 @@ def core_section(
         exponent = ideal.dim * u + verdict.a
         section["power_formula"] = {
             "exponent": exponent,
-            "matches": core_matches_power(ideal, reduction, u, verdict.a),
+            "matches": core_matches_power(ideal, core, u, verdict.a),
         }
     return section
 

@@ -32,6 +32,7 @@ from reesgor.errors import (
     InvariantViolationError,
     NotAReductionError,
     NotMPrimaryError,
+    StabilizationError,
 )
 
 from conftest import random_ideal, random_m_primary, seeded
@@ -192,13 +193,13 @@ def test_two_standard():
 def test_core_of_maximal_ideal_powers():
     for u in (1, 2, 4):
         assert core_compute(M, M, u) == M ** (2 * u - 1)
-        assert core_matches_power(M, M, u, -1)
+        assert core_matches_power(M, core_compute(M, M, u), u, -1)
 
 
 def test_core_of_square():
     assert core_compute(M2, J22, 1) == M ** 3
     assert core_compute(CRIT, CRIT, 1) == CRIT ** 1  # a = -2, d = 3
-    assert core_matches_power(CRIT, CRIT, 1, -2)
+    assert core_matches_power(CRIT, core_compute(CRIT, CRIT, 1), 1, -2)
 
 
 def test_core_rich_example():
@@ -210,6 +211,78 @@ def test_core_guards():
         core_compute(M, M, 0)
     with pytest.raises(InapplicableError):
         core_compute(M2, M2, 1)
+
+
+def _reference_core(ideal, reduction, u):
+    """The colon ladder core_compute walked before its stopping rung was
+    proved: C_n = (reduction^[u])^(n+1) : (ideal^u)^n from the
+    reduction number r of the base ideal, until a value repeats, giving
+    up at n = r + d + 4."""
+    r = reduction_number(ideal, reduction)
+    scaled = reduction.bracket_power(u)
+    base = ideal ** u
+    guard = r + ideal.dim + 4
+    previous = None
+    for n in range(r, guard + 1):
+        current = (scaled ** (n + 1)).colon(base ** n)
+        if current == previous:
+            return current
+        previous = current
+    raise StabilizationError(f"core ladder did not repeat by n = {guard}")
+
+
+def test_core_matches_the_reference_ladder():
+    rng = seeded(66)
+    cases = []
+    while len(cases) < 60:
+        d = 2 if len(cases) < 36 else 3
+        ideal = random_m_primary(rng, d, max_coord=6 - d)
+        reduction = find_pure_power_reduction(ideal)
+        if reduction is not None:
+            cases.append((ideal, reduction))
+    shifted = 0
+    for ideal, reduction in cases:
+        r = reduction_number(ideal, reduction)
+        for u in range(1, 5 - ideal.dim):
+            core = core_compute(ideal, reduction, u)
+            assert core == _reference_core(ideal, reduction, u), (
+                ideal.to_str(), u
+            )
+            r_u = reduction_number(ideal ** u, reduction.bracket_power(u))
+            shifted += r_u != r
+    assert shifted > 0
+
+
+def test_pure_power_colon_shift_lemma():
+    # K^(m+1) : K == K^m, the first step of core_compute's proof
+    rng = seeded(67)
+    for _ in range(30):
+        d = rng.randint(1, 4)
+        k = MonomialIdeal.pure_powers(
+            tuple(rng.randint(1, 4) for _ in range(d))
+        )
+        for m in range(4):
+            assert (k ** (m + 1)).colon(k) == k ** m, (k.to_str(), m)
+
+
+def test_core_rungs_that_differ_raise(monkeypatch, tmp_path, capsys):
+    # One below the true reduction number, the anchor's two rungs differ.
+    anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+    true_number = analysis.reduction_number
+    monkeypatch.setattr(
+        analysis,
+        "reduction_number",
+        lambda ideal, reduction: true_number(ideal, reduction) - 1,
+    )
+    reduction = find_pure_power_reduction(anchor)
+    with pytest.raises(InvariantViolationError, match="at n = 1 vs"):
+        core_compute(anchor, reduction, 1)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"dim": 3, "gens": [list(g) for g in anchor.gens]}))
+    assert main(["--json", "core", str(path)]) == EXIT_UNTRUSTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "core colon changes past the reduction number 1" in captured.err
 
 
 # ------------------------------------------------------------------ #
@@ -378,6 +451,30 @@ def test_consistency_partial_applicability():
     assert rep.all_ok
     by_name = {c.name: c for c in rep.checks}
     assert by_name["closure-index"].applicable and by_name["closure-index"].ok
+
+
+def test_consistency_records_both_sides_of_a_failed_check(
+    monkeypatch, tmp_path, capsys
+):
+    # Shifting the closure index and the conductor by one breaks the two
+    # checks that compare them with the cone-side a = -1 of CRIT.
+    for name in ("closure_nilpotency_index", "conductor_exponent"):
+        true_value = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis,
+            name,
+            lambda *args, f=true_value: f(*args) + 1,
+        )
+    by_name = {c.name: c for c in a_invariant_consistency(CRIT).checks}
+    for name in ("closure-index", "conductor-shift"):
+        check = by_name[name]
+        assert check.applicable and not check.ok
+        assert (check.expected, check.actual) == (0, -1)
+    assert by_name["nilpotency-degree"].ok
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"dim": 3, "gens": [list(g) for g in CRIT.gens]}))
+    assert main(["--json", "report", str(path)]) == EXIT_UNTRUSTED
+    assert '"all_ok": false' in capsys.readouterr().out
 
 
 def test_consistency_requires_m_primary():

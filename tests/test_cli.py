@@ -98,7 +98,7 @@ def test_oversized_gorenstein_job_is_untrusted(job, capsys):
     exps = (7, 11, 13, 17, 19, 23)
     gens = [[a if i == j else 0 for j in range(6)] for i, a in enumerate(exps)]
     assert main(["gorenstein", job({"dim": 6, "gens": gens})]) == EXIT_UNTRUSTED
-    assert "11612160 columns" in capsys.readouterr().err
+    assert "17506125 columns" in capsys.readouterr().err
 
 
 def test_qgor_needs_pure_power_reduction(job, capsys):
@@ -234,6 +234,18 @@ def test_report_with_supplied_reduction(job, capsys):
 def test_job_reduction_must_be_inside():
     with pytest.raises(ValueError):
         job_from_dict({"dim": 2, "gens": [[2, 0], [0, 2]], "reduction": [[1, 0]]})
+
+
+@pytest.mark.parametrize("command", ["report", "qgor", "cm", "core"])
+def test_empty_reduction_is_usage_error(job, capsys, command):
+    # An empty list is the zero ideal, which sits inside every ideal.
+    path = job({**SQUARE, "reduction": []})
+    assert main(["--json", command, path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'reduction' is empty" in captured.err
+    null = job({**SQUARE, "reduction": None})
+    assert main(["--json", command, null]) == EXIT_OK
 
 
 # ------------------------------------------------------------------ #

@@ -324,13 +324,13 @@ def test_fast_and_full_agree_on_samples():
 
 
 def test_oversized_box_fails_fast():
-    # 11.6M columns: refused before any of them is scanned
+    # 17.5M sweep columns: refused before any of them is scanned
     ideal = MonomialIdeal.pure_powers((7, 11, 13, 17, 19, 23))
     with pytest.raises(BudgetExceededError) as info:
         is_gorenstein_normalization(ideal)
     message = str(info.value)
-    assert "(7, 11, 13, 17, 19, 23)" in message
-    assert "11612160 columns" in message
+    assert "(8, 12, 14, 18, 20, 24)" in message
+    assert "17506125 columns" in message
 
 
 def test_undersized_search_box_is_reported():

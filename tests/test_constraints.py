@@ -1,0 +1,53 @@
+"""The hard constraints on the package source, checked on its syntax
+tree: the standard library is the only import, and arithmetic stays in
+the integers (no true division, no float literal, no float or Fraction
+name)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(
+    (Path(__file__).resolve().parents[1] / "src" / "reesgor").glob("*.py")
+)
+INEXACT_NAMES = {"float", "Fraction"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_package_has_sources():
+    assert {p.name for p in SOURCES} >= {"analysis.py", "cone.py", "ideals.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_standard_library(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            assert top in sys.stdlib_module_names, (path.name, node.lineno, module)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_arithmetic_stays_exact(path):
+    for node in ast.walk(_tree(path)):
+        where = (path.name, getattr(node, "lineno", None))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.Div), where
+        elif isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), where
+        elif isinstance(node, ast.Name):
+            assert node.id not in INEXACT_NAMES, where
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in INEXACT_NAMES, where
+        elif isinstance(node, ast.alias):
+            assert node.name.split(".")[-1] not in INEXACT_NAMES, where
