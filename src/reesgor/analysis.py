@@ -16,10 +16,11 @@ enforces that bound and raises rather than looping on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .cone import is_gorenstein_normalization
 from .errors import (
+    BudgetExceededError,
     InapplicableError,
     InvariantViolationError,
     NotAReductionError,
@@ -35,6 +36,23 @@ def powers_upto(ideal: MonomialIdeal, n: int) -> List[MonomialIdeal]:
         out.append(out[-1] * ideal)
     return out
 
+
+def _power_cache(ideal: MonomialIdeal) -> Callable[[int], MonomialIdeal]:
+    """A function n -> ideal^n that forms each power on first use, by
+    one product with the power before it (ideal^n = unit for n <= 0)."""
+    pows = [MonomialIdeal.unit(ideal.dim), ideal]
+
+    def power(n: int) -> MonomialIdeal:
+        while len(pows) <= n:
+            pows.append(pows[-1] * ideal)
+        return pows[max(n, 0)]
+
+    return power
+
+
+# Most generators the colon divisor of core_compute may have; the
+# measured row behind it is in the core_compute docstring.
+CORE_GENERATOR_BUDGET = 600
 
 # How far the power characterization of a reduction is evaluated.
 POWER_HORIZON = 20
@@ -273,11 +291,13 @@ def quasi_gorenstein_test(
     ideal^(i - u) holds for all i. Degrees i <= 0 hold by the power
     conventions, so the scan covers 1 <= i <= r + d + 2, extended to
     u + r when that is larger; a multiplicative probe one step past
-    the edge certifies the pattern continues. At most one candidate
-    degree can survive; two surviving would mean distinct powers of a
-    proper ideal coincide, so that raises InvariantViolationError, as
-    does a failed probe or a mismatch with the direct computation of
-    u as the largest n with ideal^r inside reduction^n.
+    the edge certifies the pattern continues. Powers of both ideals are
+    formed on first use, so a pattern that breaks at a small i forms
+    only small powers. At most one candidate degree can survive; two
+    surviving would mean distinct powers of a proper ideal coincide,
+    so that raises InvariantViolationError, as does a failed probe or
+    a mismatch with the direct computation of u as the largest n with
+    ideal^r inside reduction^n.
     """
     d = ideal.dim
     if reduction is None:
@@ -293,24 +313,17 @@ def quasi_gorenstein_test(
     r = reduction_number(ideal, reduction)
     s = nilpotency_index(ideal, reduction, r)
     window = r + d + 2
-    edge_max = max(window, (r - s) + r)
 
-    j_pows = powers_upto(reduction, edge_max + 1)
-    i_pows = powers_upto(ideal, window)
-    i_r = i_pows[r]
-    unit = MonomialIdeal.unit(d)
-
-    def rhs(exponent: int) -> MonomialIdeal:
-        if exponent <= 0:
-            return unit
-        return i_pows[exponent] if exponent < len(i_pows) else ideal ** exponent
+    j_pow = _power_cache(reduction)
+    i_pow = _power_cache(ideal)
+    i_r = i_pow(r)
 
     passing: List[Tuple[int, int]] = []
     for a in range(s - d + 1, r - d + 2):
         u = r - d + 1 - a
         ok = True
         for i in range(1, window + 1):
-            if j_pows[i].colon(i_r) != rhs(i - u):
+            if j_pow(i).colon(i_r) != i_pow(i - u):
                 ok = False
                 break
         if ok:
@@ -336,12 +349,12 @@ def quasi_gorenstein_test(
     a, u = passing[0]
     edge = max(window, u + r)
     for i in range(window + 1, edge + 1):
-        if j_pows[i].colon(i_r) != rhs(i - u):
+        if j_pow(i).colon(i_r) != i_pow(i - u):
             raise InvariantViolationError(
                 f"colon pattern breaks between window and edge at i = {i}"
             )
-    probe_lhs = j_pows[edge + 1].colon(i_r)
-    probe_rhs = reduction * j_pows[edge].colon(i_r)
+    probe_lhs = j_pow(edge + 1).colon(i_r)
+    probe_rhs = reduction * j_pow(edge).colon(i_r)
     probe_ok = probe_lhs == probe_rhs
     if not probe_ok:
         raise InvariantViolationError(
@@ -350,7 +363,7 @@ def quasi_gorenstein_test(
         )
 
     direct_u = 0
-    while direct_u <= edge and i_r.is_subset(j_pows[direct_u + 1]):
+    while direct_u <= edge and i_r.is_subset(j_pow(direct_u + 1)):
         direct_u += 1
     if direct_u != u:
         raise InvariantViolationError(
@@ -435,8 +448,21 @@ def core_compute(
 
     The next rung C_(r_u + 1) is formed as well and must equal C_(r_u);
     if it does not, InvariantViolationError names both rungs.
+
+    Each colon intersects one piece per generator of its divisor, so
+    the cost grows with the generator count of B^(r_u + 1), the divisor
+    of the check rung. Before any colon is formed, a count above
+    CORE_GENERATOR_BUDGET raises BudgetExceededError naming u, the
+    count and the limit. The limit comes from a measured row (2 cores,
+    Python 3.11): on (x^3, y^3, z^3, xyz), u = 1..8 give 19, 64, 136,
+    235, 361, 514, 694 and 901 generators, with both colons taking
+    0.01, 0.15, 0.64, 2.2, 6.1, 13, 28 and 46 s; the largest divisor
+    among the heavy report inputs, 575 generators for
+    (x^5, x^2y^2z, xy^2z^2, y^5, z^5) at u = 1, takes 2.3 s. The
+    limit admits that input and the anchor up to u = 6, and refuses
+    the anchor from u = 7 on.
     """
-    if not isinstance(u, int) or u < 1:
+    if not isinstance(u, int) or isinstance(u, bool) or u < 1:
         raise InapplicableError("the power u must be a positive int")
     if reduction.pure_power_exponents() is None:
         raise InapplicableError(
@@ -445,8 +471,15 @@ def core_compute(
     base = ideal ** u
     scaled = reduction.bracket_power(u)
     r_u = reduction_number(base, scaled)
+    divisor = base ** (r_u + 1)
+    if len(divisor.gens) > CORE_GENERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"core of the power u = {u}: the colon divisor "
+            f"(I^{u})^{r_u + 1} has {len(divisor.gens)} generators, "
+            f"above the budget of {CORE_GENERATOR_BUDGET}"
+        )
     core = (scaled ** (r_u + 1)).colon(base ** r_u)
-    check = (scaled ** (r_u + 2)).colon(base ** (r_u + 1))
+    check = (scaled ** (r_u + 2)).colon(divisor)
     if check != core:
         raise InvariantViolationError(
             f"core colon changes past the reduction number {r_u} of "

@@ -5,7 +5,9 @@ generating set: the componentwise-minimal exponent vectors, with
 duplicates removed, sorted lexicographically. Because the stored form
 is canonical, dataclass equality is semantic equality of ideals. The
 zero ideal has an empty generator tuple; the unit ideal is generated by
-the zero vector.
+the zero vector. The minimal set is found by one bitset pass per
+coordinate rather than by comparing generators in pairs (see
+minimalize).
 
 All exponents are Python ints, so arithmetic never overflows.
 """
@@ -32,6 +34,17 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     the survivors sorted lexicographically. Raises InvalidIdealError on
     malformed input (wrong arity, negative or non-integer entries;
     booleans count as non-integers).
+
+    The dominance test is one bitset pass per coordinate. Number the
+    distinct candidates 0..k-1 in lexicographic order. For coordinate i,
+    the candidates with i-th entry at most t form a bitset, a prefix OR
+    over the sorted entries; below[j] is the AND over all i of the
+    bitset at t = v_j[i], so bit l is set exactly when v_l <= v_j
+    componentwise. Bit j is always set. Since the candidates are
+    distinct, any other set bit is a candidate that divides v_j and
+    differs from it, a strict dominator; so v_j is minimal iff
+    below[j] == 1 << j. No order by degree is needed, and the cost is
+    O(dim * k) big-int ORs and ANDs rather than O(k^2) comparisons.
     """
     unique = set()
     for raw in vectors:
@@ -49,14 +62,22 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
             if entry < 0:
                 raise InvalidIdealError(f"negative exponent in {v}")
         unique.add(v)
-    # Any strict dominator has strictly smaller coordinate sum, so after
-    # sorting by sum each vector only needs to be checked against the
-    # survivors collected so far.
-    kept: list[Vector] = []
-    for v in sorted(unique, key=lambda w: (sum(w), w)):
-        if not any(leq(u, v) for u in kept):
-            kept.append(v)
-    return tuple(sorted(kept))
+    candidates = sorted(unique)
+    bits = [1 << j for j in range(len(candidates))]
+    below = [(1 << len(candidates)) - 1] * len(candidates)
+    for column in zip(*candidates):
+        # entry t -> bitset of the candidates whose entry here is <= t
+        at_most: dict[int, int] = {}
+        for t, bit in zip(column, bits):
+            at_most[t] = at_most.get(t, 0) | bit
+        prefix = 0
+        for t in sorted(at_most):
+            prefix |= at_most[t]
+            at_most[t] = prefix
+        below = [b & at_most[t] for b, t in zip(below, column)]
+    return tuple(
+        v for v, b, bit in zip(candidates, below, bits) if b == bit
+    )
 
 
 @dataclass(frozen=True)
@@ -191,7 +212,7 @@ class MonomialIdeal:
     def __pow__(self, n: int) -> "MonomialIdeal":
         """I^n by repeated squaring. Exponents n <= 0 give the unit
         ideal (the convention used throughout the filtration code)."""
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("exponent must be an int")
         if n <= 0:
             return MonomialIdeal.unit(self.dim)
@@ -240,7 +261,7 @@ class MonomialIdeal:
     def bracket_power(self, u: int) -> "MonomialIdeal":
         """The ideal generated by the u-th powers of the generators
         (for monomial generators: each exponent vector scaled by u)."""
-        if not isinstance(u, int) or u < 1:
+        if not isinstance(u, int) or isinstance(u, bool) or u < 1:
             raise InvalidIdealError("bracket power requires a positive int")
         return MonomialIdeal(
             self.dim, tuple(tuple(u * e for e in g) for g in self.gens)

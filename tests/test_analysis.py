@@ -28,6 +28,7 @@ from reesgor import (
 )
 from reesgor.cli import EXIT_UNTRUSTED, main
 from reesgor.errors import (
+    BudgetExceededError,
     InapplicableError,
     InvariantViolationError,
     NotAReductionError,
@@ -283,6 +284,44 @@ def test_core_rungs_that_differ_raise(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "core colon changes past the reduction number 1" in captured.err
+
+
+def test_core_budget_refuses_before_any_colon(monkeypatch):
+    # On the anchor, u = 2 gives r_u = 2 and a divisor (I^2)^3 with 64
+    # generators.
+    anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+    reduction = find_pure_power_reduction(anchor)
+    expected = core_compute(anchor, reduction, 2)
+    monkeypatch.setattr(analysis, "CORE_GENERATOR_BUDGET", 64)
+    assert core_compute(anchor, reduction, 2) == expected
+    monkeypatch.setattr(analysis, "CORE_GENERATOR_BUDGET", 63)
+
+    def no_colon(self, other):
+        raise AssertionError("colon formed before the budget check")
+
+    monkeypatch.setattr(MonomialIdeal, "colon", no_colon)
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"u = 2: .* has 64 generators, above the budget of 63",
+    ):
+        core_compute(anchor, reduction, 2)
+
+
+def test_core_budget_admits_the_measured_inputs():
+    # The row behind CORE_GENERATOR_BUDGET: the r = 8 report input at
+    # u = 1 and the anchor at u = 6 fit, the anchor at u = 7 does not.
+    anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+    heavy = MonomialIdeal(
+        3, ((5, 0, 0), (2, 2, 1), (1, 2, 2), (0, 5, 0), (0, 0, 5))
+    )
+    counts = []
+    for ideal, u in ((heavy, 1), (anchor, 6), (anchor, 7)):
+        base = ideal ** u
+        scaled = find_pure_power_reduction(ideal).bracket_power(u)
+        r_u = reduction_number(base, scaled)
+        counts.append(len((base ** (r_u + 1)).gens))
+    assert counts == [575, 514, 694]
+    assert 575 <= analysis.CORE_GENERATOR_BUDGET < 694
 
 
 # ------------------------------------------------------------------ #

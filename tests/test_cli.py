@@ -1,10 +1,11 @@
 """Command line behavior: exit codes, JSON output, self-check."""
 
+import hashlib
 import json
 
 import pytest
 
-from reesgor import cli
+from reesgor import analysis, cli
 from reesgor.cli import (
     EXIT_INAPPLICABLE,
     EXIT_OK,
@@ -183,12 +184,44 @@ def test_core_power_below_one_is_usage_error(job, capsys):
     assert main(["--json", "core", "--u", "2", job(PURE)]) == EXIT_OK
 
 
+def test_core_over_budget_is_untrusted(job, capsys, monkeypatch):
+    anchor = {"dim": 3, "gens": [[0, 0, 3], [0, 3, 0], [1, 1, 1], [3, 0, 0]]}
+    monkeypatch.setattr(analysis, "CORE_GENERATOR_BUDGET", 63)
+    assert main(["--json", "core", "--u", "2", job(anchor)]) == EXIT_UNTRUSTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "64 generators, above the budget of 63" in captured.err
+    assert main(["--json", "core", "--u", "1", job(anchor)]) == EXIT_OK
+
+
 def test_json_output_is_deterministic(job, capsys):
     main(["--json", "report", job(SQUARE)])
     first = capsys.readouterr().out
     main(["--json", "report", job(SQUARE)])
     second = capsys.readouterr().out
     assert first == second
+
+
+# sha256 of the `--json report` stdout of the two ROADMAP anchors. A
+# change that alters the report schema or its values on purpose
+# updates these digests and says so in CHANGES.md.
+ANCHOR_REPORT_DIGESTS = (
+    (
+        {"dim": 3, "gens": [[0, 0, 3], [0, 3, 0], [1, 1, 1], [3, 0, 0]]},
+        "ca8464f2c958db3b9bc21daf5f334f333c769e549577a4d290bed5a4a1b4f358",
+    ),
+    (
+        {"dim": 2, "gens": [[0, 4], [1, 3], [4, 0]]},
+        "77052b70d1c66f07b7c01f869e0d6bd68b18d914f4eba2979da09879ebca2836",
+    ),
+)
+
+
+def test_anchor_reports_are_byte_identical_across_changes(job, capsys):
+    for payload, digest in ANCHOR_REPORT_DIGESTS:
+        assert main(["--json", "report", job(payload)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
 
 
 def test_report_sections(job, capsys):

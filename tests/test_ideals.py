@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reesgor import MonomialIdeal, minimalize
-from reesgor.errors import DimensionMismatchError, InvalidIdealError
+from reesgor import MonomialIdeal, core_compute, minimalize
+from reesgor.errors import (
+    DimensionMismatchError,
+    InapplicableError,
+    InvalidIdealError,
+)
+from reesgor.ideals import leq
 
 from conftest import random_ideal, seeded
 
@@ -47,6 +52,62 @@ def test_booleans_are_not_ideal_data():
         MonomialIdeal(2, ((True, 0), (0, 2)))
     with pytest.raises(InvalidIdealError):
         MonomialIdeal(True, ((3,),))
+
+
+def _reference_minimalize(vectors, dim):
+    """The pairwise loop minimalize ran before its bitset pass: after
+    sorting by coordinate sum, keep each vector that no vector kept
+    before it divides. Input is assumed valid."""
+    kept = []
+    for v in sorted({tuple(w) for w in vectors}, key=lambda w: (sum(w), w)):
+        if not any(leq(u, v) for u in kept):
+            kept.append(v)
+    return tuple(sorted(kept))
+
+
+def _minimalize_cases(rng):
+    """Seeded inputs for d = 1..6: random rows with repeats, chains,
+    antichains on a hyperplane, all-equal rows, and the empty set."""
+    for dim in range(1, 7):
+        for _ in range(150):
+            top = rng.randint(0, 6)
+            rows = [
+                tuple(rng.randint(0, top) for _ in range(dim))
+                for _ in range(rng.randint(1, 40))
+            ]
+            rows += rng.choices(rows, k=rng.randint(0, 10))
+            rng.shuffle(rows)
+            yield rows, dim
+        start = tuple(rng.randint(0, 3) for _ in range(dim))
+        chain = [start]
+        for _ in range(12):
+            step = [0] * dim
+            step[rng.randrange(dim)] = rng.randint(0, 2)
+            chain.append(tuple(a + b for a, b in zip(chain[-1], step)))
+        yield chain + chain[::2], dim
+        total = 8
+        antichain = []
+        for _ in range(30):
+            cuts = sorted(rng.randint(0, total) for _ in range(dim - 1))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+            antichain.append(tuple(parts))
+        yield antichain, dim
+        yield [start] * 7, dim
+        yield [], dim
+
+
+def test_minimalize_matches_the_pairwise_reference():
+    rng = seeded(707)
+    sizes = set()
+    for rows, dim in _minimalize_cases(rng):
+        fast = minimalize(rows, dim)
+        assert fast == _reference_minimalize(rows, dim), (rows, dim)
+        assert list(fast) == sorted(fast)
+        sizes.add((len(set(rows)), len(fast)))
+    # duplicates collapse, dominated rows drop, and antichains survive
+    assert (1, 1) in sizes and (0, 0) in sizes
+    assert any(kept == 1 < given for given, kept in sizes)
+    assert any(kept == given > 10 for given, kept in sizes)
 
 
 def test_constructor_canonicalizes():
@@ -151,6 +212,17 @@ def test_bracket_power():
     j = I(2, (2, 0), (1, 1))
     assert j.bracket_power(3) == I(2, (6, 0), (3, 3))
     assert j.bracket_power(1) == j
+
+
+def test_booleans_are_not_powers():
+    j = I(2, (2, 0), (0, 3))
+    with pytest.raises(TypeError):
+        j ** True
+    with pytest.raises(InvalidIdealError):
+        j.bracket_power(True)
+    with pytest.raises(InapplicableError):
+        core_compute(j, j, True)
+    assert j ** 1 == j.bracket_power(1) == j
 
 
 def test_max_exponents():
