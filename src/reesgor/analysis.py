@@ -590,9 +590,14 @@ def a_invariant_consistency(
       nilpotency-degree: when s == r, quasi-Gorenstein degree ==
                          s - d + 1
 
-    Later checks apply only when a pure-power reduction exists, or
-    only when the quasi-Gorenstein test is positive; inapplicable
-    checks are recorded as such and count as passing.
+    Every check needs a reduction generated by pure powers: the
+    closure-index formula holds relative to such a reduction only,
+    and the quasi-Gorenstein test refuses any other. With no
+    reduction given, one is searched for; a supplied reduction that is
+    not pure powers (I itself, say) leaves all three checks
+    inapplicable. The last two apply only when the quasi-Gorenstein
+    test is also positive. Inapplicable checks are recorded as such
+    and count as passing.
     """
     d = ideal.dim
     facets = newton_polyhedron(ideal)
@@ -604,7 +609,7 @@ def a_invariant_consistency(
 
     if reduction is None:
         reduction = find_pure_power_reduction(ideal, facets)
-    if reduction is not None:
+    if reduction is not None and reduction.pure_power_exponents() is not None:
         s_bar = closure_nilpotency_index(ideal, reduction, facets)
         table["closure-index"] = (s_bar - d + 1, a_inv)
         try:

@@ -40,6 +40,7 @@ either answer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -182,6 +183,12 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     sweep height must be generated by the final accepted set. The
     candidates need no re-check: each was accepted or found generated,
     and the accepted set only grows.
+
+    The generated-by test compares row values instead of forming
+    v - g. Every row is linear, so row . (v - g) >= 0 for every row of
+    the facet matrix M exactly when M v >= M g componentwise: v is
+    generated iff its value tuple M v dominates the stored tuple M g
+    of some accepted g. Each scanned point's M v is computed once.
     """
     d = cone.dim
     q = compute_q(cone)
@@ -189,11 +196,14 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     sweep = tuple(b + 1 for b in box)
     rows = [(row, 1) for row in cone.matrix]
     accepted: List[Vector] = []
+    accepted_values: List[Vector] = []
 
-    def generated(v: Vector) -> bool:
+    def row_values(v: Vector) -> Vector:
+        return tuple(_dot(row, v) for row in cone.matrix)
+
+    def generated(values: Vector) -> bool:
         return any(
-            cone.cone_member(tuple(a - b for a, b in zip(v, g)))
-            for g in accepted
+            all(map(operator.ge, values, floor)) for floor in accepted_values
         )
 
     candidates: List[Vector] = []
@@ -204,10 +214,12 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
         elif v[d] <= sweep[d]:
             rest.append(v)
     for v in sorted(candidates, key=lambda v: (sum(v), v)):
-        if not generated(v):
+        values = row_values(v)
+        if not generated(values):
             accepted.append(v)
+            accepted_values.append(values)
     for v in rest:
-        if not generated(v):
+        if not generated(row_values(v)):
             raise IncompleteSearchError(
                 f"interior point {v} is not generated by {accepted}; "
                 f"search box {box} was too small"

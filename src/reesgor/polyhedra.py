@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,7 @@ from .ideals import MonomialIdeal, Vector
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 # -------------------------------------------------------------------- #
@@ -299,6 +300,16 @@ def _column_minima(
     t grows, so t is a max of ceilings; a prefix that some row with
     last entry 0 rejects has no such t and is skipped.
 
+    Each row's need, rhs - <normal[:-1], prefix>, is computed with one
+    dot product per prefix of the outer coordinates bounds[:-1], at
+    x = 0 in the last box coordinate x. Each step of x then subtracts
+    the row's entry at x, so the need at x is the outer need minus
+    entry * x, exact in integers, with no dot product per column. A
+    row whose entries at x and t are both 0 keeps its need along the
+    whole walk, so it is tested once per outer prefix and, if
+    positive, skips all of that prefix's columns. An empty `bounds`
+    (d = 1 closures) gives the single column (t,).
+
     Raises BudgetExceededError, before scanning any column, when the
     box holds more than COLUMN_BUDGET columns.
     """
@@ -308,17 +319,34 @@ def _column_minima(
             f"column scan over the box {tuple(bounds)} needs {columns} "
             f"columns, budget is {COLUMN_BUDGET}"
         )
-    split = [(normal[:-1], normal[-1], rhs) for normal, rhs in rows]
-    for prefix in itertools.product(*(range(b + 1) for b in bounds)):
-        t = 0
-        for head, last, rhs in split:
-            need = rhs - _dot(head, prefix)
-            if need > 0:
-                if last == 0:
-                    break
-                t = max(t, -(-need // last))
-        else:
-            yield prefix + (t,)
+    if not bounds:
+        # A zero-width box coordinate in front gives the same column.
+        padded = [((0,) + tuple(n), rhs) for n, rhs in rows]
+        for v in _column_minima(padded, (0,)):
+            yield v[1:]
+        return
+    fixed = [(n[:-2], rhs) for n, rhs in rows if n[-2] == n[-1] == 0]
+    moving = [(n, rhs) for n, rhs in rows if n[-2] or n[-1]]
+    outer = [(n[:-2], rhs) for n, rhs in moving]
+    steps = [n[-2] for n, _ in moving]
+    lasts = [n[-1] for n, _ in moving]
+    inner = range(bounds[-1] + 1)
+    for prefix in itertools.product(*(range(b + 1) for b in bounds[:-1])):
+        if any(rhs > _dot(head, prefix) for head, rhs in fixed):
+            continue
+        needs = [rhs - _dot(head, prefix) for head, rhs in outer]
+        for x in inner:
+            t = 0
+            for need, last in zip(needs, lasts):
+                if need > 0:
+                    if last == 0:
+                        break
+                    c = -(-need // last)
+                    if c > t:
+                        t = c
+            else:
+                yield prefix + (x, t)
+            needs = list(map(operator.sub, needs, steps))
 
 
 def _dilate_minimal_points(
@@ -359,7 +387,11 @@ def closure_power(
     ideal: MonomialIdeal, n: int, facets: Optional[FacetSystem] = None
 ) -> MonomialIdeal:
     """The integral closure of ideal^n as a monomial ideal. For
-    n <= 0 returns the unit ideal, matching the power convention."""
+    n <= 0 returns the unit ideal, matching the power convention.
+    Like `ideal ** n`, refuses a bool or non-int n with TypeError,
+    before any work."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("exponent must be an int")
     if n <= 0:
         return MonomialIdeal.unit(ideal.dim)
     if facets is None:

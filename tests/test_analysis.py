@@ -492,6 +492,20 @@ def test_consistency_partial_applicability():
     assert by_name["closure-index"].applicable and by_name["closure-index"].ok
 
 
+def test_consistency_needs_a_pure_power_reduction():
+    # M2 is a reduction of itself, but not one of pure powers: relative
+    # to it the closure index is 0, and the closure-index formula would
+    # expect a = -1 against the cone-side a = 0.
+    rep = a_invariant_consistency(M2, M2)
+    assert rep.all_ok
+    assert [c.applicable for c in rep.checks] == [False, False, False]
+
+    by_name = {c.name: c for c in a_invariant_consistency(M2, J22).checks}
+    check = by_name["closure-index"]
+    assert check.applicable and check.ok
+    assert (check.expected, check.actual) == (0, 0)
+
+
 def test_consistency_records_both_sides_of_a_failed_check(
     monkeypatch, tmp_path, capsys
 ):

@@ -224,6 +224,58 @@ def test_anchor_reports_are_byte_identical_across_changes(job, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
 
 
+# sha256 of the `--json gorenstein` stdout of the two ROADMAP anchors,
+# the largest pure-power ladder input, a d = 4 ideal without pure-power
+# shape, and a d = 1 ideal. Same rule as the report digests above.
+GORENSTEIN_DIGESTS = (
+    (
+        {"dim": 3, "gens": [[0, 0, 3], [0, 3, 0], [1, 1, 1], [3, 0, 0]]},
+        "602ef02b4beb7872f71a4ec380540ab03b92c123aa55e4d0d63a8111f6d19168",
+    ),
+    (
+        {"dim": 2, "gens": [[0, 4], [1, 3], [4, 0]]},
+        "eb769490902da0d8f60959d2e53035892e0ebccd7f774c9af69a6eb448ea119e",
+    ),
+    (
+        {
+            "dim": 5,
+            "gens": [
+                [3, 0, 0, 0, 0],
+                [0, 5, 0, 0, 0],
+                [0, 0, 7, 0, 0],
+                [0, 0, 0, 11, 0],
+                [0, 0, 0, 0, 13],
+            ],
+        },
+        "722412945c8cc7dd35b07cfe0b3db204cb6f88927730443b60ce2e57054d9c69",
+    ),
+    (
+        {
+            "dim": 4,
+            "gens": [
+                [4, 0, 0, 0],
+                [1, 1, 1, 1],
+                [0, 4, 0, 0],
+                [0, 0, 4, 0],
+                [0, 0, 0, 4],
+            ],
+        },
+        "a61df65536f976a6cde8947fa5bc89e96d3be847be32fc5dc28627be5c23ebe3",
+    ),
+    (
+        {"dim": 1, "gens": [[5]]},
+        "46e5bd86f8736975653cfeb23e7a1e0ee5611585445bcc359a56ee4294d7db05",
+    ),
+)
+
+
+def test_gorenstein_outputs_are_byte_identical_across_changes(job, capsys):
+    for payload, digest in GORENSTEIN_DIGESTS:
+        assert main(["--json", "gorenstein", job(payload)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
+
+
 def test_report_sections(job, capsys):
     assert main(["--json", "report", job(SQUARE)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -262,6 +314,28 @@ def test_report_with_supplied_reduction(job, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["quasi_gorenstein"]["reduction"]["gens"] == [[0, 2], [2, 0]]
     assert payload["invariants"]["reduction_number"] == 1
+
+
+def test_report_with_a_reduction_that_is_not_pure_powers(job, capsys):
+    # I is a reduction of itself; no consistency check applies to it.
+    spec = {**SQUARE, "reduction": SQUARE["gens"]}
+    assert main(["--json", "report", job(spec)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    consistency = payload["consistency"]
+    assert consistency["all_ok"] is True
+    by_name = {c["name"]: c for c in consistency["checks"]}
+    assert by_name["closure-index"]["applicable"] is False
+    invariants = payload["invariants"]
+    assert invariants["reduction_number"] == 0
+    assert invariants["nilpotency_index"] == 0
+    assert invariants["closure_nilpotency_index"] == 0
+
+    spec = {**SQUARE, "reduction": [[2, 0], [0, 2]]}
+    assert main(["--json", "report", job(spec)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    by_name = {c["name"]: c for c in payload["consistency"]["checks"]}
+    assert by_name["closure-index"]["applicable"] is True
+    assert by_name["closure-index"]["ok"] is True
 
 
 def test_job_reduction_must_be_inside():

@@ -17,14 +17,17 @@ from reesgor import (
     newton_polyhedron,
     pure_power_gorenstein_test,
 )
+from reesgor.cone import CanonicalData
 from reesgor.errors import (
     BudgetExceededError,
     DimensionMismatchError,
     InapplicableError,
     IncompleteSearchError,
+    InvariantViolationError,
     NotMPrimaryError,
 )
 from reesgor.oracle import oracle_relint_points
+from reesgor.polyhedra import _column_minima
 
 from conftest import random_m_primary, seeded
 
@@ -265,6 +268,97 @@ def test_column_scan_matches_full_box_scan():
         box = data.search_box
         assert data.generators == _full_box_generators(cone, box), ideal
         assert gorenstein == _interior_shift_route(cone, box, data.q), ideal
+
+
+def _reference_canonical_generators(cone):
+    """`canonical_generators` with the generated-by test it had before
+    the row-value kernel: form v - g for every accepted g and test it
+    for cone membership row by row."""
+    d = cone.dim
+    q = compute_q(cone)
+    box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
+    sweep = tuple(b + 1 for b in box)
+    rows = [(row, 1) for row in cone.matrix]
+    accepted = []
+
+    def generated(v):
+        return any(
+            cone.cone_member(tuple(a - b for a, b in zip(v, g)))
+            for g in accepted
+        )
+
+    candidates = []
+    rest = []
+    for v in _column_minima(rows, sweep[:d]):
+        if all(a <= b for a, b in zip(v, box)):
+            candidates.append(v)
+        elif v[d] <= sweep[d]:
+            rest.append(v)
+    for v in sorted(candidates, key=lambda v: (sum(v), v)):
+        if not generated(v):
+            accepted.append(v)
+    for v in rest:
+        if not generated(v):
+            raise IncompleteSearchError(
+                f"interior point {v} is not generated by {accepted}; "
+                f"search box {box} was too small"
+            )
+
+    base = (1,) * d + (q,)
+    if base not in accepted:
+        raise InvariantViolationError(
+            f"{base} is missing from the canonical generators {accepted}"
+        )
+    a_inv = -min(sum(g[:d]) - g[d] for g in accepted)
+    if a_inv < q - d:
+        raise InvariantViolationError(
+            f"a-invariant {a_inv} below its lower bound {q - d}"
+        )
+    gorenstein = len(accepted) == 1
+    if gorenstein and a_inv != q - d:
+        raise InvariantViolationError(
+            f"principal canonical module but a-invariant {a_inv} != {q - d}"
+        )
+    return CanonicalData(
+        q=q,
+        generators=tuple(accepted),
+        gorenstein=gorenstein,
+        a_invariant=a_inv,
+        search_box=box,
+        sweep_box=sweep,
+    )
+
+
+def _outcome(scan, cone):
+    try:
+        return scan(cone)
+    except (IncompleteSearchError, InvariantViolationError) as e:
+        return type(e), str(e)
+
+
+def test_canonical_generators_match_the_reference_scan():
+    rng = seeded(82)
+    cones = [cone_of(((3, 0, 0, 0, 0), (0, 5, 0, 0, 0), (0, 0, 7, 0, 0),
+                      (0, 0, 0, 11, 0), (0, 0, 0, 0, 13)))]
+    for i in range(40):
+        d = 1 + i % 5
+        ideal = random_m_primary(rng, d, max_coord=5 if d < 4 else 3)
+        cones.append(lift_halfspaces(newton_polyhedron(ideal)))
+    # Rays cut down by one give search boxes too small for the sweep
+    # or for the base point, so the errors are compared as well.
+    shrunk = [
+        dataclasses.replace(
+            cone,
+            rays=tuple(tuple(max(0, c - 1) for c in r) for r in cone.rays),
+        )
+        for cone in cones[1:13]
+    ]
+    errors = 0
+    for cone in cones + shrunk:
+        expected = _outcome(_reference_canonical_generators, cone)
+        assert _outcome(canonical_generators, cone) == expected, cone.matrix
+        errors += isinstance(expected, tuple)
+    assert errors > 0
 
 
 def test_filtration_reduction_number():

@@ -12,6 +12,7 @@ from reesgor import (
     extreme_rays,
     integral_closure,
     newton_polyhedron,
+    polyhedra,
 )
 from reesgor.errors import (
     BudgetExceededError,
@@ -21,6 +22,7 @@ from reesgor.errors import (
 )
 from reesgor.oracle import oracle_iclosure_member
 from reesgor.polyhedra import COLUMN_BUDGET, _column_minima, _row_reduce
+from reesgor.report import closure_section
 
 from conftest import random_ideal, random_m_primary, seeded
 
@@ -428,6 +430,65 @@ def test_column_minima_are_least_feasible_points():
         assert list(_column_minima(rows, (3, 3))) == expected
 
 
+def _reference_column_minima(rows, bounds):
+    """The column scan with one full dot product per row per column,
+    as it ran before the needs were stepped."""
+    columns = math.prod(b + 1 for b in bounds)
+    if columns > COLUMN_BUDGET:
+        raise BudgetExceededError(
+            f"column scan over the box {tuple(bounds)} needs {columns} "
+            f"columns, budget is {COLUMN_BUDGET}"
+        )
+    split = [(normal[:-1], normal[-1], rhs) for normal, rhs in rows]
+    for prefix in itertools.product(*(range(b + 1) for b in bounds)):
+        t = 0
+        for head, last, rhs in split:
+            need = rhs - sum(a * b for a, b in zip(head, prefix))
+            if need > 0:
+                if last == 0:
+                    break
+                t = max(t, -(-need // last))
+        else:
+            yield prefix + (t,)
+
+
+def test_column_minima_match_the_reference_scan():
+    rng = seeded(81)
+    # zeros are common, so rows with last entry 0, rows constant along
+    # the last box coordinate, and rows with both occur throughout
+    entries = (-3, -1, 0, 0, 0, 1, 2, 4)
+    yielded = 0
+    for length in range(6):
+        for _ in range(30):
+            bounds = tuple(rng.randint(0, 3) for _ in range(length))
+            rows = [
+                (
+                    tuple(rng.choice(entries) for _ in range(length))
+                    + (rng.choice((0, 0, 1, 2, 3)),),
+                    rng.randint(-2, 7),
+                )
+                for _ in range(rng.randint(0, 5))
+            ]
+            expected = list(_reference_column_minima(rows, bounds))
+            assert list(_column_minima(rows, bounds)) == expected, (rows, bounds)
+            yielded += len(expected)
+    assert yielded > 1000
+
+    edge_cases = [
+        ([((1, 0, 2), 5), ((0, -1, 0), -2)], (0, 0)),  # all-zero bounds
+        ([], (2, 1, 3)),  # no rows: t = 0 everywhere
+        ([], ()),
+        ([((3,), 7), ((0,), -1)], ()),  # d = 1: the single column (3,)
+        ([((0,), 1)], ()),  # d = 1, no t closes it
+        ([((1, 0, 0), 1), ((0, 1, 0), 1), ((-2, -1, 3), 1)], (3, 4)),
+    ]
+    for rows, bounds in edge_cases:
+        expected = list(_reference_column_minima(rows, bounds))
+        assert list(_column_minima(rows, bounds)) == expected, (rows, bounds)
+    assert list(_column_minima([((1, 0, 2), 5)], (0, 0))) == [(0, 0, 3)]
+    assert list(_column_minima([((3,), 7)], ())) == [(3,)]
+
+
 def test_column_scan_budget():
     with pytest.raises(BudgetExceededError, match=f"{COLUMN_BUDGET + 1} columns"):
         next(_column_minima([], (COLUMN_BUDGET,)))
@@ -435,6 +496,20 @@ def test_column_scan_budget():
 
 # ------------------------------------------------------------------ #
 # integral closure
+
+
+def test_closure_power_refuses_bool_and_non_int_powers(monkeypatch):
+    ideal = MonomialIdeal(2, ((2, 0), (0, 2)))
+
+    def no_work(*args):
+        raise AssertionError("facets computed before the power was checked")
+
+    monkeypatch.setattr(polyhedra, "newton_polyhedron", no_work)
+    for n in (True, False, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            closure_power(ideal, n)
+    with pytest.raises(TypeError):
+        closure_section(ideal, True)
 
 
 def test_closure_frozen_values():
