@@ -26,7 +26,7 @@ import random
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .analysis import quasi_gorenstein_test
+from .analysis import find_pure_power_reduction, quasi_gorenstein_test
 from .cone import is_gorenstein_normalization, pure_power_gorenstein_test
 from .errors import (
     BudgetExceededError,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .ideals import MonomialIdeal
 from .oracle import oracle_colon, oracle_intersect
-from .polyhedra import integral_closure, newton_polyhedron
+from .polyhedra import closure_power, newton_polyhedron
 from .report import (
     build_report,
     closure_section,
@@ -206,12 +206,19 @@ def _random_m_primary(rng: random.Random, dim: int) -> MonomialIdeal:
     return MonomialIdeal(dim, tuple(gens))
 
 
-def corpus_case(index: int, seed: int) -> Dict:
-    """One self-check case: random ideals, every cheap cross-check."""
+def _corpus_ideals(
+    index: int, seed: int
+) -> Tuple[MonomialIdeal, MonomialIdeal]:
+    """The two random ideals of one self-check case."""
     rng = random.Random(seed * 100003 + index)
     dim = rng.choice((2, 3))
-    ideal = _random_m_primary(rng, dim)
-    other = _random_m_primary(rng, dim)
+    return _random_m_primary(rng, dim), _random_m_primary(rng, dim)
+
+
+def corpus_case(index: int, seed: int) -> Dict:
+    """One self-check case: random ideals, every cheap cross-check."""
+    ideal, other = _corpus_ideals(index, seed)
+    dim = ideal.dim
     failures: List[str] = []
 
     square = ideal * ideal
@@ -221,7 +228,7 @@ def corpus_case(index: int, seed: int) -> Dict:
         failures.append("intersection disagrees with the oracle")
 
     facets = newton_polyhedron(ideal)
-    closed = integral_closure(ideal)
+    closed = closure_power(ideal, 1, facets)
     for g in closed.gens:
         if not facets.contains(g):
             failures.append(f"closure generator {g} outside the polyhedron")
@@ -241,7 +248,9 @@ def corpus_case(index: int, seed: int) -> Dict:
         failures.append(str(exc))
 
     try:
-        quasi_gorenstein_test(ideal)
+        reduction = find_pure_power_reduction(ideal, facets)
+        if reduction is not None:
+            quasi_gorenstein_test(ideal, reduction)
     except InapplicableError:
         pass
     except (InvariantViolationError, StabilizationError) as exc:
@@ -265,11 +274,12 @@ def _corpus_run(count: int, seed: int, as_json: bool) -> int:
         try:
             results.append(corpus_case(index, seed))
         except Exception as exc:  # noqa: BLE001 - recorded, run goes on
+            ideal, _ = _corpus_ideals(index, seed)
             results.append(
                 {
                     "index": index,
-                    "ideal": "?",
-                    "dim": 0,
+                    "ideal": ideal.to_str(),
+                    "dim": ideal.dim,
                     "ok": False,
                     "failures": [f"{type(exc).__name__}: {exc}"],
                 }

@@ -1,14 +1,16 @@
 """Slow reference implementations used to cross-check the main code.
 
-Everything in this module is deliberately naive: membership by direct
-divisibility, ideal operations by enumerating lattice points in a box,
-powers by a memoized recursion on the defining property of a product.
-None of it calls the algorithmic routines in the rest of the package,
-so an agreement between the two is evidence, not a tautology. Inputs
-are read only for their generator data.
+Everything in this module is deliberately naive: colons and
+intersections by filling the membership of a box of lattice points,
+powers by a memoized recursion on the defining property of a product,
+interior points by testing every point of a box. None of it calls the
+algorithmic routines in the rest of the package, so an agreement
+between the two is evidence, not a tautology. Inputs are read only for
+their generator data.
 
 Enumerations refuse to run past a point budget and raise
-BudgetExceededError instead of silently truncating.
+BudgetExceededError, before allocating anything, instead of silently
+truncating.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceededError
 from .ideals import MonomialIdeal
@@ -48,25 +50,55 @@ class Box:
             )
         return itertools.product(*(range(b + 1) for b in self.bounds))
 
+    def strides(self) -> Tuple[int, ...]:
+        """Flat-index steps per coordinate in points() order: the last
+        coordinate varies fastest."""
+        steps = []
+        step = 1
+        for b in reversed(self.bounds):
+            steps.append(step)
+            step *= b + 1
+        return tuple(reversed(steps))
 
-def _divides_some(v: Vector, gens: Sequence[Vector]) -> bool:
-    return any(all(g[i] <= v[i] for i in range(len(v))) for g in gens)
 
+def _fill_upset(
+    box: Box, decide: Callable[[int, Vector], bool]
+) -> Tuple[bytearray, Tuple[Vector, ...]]:
+    """Membership of an up-set U of the lattice in the box, one byte
+    per point in points() order, and the minimal elements of U in the
+    box, in lexicographic order.
 
-def _minimal_members(members: set) -> Tuple[Vector, ...]:
-    """Minimal elements of an up-set, via down-neighbor probing."""
+    decide(index, v) says whether v is in U; it is asked only about
+    points with no v - e_j in U. That suffices: if some v - e_j is in
+    U then so is v, since U is an up-set. Otherwise v is in U only as
+    a minimal element, because any u <= v in U with u != v lies below
+    some v - e_j with v_j > 0, which would then be in U. Every v - e_j
+    precedes v in lexicographic order, so it is filled before v is
+    reached, and the points where decide says yes are exactly the
+    minimal elements.
+    """
+    points = box.points()
+    members = bytearray(box.size)
+    steps = tuple(enumerate(box.strides()))
     minimal = []
-    for v in members:
-        is_min = True
-        for j in range(len(v)):
-            if v[j] > 0:
-                down = v[:j] + (v[j] - 1,) + v[j + 1 :]
-                if down in members:
-                    is_min = False
-                    break
-        if is_min:
-            minimal.append(v)
-    return tuple(sorted(minimal))
+    for index, v in enumerate(points):
+        for j, stride in steps:
+            if v[j] and members[index - stride]:
+                members[index] = 1
+                break
+        else:
+            if decide(index, v):
+                members[index] = 1
+                minimal.append(v)
+    return members, tuple(minimal)
+
+
+def _fill_ideal(gens: Sequence[Vector], box: Box) -> bytearray:
+    """Membership of the ideal generated by gens in the box. A minimal
+    element of the ideal is one of any set of its generators."""
+    gen_set = frozenset(gens)
+    members, _ = _fill_upset(box, lambda index, v: v in gen_set)
+    return members
 
 
 @lru_cache(maxsize=None)
@@ -110,30 +142,47 @@ def oracle_iclosure_member(
 def oracle_colon(
     ideal: MonomialIdeal, divisor: MonomialIdeal, budget: int = DEFAULT_BUDGET
 ) -> Tuple[Vector, ...]:
-    """Minimal generators of (ideal : divisor), found by scanning the
-    bounding box of ideal's generators for vectors v with v + g in the
-    ideal for every generator g of the divisor."""
+    """Minimal generators of (ideal : divisor), the vectors v with
+    v + g in the ideal for every generator g of the divisor, found by
+    filling the bounding box B of the ideal's generators.
+
+    The colon is an ideal, so _fill_upset applies. Its minimal
+    generators lie in B: if v is in the colon with v_j > B_j, then for
+    each g some generator h of the ideal divides v + g, and h_j <= B_j
+    <= v_j - 1 + g_j, so h also divides v - e_j + g and v is not
+    minimal. Membership of w = v + g is read at min(w, B), which is
+    exact because the ideal's generators lie in B: min(w, B) <= w, and
+    a generator h <= w has h <= B, so h <= min(w, B).
+    """
     bounds = tuple(
         max((g[i] for g in ideal.gens), default=0) for i in range(ideal.dim)
     )
-    members = set()
-    for v in Box(bounds, budget).points():
-        ok = True
-        for g in divisor.gens:
-            shifted = tuple(a + b for a, b in zip(v, g))
-            if not _divides_some(shifted, ideal.gens):
-                ok = False
-                break
-        if ok:
-            members.add(v)
-    return _minimal_members(members)
+    box = Box(bounds, budget)
+    inside = _fill_ideal(ideal.gens, box)
+    strides = box.strides()
+    shifts = tuple(tuple(zip(g, bounds, strides)) for g in divisor.gens)
+
+    def decide(index: int, v: Vector) -> bool:
+        for shift in shifts:
+            at = 0
+            for a, (c, b, stride) in zip(v, shift):
+                w = a + c
+                at += (w if w < b else b) * stride
+            if not inside[at]:
+                return False
+        return True
+
+    _, minimal = _fill_upset(box, decide)
+    return minimal
 
 
 def oracle_intersect(
     left: MonomialIdeal, right: MonomialIdeal, budget: int = DEFAULT_BUDGET
 ) -> Tuple[Vector, ...]:
-    """Minimal generators of the intersection, by scanning the joint
-    bounding box for points lying in both ideals."""
+    """Minimal generators of the intersection, by filling the joint
+    bounding box of both generator sets with each ideal and taking the
+    points in both. The minimal generators, the pairwise maxima of
+    generators, lie in that box."""
     bounds = tuple(
         max(
             max((g[i] for g in left.gens), default=0),
@@ -141,11 +190,13 @@ def oracle_intersect(
         )
         for i in range(left.dim)
     )
-    members = set()
-    for v in Box(bounds, budget).points():
-        if _divides_some(v, left.gens) and _divides_some(v, right.gens):
-            members.add(v)
-    return _minimal_members(members)
+    box = Box(bounds, budget)
+    in_left = _fill_ideal(left.gens, box)
+    in_right = _fill_ideal(right.gens, box)
+    _, minimal = _fill_upset(
+        box, lambda index, v: in_left[index] and in_right[index]
+    )
+    return minimal
 
 
 def oracle_relint_points(

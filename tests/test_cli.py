@@ -276,6 +276,18 @@ def test_gorenstein_outputs_are_byte_identical_across_changes(job, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
 
 
+# sha256 of the `--json --corpus 60 --seed 5` stdout: the drawn ideals,
+# every cross-check verdict and the record layout of the self-check.
+# Same rule as the digests above.
+CORPUS_DIGEST = "5be6e6362e1f71f9b0127213b11177bc748a70c17907f475efd04308c468b644"
+
+
+def test_corpus_output_is_byte_identical_across_changes(capsys):
+    assert main(["--json", "--corpus", "60", "--seed", "5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_DIGEST
+
+
 def test_report_sections(job, capsys):
     assert main(["--json", "report", job(SQUARE)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -390,6 +402,35 @@ def test_corpus_records_a_raising_case(monkeypatch, capsys):
     assert results[1]["failures"] == ["RuntimeError: boom"]
     for other in (results[0], results[2]):
         assert other["ok"] and other["ideal"] != "?"
+
+
+def test_raising_corpus_case_keeps_its_witness(monkeypatch, capsys):
+    assert main(["--json", "--corpus", "2", "--seed", "5"]) == EXIT_OK
+    passing = json.loads(capsys.readouterr().out)["results"][1]
+    assert passing["ideal"] == "(x^5, y^4, z^2)" and passing["dim"] == 3
+
+    def raising_case(index, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "corpus_case", raising_case)
+    assert main(["--json", "--corpus", "2", "--seed", "5"]) == EXIT_UNTRUSTED
+    failed = json.loads(capsys.readouterr().out)["results"][1]
+    assert failed["ideal"] == passing["ideal"]
+    assert failed["dim"] == passing["dim"]
+    assert failed["failures"] == ["RuntimeError: boom"]
+
+
+def test_corpus_case_runs_the_colon_test_on_the_found_reduction(monkeypatch):
+    seen = []
+
+    def failing_test(ideal, reduction):
+        seen.append((ideal.to_str(), reduction.to_str()))
+        raise InvariantViolationError("boom")
+
+    monkeypatch.setattr(cli, "quasi_gorenstein_test", failing_test)
+    case = cli.corpus_case(1, 5)
+    assert seen == [("(x^5, y^4, z^2)", "(x^5, y^4, z^2)")]
+    assert case["failures"] == ["quasi-Gorenstein cross-check: boom"]
 
 
 def test_corpus_rejects_bad_count(capsys):

@@ -1,7 +1,8 @@
 """The hard constraints on the package source, checked on its syntax
-tree: the standard library is the only import, and arithmetic stays in
+tree: the standard library is the only import, arithmetic stays in
 the integers (no true division, no float literal, no float or Fraction
-name)."""
+name), and the brute-force oracle shares no code with the algorithms
+it checks."""
 
 import ast
 import sys
@@ -13,6 +14,15 @@ SOURCES = sorted(
     (Path(__file__).resolve().parents[1] / "src" / "reesgor").glob("*.py")
 )
 INEXACT_NAMES = {"float", "Fraction"}
+ALGORITHM_NAMES = {
+    "minimalize",
+    "leq",
+    "colon",
+    "is_subset",
+    "contains",
+    "newton_polyhedron",
+    "closure_power",
+}
 
 
 def _tree(path):
@@ -51,3 +61,22 @@ def test_arithmetic_stays_exact(path):
             assert node.attr not in INEXACT_NAMES, where
         elif isinstance(node, ast.alias):
             assert node.name.split(".")[-1] not in INEXACT_NAMES, where
+
+
+def test_the_oracle_is_independent_of_the_algorithms():
+    """An agreement between the oracle and the algorithms is evidence
+    only if the oracle computes its answers itself: from the package it
+    may import the error types and the MonomialIdeal container, and it
+    names no algorithmic routine of the ideal or polyhedron code."""
+    (path,) = [p for p in SOURCES if p.name == "oracle.py"]
+    for node in ast.walk(_tree(path)):
+        where = (path.name, getattr(node, "lineno", None))
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = {alias.name for alias in node.names}
+            assert node.module == "errors" or (
+                node.module == "ideals" and names == {"MonomialIdeal"}
+            ), where
+        elif isinstance(node, ast.Name):
+            assert node.id not in ALGORITHM_NAMES, where
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in ALGORITHM_NAMES, where

@@ -2,10 +2,11 @@
 divisibility, and its budget guard must trip on oversized boxes."""
 
 import itertools
+import re
 
 import pytest
 
-from reesgor import MonomialIdeal
+from reesgor import MonomialIdeal, oracle
 from reesgor.errors import BudgetExceededError
 from reesgor.oracle import (
     Box,
@@ -16,7 +17,7 @@ from reesgor.oracle import (
     oracle_relint_points,
 )
 
-from conftest import random_ideal, seeded
+from conftest import random_ideal, random_m_primary, seeded
 
 
 def test_box_points_and_budget():
@@ -90,3 +91,103 @@ def test_relint_points_frozen():
 def test_relint_budget_guard():
     with pytest.raises(BudgetExceededError):
         oracle_relint_points(((1, 0),), (10**6, 10**6), budget=100)
+
+
+# ------------------------------------------------------------------ #
+# the box fills against the point-by-point scans they replaced
+
+
+def _divides_some(v, gens):
+    return any(all(g[i] <= v[i] for i in range(len(v))) for g in gens)
+
+
+def _minimal_members(members):
+    minimal = []
+    for v in members:
+        downs = (
+            v[:j] + (v[j] - 1,) + v[j + 1 :] for j in range(len(v)) if v[j] > 0
+        )
+        if not any(down in members for down in downs):
+            minimal.append(v)
+    return tuple(sorted(minimal))
+
+
+def _reference_oracle_colon(ideal, divisor):
+    """Test every box point v for v + g in the ideal, g in the divisor."""
+    bounds = tuple(
+        max((g[i] for g in ideal.gens), default=0) for i in range(ideal.dim)
+    )
+    members = set()
+    for v in Box(bounds).points():
+        if all(
+            _divides_some(tuple(a + b for a, b in zip(v, g)), ideal.gens)
+            for g in divisor.gens
+        ):
+            members.add(v)
+    return _minimal_members(members)
+
+
+def _reference_oracle_intersect(left, right):
+    """Test every point of the joint box for membership in both."""
+    bounds = tuple(
+        max(
+            max((g[i] for g in left.gens), default=0),
+            max((g[i] for g in right.gens), default=0),
+        )
+        for i in range(left.dim)
+    )
+    members = {
+        v
+        for v in Box(bounds).points()
+        if _divides_some(v, left.gens) and _divides_some(v, right.gens)
+    }
+    return _minimal_members(members)
+
+
+def _special_ideals(dim):
+    return (
+        MonomialIdeal.zero(dim),
+        MonomialIdeal.unit(dim),
+        MonomialIdeal.maximal(dim),
+        MonomialIdeal.pure_powers((2,) * dim),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_box_fills_match_the_point_scans(dim):
+    rng = seeded(900 + dim)
+    max_coord = 4 if dim < 4 else 3
+    pairs = []
+    for _ in range(12 if dim < 4 else 5):
+        ideal = random_m_primary(rng, dim, max_coord=max_coord)
+        other = random_m_primary(rng, dim, max_coord=max_coord)
+        pairs += [(ideal * ideal, ideal), (ideal, other)]
+        pairs.append((other * ideal, other))
+        pairs.append((random_ideal(rng, dim, max_coord=max_coord), other))
+        pairs.append((other, random_ideal(rng, dim, max_coord=max_coord)))
+    special = _special_ideals(dim)
+    pairs += [(a, b) for a in special for b in special]
+    pairs += [(ideal, s) for s in special] + [(s, ideal) for s in special]
+    for left, right in pairs:
+        assert oracle_colon(left, right) == _reference_oracle_colon(
+            left, right
+        ), (left, right)
+        assert oracle_intersect(left, right) == _reference_oracle_intersect(
+            left, right
+        ), (left, right)
+
+
+def test_box_budget_refuses_before_allocating(monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(oracle, "bytearray", no_allocation, raising=False)
+    big = MonomialIdeal.pure_powers((10**6,) * 3)
+    message = (
+        f"box {(10**6,) * 3} holds {(10**6 + 1) ** 3} points, "
+        f"budget is {oracle.DEFAULT_BUDGET}"
+    )
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        oracle_colon(big, MonomialIdeal.maximal(3))
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        oracle_intersect(big, MonomialIdeal.maximal(3))
