@@ -51,10 +51,10 @@ from .errors import (
     InvariantViolationError,
     NotMPrimaryError,
 )
-from .ideals import MonomialIdeal, Vector, leq
+from .ideals import MonomialIdeal, Vector
 from .polyhedra import (
     FacetSystem,
-    _column_minima,
+    _column_scan,
     _dot,
     extreme_rays,
     newton_polyhedron,
@@ -188,7 +188,8 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     v - g. Every row is linear, so row . (v - g) >= 0 for every row of
     the facet matrix M exactly when M v >= M g componentwise: v is
     generated iff its value tuple M v dominates the stored tuple M g
-    of some accepted g. Each scanned point's M v is computed once.
+    of some accepted g. The values M v come from the scan, which
+    yields them with each point.
     """
     d = cone.dim
     q = compute_q(cone)
@@ -198,28 +199,27 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     accepted: List[Vector] = []
     accepted_values: List[Vector] = []
 
-    def row_values(v: Vector) -> Vector:
-        return tuple(_dot(row, v) for row in cone.matrix)
-
     def generated(values: Vector) -> bool:
         return any(
             all(map(operator.ge, values, floor)) for floor in accepted_values
         )
 
-    candidates: List[Vector] = []
-    rest: List[Vector] = []
-    for v in _column_minima(rows, sweep[:d]):
-        if leq(v, box):
-            candidates.append(v)
-        elif v[d] <= sweep[d]:
-            rest.append(v)
-    for v in sorted(candidates, key=lambda v: (sum(v), v)):
-        values = row_values(v)
+    candidates: List[Tuple[Vector, Vector]] = []
+    rest: List[Tuple[Vector, Vector]] = []
+    for v, values in _column_scan(rows, sweep[:d]):
+        if v[d] > sweep[d]:
+            continue
+        if all(map(operator.le, v, box)):
+            candidates.append((v, values))
+        else:
+            rest.append((v, values))
+    candidates.sort(key=lambda pair: (sum(pair[0]), pair[0]))
+    for v, values in candidates:
         if not generated(values):
             accepted.append(v)
             accepted_values.append(values)
-    for v in rest:
-        if not generated(row_values(v)):
+    for v, values in rest:
+        if not generated(values):
             raise IncompleteSearchError(
                 f"interior point {v} is not generated by {accepted}; "
                 f"search box {box} was too small"

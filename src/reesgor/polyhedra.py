@@ -286,29 +286,37 @@ def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
 COLUMN_BUDGET = 2_000_000
 
 
-def _column_minima(
+def _column_scan(
     rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
-) -> Iterator[Vector]:
-    """Least lattice point of every column of a polyhedron over a box.
+) -> Iterator[Tuple[Vector, Vector]]:
+    """Least lattice point of every column of a polyhedron over a box,
+    with its row values.
 
     `rows` are (normal, rhs) pairs, each the half-space
     <normal, v> >= rhs on vectors one longer than `bounds`, and the
     last entry of every normal is >= 0. For each prefix in the box
     prod_j [0, bounds_j], in lexicographic order, yields
-    prefix + (t,) with t >= 0 the least value that meets every row.
-    Because the last entries are >= 0, every row only gets easier as
-    t grows, so t is a max of ceilings; a prefix that some row with
-    last entry 0 rejects has no such t and is skipped.
+    (prefix + (t,), values) with t >= 0 the least value that meets
+    every row and values[i] = <normal_i, prefix + (t,)>, in the order
+    of `rows`. Because the last entries are >= 0, every row only gets
+    easier as t grows, so t is a max of ceilings; a prefix that some
+    row with last entry 0 rejects has no such t and is skipped.
 
     Each row's need, rhs - <normal[:-1], prefix>, is computed with one
     dot product per prefix of the outer coordinates bounds[:-1], at
     x = 0 in the last box coordinate x. Each step of x then subtracts
     the row's entry at x, so the need at x is the outer need minus
     entry * x, exact in integers, with no dot product per column. A
-    row whose entries at x and t are both 0 keeps its need along the
-    whole walk, so it is tested once per outer prefix and, if
-    positive, skips all of that prefix's columns. An empty `bounds`
-    (d = 1 closures) gives the single column (t,).
+    row whose entries at x and t are both 0 (a fixed row) keeps its
+    need along the whole walk, so it is tested once per outer prefix
+    and, if positive, skips all of that prefix's columns. An empty
+    `bounds` (d = 1 closures) gives the single column (t,).
+
+    The values cost no dot product either. For a moving row, the need
+    at x is rhs - <normal[:-1], (prefix, x)>, so its value is
+    rhs - need + last * t. For a fixed row, the entries at x and t are
+    0, so its value is <head, outer prefix>, the number the skip test
+    has just formed.
 
     Raises BudgetExceededError, before scanning any column, when the
     box holds more than COLUMN_BUDGET columns.
@@ -322,17 +330,27 @@ def _column_minima(
     if not bounds:
         # A zero-width box coordinate in front gives the same column.
         padded = [((0,) + tuple(n), rhs) for n, rhs in rows]
-        for v in _column_minima(padded, (0,)):
-            yield v[1:]
+        for v, values in _column_scan(padded, (0,)):
+            yield v[1:], values
         return
-    fixed = [(n[:-2], rhs) for n, rhs in rows if n[-2] == n[-1] == 0]
-    moving = [(n, rhs) for n, rhs in rows if n[-2] or n[-1]]
+    moving_at = [i for i, (n, _) in enumerate(rows) if n[-2] or n[-1]]
+    fixed_at = [i for i, (n, _) in enumerate(rows) if not (n[-2] or n[-1])]
+    moving = [rows[i] for i in moving_at]
+    fixed = [(rows[i][0][:-2], rows[i][1]) for i in fixed_at]
     outer = [(n[:-2], rhs) for n, rhs in moving]
+    rhss = [rhs for _, rhs in moving]
     steps = [n[-2] for n, _ in moving]
     lasts = [n[-1] for n, _ in moving]
+    # The values are formed moving rows first; put them back in the
+    # order of `rows`. With one row, itemgetter would return a bare
+    # value rather than a tuple.
+    order = moving_at + fixed_at
+    position = sorted(range(len(rows)), key=order.__getitem__)
+    arrange = operator.itemgetter(*position) if len(rows) > 1 else tuple
     inner = range(bounds[-1] + 1)
     for prefix in itertools.product(*(range(b + 1) for b in bounds[:-1])):
-        if any(rhs > _dot(head, prefix) for head, rhs in fixed):
+        heads = [_dot(head, prefix) for head, _ in fixed]
+        if any(rhs > value for (_, rhs), value in zip(fixed, heads)):
             continue
         needs = [rhs - _dot(head, prefix) for head, rhs in outer]
         for x in inner:
@@ -345,8 +363,19 @@ def _column_minima(
                     if c > t:
                         t = c
             else:
-                yield prefix + (x, t)
+                values = [
+                    rhs - need + last * t
+                    for rhs, need, last in zip(rhss, needs, lasts)
+                ]
+                yield prefix + (x, t), arrange(values + heads)
             needs = list(map(operator.sub, needs, steps))
+
+
+def _column_minima(
+    rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
+) -> Iterator[Vector]:
+    """The points of `_column_scan`, without their row values."""
+    return (v for v, _ in _column_scan(rows, bounds))
 
 
 def _dilate_minimal_points(
@@ -362,23 +391,30 @@ def _dilate_minimal_points(
     coordinates and close each column with the least feasible last
     coordinate, then keep the points none of whose lower neighbors
     lie in the dilate.
+
+    Minimality is read off the row values the scan yields. For v in
+    the dilate and v_j > 0, v - e_j is >= 0, and its value on the
+    bounded row (a, n*h) is <a, v> - a_j. So v - e_j lies in the
+    dilate iff <a, v> - a_j >= n*h for every bounded facet, that is,
+    iff every row's slack <a, v> - n*h is at least a_j. The last
+    coordinate needs no test: it is the least feasible one of its
+    column, so v - e_d is never in the dilate.
     """
     d = facets.dim
     if not facets.bounded:
         return ((0,) * d,)
     bounds = [n * m for m in maxexp]
     rows = [(f.normal, n * f.offset) for f in facets.bounded]
+    rhss = [rhs for _, rhs in rows]
+    # entries[j][i] is the j-th entry of the i-th normal
+    entries = list(zip(*(normal for normal, _ in rows)))[: d - 1]
     gens = []
-    for v in _column_minima(rows, bounds[: d - 1]):
-        minimal = True
-        for j in range(d):
-            if v[j] == 0:
-                continue
-            down = v[:j] + (v[j] - 1,) + v[j + 1 :]
-            if facets.contains_power(down, n):
-                minimal = False
-                break
-        if minimal:
+    for v, values in _column_scan(rows, bounds[: d - 1]):
+        slack = list(map(operator.sub, values, rhss))
+        if not any(
+            v[j] and all(map(operator.ge, slack, column))
+            for j, column in enumerate(entries)
+        ):
             gens.append(v)
     return tuple(sorted(gens))
 

@@ -307,6 +307,26 @@ def test_core_budget_refuses_before_any_colon(monkeypatch):
         core_compute(anchor, reduction, 2)
 
 
+def test_core_budget_refuses_a_large_power_before_its_reduction_number(
+    monkeypatch,
+):
+    # On the anchor, I^30 has 1396 generators. Refusing it must not wait
+    # for reduction_number, which forms powers of I^30, or any colon.
+    anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+    reduction = find_pure_power_reduction(anchor)
+
+    def no_work(*args):
+        raise AssertionError("work done before the budget check")
+
+    monkeypatch.setattr(analysis, "reduction_number", no_work)
+    monkeypatch.setattr(MonomialIdeal, "colon", no_work)
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"u = 30: I\^30 has 1396 generators, above the budget of 600",
+    ):
+        core_compute(anchor, reduction, 30)
+
+
 def test_core_budget_admits_the_measured_inputs():
     # The row behind CORE_GENERATOR_BUDGET: the r = 8 report input at
     # u = 1 and the anchor at u = 6 fit, the anchor at u = 7 does not.

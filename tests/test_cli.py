@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, JSON output, self-check."""
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -192,6 +196,105 @@ def test_core_over_budget_is_untrusted(job, capsys, monkeypatch):
     assert captured.out == ""
     assert "64 generators, above the budget of 63" in captured.err
     assert main(["--json", "core", "--u", "1", job(anchor)]) == EXIT_OK
+
+
+# ------------------------------------------------------------------ #
+# one parser per process
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(
+    job, capsys, monkeypatch
+):
+    # Options of one call must not leak into the next: -n, --fast, --u
+    # and --corpus/--seed each fall back to their defaults, also after
+    # a usage error in the middle of the sequence.
+    pure, square = job(PURE), job(SQUARE, "square.json")
+    sequence = [
+        ["--json", "iclosure", "-n", "3", square],
+        ["--json", "iclosure", square],
+        ["--json", "gorenstein", "--fast", pure],
+        ["--json", "gorenstein", pure],
+        ["--json", "core", "--u", "two", pure],
+        ["--json", "core", "--u", "2", pure],
+        ["--json", "core", pure],
+        ["--json", "--corpus", "3", "--seed", "5"],
+        ["--json", "np", square],
+        ["iclosure", square],
+    ]
+
+    def run_all():
+        runs = []
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        return runs
+
+    shared = run_all()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = run_all()
+    assert shared == fresh
+    codes = [code for code, _, _ in shared]
+    assert codes == [EXIT_OK] * 4 + [EXIT_USAGE] + [EXIT_OK] * 5
+    assert json.loads(shared[0][1])["power"] == 3
+    assert json.loads(shared[1][1])["power"] == 1
+    assert json.loads(shared[2][1])["method"] == "pure-power"
+    assert json.loads(shared[3][1])["method"] == "canonical-generators"
+    assert json.loads(shared[5][1])["u"] == 2
+    assert json.loads(shared[6][1])["u"] == 1
+    assert "bounded_facets" in json.loads(shared[8][1])
+
+
+def test_main_builds_its_parser_once_per_process(job, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._shared_parser.cache_clear()
+    path = job(PURE)
+    assert main(["--json", "np", path]) == EXIT_OK
+    assert built[0] == "reesgor"
+    del built[:]
+    for argv in (["--json", "np", path], ["cone", path], ["bogus"], []):
+        main(argv)
+    assert built == []
+    assert cli.build_parser() is not cli.build_parser()
+    assert len(built) > 2
+    capsys.readouterr()
+
+
+def test_the_parser_is_not_built_at_import():
+    # Importing the command line builds no parser, so the import time
+    # of a process stays what it was.
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import reesgor.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "0"
 
 
 def test_json_output_is_deterministic(job, capsys):

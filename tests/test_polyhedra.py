@@ -21,7 +21,14 @@ from reesgor.errors import (
     InvalidIdealError,
 )
 from reesgor.oracle import oracle_iclosure_member
-from reesgor.polyhedra import COLUMN_BUDGET, _column_minima, _row_reduce
+from reesgor.polyhedra import (
+    COLUMN_BUDGET,
+    _column_minima,
+    _column_scan,
+    _dilate_minimal_points,
+    _dot,
+    _row_reduce,
+)
 from reesgor.report import closure_section
 
 from conftest import random_ideal, random_m_primary, seeded
@@ -489,6 +496,42 @@ def test_column_minima_match_the_reference_scan():
     assert list(_column_minima([((3,), 7)], ())) == [(3,)]
 
 
+def test_column_scan_values_are_the_row_values_of_its_points():
+    # The rows and boxes of the reference comparison above: bounds of
+    # length 0-5, rows with last entry 0, rows fixed along the walk,
+    # and moving and fixed rows interleaved in every order.
+    rng = seeded(81)
+    entries = (-3, -1, 0, 0, 0, 1, 2, 4)
+    cases = []
+    for length in range(6):
+        for _ in range(30):
+            bounds = tuple(rng.randint(0, 3) for _ in range(length))
+            rows = [
+                (
+                    tuple(rng.choice(entries) for _ in range(length))
+                    + (rng.choice((0, 0, 1, 2, 3)),),
+                    rng.randint(-2, 7),
+                )
+                for _ in range(rng.randint(0, 5))
+            ]
+            cases.append((rows, bounds))
+    cases += [
+        ([((1, 0, 2), 5), ((0, -1, 0), -2)], (0, 0)),
+        ([], (2, 1, 3)),
+        ([((3,), 7), ((0,), -1)], ()),
+        ([((1, 0, 0), 1), ((0, 1, 0), 1), ((-2, -1, 3), 1)], (3, 4)),
+    ]
+    checked = 0
+    for rows, bounds in cases:
+        points = []
+        for v, values in _column_scan(rows, bounds):
+            assert values == tuple(_dot(n, v) for n, _ in rows), (rows, v)
+            points.append(v)
+            checked += 1
+        assert points == list(_reference_column_minima(rows, bounds))
+    assert checked > 1000
+
+
 def test_column_scan_budget():
     with pytest.raises(BudgetExceededError, match=f"{COLUMN_BUDGET + 1} columns"):
         next(_column_minima([], (COLUMN_BUDGET,)))
@@ -556,6 +599,54 @@ def test_closure_generators_are_minimal_members():
                     if g[j] > 0:
                         down = g[:j] + (g[j] - 1,) + g[j + 1 :]
                         assert not facets.contains_power(down, n)
+
+
+def _reference_dilate_minimal_points(facets, n, maxexp):
+    """Minimal points of the n-fold dilate with one membership test of
+    each lower neighbor, as they were found before the scan's row
+    values decided minimality."""
+    d = facets.dim
+    if not facets.bounded:
+        return ((0,) * d,)
+    bounds = [n * m for m in maxexp]
+    rows = [(f.normal, n * f.offset) for f in facets.bounded]
+    gens = []
+    for v in _column_minima(rows, bounds[: d - 1]):
+        minimal = True
+        for j in range(d):
+            if v[j] == 0:
+                continue
+            down = v[:j] + (v[j] - 1,) + v[j + 1 :]
+            if facets.contains_power(down, n):
+                minimal = False
+                break
+        if minimal:
+            gens.append(v)
+    return tuple(sorted(gens))
+
+
+def test_dilate_minimal_points_match_the_membership_reference():
+    # random_ideal draws ideals that are not m-primary too, whose facet
+    # normals have zero entries (rows fixed along the scan).
+    rng = seeded(91)
+    compared = 0
+    for d in (1, 2, 3, 4):
+        for _ in range(8):
+            for ideal in (
+                random_ideal(rng, d, max_gens=4, max_coord=3),
+                random_m_primary(rng, d, max_coord=3, extras=2),
+            ):
+                facets = newton_polyhedron(ideal)
+                maxexp = ideal.max_exponents()
+                for n in range(1, 5):
+                    expected = _reference_dilate_minimal_points(
+                        facets, n, maxexp
+                    )
+                    assert (
+                        _dilate_minimal_points(facets, n, maxexp) == expected
+                    ), (ideal.to_str(), n)
+                    compared += len(expected)
+    assert compared > 1000
 
 
 def test_closure_generator_box_bound():
