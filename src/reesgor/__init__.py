@@ -16,7 +16,6 @@ from .analysis import (
     ReductionData,
     a_invariant_consistency,
     analyze_reduction,
-    canonical_piece,
     closure_nilpotency_index,
     cohen_macaulay_test,
     conductor_exponent,
@@ -25,10 +24,8 @@ from .analysis import (
     find_pure_power_reduction,
     is_monomial_reduction,
     nilpotency_index,
-    powers_upto,
     quasi_gorenstein_test,
     reduction_number,
-    two_standard_test,
 )
 from .cone import (
     CanonicalData,
@@ -52,7 +49,6 @@ from .errors import (
     InvariantViolationError,
     NotAReductionError,
     NotMPrimaryError,
-    StabilizationError,
 )
 from .ideals import MonomialIdeal, minimalize
 from .polyhedra import (
@@ -60,7 +56,6 @@ from .polyhedra import (
     HalfSpace,
     closure_power,
     extreme_rays,
-    integral_closure,
     newton_polyhedron,
 )
 
@@ -87,11 +82,9 @@ __all__ = [
     "QGVerdict",
     "ReductionData",
     "ReesCone",
-    "StabilizationError",
     "a_invariant_consistency",
     "analyze_reduction",
     "canonical_generators",
-    "canonical_piece",
     "closure_nilpotency_index",
     "closure_power",
     "cohen_macaulay_test",
@@ -103,16 +96,13 @@ __all__ = [
     "extreme_rays",
     "filtration_reduction_number",
     "find_pure_power_reduction",
-    "integral_closure",
     "is_gorenstein_normalization",
     "is_monomial_reduction",
     "lift_halfspaces",
     "minimalize",
     "newton_polyhedron",
     "nilpotency_index",
-    "powers_upto",
     "pure_power_gorenstein_test",
     "quasi_gorenstein_test",
     "reduction_number",
-    "two_standard_test",
 ]

@@ -29,14 +29,6 @@ from .ideals import MonomialIdeal
 from .polyhedra import FacetSystem, closure_power, newton_polyhedron
 
 
-def powers_upto(ideal: MonomialIdeal, n: int) -> List[MonomialIdeal]:
-    """[ideal^0, ideal^1, ..., ideal^n] by successive products."""
-    out = [MonomialIdeal.unit(ideal.dim)]
-    for _ in range(n):
-        out.append(out[-1] * ideal)
-    return out
-
-
 def _power_cache(ideal: MonomialIdeal) -> Callable[[int], MonomialIdeal]:
     """A function n -> ideal^n that forms each power on first use, by
     one product with the power before it (ideal^n = unit for n <= 0)."""
@@ -223,44 +215,6 @@ def analyze_reduction(
     )
 
 
-def canonical_piece(
-    reduction: MonomialIdeal, ideal: MonomialIdeal, i: int, k: int
-) -> MonomialIdeal:
-    """The graded piece reduction^(i+k) : ideal^k of the canonical
-    module of the extended Rees algebra (unit ideal when i + k <= 0).
-
-    Requires a pure-power reduction (so its minimal generator count
-    equals the dimension) and k at least the reduction number; the
-    value is then independent of k by the colon-shift lemma in
-    core_compute (J^(m+1) : J = J^m for a pure-power J, and
-    I^(k+1) = J * I^k), and this is verified at k, k+1, k+2.
-    """
-    if reduction.pure_power_exponents() is None:
-        raise InapplicableError(
-            "canonical pieces need a reduction generated by pure powers"
-        )
-    r = reduction_number(ideal, reduction)
-    if k < r:
-        raise InapplicableError(
-            f"k = {k} is below the reduction number {r}"
-        )
-
-    def piece(kk: int) -> MonomialIdeal:
-        if i + kk <= 0:
-            return MonomialIdeal.unit(ideal.dim)
-        return (reduction ** (i + kk)).colon(ideal ** kk)
-
-    value = piece(k)
-    for kk in (k + 1, k + 2):
-        other = piece(kk)
-        if other != value:
-            raise InvariantViolationError(
-                f"canonical piece depends on k: {value.to_str()} at "
-                f"{k} vs {other.to_str()} at {kk}"
-            )
-    return value
-
-
 @dataclass(frozen=True)
 class QGVerdict:
     """Outcome of the quasi-Gorenstein colon test.
@@ -398,32 +352,34 @@ def cohen_macaulay_test(
 ) -> CMVerdict:
     """Cohen-Macaulayness via the containments
     reduction ∩ ideal^i inside reduction * ideal^(i-1) for
-    1 <= i <= r (they hold automatically past r)."""
+    1 <= i <= r (they hold automatically past r, where
+    ideal^i = reduction * ideal^(i-1)). Powers of the ideal are formed
+    on first use.
+
+    Like quasi_gorenstein_test, it needs a reduction generated by pure
+    powers and raises InapplicableError for any other.
+
+    With J the reduction and I the ideal, the reverse containment
+    J * I^(i-1) inside J ∩ I^i always holds, since J lies in I, and
+    i = 1 always passes, since J ∩ I = J. So first_failure == 2 says
+    exactly that the equality J ∩ I^2 = J * I fails.
+    """
     if reduction is None:
         reduction = find_pure_power_reduction(ideal)
         if reduction is None:
             raise InapplicableError(
                 "no pure-power reduction to run the intersection test against"
             )
+    if reduction.pure_power_exponents() is None:
+        raise InapplicableError(
+            "the intersection test needs a reduction generated by pure powers"
+        )
     r = reduction_number(ideal, reduction)
-    i_pows = powers_upto(ideal, r)
+    power = _power_cache(ideal)
     for i in range(1, r + 1):
-        if not (reduction & i_pows[i]).is_subset(reduction * i_pows[i - 1]):
+        if not (reduction & power(i)).is_subset(reduction * power(i - 1)):
             return CMVerdict(False, reduction, r, i)
     return CMVerdict(True, reduction, r, None)
-
-
-def two_standard_test(ideal: MonomialIdeal, reduction: MonomialIdeal) -> bool:
-    """Equality reduction ∩ ideal^i == reduction * ideal^(i-1) for
-    i = 1 and 2 (the i = 1 case is containment of the reduction)."""
-    if not is_monomial_reduction(reduction, ideal):
-        raise NotAReductionError(
-            f"{reduction.to_str()} is not a reduction of {ideal.to_str()}"
-        )
-    for i in (1, 2):
-        if (reduction & ideal ** i) != reduction * ideal ** (i - 1):
-            return False
-    return True
 
 
 def core_compute(
@@ -549,7 +505,7 @@ def conductor_exponent(
     if facets is None:
         facets = newton_polyhedron(ideal)
     d = ideal.dim
-    i_pows = powers_upto(ideal, max(1, d - 1))
+    power = _power_cache(ideal)
     closures: Dict[int, MonomialIdeal] = {}
 
     def closure(n: int) -> MonomialIdeal:
@@ -560,7 +516,7 @@ def conductor_exponent(
     for c in range(d):
         n_max = max(1, d - 1 - c)
         if all(
-            closure(n + c).is_subset(i_pows[n]) for n in range(1, n_max + 1)
+            closure(n + c).is_subset(power(n)) for n in range(1, n_max + 1)
         ):
             return c
     raise InvariantViolationError(

@@ -34,7 +34,6 @@ from .errors import (
     IncompleteSearchError,
     InapplicableError,
     InvariantViolationError,
-    StabilizationError,
 )
 from .ideals import MonomialIdeal
 from .oracle import oracle_colon, oracle_intersect
@@ -154,12 +153,7 @@ def classify_failure(exc: Exception) -> int:
         return EXIT_INAPPLICABLE
     if isinstance(
         exc,
-        (
-            InvariantViolationError,
-            IncompleteSearchError,
-            BudgetExceededError,
-            StabilizationError,
-        ),
+        (InvariantViolationError, IncompleteSearchError, BudgetExceededError),
     ):
         return EXIT_UNTRUSTED
     if isinstance(exc, (ValueError, OSError)):
@@ -263,7 +257,7 @@ def corpus_case(index: int, seed: int) -> Dict:
             quasi_gorenstein_test(ideal, reduction)
     except InapplicableError:
         pass
-    except (InvariantViolationError, StabilizationError) as exc:
+    except InvariantViolationError as exc:
         failures.append(f"quasi-Gorenstein cross-check: {exc}")
 
     return {

@@ -84,10 +84,6 @@ class ReesCone:
     rays: Tuple[Vector, ...]
     source: FacetSystem
 
-    def cone_member(self, v: Sequence[int]) -> bool:
-        w = tuple(v)
-        return all(_dot(row, w) >= 0 for row in self.matrix)
-
     def relint_member(self, v: Sequence[int]) -> bool:
         w = tuple(v)
         return all(_dot(row, w) >= 1 for row in self.matrix)

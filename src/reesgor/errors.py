@@ -52,9 +52,3 @@ class IncompleteSearchError(RuntimeError):
     """A certified search region turned out not to contain everything it
     had to contain; the witness point is in the message."""
 
-
-class StabilizationError(RuntimeError):
-    """An iteration that must stabilize by a proven bound failed to.
-    Nothing in the library raises it: every iteration stops at a proved
-    bound, and a failed bound raises InvariantViolationError. It stays
-    exported, and the command line still maps it to exit 3."""

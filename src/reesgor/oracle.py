@@ -2,10 +2,9 @@
 
 Everything in this module is deliberately naive: colons and
 intersections by filling the membership of a box of lattice points,
-powers by a memoized recursion on the defining property of a product,
-interior points by testing every point of a box. None of it calls the
-algorithmic routines in the rest of the package, so an agreement
-between the two is evidence, not a tautology. Inputs are read only for
+and powers by a memoized recursion on the defining property of a
+product. None of it calls the algorithmic routines in the rest of the
+package, so an agreement between the two is evidence, not a tautology. Inputs are read only for
 their generator data.
 
 Enumerations refuse to run past a point budget and raise
@@ -18,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 from .errors import BudgetExceededError
 from .ideals import MonomialIdeal
@@ -197,21 +196,6 @@ def oracle_intersect(
         box, lambda index, v: in_left[index] and in_right[index]
     )
     return minimal
-
-
-def oracle_relint_points(
-    rows: Sequence[Sequence[int]],
-    bounds: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-) -> List[Vector]:
-    """All lattice points v in the box with <row, v> >= 1 for every
-    row, i.e. the relative interior points of the cone cut out by the
-    rows (assuming the rows are exactly its facets)."""
-    found = []
-    for v in Box(tuple(bounds), budget).points():
-        if all(sum(r * c for r, c in zip(row, v)) >= 1 for row in rows):
-            found.append(v)
-    return sorted(found)
 
 
 def oracle_clear_cache() -> None:

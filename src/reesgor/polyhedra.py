@@ -371,13 +371,6 @@ def _column_scan(
             needs = list(map(operator.sub, needs, steps))
 
 
-def _column_minima(
-    rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
-) -> Iterator[Vector]:
-    """The points of `_column_scan`, without their row values."""
-    return (v for v, _ in _column_scan(rows, bounds))
-
-
 def _dilate_minimal_points(
     facets: FacetSystem, n: int, maxexp: Vector
 ) -> Tuple[Vector, ...]:
@@ -435,6 +428,3 @@ def closure_power(
     gens = _dilate_minimal_points(facets, n, ideal.max_exponents())
     return MonomialIdeal(ideal.dim, gens)
 
-
-def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
-    return closure_power(ideal, 1)

@@ -197,7 +197,7 @@ def core_section(
         reduction = find_pure_power_reduction(ideal)
         if reduction is None:
             raise InapplicableError(
-                "no pure-power reduction for the core ladder"
+                "no pure-power reduction to compute the core against"
             )
     core = core_compute(ideal, reduction, u)
     section = {"u": u, "core": ideal_dict(core)}

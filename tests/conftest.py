@@ -1,4 +1,4 @@
-"""Shared corpus generators for the test suite.
+"""Shared corpus generators and reference helpers for the test suite.
 
 Everything here is deterministic: each helper takes an explicit
 random.Random so a failing case can be replayed from the seed.
@@ -10,7 +10,8 @@ import random
 import pytest
 
 from reesgor import MonomialIdeal
-from reesgor.oracle import oracle_clear_cache
+from reesgor.oracle import DEFAULT_BUDGET, Box, oracle_clear_cache
+from reesgor.polyhedra import _column_scan, _dot
 
 
 def random_ideal(rng, dim, max_gens=5, max_coord=5):
@@ -61,6 +62,29 @@ def single_facet_ideal(rng, dim, max_coord=5, extras=2):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def oracle_relint_points(rows, bounds, budget=DEFAULT_BUDGET):
+    """All lattice points v in the box with <row, v> >= 1 for every
+    row, i.e. the relative interior points of the cone cut out by the
+    rows (assuming the rows are exactly its facets), by testing every
+    point of the box."""
+    found = []
+    for v in Box(tuple(bounds), budget).points():
+        if all(sum(r * c for r, c in zip(row, v)) >= 1 for row in rows):
+            found.append(v)
+    return sorted(found)
+
+
+def column_minima(rows, bounds):
+    """The points of `polyhedra._column_scan`, without their row values."""
+    return (v for v, _ in _column_scan(rows, bounds))
+
+
+def cone_member(cone, v):
+    """Is v in the cone, i.e. is every row of its facet matrix >= 0 at v?"""
+    w = tuple(v)
+    return all(_dot(row, w) >= 0 for row in cone.matrix)
 
 
 @pytest.fixture(autouse=True)

@@ -25,7 +25,6 @@ from reesgor.errors import (
     InvariantViolationError,
     NotAReductionError,
     NotMPrimaryError,
-    StabilizationError,
 )
 from reesgor.report import SCHEMA_VERSION, job_from_dict
 
@@ -119,7 +118,6 @@ def test_classify_failure_table():
     assert classify_failure(InvariantViolationError("x")) == EXIT_UNTRUSTED
     assert classify_failure(IncompleteSearchError("x")) == EXIT_UNTRUSTED
     assert classify_failure(BudgetExceededError("x")) == EXIT_UNTRUSTED
-    assert classify_failure(StabilizationError("x")) == EXIT_UNTRUSTED
     assert classify_failure(NotMPrimaryError("x")) == EXIT_USAGE
     assert classify_failure(NotAReductionError("x")) == EXIT_USAGE
     assert classify_failure(ValueError("x")) == EXIT_USAGE
@@ -432,10 +430,12 @@ def test_report_with_supplied_reduction(job, capsys):
 
 
 def test_report_with_a_reduction_that_is_not_pure_powers(job, capsys):
-    # I is a reduction of itself; no consistency check applies to it.
+    # I is a reduction of itself; no consistency check applies to it,
+    # and the Cohen-Macaulay test refuses it.
     spec = {**SQUARE, "reduction": SQUARE["gens"]}
     assert main(["--json", "report", job(spec)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
+    assert "inapplicable" in payload["cohen_macaulay"]
     consistency = payload["consistency"]
     assert consistency["all_ok"] is True
     by_name = {c["name"]: c for c in consistency["checks"]}
@@ -444,6 +444,16 @@ def test_report_with_a_reduction_that_is_not_pure_powers(job, capsys):
     assert invariants["reduction_number"] == 0
     assert invariants["nilpotency_index"] == 0
     assert invariants["closure_nilpotency_index"] == 0
+
+    # On the anchor, its own generators as the reduction (r = 0) would
+    # make it Cohen-Macaulay, against the verdict from (x^3, y^3, z^3).
+    anchor = {"dim": 3, "gens": [[0, 0, 3], [0, 3, 0], [1, 1, 1], [3, 0, 0]]}
+    for spec in (
+        {**SQUARE, "reduction": SQUARE["gens"]},
+        {**anchor, "reduction": anchor["gens"]},
+    ):
+        assert main(["--json", "cm", job(spec)]) == EXIT_INAPPLICABLE
+        assert capsys.readouterr().out == ""
 
     spec = {**SQUARE, "reduction": [[2, 0], [0, 2]]}
     assert main(["--json", "report", job(spec)]) == EXIT_OK

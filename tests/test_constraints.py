@@ -80,3 +80,31 @@ def test_the_oracle_is_independent_of_the_algorithms():
             assert node.id not in ALGORITHM_NAMES, where
         elif isinstance(node, ast.Attribute):
             assert node.attr not in ALGORITHM_NAMES, where
+
+
+def _raised_name(node):
+    """The class name a `raise` statement names, or None."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return None
+
+
+def test_every_error_type_is_raised():
+    """An exception class that nothing raises is dead public API: each
+    class defined in errors.py is named by some `raise` in the
+    package."""
+    (path,) = [p for p in SOURCES if p.name == "errors.py"]
+    defined = {
+        node.name for node in _tree(path).body if isinstance(node, ast.ClassDef)
+    }
+    raised = {
+        _raised_name(node)
+        for source in SOURCES
+        for node in ast.walk(_tree(source))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    assert defined
+    assert defined <= raised, sorted(defined - raised)

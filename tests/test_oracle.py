@@ -14,10 +14,14 @@ from reesgor.oracle import (
     oracle_iclosure_member,
     oracle_intersect,
     oracle_power_member,
-    oracle_relint_points,
 )
 
-from conftest import random_ideal, random_m_primary, seeded
+from conftest import (
+    oracle_relint_points,
+    random_ideal,
+    random_m_primary,
+    seeded,
+)
 
 
 def test_box_points_and_budget():

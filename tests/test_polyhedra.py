@@ -10,7 +10,6 @@ from reesgor import (
     MonomialIdeal,
     closure_power,
     extreme_rays,
-    integral_closure,
     newton_polyhedron,
     polyhedra,
 )
@@ -23,7 +22,6 @@ from reesgor.errors import (
 from reesgor.oracle import oracle_iclosure_member
 from reesgor.polyhedra import (
     COLUMN_BUDGET,
-    _column_minima,
     _column_scan,
     _dilate_minimal_points,
     _dot,
@@ -31,7 +29,7 @@ from reesgor.polyhedra import (
 )
 from reesgor.report import closure_section
 
-from conftest import random_ideal, random_m_primary, seeded
+from conftest import column_minima, random_ideal, random_m_primary, seeded
 
 
 def facet_set(ideal):
@@ -434,7 +432,7 @@ def test_column_minima_are_least_feasible_points():
             column = [t for t in range(17) if meets(prefix + (t,))]
             if column:
                 expected.append(prefix + (column[0],))
-        assert list(_column_minima(rows, (3, 3))) == expected
+        assert list(column_minima(rows, (3, 3))) == expected
 
 
 def _reference_column_minima(rows, bounds):
@@ -477,7 +475,7 @@ def test_column_minima_match_the_reference_scan():
                 for _ in range(rng.randint(0, 5))
             ]
             expected = list(_reference_column_minima(rows, bounds))
-            assert list(_column_minima(rows, bounds)) == expected, (rows, bounds)
+            assert list(column_minima(rows, bounds)) == expected, (rows, bounds)
             yielded += len(expected)
     assert yielded > 1000
 
@@ -491,9 +489,9 @@ def test_column_minima_match_the_reference_scan():
     ]
     for rows, bounds in edge_cases:
         expected = list(_reference_column_minima(rows, bounds))
-        assert list(_column_minima(rows, bounds)) == expected, (rows, bounds)
-    assert list(_column_minima([((1, 0, 2), 5)], (0, 0))) == [(0, 0, 3)]
-    assert list(_column_minima([((3,), 7)], ())) == [(3,)]
+        assert list(column_minima(rows, bounds)) == expected, (rows, bounds)
+    assert list(column_minima([((1, 0, 2), 5)], (0, 0))) == [(0, 0, 3)]
+    assert list(column_minima([((3,), 7)], ())) == [(3,)]
 
 
 def test_column_scan_values_are_the_row_values_of_its_points():
@@ -534,7 +532,7 @@ def test_column_scan_values_are_the_row_values_of_its_points():
 
 def test_column_scan_budget():
     with pytest.raises(BudgetExceededError, match=f"{COLUMN_BUDGET + 1} columns"):
-        next(_column_minima([], (COLUMN_BUDGET,)))
+        next(column_minima([], (COLUMN_BUDGET,)))
 
 
 # ------------------------------------------------------------------ #
@@ -557,9 +555,9 @@ def test_closure_power_refuses_bool_and_non_int_powers(monkeypatch):
 
 def test_closure_frozen_values():
     j = MonomialIdeal(2, ((2, 0), (0, 2)))
-    assert integral_closure(j).gens == ((0, 2), (1, 1), (2, 0))
+    assert closure_power(j, 1).gens == ((0, 2), (1, 1), (2, 0))
     big = MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 4)))
-    assert integral_closure(big).gens == (
+    assert closure_power(big, 1).gens == (
         (0, 0, 4),
         (0, 1, 2),
         (0, 2, 0),
@@ -583,7 +581,7 @@ def test_closure_contains_power_and_is_closed():
         for n in (1, 2, 3):
             closed = closure_power(ideal, n, facets)
             assert (ideal ** n).is_subset(closed)
-            assert integral_closure(closed) == closed
+            assert closure_power(closed, 1) == closed
 
 
 def test_closure_generators_are_minimal_members():
@@ -611,7 +609,7 @@ def _reference_dilate_minimal_points(facets, n, maxexp):
     bounds = [n * m for m in maxexp]
     rows = [(f.normal, n * f.offset) for f in facets.bounded]
     gens = []
-    for v in _column_minima(rows, bounds[: d - 1]):
+    for v in column_minima(rows, bounds[: d - 1]):
         minimal = True
         for j in range(d):
             if v[j] == 0:
