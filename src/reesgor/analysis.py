@@ -247,11 +247,13 @@ def quasi_gorenstein_test(
     u + r when that is larger; a multiplicative probe one step past
     the edge certifies the pattern continues. Powers of both ideals are
     formed on first use, so a pattern that breaks at a small i forms
-    only small powers. At most one candidate degree can survive; two
-    surviving would mean distinct powers of a proper ideal coincide,
-    so that raises InvariantViolationError, as does a failed probe or
-    a mismatch with the direct computation of u as the largest n with
-    ideal^r inside reduction^n.
+    only small powers, and each colon reduction^i : ideal^r is formed
+    once per call, shared by every candidate degree, the extension to
+    the edge and the probe. At most one candidate degree can survive;
+    two surviving would mean distinct powers of a proper ideal
+    coincide, so that raises InvariantViolationError, as does a failed
+    probe or a mismatch with the direct computation of u as the
+    largest n with ideal^r inside reduction^n.
     """
     d = ideal.dim
     if reduction is None:
@@ -271,13 +273,20 @@ def quasi_gorenstein_test(
     j_pow = _power_cache(reduction)
     i_pow = _power_cache(ideal)
     i_r = i_pow(r)
+    colons: Dict[int, MonomialIdeal] = {}
+
+    def colon(i: int) -> MonomialIdeal:
+        """reduction^i : ideal^r, formed once per call."""
+        if i not in colons:
+            colons[i] = j_pow(i).colon(i_r)
+        return colons[i]
 
     passing: List[Tuple[int, int]] = []
     for a in range(s - d + 1, r - d + 2):
         u = r - d + 1 - a
         ok = True
         for i in range(1, window + 1):
-            if j_pow(i).colon(i_r) != i_pow(i - u):
+            if colon(i) != i_pow(i - u):
                 ok = False
                 break
         if ok:
@@ -303,12 +312,12 @@ def quasi_gorenstein_test(
     a, u = passing[0]
     edge = max(window, u + r)
     for i in range(window + 1, edge + 1):
-        if j_pow(i).colon(i_r) != i_pow(i - u):
+        if colon(i) != i_pow(i - u):
             raise InvariantViolationError(
                 f"colon pattern breaks between window and edge at i = {i}"
             )
-    probe_lhs = j_pow(edge + 1).colon(i_r)
-    probe_rhs = reduction * j_pow(edge).colon(i_r)
+    probe_lhs = colon(edge + 1)
+    probe_rhs = reduction * colon(edge)
     probe_ok = probe_lhs == probe_rhs
     if not probe_ok:
         raise InvariantViolationError(
@@ -352,7 +361,7 @@ def cohen_macaulay_test(
 ) -> CMVerdict:
     """Cohen-Macaulayness via the containments
     reduction ∩ ideal^i inside reduction * ideal^(i-1) for
-    1 <= i <= r (they hold automatically past r, where
+    2 <= i <= r (they hold automatically past r, where
     ideal^i = reduction * ideal^(i-1)). Powers of the ideal are formed
     on first use.
 
@@ -361,8 +370,9 @@ def cohen_macaulay_test(
 
     With J the reduction and I the ideal, the reverse containment
     J * I^(i-1) inside J ∩ I^i always holds, since J lies in I, and
-    i = 1 always passes, since J ∩ I = J. So first_failure == 2 says
-    exactly that the equality J ∩ I^2 = J * I fails.
+    i = 1 always holds, since J ∩ I = J = J * I^0, so the scan starts
+    at i = 2. So first_failure == 2 says exactly that the equality
+    J ∩ I^2 = J * I fails.
     """
     if reduction is None:
         reduction = find_pure_power_reduction(ideal)
@@ -376,7 +386,7 @@ def cohen_macaulay_test(
         )
     r = reduction_number(ideal, reduction)
     power = _power_cache(ideal)
-    for i in range(1, r + 1):
+    for i in range(2, r + 1):
         if not (reduction & power(i)).is_subset(reduction * power(i - 1)):
             return CMVerdict(False, reduction, r, i)
     return CMVerdict(True, reduction, r, None)
@@ -412,11 +422,13 @@ def core_compute(
     count and the limit. The limit comes from a measured row (2 cores,
     Python 3.11): on (x^3, y^3, z^3, xyz), u = 1..8 give 19, 64, 136,
     235, 361, 514, 694 and 901 generators, with both colons taking
-    0.01, 0.15, 0.64, 2.2, 6.1, 13, 28 and 46 s; the largest divisor
-    among the heavy report inputs, 575 generators for
-    (x^5, x^2y^2z, xy^2z^2, y^5, z^5) at u = 1, takes 2.3 s. The
+    0.01, 0.04, 0.15, 0.32, 0.91, 1.97, 3.94 and 6.44 s; the largest
+    divisor among the heavy report inputs, 575 generators for
+    (x^5, x^2y^2z, xy^2z^2, y^5, z^5) at u = 1, takes 0.55 s. The
     limit admits that input and the anchor up to u = 6, and refuses
-    the anchor from u = 7 on.
+    the anchor from u = 7 on. These times would allow a higher limit;
+    it is kept at 600 so that which inputs exit 3 does not move with
+    the speed of the colon.
 
     The same limit is applied to B itself right after B is formed, so
     a large u fails fast instead of first spending reduction_number's

@@ -14,7 +14,9 @@ All exponents are Python ints, so arithmetic never overflows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InvalidIdealError
@@ -24,29 +26,17 @@ Vector = Tuple[int, ...]
 
 def leq(u: Sequence[int], v: Sequence[int]) -> bool:
     """Componentwise u <= v, i.e. the monomial x^u divides x^v."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(operator.le, u, v))
 
 
-def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
-    """Reduce a generating set to the componentwise-minimal antichain.
+def _divides_some(gens: Sequence[Vector], v: Vector) -> bool:
+    """Does some vector of gens divide v, i.e. is x^v in (gens)?"""
+    return any(map(leq, gens, repeat(v)))
 
-    Deduplicates, drops every vector dominated by another, and returns
-    the survivors sorted lexicographically. Raises InvalidIdealError on
-    malformed input (wrong arity, negative or non-integer entries;
-    booleans count as non-integers).
 
-    The dominance test is one bitset pass per coordinate. Number the
-    distinct candidates 0..k-1 in lexicographic order. For coordinate i,
-    the candidates with i-th entry at most t form a bitset, a prefix OR
-    over the sorted entries; below[j] is the AND over all i of the
-    bitset at t = v_j[i], so bit l is set exactly when v_l <= v_j
-    componentwise. Bit j is always set. Since the candidates are
-    distinct, any other set bit is a candidate that divides v_j and
-    differs from it, a strict dominator; so v_j is minimal iff
-    below[j] == 1 << j. No order by degree is needed, and the cost is
-    O(dim * k) big-int ORs and ANDs rather than O(k^2) comparisons.
-    """
-    unique = set()
+def _check_each(vectors: Sequence[Sequence[int]], dim: int) -> None:
+    """Raise InvalidIdealError for the first malformed vector, in input
+    order, naming the vector; int subclasses other than bool pass."""
     for raw in vectors:
         v = tuple(raw)
         if len(v) != dim:
@@ -61,11 +51,56 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
                 raise InvalidIdealError(f"non-integer exponent in {v}")
             if entry < 0:
                 raise InvalidIdealError(f"negative exponent in {v}")
-        unique.add(v)
+
+
+def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
+    """Reduce a generating set to the componentwise-minimal antichain.
+
+    Deduplicates, drops every vector dominated by another, and returns
+    the survivors sorted lexicographically. Raises InvalidIdealError on
+    malformed input (wrong arity, negative or non-integer entries;
+    booleans count as non-integers).
+
+    Validation runs on the deduplicated set, with C-level passes for
+    the arity, the entry types (exactly int) and the least entry. Only
+    when that check fails does the loop over the raw vectors run, in
+    input order, so the error names the same vector with the same
+    message as a check of every vector would; an int subclass other
+    than bool fails the quick check but passes the loop.
+
+    The dominance test is one bitset pass per coordinate. Number the
+    distinct candidates 0..k-1 in lexicographic order. For coordinate i,
+    the candidates with i-th entry at most t form a bitset, a prefix OR
+    over the sorted entries; below[j] is the AND over all i of the
+    bitset at t = v_j[i], so bit l is set exactly when v_l <= v_j
+    componentwise. A divisor of v_j is lexicographically at most v_j,
+    so below[j] starts as bits 0..j; those candidates already have
+    first entry at most v_j[0], so the first coordinate needs no pass.
+    Bit j is always set. Since the candidates are distinct, any other
+    set bit is a candidate that divides v_j and differs from it, a
+    strict dominator; so v_j is minimal iff below[j] has a single set
+    bit, b & (b - 1) == 0. No order by degree is needed, and the cost
+    is O(dim * k) big-int ORs and ANDs rather than O(k^2) comparisons.
+    """
+    vectors = tuple(vectors)
+    try:
+        unique = set(map(tuple, vectors))
+        valid = (
+            set(map(len, unique)) <= {dim}
+            and set(map(type, chain.from_iterable(unique))) <= {int}
+            and min(chain.from_iterable(unique), default=0) >= 0
+        )
+    except TypeError:  # an entry that is not iterable, or not hashable
+        valid = False
+    if not valid:
+        _check_each(vectors, dim)
+        unique = set(map(tuple, vectors))
     candidates = sorted(unique)
     bits = [1 << j for j in range(len(candidates))]
-    below = [(1 << len(candidates)) - 1] * len(candidates)
-    for column in zip(*candidates):
+    below = [(bit << 1) - 1 for bit in bits]
+    columns = zip(*candidates)
+    next(columns, None)
+    for column in columns:
         # entry t -> bitset of the candidates whose entry here is <= t
         at_most: dict[int, int] = {}
         for t, bit in zip(column, bits):
@@ -74,10 +109,8 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
         for t in sorted(at_most):
             prefix |= at_most[t]
             at_most[t] = prefix
-        below = [b & at_most[t] for b, t in zip(below, column)]
-    return tuple(
-        v for v, b, bit in zip(candidates, below, bits) if b == bit
-    )
+        below = list(map(operator.and_, below, map(at_most.__getitem__, column)))
+    return tuple(v for v, b in zip(candidates, below) if b & (b - 1) == 0)
 
 
 @dataclass(frozen=True)
@@ -176,11 +209,11 @@ class MonomialIdeal:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} against dimension {self.dim}"
             )
-        return any(leq(g, v) for g in self.gens)
+        return _divides_some(self.gens, v)
 
     def is_subset(self, other: "MonomialIdeal") -> bool:
         self._require_same_dim(other)
-        return all(other.contains(g) for g in self.gens)
+        return all(map(_divides_some, repeat(other.gens), self.gens))
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         return self.is_subset(other)
@@ -203,7 +236,7 @@ class MonomialIdeal:
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._require_same_dim(other)
         products = {
-            tuple(a + b for a, b in zip(g, h))
+            tuple(map(operator.add, g, h))
             for g in self.gens
             for h in other.gens
         }
@@ -228,13 +261,19 @@ class MonomialIdeal:
         return result
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Intersection: generated by pairwise componentwise maxima."""
+        """Intersection: generated by pairwise componentwise maxima.
+
+        A generator g of self that already lies in other is emitted
+        alone rather than joined with every generator of other: g is in
+        the intersection, and each join lcm(g, h) is a multiple of g,
+        so the joins add nothing. The canonical result is the same."""
         self._require_same_dim(other)
-        joins = {
-            tuple(max(a, b) for a, b in zip(g, h))
-            for g in self.gens
-            for h in other.gens
-        }
+        joins = set()
+        for g in self.gens:
+            if _divides_some(other.gens, g):
+                joins.add(g)
+            else:
+                joins.update(tuple(map(max, g, h)) for h in other.gens)
         return MonomialIdeal(self.dim, tuple(joins))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -247,10 +286,11 @@ class MonomialIdeal:
         self._require_same_dim(other)
         if other.is_zero():
             return MonomialIdeal.unit(self.dim)
+        zeros = (0,) * self.dim
         result: Optional[MonomialIdeal] = None
         for g in other.gens:
             shifted = tuple(
-                tuple(max(h_i - g_i, 0) for h_i, g_i in zip(h, g))
+                tuple(map(max, map(operator.sub, h, g), zeros))
                 for h in self.gens
             )
             piece = MonomialIdeal(self.dim, shifted)

@@ -50,7 +50,7 @@ def _int_primitive(v: Sequence[int]) -> Vector:
     g = math.gcd(*v)
     if g == 0:
         raise ConeGeometryError("zero vector cannot be made primitive")
-    return tuple(c // g for c in v)
+    return tuple([c // g for c in v])
 
 
 def _content_free(v: Sequence[int], col: int) -> List[int]:
@@ -62,7 +62,7 @@ def _content_free(v: Sequence[int], col: int) -> List[int]:
 
 
 def _row_reduce(
-    rows: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[int]], invert: bool = False
 ) -> Tuple[List[int], List[Tuple[int, List[int]]]]:
     """Integer Gauss-Jordan elimination, one row at a time.
 
@@ -72,16 +72,27 @@ def _row_reduce(
     the indices of the kept rows and, for each, its pivot column and
     reduced row: positive in its own pivot column, zero in every other
     pivot column.
+
+    With invert=True, each row of width n is extended by the unit
+    vector e_k of length n, k the number of rows kept before it, and
+    pivots are taken in the first n columns only. A dependent row still
+    reduces to zero there and is dropped, so its unit vector goes to
+    the next row. The reduced rows are then those of [base | identity],
+    base the kept rows in order, exactly as a second elimination of
+    that matrix would give them.
     """
     kept: List[int] = []
     pivots: List[Tuple[int, List[int]]] = []
     for idx, row in enumerate(rows):
         v = list(row)
+        width = len(v)
+        if invert:
+            v.extend(int(j == len(kept)) for j in range(width))
         for col, p in pivots:
             if v[col]:
                 f, g = p[col], v[col]
                 v = [f * x - g * y for x, y in zip(v, p)]
-        col = next((c for c, x in enumerate(v) if x), None)
+        col = next((c for c in range(width) if v[c]), None)
         if col is None:
             continue
         v = _content_free(v, col)
@@ -92,7 +103,7 @@ def _row_reduce(
                 pivots[k] = (c, _content_free(p, c))
         pivots.append((col, v))
         kept.append(idx)
-        if len(pivots) == len(v):
+        if len(pivots) == width:
             break
     return kept, pivots
 
@@ -110,26 +121,25 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     raises ConeGeometryError, because a cone without both properties
     has no well-defined extreme-ray description for our purposes.
     Returned rays are primitive integer vectors, sorted.
+
+    The starting simplicial cone costs one elimination pass: the rows
+    are reduced with a unit vector appended (see _row_reduce), which
+    picks the first dim independent rows and inverts them at once.
     """
-    constraints = [tuple(int(x) for x in row) for row in rows]
+    constraints = [tuple(map(int, row)) for row in rows]
     if any(len(a) != dim for a in constraints):
         raise DimensionMismatchError("constraint row of wrong length")
-    base, _ = _row_reduce(constraints)
+    # Start from the simplicial subcone cut by the first dim independent
+    # rows, `base`. The reduced [base | identity] holds, in the pivot
+    # row of column c, d_c times row c of the inverse on the right;
+    # ray j is column j of the inverse, tight on every base row except
+    # row j. A ray's mask has bit i set when row i has been processed
+    # and the ray is tight on it.
+    base, reduced = _row_reduce(constraints, invert=True)
     if len(base) < dim:
         raise ConeGeometryError(
             "cone is not pointed: constraint normals do not span"
         )
-
-    # Start from the simplicial subcone cut by the dim independent rows
-    # `base`. Reducing [base | identity] leaves, in the pivot row of
-    # column c, d_c times row c of the inverse on the right; ray j is
-    # column j of the inverse, tight on every base row except row j.
-    # A ray's mask has bit i set when row i has been processed and the
-    # ray is tight on it.
-    _, reduced = _row_reduce(
-        [constraints[i] + (0,) * j + (1,) + (0,) * (dim - 1 - j)
-         for j, i in enumerate(base)]
-    )
     reduced.sort()
     scale = math.lcm(*(row[c] for c, row in reduced))
     base_mask = sum(1 << i for i in base)

@@ -139,6 +139,29 @@ def test_qgor_rich_example_fails():
     assert (v.reduction_number, v.nilpotency_index) == (3, 1)
 
 
+def _record_calls(monkeypatch, name):
+    """Record (self, other) for every call of MonomialIdeal.<name>."""
+    calls = []
+    original = getattr(MonomialIdeal, name)
+
+    def recorded(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, name, recorded)
+    return calls
+
+
+def test_qgor_forms_each_colon_once_per_call(monkeypatch):
+    # RICH has r = 3 > s = 1, so three candidate degrees scan the
+    # colons from i = 1; CRIT and M pass, so the probe runs at the edge.
+    calls = _record_calls(monkeypatch, "colon")
+    for ideal, positive in ((RICH, False), (CRIT, True), (M, True)):
+        calls.clear()
+        assert quasi_gorenstein_test(ideal).quasi_gorenstein == positive
+        assert calls and len(set(calls)) == len(calls), ideal
+
+
 def test_qgor_inapplicable_without_pure_power_reduction():
     with pytest.raises(InapplicableError):
         quasi_gorenstein_test(MonomialIdeal(2, ((3, 0), (1, 1), (0, 3))))
@@ -161,6 +184,18 @@ def test_cm_verdicts():
     # would pass every ideal.
     with pytest.raises(InapplicableError):
         cohen_macaulay_test(M2, M2)
+
+
+def test_cm_scan_starts_at_two(monkeypatch):
+    # i = 1 always holds (J ∩ I = J), so no intersection is formed
+    # when r <= 1, and RICH, failing at i = 2, forms exactly one.
+    calls = _record_calls(monkeypatch, "__and__")
+    for ideal, reduction in ((M2, J22), (CRIT, CRIT), (M, M)):
+        assert reduction_number(ideal, reduction) <= 1
+        assert cohen_macaulay_test(ideal, reduction).cohen_macaulay
+        assert calls == []
+    assert cohen_macaulay_test(RICH, J44).first_failure == 2
+    assert calls == [(J44, RICH ** 2)]
 
 
 def test_two_standard():

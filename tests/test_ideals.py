@@ -11,8 +11,9 @@ from reesgor.errors import (
     InvalidIdealError,
 )
 from reesgor.ideals import leq
+from reesgor.oracle import oracle_colon, oracle_intersect
 
-from conftest import random_ideal, seeded
+from conftest import random_ideal, random_m_primary, seeded, single_facet_ideal
 
 
 def I(dim, *gens):
@@ -36,6 +37,40 @@ def test_minimalize_orders_by_lex():
     assert minimalize([(0, 3), (1, 1), (3, 0)], 2) == ((0, 3), (1, 1), (3, 0))
 
 
+def _reference_check(vectors, dim):
+    """The per-vector validation minimalize ran on every raw vector
+    before it checked the deduplicated set: the first malformed
+    vector, in input order, raises."""
+    unique = set()
+    for raw in vectors:
+        v = tuple(raw)
+        if len(v) != dim:
+            raise InvalidIdealError(
+                f"generator {v} has {len(v)} entries, expected {dim}"
+            )
+        for entry in v:
+            if type(entry) is not int and (
+                isinstance(entry, bool) or not isinstance(entry, int)
+            ):
+                raise InvalidIdealError(f"non-integer exponent in {v}")
+            if entry < 0:
+                raise InvalidIdealError(f"negative exponent in {v}")
+        unique.add(v)
+    return unique
+
+
+class Exponent(int):
+    """An int subclass that is not bool: an exponent like any other."""
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is compared
+        return type(exc), str(exc)
+    return None
+
+
 def test_minimalize_rejects_bad_input():
     with pytest.raises(InvalidIdealError):
         minimalize([(1,)], 2)
@@ -43,6 +78,37 @@ def test_minimalize_rejects_bad_input():
         minimalize([(1, -1)], 2)
     with pytest.raises(InvalidIdealError):
         minimalize([(1, 1.5)], 2)
+    # Each malformed input raises the class and message of the check
+    # of every vector in input order, whichever vector the set-level
+    # check would notice first.
+    malformed = [
+        [(1,)],
+        [(1, -1)],
+        [(1, 1.5)],
+        [(0, 3), (1,), (1, -1)],  # wrong arity before a negative entry
+        [(0, 3), (1, -1), (1,)],  # and the other way round
+        [(1, 0, 2), (1, 1)],
+        [(2, 0), (1.0, 1)],  # a float equal to an int
+        [(0, 2), (True, 0)],  # a bool
+        [(0, 2), (False, 1), (1, -1)],
+        [(1, 0), 5],  # a non-iterable entry
+        [(1,), 5],  # wrong arity before a non-iterable entry
+        [5, (1,)],
+        [(1, [2])],  # an unhashable entry
+        [(1, None)],
+        ["ab"],
+        [(0, 1), (-1, 0), (1, 1.5)],
+    ]
+    for vectors in malformed:
+        expected = _raised(_reference_check, vectors, 2)
+        assert expected is not None, vectors
+        assert _raised(minimalize, vectors, 2) == expected, vectors
+        assert _raised(minimalize, iter(vectors), 2) == expected, vectors
+    # An int subclass that is not bool passes both checks.
+    vectors = [(Exponent(2), 0), (0, Exponent(3)), (Exponent(3), 1)]
+    assert _reference_check(vectors, 2)
+    assert minimalize(vectors, 2) == ((0, 3), (2, 0))
+    assert MonomialIdeal(2, tuple(vectors)) == I(2, (2, 0), (0, 3))
 
 
 def test_booleans_are_not_ideal_data():
@@ -206,6 +272,69 @@ def test_intersection_frozen_values():
     assert (I(2, (1, 0)) & I(2, (0, 1))) == I(2, (1, 1))
     assert (j & MonomialIdeal.unit(2)) == j
     assert (j & MonomialIdeal.zero(2)).is_zero()
+
+
+def _reference_intersect(left, right):
+    """The intersection as & formed it before its shortcut: minimalize
+    the componentwise maxima of every pair of generators."""
+    return MonomialIdeal(left.dim, tuple(
+        tuple(max(a, b) for a, b in zip(g, h))
+        for g in left.gens
+        for h in right.gens
+    ))
+
+
+def _colon_pieces(ideal, divisor):
+    """The single-generator quotients (ideal : x^g), g in the divisor,
+    that colon intersects one after another."""
+    return [
+        MonomialIdeal(ideal.dim, tuple(
+            tuple(max(a - b, 0) for a, b in zip(h, g)) for h in ideal.gens
+        ))
+        for g in divisor.gens
+    ]
+
+
+def _intersection_pairs(rng):
+    """Seeded pairs for & and colon in d = 2, 3: random ideals, a
+    reduction against its ideal and its powers (J inside I), and the
+    running intersection of colon pieces against the next piece, where
+    one side holds most generators of the other."""
+    for _ in range(80):
+        dim = rng.choice((2, 3))
+        top = 5 if dim == 2 else 3
+        ideal, reduction = single_facet_ideal(rng, dim, max_coord=top)
+        other = random_m_primary(rng, dim, max_coord=top)
+        yield random_ideal(rng, dim, max_coord=top), other
+        yield other, random_m_primary(rng, dim, max_coord=top)
+        yield reduction, ideal
+        yield ideal, reduction
+        yield reduction ** 2, ideal
+        yield ideal ** 2, other
+        pieces = _colon_pieces(reduction ** 2, ideal)
+        running = pieces[0]
+        for piece in pieces[1:]:
+            yield running, piece
+            yield piece, running
+            running = _reference_intersect(running, piece)
+
+
+def test_intersection_and_colon_match_the_references():
+    rng = seeded(1207)
+    shortcut = joined = 0
+    for left, right in _intersection_pairs(rng):
+        both = left & right
+        assert both == _reference_intersect(left, right), (left, right)
+        assert both.gens == oracle_intersect(left, right), (left, right)
+        assert left.colon(right).gens == oracle_colon(left, right), (
+            left, right,
+        )
+        inside = sum(right.contains(g) for g in left.gens)
+        shortcut += inside
+        joined += len(left.gens) - inside
+    # both branches of & run often: a generator already in the other
+    # ideal, and one joined with every generator of the other
+    assert shortcut > 500 and joined > 100, (shortcut, joined)
 
 
 def test_bracket_power():

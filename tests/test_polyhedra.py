@@ -383,6 +383,8 @@ def test_row_reduce_keeps_the_rank_rises_and_inverts():
         for c, row in pivots:
             assert row[c] > 0
             assert all(row[k] == 0 for k in columns if k != c)
+        one_pass = _row_reduce(rows, invert=True)
+        assert one_pass[0] == kept
         if len(kept) < width:
             continue
         # a nonsingular base: recover the inverse columns from the
@@ -392,6 +394,9 @@ def test_row_reduce_keeps_the_rank_rises_and_inverts():
             [b + tuple(int(k == j) for k in range(width))
              for j, b in enumerate(base)]
         )
+        # the one pass finds the base and reduces [base | identity]
+        # to the same rows as the second elimination
+        assert one_pass[1] == reduced
         reduced.sort()
         scale = math.lcm(*(row[c] for c, row in reduced))
         inverse = [
