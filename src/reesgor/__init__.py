@@ -13,14 +13,11 @@ from .analysis import (
     ConsistencyCheck,
     ConsistencyReport,
     QGVerdict,
-    ReductionData,
     a_invariant_consistency,
-    analyze_reduction,
     closure_nilpotency_index,
     cohen_macaulay_test,
     conductor_exponent,
     core_compute,
-    core_matches_power,
     find_pure_power_reduction,
     is_monomial_reduction,
     nilpotency_index,
@@ -80,10 +77,8 @@ __all__ = [
     "NotMPrimaryError",
     "PurePowerTest",
     "QGVerdict",
-    "ReductionData",
     "ReesCone",
     "a_invariant_consistency",
-    "analyze_reduction",
     "canonical_generators",
     "closure_nilpotency_index",
     "closure_power",
@@ -91,7 +86,6 @@ __all__ = [
     "compute_q",
     "conductor_exponent",
     "core_compute",
-    "core_matches_power",
     "embed_phi",
     "extreme_rays",
     "filtration_reduction_number",

@@ -174,45 +174,25 @@ def closure_nilpotency_index(
     )
 
 
-@dataclass(frozen=True)
-class ReductionData:
-    """The basic invariants of an ideal relative to a reduction."""
-
-    ideal: MonomialIdeal
-    reduction: MonomialIdeal
-    reduction_number: int
-    nilpotency_index: int
-    closure_nilpotency_index: int
-    generator_count: int
-
-
-def analyze_reduction(
-    ideal: MonomialIdeal,
-    reduction: Optional[MonomialIdeal] = None,
-    facets: Optional[FacetSystem] = None,
-) -> ReductionData:
-    """Bundle r, s, and the closure index for a reduction (found
-    automatically when not supplied)."""
-    if facets is None:
-        facets = newton_polyhedron(ideal)
+def _pure_power_reduction(
+    ideal: MonomialIdeal, reduction: Optional[MonomialIdeal], test: str
+) -> MonomialIdeal:
+    """The pure-power reduction the colon and intersection tests run
+    against: the one supplied, or else the one found on the Newton
+    polyhedron. Raises InapplicableError, naming the test, when none is
+    found or the supplied one is not generated by pure powers; neither
+    test raises InapplicableError anywhere else."""
     if reduction is None:
-        reduction = find_pure_power_reduction(ideal, facets)
+        reduction = find_pure_power_reduction(ideal)
         if reduction is None:
             raise InapplicableError(
-                "no pure-power reduction: the Newton polyhedron has "
-                "more than one bounded facet"
+                f"no pure-power reduction to run {test} against"
             )
-    r = reduction_number(ideal, reduction)
-    s = nilpotency_index(ideal, reduction, r)
-    s_bar = closure_nilpotency_index(ideal, reduction, facets)
-    return ReductionData(
-        ideal=ideal,
-        reduction=reduction,
-        reduction_number=r,
-        nilpotency_index=s,
-        closure_nilpotency_index=s_bar,
-        generator_count=len(reduction.gens),
-    )
+    if reduction.pure_power_exponents() is None:
+        raise InapplicableError(
+            f"{test} needs a reduction generated by pure powers"
+        )
+    return reduction
 
 
 @dataclass(frozen=True)
@@ -254,18 +234,15 @@ def quasi_gorenstein_test(
     coincide, so that raises InvariantViolationError, as does a failed
     probe or a mismatch with the direct computation of u as the
     largest n with ideal^r inside reduction^n.
+
+    The reduction is the one supplied or, when none is, the one
+    find_pure_power_reduction reads off the Newton polyhedron. The
+    shared gate _pure_power_reduction refuses any other input with
+    InapplicableError, so a reduction that is not generated by pure
+    powers, or an ideal without one, never reaches the colons.
     """
     d = ideal.dim
-    if reduction is None:
-        reduction = find_pure_power_reduction(ideal)
-        if reduction is None:
-            raise InapplicableError(
-                "no pure-power reduction to run the colon test against"
-            )
-    if reduction.pure_power_exponents() is None:
-        raise InapplicableError(
-            "the colon test needs a reduction generated by pure powers"
-        )
+    reduction = _pure_power_reduction(ideal, reduction, "the colon test")
     r = reduction_number(ideal, reduction)
     s = nilpotency_index(ideal, reduction, r)
     window = r + d + 2
@@ -365,8 +342,9 @@ def cohen_macaulay_test(
     ideal^i = reduction * ideal^(i-1)). Powers of the ideal are formed
     on first use.
 
-    Like quasi_gorenstein_test, it needs a reduction generated by pure
-    powers and raises InapplicableError for any other.
+    It runs against the same pure-power reduction as
+    quasi_gorenstein_test, through the same gate
+    _pure_power_reduction, and raises InapplicableError for any other.
 
     With J the reduction and I the ideal, the reverse containment
     J * I^(i-1) inside J ∩ I^i always holds, since J lies in I, and
@@ -374,16 +352,9 @@ def cohen_macaulay_test(
     at i = 2. So first_failure == 2 says exactly that the equality
     J ∩ I^2 = J * I fails.
     """
-    if reduction is None:
-        reduction = find_pure_power_reduction(ideal)
-        if reduction is None:
-            raise InapplicableError(
-                "no pure-power reduction to run the intersection test against"
-            )
-    if reduction.pure_power_exponents() is None:
-        raise InapplicableError(
-            "the intersection test needs a reduction generated by pure powers"
-        )
+    reduction = _pure_power_reduction(
+        ideal, reduction, "the intersection test"
+    )
     r = reduction_number(ideal, reduction)
     power = _power_cache(ideal)
     for i in range(2, r + 1):
@@ -413,7 +384,15 @@ def core_compute(
        reduction_number validates the pair before returning r_u.
 
     The next rung C_(r_u + 1) is formed as well and must equal C_(r_u);
-    if it does not, InvariantViolationError names both rungs.
+    if it does not, InvariantViolationError names both rungs. The
+    powers of B and of K come from one _power_cache each, so B^(r_u)
+    and K^(r_u + 1) are the steps on the way to B^(r_u + 1) and
+    K^(r_u + 2), not products of their own.
+
+    The caller always passes the reduction, so there is none to search
+    for; one that is not generated by pure powers is refused here with
+    InapplicableError in core_compute's own words, not through the gate
+    of the colon and intersection tests.
 
     Each colon intersects one piece per generator of its divisor, so
     the cost grows with the generator count of B^(r_u + 1), the divisor
@@ -453,15 +432,17 @@ def core_compute(
         )
     scaled = reduction.bracket_power(u)
     r_u = reduction_number(base, scaled)
-    divisor = base ** (r_u + 1)
+    base_pow = _power_cache(base)
+    divisor = base_pow(r_u + 1)
     if len(divisor.gens) > CORE_GENERATOR_BUDGET:
         raise BudgetExceededError(
             f"core of the power u = {u}: the colon divisor "
             f"(I^{u})^{r_u + 1} has {len(divisor.gens)} generators, "
             f"above the budget of {CORE_GENERATOR_BUDGET}"
         )
-    core = (scaled ** (r_u + 1)).colon(base ** r_u)
-    check = (scaled ** (r_u + 2)).colon(divisor)
+    scaled_pow = _power_cache(scaled)
+    core = scaled_pow(r_u + 1).colon(base_pow(r_u))
+    check = scaled_pow(r_u + 2).colon(divisor)
     if check != core:
         raise InvariantViolationError(
             f"core colon changes past the reduction number {r_u} of "
@@ -469,13 +450,6 @@ def core_compute(
             f"{check.to_str()} at n = {r_u + 1}"
         )
     return core
-
-
-def core_matches_power(
-    ideal: MonomialIdeal, core: MonomialIdeal, u: int, a: int
-) -> bool:
-    """Does core, the core of ideal^u, equal ideal^(d*u + a)?"""
-    return core == ideal ** (ideal.dim * u + a)
 
 
 def conductor_exponent(
@@ -594,11 +568,8 @@ def a_invariant_consistency(
     if reduction is not None and reduction.pure_power_exponents() is not None:
         s_bar = closure_nilpotency_index(ideal, reduction, facets)
         table["closure-index"] = (s_bar - d + 1, a_inv)
-        try:
-            verdict = quasi_gorenstein_test(ideal, reduction)
-        except InapplicableError:
-            verdict = None
-        if verdict is not None and verdict.quasi_gorenstein:
+        verdict = quasi_gorenstein_test(ideal, reduction)
+        if verdict.quasi_gorenstein:
             c = conductor_exponent(ideal, facets)
             table["conductor-shift"] = (verdict.a + c, a_inv)
             s = verdict.nilpotency_index

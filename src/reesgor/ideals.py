@@ -243,21 +243,16 @@ class MonomialIdeal:
         return MonomialIdeal(self.dim, tuple(products))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
-        """I^n by repeated squaring. Exponents n <= 0 give the unit
-        ideal (the convention used throughout the filtration code)."""
+        """I^n by n - 1 products with I, one per further factor.
+        Exponents n <= 0 give the unit ideal (the convention used
+        throughout the filtration code)."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("exponent must be an int")
         if n <= 0:
             return MonomialIdeal.unit(self.dim)
-        result = MonomialIdeal.unit(self.dim)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        result = self
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":

@@ -139,7 +139,7 @@ def oracle_iclosure_member(
 
 
 def oracle_colon(
-    ideal: MonomialIdeal, divisor: MonomialIdeal, budget: int = DEFAULT_BUDGET
+    ideal: MonomialIdeal, divisor: MonomialIdeal
 ) -> Tuple[Vector, ...]:
     """Minimal generators of (ideal : divisor), the vectors v with
     v + g in the ideal for every generator g of the divisor, found by
@@ -156,7 +156,7 @@ def oracle_colon(
     bounds = tuple(
         max((g[i] for g in ideal.gens), default=0) for i in range(ideal.dim)
     )
-    box = Box(bounds, budget)
+    box = Box(bounds)
     inside = _fill_ideal(ideal.gens, box)
     strides = box.strides()
     shifts = tuple(tuple(zip(g, bounds, strides)) for g in divisor.gens)
@@ -176,7 +176,7 @@ def oracle_colon(
 
 
 def oracle_intersect(
-    left: MonomialIdeal, right: MonomialIdeal, budget: int = DEFAULT_BUDGET
+    left: MonomialIdeal, right: MonomialIdeal
 ) -> Tuple[Vector, ...]:
     """Minimal generators of the intersection, by filling the joint
     bounding box of both generator sets with each ideal and taking the
@@ -189,7 +189,7 @@ def oracle_intersect(
         )
         for i in range(left.dim)
     )
-    box = Box(bounds, budget)
+    box = Box(bounds)
     in_left = _fill_ideal(left.gens, box)
     in_right = _fill_ideal(right.gens, box)
     _, minimal = _fill_upset(

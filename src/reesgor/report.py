@@ -20,13 +20,14 @@ from typing import Dict, List, Optional
 
 from .analysis import (
     a_invariant_consistency,
-    analyze_reduction,
+    closure_nilpotency_index,
     cohen_macaulay_test,
     conductor_exponent,
     core_compute,
-    core_matches_power,
     find_pure_power_reduction,
+    nilpotency_index,
     quasi_gorenstein_test,
+    reduction_number,
 )
 from .cone import (
     canonical_generators,
@@ -48,6 +49,16 @@ class JobSpec:
     reduction: Optional[MonomialIdeal]
 
 
+def _exponent_lists(data: Dict, key: str) -> tuple:
+    """The generators under data[key], which must be a list of lists."""
+    value = data[key]
+    if not isinstance(value, list) or not all(
+        isinstance(g, list) for g in value
+    ):
+        raise ValueError(f"'{key}' must be a list of exponent lists")
+    return tuple(tuple(g) for g in value)
+
+
 def job_from_dict(data: object) -> JobSpec:
     if not isinstance(data, dict):
         raise ValueError("job file must hold a JSON object")
@@ -60,25 +71,16 @@ def job_from_dict(data: object) -> JobSpec:
     dim = data["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("'dim' must be a positive integer")
-    gens = data["gens"]
-    if not isinstance(gens, list) or not all(
-        isinstance(g, list) for g in gens
-    ):
-        raise ValueError("'gens' must be a list of exponent lists")
-    ideal = MonomialIdeal(dim, tuple(tuple(g) for g in gens))
+    ideal = MonomialIdeal(dim, _exponent_lists(data, "gens"))
     reduction = None
     if data.get("reduction") is not None:
-        red = data["reduction"]
-        if not isinstance(red, list) or not all(
-            isinstance(g, list) for g in red
-        ):
-            raise ValueError("'reduction' must be a list of exponent lists")
+        red = _exponent_lists(data, "reduction")
         if not red:
             raise ValueError(
                 "'reduction' is empty, which is the zero ideal; list its "
                 "generators, or give null to search for one"
             )
-        reduction = MonomialIdeal(dim, tuple(tuple(g) for g in red))
+        reduction = MonomialIdeal(dim, red)
         if not reduction.is_subset(ideal):
             raise ValueError("the supplied reduction is not inside the ideal")
     return JobSpec(ideal=ideal, reduction=reduction)
@@ -201,15 +203,12 @@ def core_section(
             )
     core = core_compute(ideal, reduction, u)
     section = {"u": u, "core": ideal_dict(core)}
-    try:
-        verdict = quasi_gorenstein_test(ideal, reduction)
-    except InapplicableError:
-        verdict = None
-    if verdict is not None and verdict.quasi_gorenstein:
+    verdict = quasi_gorenstein_test(ideal, reduction)
+    if verdict.quasi_gorenstein:
         exponent = ideal.dim * u + verdict.a
         section["power_formula"] = {
             "exponent": exponent,
-            "matches": core_matches_power(ideal, core, u, verdict.a),
+            "matches": core == ideal ** exponent,
         }
     return section
 
@@ -236,13 +235,35 @@ def consistency_section(
 def invariants_section(
     ideal: MonomialIdeal, reduction: Optional[MonomialIdeal]
 ) -> Dict:
-    data = analyze_reduction(ideal, reduction)
+    """r, s and the closure index s-bar of the ideal relative to the
+    reduction (the supplied one, else the pure-power one read off the
+    Newton polyhedron), and the conductor exponent.
+
+    With no pure-power reduction, InapplicableError names why. The
+    search fails only on several bounded facets or a source that is
+    not m-primary: with one bounded facet of an m-primary ideal, every
+    vertex, the pure powers among them, lies on that facet, so the
+    pure-power candidate is a reduction.
+    """
+    facets = newton_polyhedron(ideal)
+    if reduction is None:
+        reduction = find_pure_power_reduction(ideal, facets)
+        if reduction is None:
+            reason = (
+                "the Newton polyhedron has more than one bounded facet"
+                if len(facets.bounded) > 1
+                else "the ideal is not primary to the maximal ideal"
+            )
+            raise InapplicableError(f"no pure-power reduction: {reason}")
+    r = reduction_number(ideal, reduction)
     return {
-        "reduction": ideal_dict(data.reduction),
-        "reduction_number": data.reduction_number,
-        "nilpotency_index": data.nilpotency_index,
-        "closure_nilpotency_index": data.closure_nilpotency_index,
-        "reduction_generator_count": data.generator_count,
+        "reduction_number": r,
+        "nilpotency_index": nilpotency_index(ideal, reduction, r),
+        "closure_nilpotency_index": closure_nilpotency_index(
+            ideal, reduction, facets
+        ),
+        "reduction": ideal_dict(reduction),
+        "reduction_generator_count": len(reduction.gens),
         "conductor_exponent": conductor_exponent(ideal),
     }
 

@@ -8,13 +8,11 @@ from reesgor import (
     MonomialIdeal,
     a_invariant_consistency,
     analysis,
-    analyze_reduction,
     closure_nilpotency_index,
     closure_power,
     cohen_macaulay_test,
     conductor_exponent,
     core_compute,
-    core_matches_power,
     find_pure_power_reduction,
     is_monomial_reduction,
     newton_polyhedron,
@@ -30,6 +28,7 @@ from reesgor.errors import (
     NotAReductionError,
     NotMPrimaryError,
 )
+from reesgor.report import invariants_section
 
 from conftest import random_ideal, random_m_primary, seeded
 
@@ -90,15 +89,15 @@ def test_closure_nilpotency_index():
     assert closure_nilpotency_index(M, M) == 0
 
 
-def test_analyze_reduction_bundle():
-    data = analyze_reduction(M2)
-    assert data.reduction == J22
-    assert data.reduction_number == 1
-    assert data.nilpotency_index == 1
-    assert data.closure_nilpotency_index == 1
-    assert data.generator_count == 2
+def test_invariants_section_values():
+    section = invariants_section(M2, None)
+    assert section["reduction"]["gens"] == [list(g) for g in J22.gens]
+    assert section["reduction_number"] == 1
+    assert section["nilpotency_index"] == 1
+    assert section["closure_nilpotency_index"] == 1
+    assert section["reduction_generator_count"] == 2
     with pytest.raises(InapplicableError):
-        analyze_reduction(MonomialIdeal(2, ((3, 0), (1, 1), (0, 3))))
+        invariants_section(MonomialIdeal(2, ((3, 0), (1, 1), (0, 3))), None)
 
 
 # ------------------------------------------------------------------ #
@@ -212,14 +211,15 @@ def test_two_standard():
 
 def test_core_of_maximal_ideal_powers():
     for u in (1, 2, 4):
-        assert core_compute(M, M, u) == M ** (2 * u - 1)
-        assert core_matches_power(M, core_compute(M, M, u), u, -1)
+        core = core_compute(M, M, u)
+        assert core == M ** (2 * u - 1)
+        assert core == M ** (M.dim * u - 1)
 
 
 def test_core_of_square():
     assert core_compute(M2, J22, 1) == M ** 3
     assert core_compute(CRIT, CRIT, 1) == CRIT ** 1  # a = -2, d = 3
-    assert core_matches_power(CRIT, core_compute(CRIT, CRIT, 1), 1, -2)
+    assert core_compute(CRIT, CRIT, 1) == CRIT ** (CRIT.dim * 1 - 2)
 
 
 def test_core_rich_example():

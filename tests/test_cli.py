@@ -325,6 +325,65 @@ def test_anchor_reports_are_byte_identical_across_changes(job, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
 
 
+# sha256 of the `--json report` stdout of three jobs that reach the
+# section texts the anchors do not: two bounded facets (every
+# inapplicable reason), a quasi-Gorenstein ideal whose core section
+# carries the power formula, and a reduction that is not pure powers.
+# Same rule as the digests above.
+SECTION_REPORT_DIGESTS = (
+    (
+        TWO_FACETS,
+        "5ae5f0db27eefcab7a6c05ccb42ec1258c73113977663dbbe034e0e3542f7c9f",
+    ),
+    (
+        {"dim": 3, "gens": [[2, 0, 0], [0, 2, 0], [0, 0, 4]]},
+        "9336f2a96a156e28b150bb42050edc59b088142d04ee7ed03ed62ebf92c3619e",
+    ),
+    (
+        {**SQUARE, "reduction": SQUARE["gens"]},
+        "dab4d0a16e8558a5cbf939244781ca5345644aec27532d995fc64c164050f5d7",
+    ),
+)
+
+
+def test_section_reports_are_byte_identical_across_changes(job, capsys):
+    for payload, digest in SECTION_REPORT_DIGESTS:
+        assert main(["--json", "report", job(payload)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
+
+
+@pytest.mark.parametrize(
+    "spec, command, message",
+    [
+        (TWO_FACETS, "qgor", "no pure-power reduction to run the colon test against"),
+        (
+            TWO_FACETS,
+            "cm",
+            "no pure-power reduction to run the intersection test against",
+        ),
+        (
+            {**SQUARE, "reduction": SQUARE["gens"]},
+            "qgor",
+            "the colon test needs a reduction generated by pure powers",
+        ),
+        (
+            {**SQUARE, "reduction": SQUARE["gens"]},
+            "cm",
+            "the intersection test needs a reduction generated by pure powers",
+        ),
+    ],
+    ids=["none-qgor", "none-cm", "not-pure-qgor", "not-pure-cm"],
+)
+def test_colon_and_intersection_tests_refuse_in_their_own_words(
+    job, capsys, spec, command, message
+):
+    assert main([command, job(spec)]) == EXIT_INAPPLICABLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"reesgor: {message}\n"
+
+
 # sha256 of the `--json gorenstein` stdout of the two ROADMAP anchors,
 # the largest pure-power ladder input, a d = 4 ideal without pure-power
 # shape, and a d = 1 ideal. Same rule as the report digests above.
@@ -419,6 +478,26 @@ def test_report_marks_inapplicable_sections(job, capsys):
     assert "inapplicable" in payload["gorenstein_fast"]
     assert "inapplicable" in payload["invariants"]
     assert payload["gorenstein"]["gorenstein"] is False
+
+
+@pytest.mark.parametrize(
+    "spec, facet_count",
+    [({"dim": 2, "gens": [[2, 0]]}, 1), ({"dim": 2, "gens": [[0, 0]]}, 0)],
+    ids=["x^2", "unit"],
+)
+def test_report_names_why_an_ideal_that_is_not_m_primary_has_no_invariants(
+    job, capsys, spec, facet_count
+):
+    # With at most one bounded facet, the reason is the missing
+    # m-primary source, as the facet section itself reports.
+    assert main(["--json", "report", job(spec)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["newton"]["bounded_facets"]) == facet_count
+    assert payload["newton"]["m_primary"] is False
+    assert payload["invariants"] == {
+        "inapplicable": "no pure-power reduction: the ideal is not primary "
+        "to the maximal ideal"
+    }
 
 
 def test_report_with_supplied_reduction(job, capsys):

@@ -108,3 +108,21 @@ def test_every_error_type_is_raised():
     }
     assert defined
     assert defined <= raised, sorted(defined - raised)
+
+
+def test_the_export_list_names_exactly_the_imported_public_names():
+    """`reesgor.__all__` lists each public name that `__init__.py`
+    imports from the package, once, and nothing else: a retired name
+    cannot linger in one list after leaving the other."""
+    import reesgor
+
+    (path,) = [p for p in SOURCES if p.name == "__init__.py"]
+    imported = [
+        alias.asname or alias.name
+        for node in _tree(path).body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert len(reesgor.__all__) == len(set(reesgor.__all__))
+    assert sorted(reesgor.__all__) == sorted(imported)
