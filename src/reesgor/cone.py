@@ -86,6 +86,11 @@ class ReesCone:
 
     def relint_member(self, v: Sequence[int]) -> bool:
         w = tuple(v)
+        if len(w) != self.dim + 1:
+            raise DimensionMismatchError(
+                f"vector of length {len(w)} against a cone in "
+                f"{self.dim + 1} coordinates"
+            )
         return all(_dot(row, w) >= 1 for row in self.matrix)
 
 
@@ -178,7 +183,10 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     inside the search box are the candidates; every other one up to the
     sweep height must be generated by the final accepted set. The
     candidates need no re-check: each was accepted or found generated,
-    and the accepted set only grows.
+    and the accepted set only grows. The scan yields one batch per
+    prefix of the first d - 1 coordinates, so the prefix is tested
+    against the search box once per batch, and only x <= box[d - 1]
+    and t <= box[d] per column.
 
     The generated-by test compares row values instead of forming
     v - g. Every row is linear, so row . (v - g) >= 0 for every row of
@@ -194,28 +202,27 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     rows = [(row, 1) for row in cone.matrix]
     accepted: List[Vector] = []
     accepted_values: List[Vector] = []
-
-    def generated(values: Vector) -> bool:
-        return any(
-            all(map(operator.ge, values, floor)) for floor in accepted_values
-        )
+    ge = operator.ge
+    x_box, t_box, t_sweep = box[d - 1], box[d], sweep[d]
 
     candidates: List[Tuple[Vector, Vector]] = []
     rest: List[Tuple[Vector, Vector]] = []
-    for v, values in _column_scan(rows, sweep[:d]):
-        if v[d] > sweep[d]:
-            continue
-        if all(map(operator.le, v, box)):
-            candidates.append((v, values))
-        else:
-            rest.append((v, values))
+    for prefix, xs, ts, columns in _column_scan(rows, sweep[:d]):
+        inside = all(map(operator.le, prefix, box))
+        for x, t, values in zip(xs, ts, zip(*columns)):
+            if t > t_sweep:
+                continue
+            if inside and x <= x_box and t <= t_box:
+                candidates.append((prefix + (x, t), values))
+            else:
+                rest.append((prefix + (x, t), values))
     candidates.sort(key=lambda pair: (sum(pair[0]), pair[0]))
     for v, values in candidates:
-        if not generated(values):
+        if not any(all(map(ge, values, floor)) for floor in accepted_values):
             accepted.append(v)
             accepted_values.append(values)
     for v, values in rest:
-        if not generated(values):
+        if not any(all(map(ge, values, floor)) for floor in accepted_values):
             raise IncompleteSearchError(
                 f"interior point {v} is not generated by {accepted}; "
                 f"search box {box} was too small"

@@ -80,6 +80,14 @@ def _row_reduce(
     the next row. The reduced rows are then those of [base | identity],
     base the kept rows in order, exactly as a second elimination of
     that matrix would give them.
+
+    A row's pivot is its first nonzero entry among the first n columns,
+    found by a plain loop. Back-substitution clears the new pivot
+    column from every earlier pivot row p as f * p - p[col] * v, with
+    f = v[col] > 0 taken once per new row, so each pivot row costs one
+    multiplier of its own. Since f > 0, the row keeps the sign of its
+    own pivot, and dividing out the content makes the result the same
+    as for any other positive multiple.
     """
     kept: List[int] = []
     pivots: List[Tuple[int, List[int]]] = []
@@ -87,18 +95,23 @@ def _row_reduce(
         v = list(row)
         width = len(v)
         if invert:
-            v.extend(int(j == len(kept)) for j in range(width))
+            v += [0] * width
+            v[width + len(kept)] = 1
         for col, p in pivots:
-            if v[col]:
-                f, g = p[col], v[col]
+            g = v[col]
+            if g:
+                f = p[col]
                 v = [f * x - g * y for x, y in zip(v, p)]
-        col = next((c for c in range(width) if v[c]), None)
-        if col is None:
+        for col in range(width):
+            if v[col]:
+                break
+        else:
             continue
         v = _content_free(v, col)
+        f = v[col]
         for k, (c, p) in enumerate(pivots):
-            if p[col]:
-                f, g = v[col], p[col]
+            g = p[col]
+            if g:
                 p = [f * x - g * y for x, y in zip(p, v)]
                 pivots[k] = (c, _content_free(p, c))
         pivots.append((col, v))
@@ -125,6 +138,17 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     The starting simplicial cone costs one elimination pass: the rows
     are reduced with a unit vector appended (see _row_reduce), which
     picks the first dim independent rows and inverts them at once.
+
+    Each later row a is one double-description step. Every current ray
+    is evaluated on a once, into a list of (ray, mask, value), where
+    the mask holds the processed rows the ray is tight on. Rays with
+    value >= 0 stay (value 0 adds a to the mask), rays with value < 0
+    go, and new rays come only from pairs of a positive ray p and a
+    negative ray q that are adjacent. The test is combinatorial: the
+    rows tight on both number at least dim - 2, and no third ray r is
+    tight on all of them. p and q are tight on those rows themselves,
+    so r must range over the other rays only, or no pair would ever
+    pass.
     """
     constraints = [tuple(map(int, row)) for row in rows]
     if any(len(a) != dim for a in constraints):
@@ -152,29 +176,28 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
         bit = 1 << idx
         if base_mask & bit:
             continue
-        values = {r: _dot(a, r) for r in masks}
-        positive = [r for r, v in values.items() if v > 0]
-        negative = [r for r, v in values.items() if v < 0]
+        evaluated = [(r, m, _dot(a, r)) for r, m in masks.items()]
+        negative = [e for e in evaluated if e[2] < 0]
         combined = {}
-        for p in positive:
-            for q in negative:
-                common = masks[p] & masks[q]
-                if common.bit_count() < dim - 2 or any(
-                    r != p and r != q and (masks[r] & common) == common
-                    for r in masks
-                ):
+        if negative:
+            for p, mp, vp in evaluated:
+                if vp <= 0:
                     continue
-                # The new ray is vp * q + |vq| * p with vp, |vq| > 0, and
-                # p, q are >= 0 on every row processed so far, so it is
-                # tight exactly where both are, and on row idx.
-                vp, vq = values[p], values[q]
-                ray = [vp * qc - vq * pc for pc, qc in zip(p, q)]
-                combined[_int_primitive(ray)] = common | bit
-        for r, v in values.items():
-            if v < 0:
-                del masks[r]
-            elif v == 0:
-                masks[r] |= bit
+                for q, mq, vq in negative:
+                    common = mp & mq
+                    if common.bit_count() < dim - 2 or any(
+                        r is not p and r is not q and m & common == common
+                        for r, m, _ in evaluated
+                    ):
+                        continue
+                    # The new ray is vp * q + |vq| * p with vp, |vq| > 0,
+                    # and p, q are >= 0 on every row processed so far, so
+                    # it is tight exactly where both are, and on row idx.
+                    ray = [vp * qc - vq * pc for pc, qc in zip(p, q)]
+                    combined[_int_primitive(ray)] = common | bit
+        masks = {
+            r: m | bit if v == 0 else m for r, m, v in evaluated if v >= 0
+        }
         masks.update(combined)
 
     rays = sorted(masks)
@@ -197,6 +220,11 @@ class HalfSpace:
     offset: int
 
     def evaluate(self, v: Sequence[int]) -> int:
+        if len(v) != len(self.normal):
+            raise DimensionMismatchError(
+                f"vector of length {len(v)} against a normal of length "
+                f"{len(self.normal)}"
+            )
         return _dot(self.normal, v)
 
 
@@ -227,7 +255,7 @@ class FacetSystem:
             return False
         if n <= 0:
             return True
-        return all(f.evaluate(w) >= n * f.offset for f in self.bounded)
+        return all(_dot(f.normal, w) >= n * f.offset for f in self.bounded)
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.contains_power(v, 1)
@@ -298,35 +326,54 @@ COLUMN_BUDGET = 2_000_000
 
 def _column_scan(
     rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
-) -> Iterator[Tuple[Vector, Vector]]:
+) -> Iterator[Tuple[Vector, range, List[int], List[List[int]]]]:
     """Least lattice point of every column of a polyhedron over a box,
-    with its row values.
+    with its row values, one batch per outer prefix.
 
     `rows` are (normal, rhs) pairs, each the half-space
     <normal, v> >= rhs on vectors one longer than `bounds`, and the
-    last entry of every normal is >= 0. For each prefix in the box
-    prod_j [0, bounds_j], in lexicographic order, yields
-    (prefix + (t,), values) with t >= 0 the least value that meets
-    every row and values[i] = <normal_i, prefix + (t,)>, in the order
-    of `rows`. Because the last entries are >= 0, every row only gets
-    easier as t grows, so t is a max of ceilings; a prefix that some
-    row with last entry 0 rejects has no such t and is skipped.
+    last entry of every normal is >= 0. Write a point as
+    (prefix, x, t): prefix in the box of the outer coordinates
+    bounds[:-1], x in [0, bounds[-1]], and t >= 0. For each prefix in
+    lexicographic order that has a feasible column, yields one batch
+    (prefix, xs, ts, columns): xs is the range of the x whose column
+    has a feasible point, ts[i] is the least feasible t over xs[i], and
+    columns[r][i] = <normal_r, prefix + (xs[i], ts[i])>, one list per
+    row, in the order of `rows`. The points come out in lexicographic
+    order. Because the last entries are >= 0, every row only gets
+    easier as t grows, so t is a max of ceilings; a column that some
+    row with last entry 0 rejects has no such t and is skipped. With no
+    rows, `columns` is empty and every column yields t = 0. An empty
+    `bounds` (d = 1 closures) is scanned as the box (0,) with a zero
+    column in front of every normal: its one batch has xs = range(0, 1)
+    and stands for the single point (t,), not (0, t).
 
-    Each row's need, rhs - <normal[:-1], prefix>, is computed with one
-    dot product per prefix of the outer coordinates bounds[:-1], at
-    x = 0 in the last box coordinate x. Each step of x then subtracts
-    the row's entry at x, so the need at x is the outer need minus
-    entry * x, exact in integers, with no dot product per column. A
-    row whose entries at x and t are both 0 (a fixed row) keeps its
-    need along the whole walk, so it is tested once per outer prefix
-    and, if positive, skips all of that prefix's columns. An empty
-    `bounds` (d = 1 closures) gives the single column (t,).
+    Each row's need, rhs - <normal, (prefix, x, 0)>, is stepped, never
+    formed by a dot product. The outer box is walked depth first; at
+    depth j the first j coordinates are fixed and the rest are 0, and
+    each step of coordinate j subtracts the rows' entries there. Along
+    x, the need at x is the need at the prefix minus entry * x.
 
-    The values cost no dot product either. For a moving row, the need
-    at x is rhs - <normal[:-1], (prefix, x)>, so its value is
-    rhs - need + last * t. For a fixed row, the entries at x and t are
-    0, so its value is <head, outer prefix>, the number the skip test
-    has just formed.
+    Pruning lemma. Call a row settled at depth j when its entries at
+    the outer coordinates j, j + 1, ... and at x and t are all 0. Its
+    need is then the same at every point below the depth-j prefix, so
+    if it is positive no point there meets the row and the whole
+    sub-box is skipped; if it is <= 0 the row holds everywhere there.
+    Each settled row is tested once, at the least depth at which it is
+    settled. (A row with one such zero entry too few is not constant on
+    the sub-box, and testing it there would skip feasible columns.)
+
+    Along x, a row with last entry 0 and x entry s != 0 holds iff
+    s * x >= need at x = 0, so it bounds x from below (s > 0) or
+    from above (s < 0), in closed form; xs is the intersection of
+    those intervals with [0, bounds[-1]]. Every other row has last
+    entry l > 0, and t(x) = max(0, ceil(need(x) / l) over those rows),
+    with one list comprehension per row over xs. A row with s = 0 has
+    the same ceiling at every x, so it is taken once per batch.
+
+    The values cost no dot product either: with need the row's need at
+    x = 0, its value at (prefix, x, t) is rhs - need + s * x + l * t,
+    and a settled row has the constant value rhs - need.
 
     Raises BudgetExceededError, before scanning any column, when the
     box holds more than COLUMN_BUDGET columns.
@@ -340,45 +387,83 @@ def _column_scan(
     if not bounds:
         # A zero-width box coordinate in front gives the same column.
         padded = [((0,) + tuple(n), rhs) for n, rhs in rows]
-        for v, values in _column_scan(padded, (0,)):
-            yield v[1:], values
+        yield from _column_scan(padded, (0,))
         return
-    moving_at = [i for i, (n, _) in enumerate(rows) if n[-2] or n[-1]]
-    fixed_at = [i for i, (n, _) in enumerate(rows) if not (n[-2] or n[-1])]
-    moving = [rows[i] for i in moving_at]
-    fixed = [(rows[i][0][:-2], rows[i][1]) for i in fixed_at]
-    outer = [(n[:-2], rhs) for n, rhs in moving]
-    rhss = [rhs for _, rhs in moving]
-    steps = [n[-2] for n, _ in moving]
-    lasts = [n[-1] for n, _ in moving]
-    # The values are formed moving rows first; put them back in the
-    # order of `rows`. With one row, itemgetter would return a bare
-    # value rather than a tuple.
-    order = moving_at + fixed_at
-    position = sorted(range(len(rows)), key=order.__getitem__)
-    arrange = operator.itemgetter(*position) if len(rows) > 1 else tuple
-    inner = range(bounds[-1] + 1)
-    for prefix in itertools.product(*(range(b + 1) for b in bounds[:-1])):
-        heads = [_dot(head, prefix) for head, _ in fixed]
-        if any(rhs > value for (_, rhs), value in zip(fixed, heads)):
-            continue
-        needs = [rhs - _dot(head, prefix) for head, rhs in outer]
-        for x in inner:
-            t = 0
-            for need, last in zip(needs, lasts):
-                if need > 0:
-                    if last == 0:
-                        break
-                    c = -(-need // last)
-                    if c > t:
-                        t = c
+    depth = len(bounds) - 1
+    width = bounds[-1]
+    rhss = [rhs for _, rhs in rows]
+    # steps[j] holds the rows' entries at outer coordinate j.
+    steps = [[n[j] for n, _ in rows] for j in range(depth)]
+    # settled[j] lists the rows settled at depth j and not before.
+    settled: List[List[int]] = [[] for _ in range(depth + 1)]
+    for i, (n, _) in enumerate(rows):
+        if not (n[-2] or n[-1]):
+            j = depth
+            while j and not n[j - 1]:
+                j -= 1
+            settled[j].append(i)
+    # shapes[i] holds row i's entries (s, l) at x and t. Rows with l = 0
+    # bound x from below or above; rows with l > 0 bound t, by the same
+    # amount along the whole column range when s = 0 (flat rows).
+    shapes = [(n[-2], n[-1]) for n, _ in rows]
+    lower = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s > 0]
+    upper = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s < 0]
+    lifting = [(i, s, l) for i, (s, l) in enumerate(shapes) if l and s]
+    flat = [(i, l) for i, (s, l) in enumerate(shapes) if l and not s]
+
+    def batch(prefix: Vector, needs: List[int]):
+        lo, hi = 0, width
+        for i, s in lower:
+            c = -(-needs[i] // s)
+            if c > lo:
+                lo = c
+        for i, s in upper:
+            c = needs[i] // s
+            if c < hi:
+                hi = c
+        if lo > hi:
+            return None
+        xs = range(lo, hi + 1)
+        floor = 0
+        for i, l in flat:
+            c = -(-needs[i] // l)
+            if c > floor:
+                floor = c
+        ceilings = [
+            [-((s * x - needs[i]) // l) for x in xs] for i, s, l in lifting
+        ]
+        if ceilings:
+            ts = list(map(max, itertools.repeat(floor), *ceilings))
+        else:
+            ts = [floor] * len(xs)
+        values = []
+        for (s, l), rhs, need in zip(shapes, rhss, needs):
+            base = rhs - need
+            if l and s:
+                values.append([base + s * x + l * t for x, t in zip(xs, ts)])
+            elif l:
+                values.append([base + l * t for t in ts])
+            elif s:
+                values.append(list(range(base + s * lo, base + s * hi + s, s)))
             else:
-                values = [
-                    rhs - need + last * t
-                    for rhs, need, last in zip(rhss, needs, lasts)
-                ]
-                yield prefix + (x, t), arrange(values + heads)
-            needs = list(map(operator.sub, needs, steps))
+                values.append([base] * len(xs))
+        return prefix, xs, ts, values
+
+    def walk(j: int, prefix: Vector, needs: List[int]):
+        for i in settled[j]:
+            if needs[i] > 0:
+                return
+        if j == depth:
+            found = batch(prefix, needs)
+            if found is not None:
+                yield found
+            return
+        step = steps[j]
+        for p in range(bounds[j] + 1):
+            yield from walk(j + 1, prefix + (p,), needs)
+            needs = list(map(operator.sub, needs, step))
+
+    yield from walk(0, (), rhss)
 
 
 def _dilate_minimal_points(
@@ -402,6 +487,10 @@ def _dilate_minimal_points(
     iff every row's slack <a, v> - n*h is at least a_j. The last
     coordinate needs no test: it is the least feasible one of its
     column, so v - e_d is never in the dilate.
+
+    The scan yields one batch per prefix of the outer coordinates, and
+    the slack test runs per column of the batch. For d = 1 the box is
+    empty and its one column is the point (t,).
     """
     d = facets.dim
     if not facets.bounded:
@@ -412,13 +501,15 @@ def _dilate_minimal_points(
     # entries[j][i] is the j-th entry of the i-th normal
     entries = list(zip(*(normal for normal, _ in rows)))[: d - 1]
     gens = []
-    for v, values in _column_scan(rows, bounds[: d - 1]):
-        slack = list(map(operator.sub, values, rhss))
-        if not any(
-            v[j] and all(map(operator.ge, slack, column))
-            for j, column in enumerate(entries)
-        ):
-            gens.append(v)
+    for prefix, xs, ts, columns in _column_scan(rows, bounds[: d - 1]):
+        for x, t, values in zip(xs, ts, zip(*columns)):
+            v = prefix + (x, t) if d > 1 else (t,)
+            slack = list(map(operator.sub, values, rhss))
+            if not any(
+                v[j] and all(map(operator.ge, slack, column))
+                for j, column in enumerate(entries)
+            ):
+                gens.append(v)
     return tuple(sorted(gens))
 
 

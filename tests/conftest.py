@@ -76,9 +76,22 @@ def oracle_relint_points(rows, bounds, budget=DEFAULT_BUDGET):
     return sorted(found)
 
 
+def column_points(rows, bounds):
+    """The batches of `polyhedra._column_scan` flattened into
+    (point, row values) pairs, in the order the scan yields them.
+
+    Indexes the value columns rather than zipping them, since with no
+    rows zip(*columns) would yield nothing; with empty bounds the one
+    column is the point (t,)."""
+    for prefix, xs, ts, columns in _column_scan(rows, bounds):
+        for i, (x, t) in enumerate(zip(xs, ts)):
+            point = prefix + (x, t) if bounds else (t,)
+            yield point, tuple(column[i] for column in columns)
+
+
 def column_minima(rows, bounds):
     """The points of `polyhedra._column_scan`, without their row values."""
-    return (v for v, _ in _column_scan(rows, bounds))
+    return (v for v, _ in column_points(rows, bounds))
 
 
 def cone_member(cone, v):

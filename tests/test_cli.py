@@ -386,7 +386,10 @@ def test_colon_and_intersection_tests_refuse_in_their_own_words(
 
 # sha256 of the `--json gorenstein` stdout of the two ROADMAP anchors,
 # the largest pure-power ladder input, a d = 4 ideal without pure-power
-# shape, and a d = 1 ideal. Same rule as the report digests above.
+# shape, a d = 1 ideal, two more pure-power inputs (d = 3 and d = 4)
+# and a d = 4 ideal with five bounded facets. Their sweep boxes reach
+# the column scan's pruned sub-boxes and its clipped x ranges. Same
+# rule as the report digests above.
 GORENSTEIN_DIGESTS = (
     (
         {"dim": 3, "gens": [[0, 0, 3], [0, 3, 0], [1, 1, 1], [3, 0, 0]]},
@@ -426,6 +429,31 @@ GORENSTEIN_DIGESTS = (
         {"dim": 1, "gens": [[5]]},
         "46e5bd86f8736975653cfeb23e7a1e0ee5611585445bcc359a56ee4294d7db05",
     ),
+    (
+        {"dim": 3, "gens": [[7, 0, 0], [0, 11, 0], [0, 0, 13]]},
+        "56c25d58c3a3f0147c763ee749348e62710b9409ff69215631ed5a40119072c6",
+    ),
+    (
+        {
+            "dim": 4,
+            "gens": [[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 9, 0], [0, 0, 0, 10]],
+        },
+        "38eaa33c5ea877a91f63b28b288bb8fd7fb34f021545a8686a8b244b0fdbbded",
+    ),
+    (
+        {
+            "dim": 4,
+            "gens": [
+                [5, 0, 0, 0],
+                [0, 5, 0, 0],
+                [0, 0, 6, 0],
+                [0, 0, 0, 4],
+                [2, 1, 1, 0],
+                [0, 2, 1, 1],
+            ],
+        },
+        "850fb8ac5ca06491340a4f18887b2e1cb01c7b2acfa447521b3691d277cdf221",
+    ),
 )
 
 
@@ -434,6 +462,23 @@ def test_gorenstein_outputs_are_byte_identical_across_changes(job, capsys):
         assert main(["--json", "gorenstein", job(payload)]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
+
+
+# sha256 of the `--json iclosure -n 3` stdout of x * (x^2, y^2) in
+# d = 3: its two bounded facets, x >= 1 and x + y >= 3, give the
+# closure scan a row that prunes whole columns and a row that clips the
+# x range from below, with no row bounding t. Same rule as above.
+ICLOSURE_DIGEST = (
+    {"dim": 3, "gens": [[3, 0, 0], [1, 2, 0]]},
+    "b622529c75823c36683b34a1def811267438caee2165725d262151e3a6a295f1",
+)
+
+
+def test_iclosure_output_is_byte_identical_across_changes(job, capsys):
+    payload, digest = ICLOSURE_DIGEST
+    assert main(["--json", "iclosure", "-n", "3", job(payload)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of the `--json --corpus 60 --seed 5` stdout: the drawn ideals,

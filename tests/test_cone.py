@@ -26,6 +26,7 @@ from reesgor.errors import (
     InvariantViolationError,
     NotMPrimaryError,
 )
+from reesgor.polyhedra import _dot
 from conftest import (
     column_minima,
     cone_member,
@@ -103,6 +104,22 @@ def test_membership_predicates():
     assert not cone.relint_member((3, 0, 2))
     assert not cone_member(cone, (3, 1, 2))
     assert not cone.relint_member((3, 1, 2))
+
+
+def test_membership_helpers_refuse_a_vector_of_the_wrong_length():
+    # zip would silently drop the extra or missing coordinates
+    cone = cone_of(((3, 0), (1, 1), (0, 3)))
+    for v in ((1, 1, 2, -100), (1, 2)):
+        with pytest.raises(DimensionMismatchError, match=f"length {len(v)}.* 3 "):
+            cone.relint_member(v)
+    facets = newton_polyhedron(MonomialIdeal(2, ((3, 0), (1, 1), (0, 3))))
+    facet = facets.bounded[0]
+    assert facet.evaluate((1, 2)) == _dot(facet.normal, (1, 2))
+    for v in ((1,), (1, 2, 3)):
+        with pytest.raises(DimensionMismatchError, match=f"length {len(v)}.* 2$"):
+            facet.evaluate(v)
+        with pytest.raises(DimensionMismatchError):
+            facets.contains_power(v, 1)
 
 
 def test_matrix_and_rays_are_mutually_dual():

@@ -29,7 +29,13 @@ from reesgor.polyhedra import (
 )
 from reesgor.report import closure_section
 
-from conftest import column_minima, random_ideal, random_m_primary, seeded
+from conftest import (
+    column_minima,
+    column_points,
+    random_ideal,
+    random_m_primary,
+    seeded,
+)
 
 
 def facet_set(ideal):
@@ -501,8 +507,8 @@ def test_column_minima_match_the_reference_scan():
 
 def test_column_scan_values_are_the_row_values_of_its_points():
     # The rows and boxes of the reference comparison above: bounds of
-    # length 0-5, rows with last entry 0, rows fixed along the walk,
-    # and moving and fixed rows interleaved in every order.
+    # length 0-5, rows with last entry 0, rows settled at every depth,
+    # and settled and moving rows interleaved in every order.
     rng = seeded(81)
     entries = (-3, -1, 0, 0, 0, 1, 2, 4)
     cases = []
@@ -525,14 +531,52 @@ def test_column_scan_values_are_the_row_values_of_its_points():
         ([((1, 0, 0), 1), ((0, 1, 0), 1), ((-2, -1, 3), 1)], (3, 4)),
     ]
     checked = 0
+    reached = set()
     for rows, bounds in cases:
+        for _, xs, ts, columns in _column_scan(rows, bounds):
+            assert len(xs) == len(ts) > 0
+            assert [len(column) for column in columns] == [len(xs)] * len(rows)
+            if not rows:
+                reached.add("a batch with no rows")
+            if not bounds:
+                reached.add("empty bounds")
+            elif xs[-1] < bounds[-1]:
+                reached.add("an x range clipped from above")
+        if _prunes_a_sub_box_before_the_walk(rows, bounds):
+            reached.add("a sub-box pruned before the walk")
         points = []
-        for v, values in _column_scan(rows, bounds):
+        for v, values in column_points(rows, bounds):
             assert values == tuple(_dot(n, v) for n, _ in rows), (rows, v)
             points.append(v)
             checked += 1
         assert points == list(_reference_column_minima(rows, bounds))
     assert checked > 1000
+    assert reached == {
+        "a batch with no rows",
+        "empty bounds",
+        "an x range clipped from above",
+        "a sub-box pruned before the walk",
+    }
+
+
+def _prunes_a_sub_box_before_the_walk(rows, bounds):
+    """Does some row, zero at x, at t and at every outer coordinate
+    from j on, with j below the last outer coordinate, have a positive
+    need at some prefix of length j? Then the scan skips that prefix's
+    whole sub-box at depth j, before the walk reaches a full prefix."""
+    depth = len(bounds) - 1
+    for normal, rhs in rows:
+        if depth < 1 or normal[-2] or normal[-1]:
+            continue
+        j = depth
+        while j and not normal[j - 1]:
+            j -= 1
+        if j < depth and any(
+            rhs > _dot(normal[:j], prefix)
+            for prefix in itertools.product(*(range(b + 1) for b in bounds[:j]))
+        ):
+            return True
+    return False
 
 
 def test_column_scan_budget():
