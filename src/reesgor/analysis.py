@@ -72,10 +72,17 @@ def is_monomial_reduction(
 
     Decided on the Newton polyhedra: a subideal is a reduction iff the
     two polyhedra coincide. The power characterization is evaluated as
-    well, up to POWER_HORIZON, and the two answers must agree; if they
-    do not, something is broken and InvariantViolationError reports it.
+    well, up to POWER_HORIZON, and the two answers must agree.
     Candidates that are not contained in the ideal are rejected with
     NotAReductionError before any geometry runs.
+
+    The two directions of a disagreement mean different things. Equal
+    polyhedra with no absorption by POWER_HORIZON only say that the
+    reduction number exceeds the horizon, which a valid input can
+    reach; that raises BudgetExceededError naming the horizon. An
+    absorption with unequal polyhedra contradicts the theorem (a
+    reduction has the same integral closure, hence the same
+    polyhedron), and raises InvariantViolationError.
     """
     if not candidate.is_subset(ideal):
         raise NotAReductionError(
@@ -83,11 +90,18 @@ def is_monomial_reduction(
         )
     np_equal = newton_polyhedron(candidate) == newton_polyhedron(ideal)
     power_equal = _absorption_index(candidate, ideal) is not None
-    if np_equal != power_equal:
+    if np_equal and not power_equal:
+        raise BudgetExceededError(
+            f"{candidate.to_str()} has the Newton polyhedron of "
+            f"{ideal.to_str()} but absorbs no power up to the horizon "
+            f"{POWER_HORIZON}: its reduction number exceeds "
+            f"{POWER_HORIZON}"
+        )
+    if power_equal and not np_equal:
         raise InvariantViolationError(
             f"reduction tests disagree for {candidate.to_str()} in "
-            f"{ideal.to_str()}: polyhedra say {np_equal}, powers up to "
-            f"{POWER_HORIZON} say {power_equal}"
+            f"{ideal.to_str()}: polyhedra say False, powers up to "
+            f"{POWER_HORIZON} say True"
         )
     return np_equal
 

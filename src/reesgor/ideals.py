@@ -6,7 +6,8 @@ duplicates removed, sorted lexicographically. Because the stored form
 is canonical, dataclass equality is semantic equality of ideals. The
 zero ideal has an empty generator tuple; the unit ideal is generated by
 the zero vector. The minimal set is found by one bitset pass per
-coordinate rather than by comparing generators in pairs (see
+coordinate rather than by comparing generators in pairs, and in two
+variables by a running minimum over the sorted staircase (see
 minimalize).
 
 All exponents are Python ints, so arithmetic never overflows.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InvalidIdealError
@@ -81,6 +82,15 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     strict dominator; so v_j is minimal iff below[j] has a single set
     bit, b & (b - 1) == 0. No order by degree is needed, and the cost
     is O(dim * k) big-int ORs and ANDs rather than O(k^2) comparisons.
+
+    Lemma (dim = 2). Among distinct candidates in lexicographic order,
+    v_j has a strict divisor iff some earlier candidate has second
+    entry <= v_j[1]: every earlier candidate has first entry <= v_j[0],
+    and no later one divides v_j (it is larger in the first entry, or
+    equal there and larger in the second). So v_j is kept iff v_j[1]
+    is below the least second entry before it, a running minimum; the
+    first candidate is always kept. That replaces the bitset pass in
+    two variables, at O(k) int comparisons after the sort.
     """
     vectors = tuple(vectors)
     try:
@@ -96,6 +106,10 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
         _check_each(vectors, dim)
         unique = set(map(tuple, vectors))
     candidates = sorted(unique)
+    if dim == 2:
+        ys = [v[1] for v in candidates]
+        keep = chain((True,), map(operator.lt, ys[1:], accumulate(ys, min)))
+        return tuple(compress(candidates, keep))
     bits = [1 << j for j in range(len(candidates))]
     below = [(bit << 1) - 1 for bit in bits]
     columns = zip(*candidates)

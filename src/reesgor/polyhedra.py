@@ -12,6 +12,11 @@ dropped. Offsets h > 0 give the bounded facets, h = 0 the coordinate
 facets (their normals must be standard basis vectors, which is checked
 rather than assumed).
 
+In two variables the generators form a staircase, and the same dual
+rays come from its lower convex hull in linear time (_plane_rays): the
+Newton polygon's facets are its two unbounded edges and the edges of
+that hull. Double description remains the only route for d != 2.
+
 Integral closures of powers come straight from the facet description:
 the closure of I^n is generated by the lattice points of the n-fold
 dilate of the polyhedron, and the minimal such points are enumerated
@@ -245,7 +250,11 @@ class FacetSystem:
     def contains_power(self, v: Sequence[int], n: int) -> bool:
         """Is v a lattice point of the n-fold dilate of the
         polyhedron (equivalently: is x^v integral over I^n)?
-        For n <= 0 only nonnegativity is required."""
+        For n <= 0 only nonnegativity is required. Like
+        `closure_power`, refuses a bool or non-int n with TypeError,
+        before any arithmetic."""
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError("exponent must be an int")
         w = tuple(v)
         if len(w) != self.dim:
             raise DimensionMismatchError(
@@ -269,17 +278,70 @@ class FacetSystem:
         return all(all(c > 0 for c in f.normal) for f in self.bounded)
 
 
+def _plane_rays(gens: Sequence[Vector]) -> Tuple[Vector, ...]:
+    """The extreme rays of the dual cone of a Newton polygon, as
+    `extreme_rays` returns them for the homogenized constraints
+    (g, 1) and e_j: sorted, primitive, one per facet of the cone over
+    the polygon.
+
+    `gens` is a minimal generating set in two variables, sorted
+    lexicographically, so x strictly increases and y strictly
+    decreases along it (a staircase).
+
+    Lemma. The facets of the polygon P = conv(gens) + R^2_{>=0} are
+    its two unbounded edges, x >= x_first and y >= y_last, and the
+    edges of the lower convex hull of the staircase. Every edge of
+    that hull has negative slope: its slopes increase from left to
+    right, and the last edge ends at the point of least y. So each
+    hull edge from p to q has the positive inward normal
+    (p_y - q_y, q_x - p_x), and with the two unbounded edges these
+    are all the facets. The cone over P has one more facet, the
+    horizon (0, 0, 1), which holds the recession directions e_1, e_2.
+    A facet <n, x> >= h of P gives the dual ray (n, -h), primitive
+    once n is divided by its content (h = <n, p> is then an integer).
+
+    The hull is Andrew's monotone chain over the staircase: a point is
+    popped while it does not make a strict left turn with its
+    neighbours (cross product <= 0), so a generator lying on an edge
+    is not a vertex and every edge is a facet of its own. Cost O(k)
+    for k generators, since they arrive sorted.
+    """
+    hull: List[Vector] = []
+    for q in gens:
+        while len(hull) > 1:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (q[1] - oy) - (ay - oy) * (q[0] - ox) > 0:
+                break
+            hull.pop()
+        hull.append(q)
+    rays = [(0, 0, 1), (1, 0, -gens[0][0]), (0, 1, -gens[-1][1])]
+    for (px, py), (qx, qy) in zip(hull, hull[1:]):
+        g = math.gcd(py - qy, qx - px)
+        a, b = (py - qy) // g, (qx - px) // g
+        rays.append((a, b, -(a * px + b * py)))
+    return tuple(sorted(rays))
+
+
 def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
-    """Compute the facet description of the Newton polyhedron."""
+    """Compute the facet description of the Newton polyhedron.
+
+    The dual rays come from _plane_rays when d = 2 and from
+    `extreme_rays` on the homogenized constraints otherwise; both
+    return the same sorted primitive rays (see _plane_rays for the
+    lemma), and every check below runs on them either way.
+    """
     if ideal.is_zero():
         raise InvalidIdealError("the zero ideal has an empty Newton polyhedron")
     d = ideal.dim
-    constraints: List[Vector] = [g + (1,) for g in ideal.gens]
-    for j in range(d):
-        e = [0] * (d + 1)
-        e[j] = 1
-        constraints.append(tuple(e))
-    rays = extreme_rays(constraints, d + 1)
+    if d == 2:
+        rays = _plane_rays(ideal.gens)
+    else:
+        constraints: List[Vector] = [g + (1,) for g in ideal.gens]
+        for j in range(d):
+            e = [0] * (d + 1)
+            e[j] = 1
+            constraints.append(tuple(e))
+        rays = extreme_rays(constraints, d + 1)
 
     bounded: List[HalfSpace] = []
     coordinate: List[int] = []
@@ -480,17 +542,26 @@ def _dilate_minimal_points(
     coordinate, then keep the points none of whose lower neighbors
     lie in the dilate.
 
-    Minimality is read off the row values the scan yields. For v in
-    the dilate and v_j > 0, v - e_j is >= 0, and its value on the
-    bounded row (a, n*h) is <a, v> - a_j. So v - e_j lies in the
-    dilate iff <a, v> - a_j >= n*h for every bounded facet, that is,
-    iff every row's slack <a, v> - n*h is at least a_j. The last
-    coordinate needs no test: it is the least feasible one of its
-    column, so v - e_d is never in the dilate.
+    Minimality in the prefix coordinates is read off the row values
+    the scan yields. For v in the dilate and v_j > 0, v - e_j is >= 0,
+    and its value on the bounded row (a, n*h) is <a, v> - a_j. So
+    v - e_j lies in the dilate iff <a, v> - a_j >= n*h for every
+    bounded facet, that is, iff every row's slack <a, v> - n*h is at
+    least a_j. The last coordinate needs no test: it is the least
+    feasible one of its column, so v - e_d is never in the dilate.
 
-    The scan yields one batch per prefix of the outer coordinates, and
-    the slack test runs per column of the batch. For d = 1 the box is
-    empty and its one column is the point (t,).
+    Lemma (the x coordinate, second to last). In a batch, xs is a
+    range and the feasible t of one column form an upward-closed set
+    {t >= ts[i]}, because every last entry of a normal is >= 0. A
+    column outside the batch's range has no point in the dilate. So
+    (prefix, x - 1, t) lies in the dilate iff x - 1 is in xs and the
+    least t of that column is <= t: the x test compares each column
+    with the one before it, and the first column of a batch has none.
+
+    The scan yields one batch per prefix of the outer coordinates; the
+    slack test runs per column of the batch, and in d = 2 there are no
+    prefix coordinates to test. For d = 1 the box is empty and its one
+    column is the point (t,), with no column before it.
     """
     d = facets.dim
     if not facets.bounded:
@@ -498,11 +569,14 @@ def _dilate_minimal_points(
     bounds = [n * m for m in maxexp]
     rows = [(f.normal, n * f.offset) for f in facets.bounded]
     rhss = [rhs for _, rhs in rows]
-    # entries[j][i] is the j-th entry of the i-th normal
-    entries = list(zip(*(normal for normal, _ in rows)))[: d - 1]
+    # entries[j][i] is the j-th entry of the i-th normal, j a prefix
+    # coordinate
+    entries = list(zip(*(normal for normal, _ in rows)))[: max(d - 2, 0)]
     gens = []
     for prefix, xs, ts, columns in _column_scan(rows, bounds[: d - 1]):
-        for x, t, values in zip(xs, ts, zip(*columns)):
+        # v - e_x is in the dilate iff the column before has least t <= t
+        fresh = itertools.chain((True,), map(operator.gt, ts, ts[1:]))
+        for x, t, values in itertools.compress(zip(xs, ts, zip(*columns)), fresh):
             v = prefix + (x, t) if d > 1 else (t,)
             slack = list(map(operator.sub, values, rhss))
             if not any(

@@ -62,6 +62,38 @@ def test_reduction_requires_containment():
         cohen_macaulay_test(M2, M)
 
 
+# (x^8, y^7, z^5) is a reduction of this ideal (the two Newton
+# polyhedra are equal), with reduction number 34, past the horizon.
+PAST_HORIZON = MonomialIdeal(
+    3, ((8, 0, 0), (3, 3, 1), (2, 3, 4), (0, 7, 0), (0, 0, 5))
+)
+J875 = MonomialIdeal.pure_powers((8, 7, 5))
+
+
+def test_a_reduction_number_past_the_horizon_is_a_budget(tmp_path, capsys):
+    assert analysis.POWER_HORIZON < 34
+    with pytest.raises(BudgetExceededError, match="horizon 20"):
+        is_monomial_reduction(J875, PAST_HORIZON)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"dim": 3, "gens": PAST_HORIZON.gens}))
+    for command in ("qgor", "report"):
+        assert main(["--json", command, str(path)]) == EXIT_UNTRUSTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "absorbs no power up to the horizon 20" in captured.err
+        assert "disagree" not in captured.err
+
+
+def test_absorption_with_unequal_polyhedra_is_a_contradiction(monkeypatch):
+    # J22 absorbs M2 at once; distinct stand-ins for the two polyhedra
+    # make the geometric route say no.
+    monkeypatch.setattr(analysis, "newton_polyhedron", lambda ideal: ideal.gens)
+    with pytest.raises(
+        InvariantViolationError, match="polyhedra say False, powers up to 20"
+    ):
+        is_monomial_reduction(J22, M2)
+
+
 def test_find_pure_power_reduction():
     assert find_pure_power_reduction(M2) == J22
     assert find_pure_power_reduction(CRIT) == CRIT

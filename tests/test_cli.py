@@ -481,6 +481,91 @@ def test_iclosure_output_is_byte_identical_across_changes(job, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the `--json iclosure -n 3` stdout of (x^2y, xy^2) in d = 2
+# and y * (x^2, y^2, z^2) in d = 3. A bounded facet on an axis (x >= 1,
+# y >= 1) makes every batch of the closure scan start above x = 0, so
+# the first column of a batch has no column before it. Same rule as
+# above.
+ICLOSURE_OFFSET_DIGESTS = (
+    (
+        {"dim": 2, "gens": [[2, 1], [1, 2]]},
+        "c071f1e5a848be13dff00813d8b1bee6092e7a027ca0170a2c85d1829ec961b6",
+    ),
+    (
+        {"dim": 3, "gens": [[2, 1, 0], [0, 3, 0], [0, 1, 2]]},
+        "9fc376dcd8a3ef4fdc615c0c0f3e533eb70d4cd467f1030606dd2d8e4931fbc2",
+    ),
+)
+
+
+def test_offset_closures_are_byte_identical_across_changes(job, capsys):
+    for payload, digest in ICLOSURE_OFFSET_DIGESTS:
+        argv = ["--json", "iclosure", "-n", "3", job(payload)]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
+
+
+# sha256 of the `--json np` and `--json report` stdout of three d = 2
+# staircases whose Newton polygons the lower hull must get right: a
+# generator on an edge, (x^4, x^2y, y^2); a generator above the hull,
+# (x^4, x^3y^2, y^4); and (x^2y, xy^2), which is not m-primary, so
+# neither axis meets the polygon. Then `--json np` of a principal ideal
+# and of the unit ideal. Same rule as above.
+PLANE_DIGESTS = (
+    (
+        "np",
+        {"dim": 2, "gens": [[4, 0], [2, 1], [0, 2]]},
+        "339b9dc426633a44a4fa869957bcd260f60950ee6d4c5e35fc8018f4edccae01",
+    ),
+    (
+        "report",
+        {"dim": 2, "gens": [[4, 0], [2, 1], [0, 2]]},
+        "22181132b363aa4ca1499266c4a98139a51fd1bf354b2dfbda4bda4e2716be8e",
+    ),
+    (
+        "np",
+        {"dim": 2, "gens": [[4, 0], [3, 2], [0, 4]]},
+        "978c0d1e4cafe4bd889b62c4e3b5021fcc35a983c009d5631d61987f56af3864",
+    ),
+    (
+        "report",
+        {"dim": 2, "gens": [[4, 0], [3, 2], [0, 4]]},
+        "1c37bf39e0629de4676e351e37128b6c1d28969d08e507a41d84a7d2fa67f071",
+    ),
+    (
+        "np",
+        {"dim": 2, "gens": [[2, 1], [1, 2]]},
+        "c4f0ec33dc956604ea1ff01851520b2509983293a549f70575eca6400cbcb3d9",
+    ),
+    (
+        "report",
+        {"dim": 2, "gens": [[2, 1], [1, 2]]},
+        "5293aba1b258c9c3b33e61aca0a5dfbac3b61ba5cece054c167450b68d0d619c",
+    ),
+    (
+        "np",
+        {"dim": 2, "gens": [[2, 3]]},
+        "53a630522d4b8096bccaf38937fb75ae96a2e1bdcd03f71348beb12a9d530ad4",
+    ),
+    (
+        "np",
+        {"dim": 2, "gens": [[0, 0]]},
+        "860a2a9f33d8ddf3649a20f14c58b9925f9facb509b6eaf65c43cc8b0d479199",
+    ),
+)
+
+
+def test_plane_outputs_are_byte_identical_across_changes(job, capsys):
+    for command, payload, digest in PLANE_DIGESTS:
+        assert main(["--json", command, job(payload)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (
+            command,
+            payload,
+        )
+
+
 # sha256 of the `--json --corpus 60 --seed 5` stdout: the drawn ideals,
 # every cross-check verdict and the record layout of the self-check.
 # Same rule as the digests above.

@@ -133,7 +133,20 @@ def _reference_minimalize(vectors, dim):
 
 def _minimalize_cases(rng):
     """Seeded inputs for d = 1..6: random rows with repeats, chains,
-    antichains on a hyperplane, all-equal rows, and the empty set."""
+    antichains on a hyperplane, all-equal rows, and the empty set; and
+    for d = 2, sets with ties in the first entry and repeated second
+    entries, where the running minimum must keep the first candidate of
+    each second entry only."""
+    yield [(1, 3), (1, 2), (2, 2), (0, 5), (3, 2), (2, 1), (1, 2)], 2
+    yield [(0, 4), (2, 4), (1, 4), (3, 0), (3, 1), (5, 0)], 2
+    for _ in range(150):
+        rows = [
+            (rng.randint(0, 3), rng.randint(0, 3))
+            for _ in range(rng.randint(1, 12))
+        ]
+        rows += [(rng.choice(rows)[0], rng.randint(0, 3)) for _ in range(3)]
+        rows += [(rng.randint(0, 3), rng.choice(rows)[1]) for _ in range(3)]
+        yield rows, 2
     for dim in range(1, 7):
         for _ in range(150):
             top = rng.randint(0, 6)

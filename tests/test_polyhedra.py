@@ -25,6 +25,7 @@ from reesgor.polyhedra import (
     _column_scan,
     _dilate_minimal_points,
     _dot,
+    _plane_rays,
     _row_reduce,
 )
 from reesgor.report import closure_section
@@ -86,6 +87,72 @@ def test_facets_interior_generator_is_redundant():
 def test_facets_zero_ideal_rejected():
     with pytest.raises(InvalidIdealError):
         newton_polyhedron(MonomialIdeal.zero(2))
+
+
+def _homogenized_rays(ideal):
+    """Dual rays of the Newton polyhedron by double description on the
+    homogenized constraints (g, 1) and e_j."""
+    d = ideal.dim
+    rows = [g + (1,) for g in ideal.gens]
+    rows += [tuple(int(i == j) for i in range(d + 1)) for j in range(d)]
+    return extreme_rays(rows, d + 1)
+
+
+def _plane_cases(rng):
+    """Seeded ideals in two variables: random staircases (many not
+    m-primary, some principal), m-primary ones, staircases with a
+    generator placed on the segment between two others, and the unit
+    ideal."""
+    yield MonomialIdeal.unit(2)
+    for _ in range(800):
+        yield random_ideal(rng, 2, max_gens=rng.randint(1, 8), max_coord=9)
+        yield random_m_primary(rng, 2, max_coord=9, extras=5)
+        p = (rng.randint(0, 4), rng.randint(4, 9))
+        q = (rng.randint(p[0] + 1, 9), rng.randint(0, p[1] - 1))
+        k = rng.randint(2, 3)
+        step = (k * rng.randint(1, 3), -k * rng.randint(1, 3))
+        mid = (p[0] + step[0] // k, p[1] + step[1] // k)
+        end = (p[0] + step[0], p[1] + step[1])
+        if end[1] >= 0:
+            yield MonomialIdeal(2, (p, mid, end, q))
+
+
+def _plane_shape(ideal, rays):
+    """The cases the lower hull must tell apart, read off the rays."""
+    gens = ideal.gens
+    lines = [w for w in rays if w[:2] != (0, 0)]
+    on = [sum(1 for w in lines if _dot(w[:2], g) == -w[2]) for g in gens]
+    shapes = set()
+    if ideal.is_unit():
+        shapes.add("unit")
+    elif len(gens) == 1:
+        shapes.add("principal")
+    if 1 in on:
+        shapes.add("on an edge")
+    if 0 in on:
+        shapes.add("above the hull")
+    if gens[0][0] > 0 and gens[-1][1] > 0:
+        shapes.add("off both axes")
+    return shapes
+
+
+def test_plane_rays_match_double_description():
+    rng = seeded(2024)
+    compared = 0
+    shapes = set()
+    for ideal in _plane_cases(rng):
+        rays = _homogenized_rays(ideal)
+        assert _plane_rays(ideal.gens) == rays, ideal.to_str()
+        shapes |= _plane_shape(ideal, rays)
+        compared += 1
+    assert compared >= 2000
+    assert shapes == {
+        "unit",
+        "principal",
+        "on an edge",
+        "above the hull",
+        "off both axes",
+    }
 
 
 def test_facet_offsets_are_supported():
@@ -675,8 +742,12 @@ def _reference_dilate_minimal_points(facets, n, maxexp):
 def test_dilate_minimal_points_match_the_membership_reference():
     # random_ideal draws ideals that are not m-primary too, whose facet
     # normals have zero entries (rows fixed along the scan).
+    # A facet on an axis of the scan's x makes a batch start above
+    # x = 0, whose first column has no column before it; the seeds
+    # reach that in every d with such a coordinate.
     rng = seeded(91)
     compared = 0
+    offset_batches = set()
     for d in (1, 2, 3, 4):
         for _ in range(8):
             for ideal in (
@@ -693,7 +764,14 @@ def test_dilate_minimal_points_match_the_membership_reference():
                         _dilate_minimal_points(facets, n, maxexp) == expected
                     ), (ideal.to_str(), n)
                     compared += len(expected)
+                    rows = [(f.normal, n * f.offset) for f in facets.bounded]
+                    bounds = [n * m for m in maxexp][: d - 1]
+                    if d > 1 and rows and any(
+                        xs.start > 0 for _, xs, _, _ in _column_scan(rows, bounds)
+                    ):
+                        offset_batches.add(d)
     assert compared > 1000
+    assert offset_batches == {2, 3, 4}
 
 
 def test_closure_generator_box_bound():
@@ -717,6 +795,20 @@ def test_closure_member_matches_scaling_oracle():
         for v in itertools.product(range(5), repeat=2):
             direct = facets.contains_power(v, 1)
             assert direct == oracle_iclosure_member(v, ideal, k_max)
+
+
+def test_contains_power_refuses_bool_and_non_int_powers():
+    # A vector of the wrong length shows that the power is checked
+    # before anything else: it would raise DimensionMismatchError.
+    facets = newton_polyhedron(MonomialIdeal(2, ((2, 0), (0, 2))))
+    for n in (True, False, 1.5, 2.0, "2", None):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            facets.contains_power((1, 1), n)
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            facets.contains_power((1, 1, 1), n)
+    assert facets.contains_power((1, 1), 1)
+    assert not facets.contains_power((1, 1), 2)
+    assert facets.contains_power((1, 1), 0)
 
 
 def test_monomial_membership_under_closure():
