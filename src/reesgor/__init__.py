@@ -30,8 +30,6 @@ from .cone import (
     ReesCone,
     canonical_generators,
     compute_q,
-    embed_phi,
-    filtration_reduction_number,
     is_gorenstein_normalization,
     lift_halfspaces,
     pure_power_gorenstein_test,
@@ -86,9 +84,7 @@ __all__ = [
     "compute_q",
     "conductor_exponent",
     "core_compute",
-    "embed_phi",
     "extreme_rays",
-    "filtration_reduction_number",
     "find_pure_power_reduction",
     "is_gorenstein_normalization",
     "is_monomial_reduction",

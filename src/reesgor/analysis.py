@@ -423,14 +423,17 @@ def core_compute(
     it is kept at 600 so that which inputs exit 3 does not move with
     the speed of the colon.
 
-    The same limit is applied to B itself right after B is formed, so
-    a large u fails fast instead of first spending reduction_number's
-    powers of B. This is a budget, not a bound: the generator count of
-    B^n need not grow with n, so a B above the limit does not prove
-    that the divisor is above it too. On the anchor, B has 571
-    generators at u = 19, 631 at u = 20 and 1396 at u = 30; the
-    command line exits 3 at u = 30 in 0.4 s, where the divisor check
-    alone took 38 s (2 cores, Python 3.11).
+    The same limit is applied to every power I^k on the way to B, each
+    right after it is formed: B is built by one product with ideal per
+    step, and the first k <= u over the limit raises, naming u and k.
+    So a large u fails fast instead of first forming all of I^u and
+    then spending reduction_number's powers of B. This is a budget,
+    not a bound: generator counts need not grow with the exponent, so
+    an I^k above the limit does not prove that B or the divisor is
+    above it too. On the anchor, I^k has 571 generators at k = 19 and
+    631 at k = 20, so the command line exits 3 naming I^20 in 0.07 s
+    at u = 30, 200 and 2000 alike; forming I^u first took 0.09, 0.32
+    and 1.6 s at u = 30, 60 and 100 (2 cores, Python 3.11).
     """
     if not isinstance(u, int) or isinstance(u, bool) or u < 1:
         raise InapplicableError("the power u must be a positive int")
@@ -438,12 +441,13 @@ def core_compute(
         raise InapplicableError(
             "core computation needs a reduction generated by pure powers"
         )
-    base = ideal ** u
-    if len(base.gens) > CORE_GENERATOR_BUDGET:
-        raise BudgetExceededError(
-            f"core of the power u = {u}: I^{u} has {len(base.gens)} "
-            f"generators, above the budget of {CORE_GENERATOR_BUDGET}"
-        )
+    for k in range(1, u + 1):
+        base = ideal if k == 1 else base * ideal
+        if len(base.gens) > CORE_GENERATOR_BUDGET:
+            raise BudgetExceededError(
+                f"core of the power u = {u}: I^{k} has {len(base.gens)} "
+                f"generators, above the budget of {CORE_GENERATOR_BUDGET}"
+            )
     scaled = reduction.bracket_power(u)
     r_u = reduction_number(base, scaled)
     base_pow = _power_cache(base)

@@ -61,19 +61,6 @@ from .polyhedra import (
 )
 
 
-def embed_phi(vector: Sequence[int]) -> Vector:
-    """The coordinate change (z, b) -> (z, sum(z) - b) that carries
-    the monomial x^z t^b of the extended Rees algebra to an orthant
-    point. Applying it twice gives the input back."""
-    v = tuple(vector)
-    if len(v) < 2:
-        raise DimensionMismatchError(
-            "need at least one exponent coordinate plus the grading one"
-        )
-    z, b = v[:-1], v[-1]
-    return z + (sum(z) - b,)
-
-
 @dataclass(frozen=True)
 class ReesCone:
     """Facet matrix and extreme rays of the semigroup cone, in the
@@ -251,17 +238,6 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
         search_box=box,
         sweep_box=sweep,
     )
-
-
-def filtration_reduction_number(data: CanonicalData, dim: int) -> int:
-    """Reduction number of the closure filtration, from the degree
-    invariant: a + d - 1. Certified to be at least q - 1."""
-    r = data.a_invariant + dim - 1
-    if r < data.q - 1:
-        raise InvariantViolationError(
-            f"filtration reduction number {r} below q - 1 = {data.q - 1}"
-        )
-    return r
 
 
 def is_gorenstein_normalization(

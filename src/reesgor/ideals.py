@@ -189,18 +189,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return self.gens == ((0,) * self.dim,)
 
-    def is_m_primary(self) -> bool:
-        """True iff the ideal is proper and contains a pure power of
-        every variable, i.e. its radical is the maximal ideal."""
-        if self.is_zero() or self.is_unit():
-            return False
-        covered = set()
-        for g in self.gens:
-            support = [i for i, e in enumerate(g) if e > 0]
-            if len(support) == 1:
-                covered.add(support[0])
-        return len(covered) == self.dim
-
     def pure_power_exponents(self) -> Optional[Tuple[int, ...]]:
         """If the ideal is exactly (x_1^{a_1}, ..., x_d^{a_d}), return
         (a_1, ..., a_d); otherwise None."""
@@ -228,9 +216,6 @@ class MonomialIdeal:
     def is_subset(self, other: "MonomialIdeal") -> bool:
         self._require_same_dim(other)
         return all(map(_divides_some, repeat(other.gens), self.gens))
-
-    def __le__(self, other: "MonomialIdeal") -> bool:
-        return self.is_subset(other)
 
     # ---------------------------------------------------------------- #
     # arithmetic

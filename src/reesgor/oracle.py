@@ -1,13 +1,13 @@
 """Slow reference implementations used to cross-check the main code.
 
 Everything in this module is deliberately naive: colons and
-intersections by filling the membership of a box of lattice points,
-and powers by a memoized recursion on the defining property of a
-product. None of it calls the algorithmic routines in the rest of the
-package, so an agreement between the two is evidence, not a tautology. Inputs are read only for
-their generator data.
+intersections by filling the membership of a box of lattice points.
+None of it calls the algorithmic routines in the rest of the package,
+so an agreement between the two is evidence, not a tautology. Inputs
+are read only for their generator data. `--corpus` checks every colon
+and intersection it forms against these fills.
 
-Enumerations refuse to run past a point budget and raise
+Enumerations refuse a box of more than DEFAULT_BUDGET points and raise
 BudgetExceededError, before allocating anything, instead of silently
 truncating.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence, Tuple
 
 from .errors import BudgetExceededError
@@ -29,10 +28,10 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class Box:
-    """The integer box prod_j [0, bounds_j], with a point budget."""
+    """The integer box prod_j [0, bounds_j]; points() refuses one of
+    more than DEFAULT_BUDGET points."""
 
     bounds: Tuple[int, ...]
-    budget: int = DEFAULT_BUDGET
 
     @property
     def size(self) -> int:
@@ -42,10 +41,10 @@ class Box:
         return n
 
     def points(self) -> Iterator[Vector]:
-        if self.size > self.budget:
+        if self.size > DEFAULT_BUDGET:
             raise BudgetExceededError(
                 f"box {self.bounds} holds {self.size} points, "
-                f"budget is {self.budget}"
+                f"budget is {DEFAULT_BUDGET}"
             )
         return itertools.product(*(range(b + 1) for b in self.bounds))
 
@@ -98,44 +97,6 @@ def _fill_ideal(gens: Sequence[Vector], box: Box) -> bytearray:
     gen_set = frozenset(gens)
     members, _ = _fill_upset(box, lambda index, v: v in gen_set)
     return members
-
-
-@lru_cache(maxsize=None)
-def _power_member(v: Vector, gens: Tuple[Vector, ...], n: int) -> bool:
-    if n <= 0:
-        return True
-    for g in gens:
-        w = tuple(a - b for a, b in zip(v, g))
-        if all(c >= 0 for c in w) and _power_member(w, gens, n - 1):
-            return True
-    return False
-
-
-def oracle_power_member(v: Sequence[int], ideal: MonomialIdeal, n: int) -> bool:
-    """Is x^v in ideal^n? Decided by the recursion: v is in I^n iff
-    some generator g divides x^v with the cofactor in I^(n-1)."""
-    return _power_member(tuple(v), ideal.gens, n)
-
-
-def oracle_iclosure_member(
-    v: Sequence[int], ideal: MonomialIdeal, k_max: int, power: int = 1
-) -> bool:
-    """Is x^v integral over ideal^power?
-
-    Uses the valuative test: v lies in the integral closure iff
-    k*v is in (I^power)^k = I^(power*k) for some k >= 1. The caller
-    must supply a k_max known to suffice for a definitive "no" (a
-    common multiple of the facet denominators of the Newton polyhedron
-    works); within the scan the first hit answers "yes" early.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    w = tuple(v)
-    for k in range(1, k_max + 1):
-        scaled = tuple(k * c for c in w)
-        if _power_member(scaled, ideal.gens, power * k):
-            return True
-    return False
 
 
 def oracle_colon(
@@ -196,8 +157,3 @@ def oracle_intersect(
         box, lambda index, v: in_left[index] and in_right[index]
     )
     return minimal
-
-
-def oracle_clear_cache() -> None:
-    """Drop the power-membership memo (tests with many ideals)."""
-    _power_member.cache_clear()

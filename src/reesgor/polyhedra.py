@@ -224,14 +224,6 @@ class HalfSpace:
     normal: Tuple[int, ...]
     offset: int
 
-    def evaluate(self, v: Sequence[int]) -> int:
-        if len(v) != len(self.normal):
-            raise DimensionMismatchError(
-                f"vector of length {len(v)} against a normal of length "
-                f"{len(self.normal)}"
-            )
-        return _dot(self.normal, v)
-
 
 @dataclass(frozen=True)
 class FacetSystem:
@@ -265,9 +257,6 @@ class FacetSystem:
         if n <= 0:
             return True
         return all(_dot(f.normal, w) >= n * f.offset for f in self.bounded)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return self.contains_power(v, 1)
 
     def is_m_primary_source(self) -> bool:
         """True iff the underlying ideal is primary to the maximal

@@ -30,8 +30,6 @@ from .analysis import (
     reduction_number,
 )
 from .cone import (
-    canonical_generators,
-    filtration_reduction_number,
     is_gorenstein_normalization,
     lift_halfspaces,
     pure_power_gorenstein_test,
@@ -154,9 +152,7 @@ def gorenstein_section(ideal: MonomialIdeal, fast: bool) -> Dict:
         "generators": [list(g) for g in data.generators],
         "generator_count": len(data.generators),
         "a_invariant": data.a_invariant,
-        "filtration_reduction_number": filtration_reduction_number(
-            data, ideal.dim
-        ),
+        "filtration_reduction_number": data.a_invariant + ideal.dim - 1,
         "search_box": list(data.search_box),
         "sweep_box": list(data.sweep_box),
     }

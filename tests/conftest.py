@@ -4,13 +4,15 @@ Everything here is deterministic: each helper takes an explicit
 random.Random so a failing case can be replayed from the seed.
 """
 
+import functools
 import math
 import random
 
 import pytest
 
 from reesgor import MonomialIdeal
-from reesgor.oracle import DEFAULT_BUDGET, Box, oracle_clear_cache
+from reesgor.errors import DimensionMismatchError
+from reesgor.oracle import Box
 from reesgor.polyhedra import _column_scan, _dot
 
 
@@ -64,13 +66,13 @@ def seeded(seed):
     return random.Random(seed)
 
 
-def oracle_relint_points(rows, bounds, budget=DEFAULT_BUDGET):
+def oracle_relint_points(rows, bounds):
     """All lattice points v in the box with <row, v> >= 1 for every
     row, i.e. the relative interior points of the cone cut out by the
     rows (assuming the rows are exactly its facets), by testing every
     point of the box."""
     found = []
-    for v in Box(tuple(bounds), budget).points():
+    for v in Box(tuple(bounds)).points():
         if all(sum(r * c for r, c in zip(row, v)) >= 1 for row in rows):
             found.append(v)
     return sorted(found)
@@ -100,7 +102,63 @@ def cone_member(cone, v):
     return all(_dot(row, w) >= 0 for row in cone.matrix)
 
 
+@functools.lru_cache(maxsize=None)
+def _power_member(v, gens, n):
+    if n <= 0:
+        return True
+    for g in gens:
+        w = tuple(a - b for a, b in zip(v, g))
+        if all(c >= 0 for c in w) and _power_member(w, gens, n - 1):
+            return True
+    return False
+
+
+def oracle_power_member(v, ideal, n):
+    """Is x^v in ideal^n? Decided by the recursion: v is in I^n iff
+    some generator g divides x^v with the cofactor in I^(n-1). Shares
+    no code with the ideal arithmetic it checks."""
+    return _power_member(tuple(v), ideal.gens, n)
+
+
+def oracle_iclosure_member(v, ideal, k_max, power=1):
+    """Is x^v integral over ideal^power?
+
+    Uses the valuative test: v lies in the integral closure iff
+    k*v is in (I^power)^k = I^(power*k) for some k >= 1. The caller
+    must supply a k_max known to suffice for a definitive "no" (a
+    common multiple of the facet denominators of the Newton polyhedron
+    works); within the scan the first hit answers "yes" early.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    w = tuple(v)
+    for k in range(1, k_max + 1):
+        scaled = tuple(k * c for c in w)
+        if _power_member(scaled, ideal.gens, power * k):
+            return True
+    return False
+
+
+def oracle_clear_cache():
+    """Drop the power-membership memo (tests with many ideals)."""
+    _power_member.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_oracle_cache():
     yield
     oracle_clear_cache()
+
+
+def embed_phi(vector):
+    """The coordinate change (z, b) -> (z, sum(z) - b) that carries
+    the monomial x^z t^b of the extended Rees algebra to an orthant
+    point; `cone.lift_halfspaces` builds it into its rows. Applying it
+    twice gives the input back."""
+    v = tuple(vector)
+    if len(v) < 2:
+        raise DimensionMismatchError(
+            "need at least one exponent coordinate plus the grading one"
+        )
+    z, b = v[:-1], v[-1]
+    return z + (sum(z) - b,)

@@ -37,8 +37,6 @@ from reesgor import (
     compute_q,
     conductor_exponent,
     core_compute,
-    embed_phi,
-    filtration_reduction_number,
     find_pure_power_reduction,
     is_gorenstein_normalization,
     lift_halfspaces,
@@ -49,15 +47,14 @@ from reesgor import (
     reduction_number,
 )
 from reesgor.errors import DimensionMismatchError
-from reesgor.oracle import (
-    oracle_clear_cache,
-    oracle_colon,
-    oracle_iclosure_member,
-    oracle_intersect,
-)
+from reesgor.oracle import oracle_colon, oracle_intersect
+from reesgor.report import gorenstein_section
 
 from conftest import (
     cone_member,
+    embed_phi,
+    oracle_clear_cache,
+    oracle_iclosure_member,
     oracle_relint_points,
     random_ideal,
     random_m_primary,
@@ -159,7 +156,7 @@ def test_criterion_1_simplicial_worked_example():
     assert gorenstein
     assert data.generators == (base,)
     assert data.a_invariant == -1
-    assert filtration_reduction_number(data, 3) == 1
+    assert gorenstein_section(CRIT, False)["filtration_reduction_number"] == 1
 
     fast = pure_power_gorenstein_test(CRIT)
     assert fast.gorenstein
@@ -323,7 +320,7 @@ def test_criterion_4_randomized_oracle_agreement():
             assert not oracle_iclosure_member(v, ideal, k_probe), (ideal, v)
             closure_points += 1
 
-        if ideal.is_m_primary():
+        if facets.is_m_primary_source():
             cone = lift_halfspaces(facets)
             data = canonical_generators(cone)
             small = tuple(min(b, 8) for b in data.search_box)

@@ -283,15 +283,33 @@ def _reference_core(ideal, reduction, u):
     raise AssertionError(f"core ladder did not repeat by n = {guard}")
 
 
-def test_core_matches_the_reference_ladder():
-    rng = seeded(66)
+def _reduction_cases(seed, count, draw):
+    """`count` pairs (ideal, pure-power reduction), the k-th ideal
+    drawn as draw(rng, k) and skipped when it has no pure-power
+    reduction. Gives up after 10 * count draws, naming the seed and
+    how many cases it drew, so a defect that stops producing cases
+    fails the test instead of hanging it (nearly every draw has a
+    reduction)."""
+    rng = seeded(seed)
     cases = []
-    while len(cases) < 60:
-        d = 2 if len(cases) < 36 else 3
-        ideal = random_m_primary(rng, d, max_coord=6 - d)
+    for _ in range(10 * count):
+        ideal = draw(rng, len(cases))
         reduction = find_pure_power_reduction(ideal)
         if reduction is not None:
             cases.append((ideal, reduction))
+            if len(cases) == count:
+                return cases
+    pytest.fail(
+        f"seed {seed}: {len(cases)} of {count} cases after {10 * count} draws"
+    )
+
+
+def test_core_matches_the_reference_ladder():
+    def draw(rng, k):
+        d = 2 if k < 36 else 3
+        return random_m_primary(rng, d, max_coord=6 - d)
+
+    cases = _reduction_cases(66, 60, draw)
     shifted = 0
     for ideal, reduction in cases:
         r = reduction_number(ideal, reduction)
@@ -361,8 +379,9 @@ def test_core_budget_refuses_before_any_colon(monkeypatch):
 def test_core_budget_refuses_a_large_power_before_its_reduction_number(
     monkeypatch,
 ):
-    # On the anchor, I^30 has 1396 generators. Refusing it must not wait
-    # for reduction_number, which forms powers of I^30, or any colon.
+    # On the anchor, I^20 is the first power above the budget, with 631
+    # generators. Refusing u = 30 must not wait for reduction_number,
+    # which forms powers of I^30, or any colon.
     anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
     reduction = find_pure_power_reduction(anchor)
 
@@ -373,9 +392,33 @@ def test_core_budget_refuses_a_large_power_before_its_reduction_number(
     monkeypatch.setattr(MonomialIdeal, "colon", no_work)
     with pytest.raises(
         BudgetExceededError,
-        match=r"u = 30: I\^30 has 1396 generators, above the budget of 600",
+        match=r"u = 30: I\^20 has 631 generators, above the budget of 600",
     ):
         core_compute(anchor, reduction, 30)
+
+
+def test_core_budget_refuses_a_large_u_at_the_first_power_over_it(
+    monkeypatch,
+):
+    # I^u is formed one product with I at a time, each power checked as
+    # it is formed, so u = 200 stops at I^20 after 19 products instead
+    # of forming all of I^200 first.
+    anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+    reduction = find_pure_power_reduction(anchor)
+    products = []
+    multiply = MonomialIdeal.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "__mul__", counting)
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"u = 200: I\^20 has 631 generators, above the budget of 600",
+    ):
+        core_compute(anchor, reduction, 200)
+    assert len(products) <= 19
 
 
 def test_core_budget_admits_the_measured_inputs():
@@ -502,13 +545,12 @@ def test_closure_index_stays_within_the_briancon_skoda_bound(monkeypatch):
         return closure_power(ideal, n, facets)
 
     monkeypatch.setattr(analysis, "closure_power", recording)
-    rng = seeded(36)
     cases = [(M2, J22), (CRIT, CRIT), (RICH, J44), (M, M)]
-    while len(cases) < 40:
-        ideal = random_m_primary(rng, rng.choice((2, 3)), max_coord=4)
-        reduction = find_pure_power_reduction(ideal)
-        if reduction is not None:
-            cases.append((ideal, reduction))
+    cases += _reduction_cases(
+        36,
+        36,
+        lambda rng, k: random_m_primary(rng, rng.choice((2, 3)), max_coord=4),
+    )
     at_bound = 0
     for ideal, reduction in cases:
         formed.clear()

@@ -126,3 +126,20 @@ def test_the_export_list_names_exactly_the_imported_public_names():
     ]
     assert len(reesgor.__all__) == len(set(reesgor.__all__))
     assert sorted(reesgor.__all__) == sorted(imported)
+
+
+def test_every_exported_name_is_used_by_the_package():
+    """A public name that only the tests call is surface with no
+    caller: each name in `reesgor.__all__` is read, as a name or an
+    attribute, by package code outside `__init__.py`."""
+    import reesgor
+
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(set(reesgor.__all__) - used) == []

@@ -1,5 +1,6 @@
-"""Brute-force reference checks: the oracle must agree with naive
-divisibility, and its budget guard must trip on oversized boxes."""
+"""Brute-force reference checks: the oracle, and the membership
+oracles of conftest, must agree with naive divisibility, and the box
+budget must trip on oversized boxes."""
 
 import itertools
 import re
@@ -8,15 +9,11 @@ import pytest
 
 from reesgor import MonomialIdeal, oracle
 from reesgor.errors import BudgetExceededError
-from reesgor.oracle import (
-    Box,
-    oracle_colon,
-    oracle_iclosure_member,
-    oracle_intersect,
-    oracle_power_member,
-)
+from reesgor.oracle import Box, oracle_colon, oracle_intersect
 
 from conftest import (
+    oracle_iclosure_member,
+    oracle_power_member,
     oracle_relint_points,
     random_ideal,
     random_m_primary,
@@ -28,9 +25,11 @@ def test_box_points_and_budget():
     box = Box((2, 3))
     assert box.size == 12
     assert len(list(box.points())) == 12
-    small = Box((100, 100, 100), budget=1000)
+    # one point past the budget is refused before any is produced
     with pytest.raises(BudgetExceededError):
-        list(small.points())
+        Box((oracle.DEFAULT_BUDGET,)).points()
+    with pytest.raises(BudgetExceededError):
+        list(Box((1000, 1000, 1000)).points())
 
 
 def test_power_member_is_divisibility_for_first_power():
@@ -94,7 +93,7 @@ def test_relint_points_frozen():
 
 def test_relint_budget_guard():
     with pytest.raises(BudgetExceededError):
-        oracle_relint_points(((1, 0),), (10**6, 10**6), budget=100)
+        oracle_relint_points(((1, 0),), (10**6, 10**6))
 
 
 # ------------------------------------------------------------------ #

@@ -19,7 +19,6 @@ from reesgor.errors import (
     DimensionMismatchError,
     InvalidIdealError,
 )
-from reesgor.oracle import oracle_iclosure_member
 from reesgor.polyhedra import (
     COLUMN_BUDGET,
     _column_scan,
@@ -33,6 +32,7 @@ from reesgor.report import closure_section
 from conftest import (
     column_minima,
     column_points,
+    oracle_iclosure_member,
     random_ideal,
     random_m_primary,
     seeded,
@@ -199,8 +199,8 @@ def test_facets_irredundant():
             dropped = bounded[skip]
             witness = None
             for v in itertools.product(range(top + 1), repeat=ideal.dim):
-                if all(o.evaluate(v) >= o.offset for o in others) and (
-                    dropped.evaluate(v) < dropped.offset
+                if all(_dot(o.normal, v) >= o.offset for o in others) and (
+                    _dot(dropped.normal, v) < dropped.offset
                 ):
                     witness = v
                     break
