@@ -427,13 +427,19 @@ def core_compute(
     right after it is formed: B is built by one product with ideal per
     step, and the first k <= u over the limit raises, naming u and k.
     So a large u fails fast instead of first forming all of I^u and
-    then spending reduction_number's powers of B. This is a budget,
+    then spending reduction_number's powers of B. When K differs from
+    B, r_u >= 1 and the divisor B^(r_u + 1) is formed through B^2, so
+    B^2, taken from the power cache the divisor later uses, meets the
+    same limit before reduction_number runs. Both checks are a budget,
     not a bound: generator counts need not grow with the exponent, so
-    an I^k above the limit does not prove that B or the divisor is
-    above it too. On the anchor, I^k has 571 generators at k = 19 and
-    631 at k = 20, so the command line exits 3 naming I^20 in 0.07 s
-    at u = 30, 200 and 2000 alike; forming I^u first took 0.09, 0.32
-    and 1.6 s at u = 30, 60 and 100 (2 cores, Python 3.11).
+    an I^k or B^2 above the limit does not prove that B or the divisor
+    is above it too. On the anchor, I^k has 571 generators at k = 19
+    and 631 at k = 20, so the command line exits 3 naming I^20 in
+    0.07 s at u = 30, 200 and 2000 alike; forming I^u first took 0.09,
+    0.32 and 1.6 s at u = 30, 60 and 100 (2 cores, Python 3.11). At
+    u = 19 it exits 3 naming (I^19)^2, with 2224 generators, after
+    0.14 s; running reduction_number first and refusing the divisor
+    (I^19)^3, with 4960, took 1.3 s.
     """
     if not isinstance(u, int) or isinstance(u, bool) or u < 1:
         raise InapplicableError("the power u must be a positive int")
@@ -449,8 +455,15 @@ def core_compute(
                 f"generators, above the budget of {CORE_GENERATOR_BUDGET}"
             )
     scaled = reduction.bracket_power(u)
-    r_u = reduction_number(base, scaled)
     base_pow = _power_cache(base)
+    square = base_pow(2) if scaled != base else base
+    if len(square.gens) > CORE_GENERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"core of the power u = {u}: (I^{u})^2, a step to the colon "
+            f"divisor, has {len(square.gens)} generators, above the "
+            f"budget of {CORE_GENERATOR_BUDGET}"
+        )
+    r_u = reduction_number(base, scaled)
     divisor = base_pow(r_u + 1)
     if len(divisor.gens) > CORE_GENERATOR_BUDGET:
         raise BudgetExceededError(

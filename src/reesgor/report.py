@@ -15,7 +15,7 @@ so serializing the same job twice yields identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Dict, List, Optional
 
 from .analysis import (
@@ -102,13 +102,28 @@ def ideal_dict(ideal: MonomialIdeal) -> Dict:
     }
 
 
+def _plain(value: object) -> object:
+    """A verdict in JSON types: a tuple becomes a list, a MonomialIdeal
+    its ideal_dict, and a dataclass the dict of its fields, each entry
+    and field converted in turn. So a section's keys are the field
+    names of its verdict dataclass (in analysis.py, cone.py or
+    polyhedra.py), stated there once: renaming a field renames the key,
+    and a builder adds only what its verdict does not store. An int in
+    a tuple is copied without a call, since boxes and exponent vectors
+    are most of what a report converts."""
+    if isinstance(value, tuple):
+        return [v if type(v) is int else _plain(v) for v in value]
+    if isinstance(value, MonomialIdeal):
+        return ideal_dict(value)
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def facet_section(ideal: MonomialIdeal) -> Dict:
     facets = newton_polyhedron(ideal)
     return {
-        "bounded_facets": [
-            {"normal": list(f.normal), "offset": f.offset}
-            for f in facets.bounded
-        ],
+        "bounded_facets": _plain(facets.bounded),
         "coordinate_facets": list(facets.coordinate),
         "m_primary": facets.is_m_primary_source(),
     }
@@ -127,63 +142,32 @@ def closure_section(ideal: MonomialIdeal, n: int) -> Dict:
 
 def cone_section(ideal: MonomialIdeal) -> Dict:
     cone = lift_halfspaces(newton_polyhedron(ideal))
-    return {
-        "matrix": [list(row) for row in cone.matrix],
-        "rays": [list(r) for r in cone.rays],
-    }
+    return {"matrix": _plain(cone.matrix), "rays": _plain(cone.rays)}
 
 
 def gorenstein_section(ideal: MonomialIdeal, fast: bool) -> Dict:
     if fast:
         test = pure_power_gorenstein_test(ideal)
-        return {
-            "method": "pure-power",
-            "exponents": list(test.exponents),
-            "lcm": test.lcm,
-            "quotient": test.quotient,
-            "remainder": test.remainder,
-            "gorenstein": test.gorenstein,
-        }
-    gorenstein, data = is_gorenstein_normalization(ideal)
+        return {"method": "pure-power", **_plain(test)}
+    _, data = is_gorenstein_normalization(ideal)
     return {
+        **_plain(data),
         "method": "canonical-generators",
-        "gorenstein": gorenstein,
-        "q": data.q,
-        "generators": [list(g) for g in data.generators],
         "generator_count": len(data.generators),
-        "a_invariant": data.a_invariant,
         "filtration_reduction_number": data.a_invariant + ideal.dim - 1,
-        "search_box": list(data.search_box),
-        "sweep_box": list(data.sweep_box),
     }
 
 
 def qgor_section(
     ideal: MonomialIdeal, reduction: Optional[MonomialIdeal]
 ) -> Dict:
-    verdict = quasi_gorenstein_test(ideal, reduction)
-    return {
-        "quasi_gorenstein": verdict.quasi_gorenstein,
-        "a": verdict.a,
-        "u": verdict.u,
-        "reduction": ideal_dict(verdict.reduction),
-        "reduction_number": verdict.reduction_number,
-        "nilpotency_index": verdict.nilpotency_index,
-        "checked_range": list(verdict.checked_range),
-        "probe_ok": verdict.probe_ok,
-    }
+    return _plain(quasi_gorenstein_test(ideal, reduction))
 
 
 def cm_section(
     ideal: MonomialIdeal, reduction: Optional[MonomialIdeal]
 ) -> Dict:
-    verdict = cohen_macaulay_test(ideal, reduction)
-    return {
-        "cohen_macaulay": verdict.cohen_macaulay,
-        "reduction": ideal_dict(verdict.reduction),
-        "reduction_number": verdict.reduction_number,
-        "first_failure": verdict.first_failure,
-    }
+    return _plain(cohen_macaulay_test(ideal, reduction))
 
 
 def core_section(
@@ -213,19 +197,7 @@ def consistency_section(
     ideal: MonomialIdeal, reduction: Optional[MonomialIdeal]
 ) -> Dict:
     rep = a_invariant_consistency(ideal, reduction)
-    return {
-        "all_ok": rep.all_ok,
-        "checks": [
-            {
-                "name": c.name,
-                "applicable": c.applicable,
-                "ok": c.ok,
-                "expected": c.expected,
-                "actual": c.actual,
-            }
-            for c in rep.checks
-        ],
-    }
+    return {**_plain(rep), "all_ok": rep.all_ok}
 
 
 def invariants_section(

@@ -397,6 +397,29 @@ def test_core_budget_refuses_a_large_power_before_its_reduction_number(
         core_compute(anchor, reduction, 30)
 
 
+def test_core_budget_refuses_a_large_square_before_its_reduction_number(
+    monkeypatch,
+):
+    # At u = 19, I^19 has 571 generators and fits the budget, but K is
+    # not B, so r_u >= 1 and the divisor is formed through (I^19)^2,
+    # which has 2224. That refuses before reduction_number, which would
+    # form powers of I^19, or any colon.
+    anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+    reduction = find_pure_power_reduction(anchor)
+
+    def no_work(*args):
+        raise AssertionError("work done before the budget check")
+
+    monkeypatch.setattr(analysis, "reduction_number", no_work)
+    monkeypatch.setattr(MonomialIdeal, "colon", no_work)
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"u = 19: \(I\^19\)\^2, .* has 2224 generators, above the "
+        r"budget of 600",
+    ):
+        core_compute(anchor, reduction, 19)
+
+
 def test_core_budget_refuses_a_large_u_at_the_first_power_over_it(
     monkeypatch,
 ):

@@ -353,6 +353,47 @@ def test_section_reports_are_byte_identical_across_changes(job, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, payload
 
 
+# sha256 of the human-readable stdout (no --json) of the five report
+# jobs above and of both Gorenstein routes on a pure power. The JSON
+# digests cannot see a tuple left in a section, since json.dumps writes
+# tuples as lists; the human rendering prints one as "(3, 3, 3, 7)"
+# instead of "[3, 3, 3, 7]". Same rule as the digests above.
+HUMAN_DIGESTS = tuple(
+    (["report"], payload, digest)
+    for (payload, _), digest in zip(
+        ANCHOR_REPORT_DIGESTS + SECTION_REPORT_DIGESTS,
+        (
+            "6b64823d5f5e1573eaa8345f2b90218c52fd6f572473e7f51660b763aabc2eea",
+            "fc4bcad3ef17cf4e86531631fac2f7a62d863b04e505f2e423027a86f094f254",
+            "2ac85cb89bc51635a35241dd6f4192a0f351d61715d043c5136696d82c5acecf",
+            "c33a08aebde242ffa508d96a2e986848a9ceeff6e4c1631958f9aac200276159",
+            "258907263bbead2e37c29a89bff2be562c688c3abbe6c6ac0052582a694f20c9",
+        ),
+    )
+) + (
+    (
+        ["gorenstein"],
+        PURE,
+        "04412ec4126b11fafcdf3efe3d179131f2bf122166c75861f95e03852cc5ae2a",
+    ),
+    (
+        ["gorenstein", "--fast"],
+        PURE,
+        "32684ab05f48e76e8e3182a46900ab14739fb55ca88c873c59d4d40cb1e6a346",
+    ),
+)
+
+
+def test_human_outputs_are_byte_identical_across_changes(job, capsys):
+    for command, payload, digest in HUMAN_DIGESTS:
+        assert main(command[:1] + [job(payload)] + command[1:]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (
+            command,
+            payload,
+        )
+
+
 @pytest.mark.parametrize(
     "spec, command, message",
     [
