@@ -15,8 +15,9 @@ enforces that bound and raises rather than looping on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cone import is_gorenstein_normalization
 from .errors import (
@@ -25,21 +26,8 @@ from .errors import (
     InvariantViolationError,
     NotAReductionError,
 )
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _power_cache
 from .polyhedra import FacetSystem, closure_power, newton_polyhedron
-
-
-def _power_cache(ideal: MonomialIdeal) -> Callable[[int], MonomialIdeal]:
-    """A function n -> ideal^n that forms each power on first use, by
-    one product with the power before it (ideal^n = unit for n <= 0)."""
-    pows = [MonomialIdeal.unit(ideal.dim), ideal]
-
-    def power(n: int) -> MonomialIdeal:
-        while len(pows) <= n:
-            pows.append(pows[-1] * ideal)
-        return pows[max(n, 0)]
-
-    return power
 
 
 # Most generators the colon divisor of core_compute may have; the
@@ -148,14 +136,15 @@ def nilpotency_index(
     ideal: MonomialIdeal, reduction: MonomialIdeal, r: Optional[int] = None
 ) -> int:
     """The least i with ideal^(i+1) contained in the reduction. It
-    never exceeds the reduction number, and the scan enforces that."""
+    never exceeds the reduction number, and the scan enforces that. The
+    powers are climbed one rung at a time, so none above ideal^(i+1)
+    is formed."""
     if r is None:
         r = reduction_number(ideal, reduction)
-    power = ideal  # ideal^(i+1)
+    power = _power_cache(ideal)
     for i in range(r + 1):
-        if power.is_subset(reduction):
+        if power(i + 1).is_subset(reduction):
             return i
-        power = power * ideal
     raise InvariantViolationError(
         f"nilpotency index exceeds the reduction number {r}"
     )
@@ -264,13 +253,11 @@ def quasi_gorenstein_test(
     j_pow = _power_cache(reduction)
     i_pow = _power_cache(ideal)
     i_r = i_pow(r)
-    colons: Dict[int, MonomialIdeal] = {}
 
+    @functools.cache
     def colon(i: int) -> MonomialIdeal:
         """reduction^i : ideal^r, formed once per call."""
-        if i not in colons:
-            colons[i] = j_pow(i).colon(i_r)
-        return colons[i]
+        return j_pow(i).colon(i_r)
 
     passing: List[Tuple[int, int]] = []
     for a in range(s - d + 1, r - d + 2):
@@ -399,8 +386,8 @@ def core_compute(
 
     The next rung C_(r_u + 1) is formed as well and must equal C_(r_u);
     if it does not, InvariantViolationError names both rungs. The
-    powers of B and of K come from one _power_cache each, so B^(r_u)
-    and K^(r_u + 1) are the steps on the way to B^(r_u + 1) and
+    powers of ideal, of B and of K come from one _power_cache each, so
+    B^(r_u) and K^(r_u + 1) are the steps on the way to B^(r_u + 1) and
     K^(r_u + 2), not products of their own.
 
     The caller always passes the reduction, so there is none to search
@@ -424,8 +411,9 @@ def core_compute(
     the speed of the colon.
 
     The same limit is applied to every power I^k on the way to B, each
-    right after it is formed: B is built by one product with ideal per
-    step, and the first k <= u over the limit raises, naming u and k.
+    right after it is formed: B is the top of the ladder of powers of
+    ideal, one product per rung, and the first k <= u over the limit
+    raises, naming u and k.
     So a large u fails fast instead of first forming all of I^u and
     then spending reduction_number's powers of B. When K differs from
     B, r_u >= 1 and the divisor B^(r_u + 1) is formed through B^2, so
@@ -447,30 +435,25 @@ def core_compute(
         raise InapplicableError(
             "core computation needs a reduction generated by pure powers"
         )
-    for k in range(1, u + 1):
-        base = ideal if k == 1 else base * ideal
-        if len(base.gens) > CORE_GENERATOR_BUDGET:
+
+    def within_budget(power: MonomialIdeal, name: str) -> None:
+        if len(power.gens) > CORE_GENERATOR_BUDGET:
             raise BudgetExceededError(
-                f"core of the power u = {u}: I^{k} has {len(base.gens)} "
+                f"core of the power u = {u}: {name} has {len(power.gens)} "
                 f"generators, above the budget of {CORE_GENERATOR_BUDGET}"
             )
+
+    ideal_pow = _power_cache(ideal)
+    for k in range(1, u + 1):
+        within_budget(ideal_pow(k), f"I^{k}")
+    base = ideal_pow(u)
     scaled = reduction.bracket_power(u)
     base_pow = _power_cache(base)
     square = base_pow(2) if scaled != base else base
-    if len(square.gens) > CORE_GENERATOR_BUDGET:
-        raise BudgetExceededError(
-            f"core of the power u = {u}: (I^{u})^2, a step to the colon "
-            f"divisor, has {len(square.gens)} generators, above the "
-            f"budget of {CORE_GENERATOR_BUDGET}"
-        )
+    within_budget(square, f"(I^{u})^2, a step to the colon divisor,")
     r_u = reduction_number(base, scaled)
     divisor = base_pow(r_u + 1)
-    if len(divisor.gens) > CORE_GENERATOR_BUDGET:
-        raise BudgetExceededError(
-            f"core of the power u = {u}: the colon divisor "
-            f"(I^{u})^{r_u + 1} has {len(divisor.gens)} generators, "
-            f"above the budget of {CORE_GENERATOR_BUDGET}"
-        )
+    within_budget(divisor, f"the colon divisor (I^{u})^{r_u + 1}")
     scaled_pow = _power_cache(scaled)
     core = scaled_pow(r_u + 1).colon(base_pow(r_u))
     check = scaled_pow(r_u + 2).colon(divisor)
@@ -523,12 +506,11 @@ def conductor_exponent(
         facets = newton_polyhedron(ideal)
     d = ideal.dim
     power = _power_cache(ideal)
-    closures: Dict[int, MonomialIdeal] = {}
 
+    @functools.cache
     def closure(n: int) -> MonomialIdeal:
-        if n not in closures:
-            closures[n] = closure_power(ideal, n, facets)
-        return closures[n]
+        # a global lookup per call, so a rebound closure_power takes effect
+        return closure_power(ideal, n, facets)
 
     for c in range(d):
         n_max = max(1, d - 1 - c)

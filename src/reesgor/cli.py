@@ -15,8 +15,9 @@ human-readable by default, canonical JSON with --json.
 
 Exit codes: 0 success; 1 bad usage, unreadable input, or invalid
 ideal data; 2 the requested criterion does not apply to this input;
-3 an internal cross-check failed or a certified bound was exceeded
-(the computation cannot be trusted and says so).
+3 an internal cross-check failed, a certified bound was exceeded or
+the run ran out of memory (the computation cannot be trusted and says
+so).
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def classify_failure(exc: Exception) -> int:
     """Map an exception from a command run to the exit code table."""
     if isinstance(exc, InapplicableError):
         return EXIT_INAPPLICABLE
-    if isinstance(
+    if isinstance(exc, MemoryError) or isinstance(
         exc,
         (InvariantViolationError, IncompleteSearchError, BudgetExceededError),
     ):
@@ -182,7 +183,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             code = classify_failure(exc)
         except Exception:
             raise exc
-        sys.stderr.write(f"reesgor: {exc}\n")
+        reason = "ran out of memory" if isinstance(exc, MemoryError) else exc
+        sys.stderr.write(f"reesgor: {reason}\n")
         return code
 
     if args.json:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InvalidIdealError
 
@@ -242,17 +242,12 @@ class MonomialIdeal:
         return MonomialIdeal(self.dim, tuple(products))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
-        """I^n by n - 1 products with I, one per further factor.
-        Exponents n <= 0 give the unit ideal (the convention used
-        throughout the filtration code)."""
+        """I^n by n - 1 products with I, one per further factor, on the
+        ladder of _power_cache. Exponents n <= 0 give the unit ideal
+        (the convention used throughout the filtration code)."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("exponent must be an int")
-        if n <= 0:
-            return MonomialIdeal.unit(self.dim)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return _power_cache(self)(n)
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection: generated by pairwise componentwise maxima.
@@ -326,6 +321,21 @@ class MonomialIdeal:
                     parts.append(f"{name}^{e}")
             terms.append("*".join(parts) if parts else "1")
         return "(" + ", ".join(terms) + ")"
+
+
+def _power_cache(ideal: MonomialIdeal) -> Callable[[int], MonomialIdeal]:
+    """A function n -> ideal^n that forms each power on first use, by
+    one product with the power before it (ideal^n = unit for n <= 0).
+    It is the one ladder of powers: `**` climbs a fresh one, and a walk
+    that revisits powers keeps its own for the length of a call."""
+    pows = [MonomialIdeal.unit(ideal.dim), ideal]
+
+    def power(n: int) -> MonomialIdeal:
+        while len(pows) <= n:
+            pows.append(pows[-1] * ideal)
+        return pows[max(n, 0)]
+
+    return power
 
 
 def variable_names(dim: int) -> Tuple[str, ...]:

@@ -193,6 +193,23 @@ def test_qgor_forms_each_colon_once_per_call(monkeypatch):
         assert calls and len(set(calls)) == len(calls), ideal
 
 
+def test_nilpotency_index_forms_no_power_above_the_answer(monkeypatch):
+    # Finding s takes I^1, ..., I^(s+1): s products with I, none past.
+    cases = [(M2, J22), (CRIT, CRIT), (RICH, J44), (M, M)]
+    cases += _reduction_cases(
+        34,
+        12,
+        lambda rng, k: random_m_primary(rng, rng.choice((2, 3)), max_coord=4),
+    )
+    calls = _record_calls(monkeypatch, "__mul__")
+    for ideal, reduction in cases:
+        r = reduction_number(ideal, reduction)
+        calls.clear()
+        s = nilpotency_index(ideal, reduction, r)
+        assert len(calls) == s, (ideal.to_str(), s, len(calls))
+        assert all(other == ideal for _, other in calls), ideal.to_str()
+
+
 def test_qgor_inapplicable_without_pure_power_reduction():
     with pytest.raises(InapplicableError):
         quasi_gorenstein_test(MonomialIdeal(2, ((3, 0), (1, 1), (0, 3))))
@@ -444,6 +461,26 @@ def test_core_budget_refuses_a_large_u_at_the_first_power_over_it(
     assert len(products) <= 19
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (2, "core of the power u = 1: I^1 has 3 generators, above the "
+            "budget of 2"),
+        (4, "core of the power u = 1: (I^1)^2, a step to the colon divisor, "
+            "has 6 generators, above the budget of 4"),
+        (6, "core of the power u = 1: the colon divisor (I^1)^4 has 14 "
+            "generators, above the budget of 6"),
+    ],
+)
+def test_core_budget_refusals_name_their_rung(monkeypatch, budget, message):
+    # RICH has 3 generators, RICH^2 has 6 and r = 3, so the divisor
+    # RICH^4 has 14: each budget stops at a different rung.
+    monkeypatch.setattr(analysis, "CORE_GENERATOR_BUDGET", budget)
+    with pytest.raises(BudgetExceededError) as refused:
+        core_compute(RICH, J44, 1)
+    assert str(refused.value) == message
+
+
 def test_core_budget_admits_the_measured_inputs():
     # The row behind CORE_GENERATOR_BUDGET: the r = 8 report input at
     # u = 1 and the anchor at u = 6 fit, the anchor at u = 7 does not.
@@ -539,6 +576,30 @@ def test_conductor_closes_no_power_above_the_dimension(monkeypatch):
         formed.clear()
         conductor_exponent(ideal)
         assert formed and max(formed) <= ideal.dim, (ideal.to_str(), formed)
+
+
+def test_conductor_forms_each_closure_once_per_call(monkeypatch):
+    # Successive degrees c revisit closures of the same powers; each is
+    # formed once per call and shared.
+    formed = []
+
+    def recording(ideal, n, facets=None):
+        formed.append(n)
+        return closure_power(ideal, n, facets)
+
+    monkeypatch.setattr(analysis, "closure_power", recording)
+    rng = seeded(35)
+    ideals = [random_m_primary(rng, d, max_coord=4) for d in (3, 3, 4, 4)]
+    for ideal in ideals + [RICH, CRIT]:
+        formed.clear()
+        conductor_exponent(ideal)
+        assert formed and len(set(formed)) == len(formed), (ideal.to_str(), formed)
+    # Integrally closed but not normal: c = 0 closes I^1 and I^2 and
+    # fails at n = 2, and c = 1 then reuses the closure of I^2.
+    closed = closure_power(MonomialIdeal.pure_powers((5, 7, 2)), 1)
+    formed.clear()
+    assert conductor_exponent(closed) == 1
+    assert formed == [1, 2]
 
 
 def test_conductor_without_a_passing_c_raises(monkeypatch, tmp_path, capsys):

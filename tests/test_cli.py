@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from reesgor import analysis, cli
+from reesgor import analysis, cli, report
 from reesgor.cli import (
     EXIT_INAPPLICABLE,
     EXIT_OK,
@@ -118,12 +118,30 @@ def test_classify_failure_table():
     assert classify_failure(InvariantViolationError("x")) == EXIT_UNTRUSTED
     assert classify_failure(IncompleteSearchError("x")) == EXIT_UNTRUSTED
     assert classify_failure(BudgetExceededError("x")) == EXIT_UNTRUSTED
+    assert classify_failure(MemoryError()) == EXIT_UNTRUSTED
     assert classify_failure(NotMPrimaryError("x")) == EXIT_USAGE
     assert classify_failure(NotAReductionError("x")) == EXIT_USAGE
     assert classify_failure(ValueError("x")) == EXIT_USAGE
     assert classify_failure(OSError("x")) == EXIT_USAGE
     with pytest.raises(KeyError):
         classify_failure(KeyError("x"))
+
+
+def test_out_of_memory_is_untrusted_without_a_traceback(
+    job, capsys, monkeypatch
+):
+    # A large closure can exhaust memory inside minimalize; the run
+    # then exits 3 with one line naming it, not with Python's exit 1.
+    def exhausted(ideal, n, facets=None):
+        raise MemoryError()
+
+    monkeypatch.setattr(report, "closure_power", exhausted)
+    for flags in ([], ["--json"]):
+        argv = flags + ["iclosure", "-n", "250", job(PURE)]
+        assert main(argv) == EXIT_UNTRUSTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "reesgor: ran out of memory\n"
 
 
 # ------------------------------------------------------------------ #

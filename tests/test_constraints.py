@@ -143,3 +143,69 @@ def test_every_exported_name_is_used_by_the_package():
         and isinstance(node.ctx, ast.Load)
     }
     assert sorted(set(reesgor.__all__) - used) == []
+
+
+CACHE_NAMES = {"cache", "lru_cache"}
+
+
+def _is_cache(node, imported):
+    """Does the expression name functools.cache or functools.lru_cache?"""
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr in CACHE_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+    return isinstance(node, ast.Name) and node.id in imported
+
+
+def _bounded_to_one(call):
+    """Is the cache call lru_cache(1) or lru_cache(maxsize=1)?"""
+    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value == 1 for s in sizes)
+
+
+def _cache_uses(tree):
+    """(line, inside a function body, bounded to one entry) for each
+    use of a functools cache in the module."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in CACHE_NAMES
+    }
+    uses = []
+
+    def visit(node, in_body):
+        if isinstance(node, ast.Call) and _is_cache(node.func, imported):
+            uses.append((node.lineno, in_body, _bounded_to_one(node)))
+            children = [(child, in_body) for child in node.args + node.keywords]
+        elif _is_cache(node, imported):
+            uses.append((node.lineno, in_body, False))
+            children = []
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # decorators and defaults run where the def is, not in its body
+            children = [(child, in_body) for child in node.decorator_list]
+            children += [(node.args, in_body)]
+            children += [(child, True) for child in node.body]
+        else:
+            children = [(child, in_body) for child in ast.iter_child_nodes(node)]
+        for child, inside in children:
+            visit(child, inside)
+
+    visit(tree, False)
+    return uses
+
+
+def test_every_memo_is_per_call_or_holds_one_entry():
+    """A memo over ideals that outlives a call grows from job to job in
+    a process that runs many: every functools.cache or lru_cache in
+    the package is applied inside a function body, so it is dropped
+    with the call, or holds at most one entry."""
+    seen = 0
+    for path in SOURCES:
+        for line, in_body, bounded in _cache_uses(_tree(path)):
+            seen += 1
+            assert in_body or bounded, (path.name, line)
+    assert seen >= 3  # the parser cache and the two analysis memos

@@ -270,6 +270,24 @@ def test_power_matches_repeated_product():
             by_product = by_product * ideal
 
 
+def test_power_takes_one_product_per_further_factor(monkeypatch):
+    # I ** n makes n - 1 products for n >= 1 and none for n <= 0.
+    products = []
+    multiply = MonomialIdeal.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "__mul__", counting)
+    ideal = I(3, (2, 0, 0), (1, 1, 0), (0, 3, 1), (0, 0, 2))
+    for n in range(-2, 7):
+        products.clear()
+        ideal ** n
+        assert len(products) == max(n - 1, 0), n
+        assert all(other is ideal for other in products), n
+
+
 def test_colon_frozen_values():
     m = MonomialIdeal.maximal(2)
     j = I(2, (2, 0), (0, 2))
