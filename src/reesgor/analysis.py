@@ -428,6 +428,22 @@ def core_compute(
     u = 19 it exits 3 naming (I^19)^2, with 2224 generators, after
     0.14 s; running reduction_number first and refusing the divisor
     (I^19)^3, with 4960, took 1.3 s.
+
+    The walk also stops before it forms I^k for k =
+    CORE_GENERATOR_BUDGET + 1, naming u, so u itself is bounded where
+    generator counts stay small: in one variable every I^k has one
+    generator, and u = 10^5 once took 10^5 products. In d >= 2 that
+    rung limit never refuses an input the generator check would pass.
+    Proof: a pure-power reduction makes I m-primary, so NP(I) has the
+    two distinct vertices on the first two axes, and its bounded
+    faces, which form a connected complex, hold a bounded edge vw, with
+    v and w generators of I. Let n > 0 be a normal of that edge, so
+    n.p >= k * n.v on k NP(I) = NP(I^k) with equality on k * [v, w].
+    The k + 1 points (k - i)v + iw, 0 <= i <= k, lie on k * [v, w] and
+    in I^k. A generator g of I^k strictly dividing one of them would
+    give n.g < k * n.v, outside NP(I^k). So they are k + 1 distinct
+    minimal generators, mu(I^k) >= k + 1, and the generator check has
+    already refused by k = CORE_GENERATOR_BUDGET.
     """
     if not isinstance(u, int) or isinstance(u, bool) or u < 1:
         raise InapplicableError("the power u must be a positive int")
@@ -445,6 +461,11 @@ def core_compute(
 
     ideal_pow = _power_cache(ideal)
     for k in range(1, u + 1):
+        if k > CORE_GENERATOR_BUDGET:
+            raise BudgetExceededError(
+                f"core of the power u = {u}: I^{k} is past the "
+                f"{CORE_GENERATOR_BUDGET} powers the budget allows"
+            )
         within_budget(ideal_pow(k), f"I^{k}")
     base = ideal_pow(u)
     scaled = reduction.bracket_power(u)

@@ -26,7 +26,7 @@ import argparse
 import functools
 import random
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .analysis import find_pure_power_reduction, quasi_gorenstein_test
 from .cone import is_gorenstein_normalization, pure_power_gorenstein_test
@@ -69,6 +69,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# The commands, each stated once: its help line, its one extra option
+# (flag and argparse keywords, or None) and the builder (job, args) ->
+# section. A builder names its section function when it is called, so
+# a wrapper rebound over the module global is the one that runs.
+_COMMANDS: Dict[str, Tuple[str, Optional[Tuple[str, Dict]], Callable]] = {
+    "np": ("facets of the Newton polyhedron", None,
+           lambda job, args: facet_section(job.ideal)),
+    "iclosure": ("integral closure of a power",
+                 ("-n", dict(type=int, default=1, help="power to close")),
+                 lambda job, args: closure_section(job.ideal, args.n)),
+    "cone": ("facet matrix and extreme rays of the cone", None,
+             lambda job, args: cone_section(job.ideal)),
+    "gorenstein": (
+        "Gorenstein decision for the normalization",
+        ("--fast", dict(action="store_true",
+                        help="closed-form test (pure-power ideals only)")),
+        lambda job, args: gorenstein_section(job.ideal, args.fast)),
+    "qgor": ("quasi-Gorenstein colon test", None,
+             lambda job, args: qgor_section(job.ideal, job.reduction)),
+    "cm": ("Cohen-Macaulay intersection test", None,
+           lambda job, args: cm_section(job.ideal, job.reduction)),
+    "core": ("core of a power",
+             ("--u", dict(type=int, default=1, help="which power")),
+             lambda job, args: core_section(job.ideal, job.reduction, args.u)),
+    "report": ("all sections at once", None,
+               lambda job, args: build_report(job)),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="reesgor",
@@ -88,27 +117,11 @@ def build_parser() -> _Parser:
         help="run the seeded self-check on N random ideals and exit",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def job_sub(name: str, help_text: str) -> argparse.ArgumentParser:
-        s = sub.add_parser(name, help=help_text)
-        s.add_argument("job", help="path to the job JSON file")
-        return s
-
-    job_sub("np", "facets of the Newton polyhedron")
-    s = job_sub("iclosure", "integral closure of a power")
-    s.add_argument("-n", type=int, default=1, help="power to close")
-    job_sub("cone", "facet matrix and extreme rays of the cone")
-    s = job_sub("gorenstein", "Gorenstein decision for the normalization")
-    s.add_argument(
-        "--fast",
-        action="store_true",
-        help="closed-form test (pure-power ideals only)",
-    )
-    job_sub("qgor", "quasi-Gorenstein colon test")
-    job_sub("cm", "Cohen-Macaulay intersection test")
-    s = job_sub("core", "core of a power")
-    s.add_argument("--u", type=int, default=1, help="which power")
-    job_sub("report", "all sections at once")
+    for name, (help_text, option, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("job", help="path to the job JSON file")
+        if option is not None:
+            command.add_argument(option[0], **option[1])
     return parser
 
 
@@ -122,40 +135,19 @@ _shared_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def _execute(args: argparse.Namespace) -> Tuple[Dict, int]:
-    job = load_job(args.job)
-    ideal = job.ideal
-    if args.command == "np":
-        return facet_section(ideal), EXIT_OK
-    if args.command == "iclosure":
-        return closure_section(ideal, args.n), EXIT_OK
-    if args.command == "cone":
-        return cone_section(ideal), EXIT_OK
-    if args.command == "gorenstein":
-        return gorenstein_section(ideal, args.fast), EXIT_OK
-    if args.command == "qgor":
-        return qgor_section(ideal, job.reduction), EXIT_OK
-    if args.command == "cm":
-        return cm_section(ideal, job.reduction), EXIT_OK
-    if args.command == "core":
-        return core_section(ideal, job.reduction, args.u), EXIT_OK
-    if args.command == "report":
-        payload = build_report(job)
-        code = EXIT_OK
-        consistency = payload.get("consistency", {})
-        if consistency.get("all_ok") is False:
-            code = EXIT_UNTRUSTED
-        return payload, code
-    raise AssertionError(f"unhandled command {args.command}")
+    payload = _COMMANDS[args.command][2](load_job(args.job), args)
+    # a report whose sections disagree cannot be trusted
+    consistency = payload.get("consistency", {})
+    untrusted = args.command == "report" and consistency.get("all_ok") is False
+    return payload, EXIT_UNTRUSTED if untrusted else EXIT_OK
 
 
 def classify_failure(exc: Exception) -> int:
     """Map an exception from a command run to the exit code table."""
     if isinstance(exc, InapplicableError):
         return EXIT_INAPPLICABLE
-    if isinstance(exc, MemoryError) or isinstance(
-        exc,
-        (InvariantViolationError, IncompleteSearchError, BudgetExceededError),
-    ):
+    if isinstance(exc, (MemoryError, InvariantViolationError,
+                        IncompleteSearchError, BudgetExceededError)):
         return EXIT_UNTRUSTED
     if isinstance(exc, (ValueError, OSError)):
         return EXIT_USAGE
@@ -179,10 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         payload, code = _execute(args)
     except Exception as exc:  # noqa: BLE001 - classified right below
-        try:
-            code = classify_failure(exc)
-        except Exception:
-            raise exc
+        code = classify_failure(exc)
         reason = "ran out of memory" if isinstance(exc, MemoryError) else exc
         sys.stderr.write(f"reesgor: {reason}\n")
         return code
@@ -224,7 +213,6 @@ def _corpus_ideals(
 def corpus_case(index: int, seed: int) -> Dict:
     """One self-check case: random ideals, every cheap cross-check."""
     ideal, other = _corpus_ideals(index, seed)
-    dim = ideal.dim
     failures: List[str] = []
 
     square = ideal * ideal
@@ -238,12 +226,11 @@ def corpus_case(index: int, seed: int) -> Dict:
     for g in closed.gens:
         if not facets.contains_power(g, 1):
             failures.append(f"closure generator {g} outside the polyhedron")
-        for j in range(dim):
-            if g[j] > 0:
-                down = g[:j] + (g[j] - 1,) + g[j + 1 :]
-                if facets.contains_power(down, 1):
-                    failures.append(f"closure generator {g} not minimal")
-                    break
+        for j in range(ideal.dim):
+            down = g[:j] + (g[j] - 1,) + g[j + 1 :]
+            if g[j] > 0 and facets.contains_power(down, 1):
+                failures.append(f"closure generator {g} not minimal")
+                break
 
     try:
         gorenstein, _ = is_gorenstein_normalization(ideal, facets)
@@ -262,10 +249,16 @@ def corpus_case(index: int, seed: int) -> Dict:
     except InvariantViolationError as exc:
         failures.append(f"quasi-Gorenstein cross-check: {exc}")
 
+    return _record(index, ideal, failures)
+
+
+def _record(index: int, ideal: MonomialIdeal, failures: List[str]) -> Dict:
+    """One self-check result, for a case that returned or one that
+    raised."""
     return {
         "index": index,
         "ideal": ideal.to_str(),
-        "dim": dim,
+        "dim": ideal.dim,
         "ok": not failures,
         "failures": failures,
     }
@@ -281,15 +274,8 @@ def _corpus_run(count: int, seed: int, as_json: bool) -> int:
             results.append(corpus_case(index, seed))
         except Exception as exc:  # noqa: BLE001 - recorded, run goes on
             ideal, _ = _corpus_ideals(index, seed)
-            results.append(
-                {
-                    "index": index,
-                    "ideal": ideal.to_str(),
-                    "dim": ideal.dim,
-                    "ok": False,
-                    "failures": [f"{type(exc).__name__}: {exc}"],
-                }
-            )
+            failure = f"{type(exc).__name__}: {exc}"
+            results.append(_record(index, ideal, [failure]))
     if as_json:
         sys.stdout.write(
             to_json({"corpus": count, "seed": seed, "results": results})

@@ -82,6 +82,12 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     strict dominator; so v_j is minimal iff below[j] has a single set
     bit, b & (b - 1) == 0. No order by degree is needed, and the cost
     is O(dim * k) big-int ORs and ANDs rather than O(k^2) comparisons.
+    below is a lazy chain: the mask of bits 0..j and its ANDs with the
+    prefix tables are formed when the result reads candidate j, so one
+    such bitset is alive at a time, next to the dim - 1 prefix tables
+    (one bitset per distinct entry of a column). Lists of all k masks
+    and all k single bits held about k^2 bits, more than 2 GiB for the
+    282,376 closure generators of (x^3, y^3, z^3)^250.
 
     Lemma (dim = 2). Among distinct candidates in lexicographic order,
     v_j has a strict divisor iff some earlier candidate has second
@@ -110,20 +116,19 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
         ys = [v[1] for v in candidates]
         keep = chain((True,), map(operator.lt, ys[1:], accumulate(ys, min)))
         return tuple(compress(candidates, keep))
-    bits = [1 << j for j in range(len(candidates))]
-    below = [(bit << 1) - 1 for bit in bits]
+    below: Iterable[int] = ((2 << j) - 1 for j in range(len(candidates)))
     columns = zip(*candidates)
     next(columns, None)
     for column in columns:
         # entry t -> bitset of the candidates whose entry here is <= t
         at_most: dict[int, int] = {}
-        for t, bit in zip(column, bits):
-            at_most[t] = at_most.get(t, 0) | bit
+        for j, t in enumerate(column):
+            at_most[t] = at_most.get(t, 0) | 1 << j
         prefix = 0
         for t in sorted(at_most):
             prefix |= at_most[t]
             at_most[t] = prefix
-        below = list(map(operator.and_, below, map(at_most.__getitem__, column)))
+        below = map(operator.and_, below, map(at_most.__getitem__, column))
     return tuple(v for v, b in zip(candidates, below) if b & (b - 1) == 0)
 
 

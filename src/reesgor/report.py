@@ -86,8 +86,7 @@ def job_from_dict(data: object) -> JobSpec:
 
 def load_job(path: str) -> JobSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return job_from_dict(data)
+        return job_from_dict(json.load(fh))
 
 
 # -------------------------------------------------------------------- #
@@ -267,26 +266,23 @@ def to_json(payload: Dict) -> str:
 
 
 def render_human(payload: object, indent: int = 0) -> List[str]:
-    """Deterministic plain-text rendering of a result dict."""
+    """Deterministic plain-text rendering of a result dict: a dict
+    entry is labelled "key:", a list item "-", and a nested value that
+    is not flat goes on the lines below its label, one level deeper."""
     pad = "  " * indent
-    lines: List[str] = []
     if isinstance(payload, dict):
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{pad}{key}:")
-                lines.extend(render_human(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_flat(value)}")
+        items = [(f"{key}:", payload[key]) for key in sorted(payload)]
     elif isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{pad}-")
-                lines.extend(render_human(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_flat(value)}")
+        items = [("-", value) for value in payload]
     else:
-        lines.append(f"{pad}{_flat(payload)}")
+        return [f"{pad}{_flat(payload)}"]
+    lines: List[str] = []
+    for label, value in items:
+        if isinstance(value, (dict, list)) and value and not _is_flat(value):
+            lines.append(f"{pad}{label}")
+            lines.extend(render_human(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_flat(value)}")
     return lines
 
 

@@ -461,6 +461,44 @@ def test_core_budget_refuses_a_large_u_at_the_first_power_over_it(
     assert len(products) <= 19
 
 
+def test_core_refuses_a_large_u_in_one_variable(monkeypatch):
+    # In one variable every I^k has one generator, so the generator
+    # check never refuses. The walk stops before it forms I^601.
+    ideal = MonomialIdeal(1, ((2,),))
+    products = []
+    multiply = MonomialIdeal.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "__mul__", counting)
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^core of the power u = 100000: I\^601 is past the 600 "
+        r"powers the budget allows$",
+    ):
+        core_compute(ideal, ideal, 10**5)
+    assert len(products) <= 600
+    assert core_compute(ideal, ideal, 600) == MonomialIdeal(1, ((1200,),))
+
+
+def test_powers_with_a_pure_power_reduction_grow_in_generators():
+    # The core_compute docstring's proof that the rung limit never
+    # refuses before the generator check in d >= 2: if I has a
+    # pure-power reduction, I^k has at least k + 1 generators.
+    rng = seeded(2400)
+    checked = 0
+    for _ in range(60):
+        ideal = random_m_primary(rng, rng.choice((2, 3)), max_coord=4)
+        if find_pure_power_reduction(ideal) is None:
+            continue
+        for k in range(1, 7):
+            assert len((ideal ** k).gens) >= k + 1, (ideal.to_str(), k)
+        checked += 1
+    assert checked > 30
+
+
 @pytest.mark.parametrize(
     "budget, message",
     [

@@ -214,6 +214,16 @@ def test_core_over_budget_is_untrusted(job, capsys, monkeypatch):
     assert main(["--json", "core", "--u", "1", job(anchor)]) == EXIT_OK
 
 
+def test_core_in_one_variable_refuses_a_large_u(job, capsys):
+    path = job({"dim": 1, "gens": [[2]]})
+    assert main(["--json", "core", "--u", "100000", path]) == EXIT_UNTRUSTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "I^601 is past the 600 powers" in captured.err
+    assert main(["--json", "core", "--u", "600", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["core"]["gens"] == [[1200]]
+
+
 # ------------------------------------------------------------------ #
 # one parser per process
 

@@ -1,10 +1,18 @@
 """Exponent-vector arithmetic: canonical form, products, colons."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reesgor import MonomialIdeal, core_compute, minimalize, newton_polyhedron
+from reesgor import (
+    MonomialIdeal,
+    closure_power,
+    core_compute,
+    minimalize,
+    newton_polyhedron,
+)
 from reesgor.errors import (
     DimensionMismatchError,
     InapplicableError,
@@ -187,6 +195,23 @@ def test_minimalize_matches_the_pairwise_reference():
     assert (1, 1) in sizes and (0, 0) in sizes
     assert any(kept == 1 < given for given, kept in sizes)
     assert any(kept == given > 10 for given, kept in sizes)
+
+
+def test_minimalize_keeps_one_bitset_per_candidate_alive():
+    # The 7381 closure generators of (x^3, y^3, z^3)^40 are an
+    # antichain. Holding one bitset of up to k bits for every candidate
+    # peaked near 13 MB; the lazy chain keeps one alive at a time, next
+    # to the two prefix tables, and peaks near 1.4 MB.
+    gens = closure_power(I(3, (3, 0, 0), (0, 3, 0), (0, 0, 3)), 40).gens
+    assert len(gens) == 7381
+    tracemalloc.start()
+    try:
+        kept = minimalize(gens, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == gens
+    assert peak < 4_000_000
 
 
 def test_constructor_canonicalizes():
