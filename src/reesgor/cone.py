@@ -56,6 +56,7 @@ from .polyhedra import (
     FacetSystem,
     _column_scan,
     _dot,
+    _slack_fields,
     extreme_rays,
     newton_polyhedron,
 )
@@ -148,72 +149,85 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
 
     Every minimal generator lies, coordinatewise, under the sum of the
     extreme rays (a point beyond that splits off an extreme ray while
-    staying interior). Interior points of that box are processed in
-    order of increasing coordinate sum; a point is a generator iff it
-    is not a previously accepted generator plus a cone point. A final
-    sweep over the enlarged box re-checks that the accepted set
-    generates every interior point there, so an undersized search
-    region fails loudly instead of returning a short list.
+    staying interior). Interior points of that box are generators iff
+    they are not a previously accepted generator plus a cone point. A
+    sweep over the enlarged box checks that the accepted set generates
+    every interior point there, so an undersized search region fails
+    loudly instead of returning a short list.
 
-    Both passes visit only the least interior point of each column
-    (the points sharing their first d coordinates), and stay exact:
+    Both the search and the sweep visit only the least interior point
+    of each column (the points sharing their first d coordinates), and
+    stay exact:
 
     - e_{d+1} is in the cone: the coordinate rows are 0 on it and the
       lifted rows equal h > 0.
     - So the interior points of each column are upward-closed.
     - A point above its column minimum m is m plus a multiple of
-      e_{d+1}, so it is generated whenever m is. Since m comes first
-      in the order, no such point is ever accepted, and the sweep
-      fails on it only if it fails on m, which lies in the same box.
+      e_{d+1}, so it is generated whenever m is. So no such point is
+      ever a minimal generator, and the sweep fails on it only if it
+      fails on m, which lies in the same box.
 
-    One scan over the sweep box serves both passes. Its column minima
-    inside the search box are the candidates; every other one up to the
-    sweep height must be generated by the final accepted set. The
-    candidates need no re-check: each was accepted or found generated,
-    and the accepted set only grows. The scan yields one batch per
-    prefix of the first d - 1 coordinates, so the prefix is tested
-    against the search box once per batch, and only x <= box[d - 1]
-    and t <= box[d] per column.
+    One scan over the sweep box serves both, in one pass in the scan's
+    lexicographic order. Its column minima inside the search box are
+    the candidates; every other one up to the sweep height must be
+    generated by the accepted set.
 
-    The generated-by test compares row values instead of forming
-    v - g. Every row is linear, so row . (v - g) >= 0 for every row of
-    the facet matrix M exactly when M v >= M g componentwise: v is
-    generated iff its value tuple M v dominates the stored tuple M g
-    of some accepted g. The values M v come from the scan, which
-    yields them with each point.
+    Lemma. If v - g lies in the cone, then g <=_lex v. The coordinate
+    rows give z_g <= z_v coordinatewise, z the first d coordinates,
+    and when z_g = z_v a lifted row (a - h*1, h), h > 0, takes the
+    value h * (t_v - t_g) >= 0 at v - g, so t_g <= t_v. Every point
+    that generates v thus comes no later in the scan. So a candidate
+    is a minimal generator iff no candidate accepted before it
+    generates it: a generating candidate that was itself rejected is
+    generated by an accepted one, and so is v, since the cone is
+    closed under addition. A sweep point is generated by the final
+    accepted set iff it is generated by the part accepted before it.
+    The first ungenerated sweep point is kept, and raised with the
+    full accepted list once the pass ends. The accepted generators are
+    sorted by (coordinate sum, v) at the end. The scan yields one
+    batch per prefix of the first d - 1 coordinates, so the prefix is
+    tested against the search box once per batch, and only
+    x <= box[d - 1] and t <= box[d] per column.
+
+    The generated-by test compares slacks instead of forming v - g.
+    Every row is linear, so row . (v - g) >= 0 for every row of the
+    facet matrix M exactly when M v - 1 >= M g - 1 componentwise: v
+    is generated iff its slack dominates the slack of some accepted g.
+    The scan yields every slack packed into one int, so each test is
+    one subtraction and one mask on the guard bits (see
+    `polyhedra._slack_fields`).
     """
     d = cone.dim
     q = compute_q(cone)
     box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
     sweep = tuple(b + 1 for b in box)
     rows = [(row, 1) for row in cone.matrix]
-    accepted: List[Vector] = []
-    accepted_values: List[Vector] = []
-    ge = operator.ge
+    _, guard = _slack_fields(rows, sweep[:d])
     x_box, t_box, t_sweep = box[d - 1], box[d], sweep[d]
-
-    candidates: List[Tuple[Vector, Vector]] = []
-    rest: List[Tuple[Vector, Vector]] = []
-    for prefix, xs, ts, columns in _column_scan(rows, sweep[:d]):
+    accepted: List[Vector] = []
+    floors: List[int] = []
+    missed: Optional[Vector] = None
+    for prefix, xs, ts, slacks in _column_scan(rows, sweep[:d]):
         inside = all(map(operator.le, prefix, box))
-        for x, t, values in zip(xs, ts, zip(*columns)):
+        for x, t, slack in zip(xs, ts, slacks):
             if t > t_sweep:
                 continue
-            if inside and x <= x_box and t <= t_box:
-                candidates.append((prefix + (x, t), values))
+            guarded = slack | guard
+            for floor in floors:
+                if (guarded - floor) & guard == guard:
+                    break
             else:
-                rest.append((prefix + (x, t), values))
-    candidates.sort(key=lambda pair: (sum(pair[0]), pair[0]))
-    for v, values in candidates:
-        if not any(all(map(ge, values, floor)) for floor in accepted_values):
-            accepted.append(v)
-            accepted_values.append(values)
-    for v, values in rest:
-        if not any(all(map(ge, values, floor)) for floor in accepted_values):
-            raise IncompleteSearchError(
-                f"interior point {v} is not generated by {accepted}; "
-                f"search box {box} was too small"
-            )
+                if inside and x <= x_box and t <= t_box:
+                    accepted.append(prefix + (x, t))
+                    floors.append(slack)
+                elif missed is None:
+                    missed = prefix + (x, t)
+    accepted.sort(key=lambda v: (sum(v), v))
+    if missed is not None:
+        raise IncompleteSearchError(
+            f"interior point {missed} is not generated by {accepted}; "
+            f"search box {box} was too small"
+        )
 
     base = (1,) * d + (q,)
     if base not in accepted:

@@ -31,7 +31,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceededError,
@@ -375,11 +375,67 @@ def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
 COLUMN_BUDGET = 2_000_000
 
 
+def _pack(values: Iterable[int], width: int) -> int:
+    """The values as the fields of one int, value r shifted left by
+    width * r. A negative value borrows from the fields above it, but
+    the int stays exact, so a sum of packed ints whose fields all end
+    in [0, 2^width) reads back field by field."""
+    return sum(map(operator.lshift, values, itertools.count(0, width)))
+
+
+def _slack_fields(
+    rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
+) -> Tuple[int, int]:
+    """The field width W of the packed slacks `_column_scan` yields
+    for these rows and bounds, and the mask G of the top bit of each
+    field (its guard bit), one field per row.
+
+    Lemma. Every slack the scan yields, and every normal entry n_rj at
+    a box coordinate j with bound b_j >= 1, is below 2^(W - 1):
+    - Every yielded point is feasible, so each slack is >= 0.
+    - Write N_r = |rhs_r| + sum_j |n_rj| * b_j over the box
+      coordinates j. On the box, a row's need
+      rhs_r - <n_r, (prefix, x, 0)> is at most N_r, and the least t of
+      a column is 0 or a need over a positive last entry l_r, rounded
+      up. So every yielded t is at most
+      T = max(0, max over rows with l_r > 0 of ceil(N_r / l_r)), and
+      slack_r = <n_r, v> - rhs_r <= N_r + l_r * t <= N_r + l_r * T.
+    - Such an entry has |n_rj| <= |n_rj| * b_j <= N_r.
+    W is one more than the bit length of the largest N_r + l_r * T. So
+    W covers every operand a consumer compares with a slack: another
+    slack, or an entry n_rj at a coordinate j where the point is
+    positive, whose bound is then >= 1. W comes from `rows` and
+    `bounds` alone; no constant stands in.
+
+    Dominance then costs one subtraction and one mask (the packed
+    exponent vectors of Bachmann and Schönemann, ISSAC 1998): for
+    packed s and f with every field below 2^(W - 1),
+    ((s | G) - f) & G == G iff s_r >= f_r for every row r. Field r of
+    s | G is s_r + 2^(W - 1) > f_r, so no field borrows from the next
+    one, and its guard bit stays set exactly when s_r >= f_r.
+    """
+    top = 0
+    reach = []
+    for normal, rhs in rows:
+        # bounds are >= 0, so |n_rj * b_j| = |n_rj| * b_j
+        n = abs(rhs) + sum(map(abs, map(operator.mul, normal, bounds)))
+        reach.append(n)
+        if normal[-1] and -(-n // normal[-1]) > top:
+            top = -(-n // normal[-1])
+    largest = max(
+        [n + normal[-1] * top for n, (normal, _) in zip(reach, rows)],
+        default=0,
+    )
+    width = largest.bit_length() + 1
+    return width, _pack([1 << (width - 1)] * len(rows), width)
+
+
 def _column_scan(
     rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
-) -> Iterator[Tuple[Vector, range, List[int], List[List[int]]]]:
+) -> Iterator[Tuple[Vector, range, List[int], List[int]]]:
     """Least lattice point of every column of a polyhedron over a box,
-    with its row values, one batch per outer prefix.
+    with its row slacks packed into one int, one batch per outer
+    prefix.
 
     `rows` are (normal, rhs) pairs, each the half-space
     <normal, v> >= rhs on vectors one longer than `bounds`, and the
@@ -387,17 +443,20 @@ def _column_scan(
     (prefix, x, t): prefix in the box of the outer coordinates
     bounds[:-1], x in [0, bounds[-1]], and t >= 0. For each prefix in
     lexicographic order that has a feasible column, yields one batch
-    (prefix, xs, ts, columns): xs is the range of the x whose column
+    (prefix, xs, ts, slacks): xs is the range of the x whose column
     has a feasible point, ts[i] is the least feasible t over xs[i], and
-    columns[r][i] = <normal_r, prefix + (xs[i], ts[i])>, one list per
-    row, in the order of `rows`. The points come out in lexicographic
-    order. Because the last entries are >= 0, every row only gets
-    easier as t grows, so t is a max of ceilings; a column that some
-    row with last entry 0 rejects has no such t and is skipped. With no
-    rows, `columns` is empty and every column yields t = 0. An empty
-    `bounds` (d = 1 closures) is scanned as the box (0,) with a zero
-    column in front of every normal: its one batch has xs = range(0, 1)
-    and stands for the single point (t,), not (0, t).
+    slacks[i] = sum_r slack_r << (W * r) packs the point's row slacks
+    slack_r = <normal_r, v> - rhs_r >= 0, in the order of `rows`. The
+    field width W is `_slack_fields(rows, bounds)`, whose lemma puts
+    every slack below its field's guard bit. The points come out in
+    lexicographic order. Because the last entries are >= 0, every row
+    only gets easier as t grows, so t is a max of ceilings; a column
+    that some row with last entry 0 rejects has no such t and is
+    skipped. With no rows every slack is 0 and every column yields
+    t = 0. An empty `bounds` (d = 1 closures) is scanned as the box
+    (0,) with a zero column in front of every normal: its one batch
+    has xs = range(0, 1) and stands for the single point (t,), not
+    (0, t).
 
     Each row's need, rhs - <normal, (prefix, x, 0)>, is stepped, never
     formed by a dot product. The outer box is walked depth first; at
@@ -422,9 +481,13 @@ def _column_scan(
     with one list comprehension per row over xs. A row with s = 0 has
     the same ceiling at every x, so it is taken once per batch.
 
-    The values cost no dot product either: with need the row's need at
-    x = 0, its value at (prefix, x, t) is rhs - need + s * x + l * t,
-    and a settled row has the constant value rhs - need.
+    The slacks cost no dot product either. With need_r the row's need
+    at x = 0, slack_r at (prefix, x, t) is s_r * x + l_r * t - need_r.
+    So the packed slack is x * S + t * L - P, where S and L pack the
+    rows' entries at x and t, and P packs the needs. P is stepped with
+    the needs, one subtraction of the packed entries per step. Fields
+    of S and P may be negative; the ints stay exact, and every field of
+    the sum is a slack in [0, 2^(W - 1)), so it reads back.
 
     Raises BudgetExceededError, before scanning any column, when the
     box holds more than COLUMN_BUDGET columns.
@@ -441,10 +504,13 @@ def _column_scan(
         yield from _column_scan(padded, (0,))
         return
     depth = len(bounds) - 1
-    width = bounds[-1]
+    last = bounds[-1]
+    width, _ = _slack_fields(rows, bounds)
     rhss = [rhs for _, rhs in rows]
-    # steps[j] holds the rows' entries at outer coordinate j.
+    # steps[j] holds the rows' entries at outer coordinate j, and
+    # packed_steps[j] packs them.
     steps = [[n[j] for n, _ in rows] for j in range(depth)]
+    packed_steps = [_pack(step, width) for step in steps]
     # settled[j] lists the rows settled at depth j and not before.
     settled: List[List[int]] = [[] for _ in range(depth + 1)]
     for i, (n, _) in enumerate(rows):
@@ -457,13 +523,15 @@ def _column_scan(
     # bound x from below or above; rows with l > 0 bound t, by the same
     # amount along the whole column range when s = 0 (flat rows).
     shapes = [(n[-2], n[-1]) for n, _ in rows]
+    along = _pack((s for s, _ in shapes), width)
+    lift = _pack((l for _, l in shapes), width)
     lower = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s > 0]
     upper = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s < 0]
     lifting = [(i, s, l) for i, (s, l) in enumerate(shapes) if l and s]
     flat = [(i, l) for i, (s, l) in enumerate(shapes) if l and not s]
 
-    def batch(prefix: Vector, needs: List[int]):
-        lo, hi = 0, width
+    def batch(prefix: Vector, needs: List[int], packed: int):
+        lo, hi = 0, last
         for i, s in lower:
             c = -(-needs[i] // s)
             if c > lo:
@@ -487,34 +555,25 @@ def _column_scan(
             ts = list(map(max, itertools.repeat(floor), *ceilings))
         else:
             ts = [floor] * len(xs)
-        values = []
-        for (s, l), rhs, need in zip(shapes, rhss, needs):
-            base = rhs - need
-            if l and s:
-                values.append([base + s * x + l * t for x, t in zip(xs, ts)])
-            elif l:
-                values.append([base + l * t for t in ts])
-            elif s:
-                values.append(list(range(base + s * lo, base + s * hi + s, s)))
-            else:
-                values.append([base] * len(xs))
-        return prefix, xs, ts, values
+        slacks = [x * along + t * lift - packed for x, t in zip(xs, ts)]
+        return prefix, xs, ts, slacks
 
-    def walk(j: int, prefix: Vector, needs: List[int]):
+    def walk(j: int, prefix: Vector, needs: List[int], packed: int):
         for i in settled[j]:
             if needs[i] > 0:
                 return
         if j == depth:
-            found = batch(prefix, needs)
+            found = batch(prefix, needs, packed)
             if found is not None:
                 yield found
             return
-        step = steps[j]
+        step, packed_step = steps[j], packed_steps[j]
         for p in range(bounds[j] + 1):
-            yield from walk(j + 1, prefix + (p,), needs)
+            yield from walk(j + 1, prefix + (p,), needs, packed)
             needs = list(map(operator.sub, needs, step))
+            packed -= packed_step
 
-    yield from walk(0, (), rhss)
+    yield from walk(0, (), rhss, _pack(rhss, width))
 
 
 def _dilate_minimal_points(
@@ -531,12 +590,16 @@ def _dilate_minimal_points(
     coordinate, then keep the points none of whose lower neighbors
     lie in the dilate.
 
-    Minimality in the prefix coordinates is read off the row values
+    Minimality in the prefix coordinates is read off the packed slacks
     the scan yields. For v in the dilate and v_j > 0, v - e_j is >= 0,
     and its value on the bounded row (a, n*h) is <a, v> - a_j. So
-    v - e_j lies in the dilate iff <a, v> - a_j >= n*h for every
-    bounded facet, that is, iff every row's slack <a, v> - n*h is at
-    least a_j. The last coordinate needs no test: it is the least
+    v - e_j lies in the dilate iff every row's slack <a, v> - n*h is
+    at least a_j: one subtraction of the packed column of entries a_j
+    from the guarded slack, and one mask. The columns to test are those
+    of the nonzero prefix coordinates, found once per batch; the bound
+    of such a coordinate is >= 1, so `_slack_fields` proves its entries
+    below the guard bit (the normals are >= 0, as `newton_polyhedron`
+    checks). The last coordinate needs no test: it is the least
     feasible one of its column, so v - e_d is never in the dilate.
 
     Lemma (the x coordinate, second to last). In a batch, xs is a
@@ -547,32 +610,32 @@ def _dilate_minimal_points(
     least t of that column is <= t: the x test compares each column
     with the one before it, and the first column of a batch has none.
 
-    The scan yields one batch per prefix of the outer coordinates; the
-    slack test runs per column of the batch, and in d = 2 there are no
-    prefix coordinates to test. For d = 1 the box is empty and its one
-    column is the point (t,), with no column before it.
+    In d = 2 there are no prefix coordinates to test. For d = 1 the
+    box is empty and its one column is the point (t,), with no column
+    before it.
     """
     d = facets.dim
     if not facets.bounded:
         return ((0,) * d,)
-    bounds = [n * m for m in maxexp]
+    bounds = [n * m for m in maxexp[: d - 1]]
     rows = [(f.normal, n * f.offset) for f in facets.bounded]
-    rhss = [rhs for _, rhs in rows]
-    # entries[j][i] is the j-th entry of the i-th normal, j a prefix
-    # coordinate
+    # entries[j] holds the normals' entries at prefix coordinate j, and
+    # columns[j] packs them at the scan's width
     entries = list(zip(*(normal for normal, _ in rows)))[: max(d - 2, 0)]
+    columns: List[int] = []
+    guard = 0
+    if entries:
+        width, guard = _slack_fields(rows, bounds)
+        columns = [_pack(column, width) for column in entries]
     gens = []
-    for prefix, xs, ts, columns in _column_scan(rows, bounds[: d - 1]):
+    for prefix, xs, ts, slacks in _column_scan(rows, bounds):
+        live = [c for p, c in zip(prefix, columns) if p]
         # v - e_x is in the dilate iff the column before has least t <= t
         fresh = itertools.chain((True,), map(operator.gt, ts, ts[1:]))
-        for x, t, values in itertools.compress(zip(xs, ts, zip(*columns)), fresh):
-            v = prefix + (x, t) if d > 1 else (t,)
-            slack = list(map(operator.sub, values, rhss))
-            if not any(
-                v[j] and all(map(operator.ge, slack, column))
-                for j, column in enumerate(entries)
-            ):
-                gens.append(v)
+        for x, t, slack in itertools.compress(zip(xs, ts, slacks), fresh):
+            slack |= guard
+            if not (live and any((slack - c) & guard == guard for c in live)):
+                gens.append(prefix + (x, t) if d > 1 else (t,))
     return tuple(sorted(gens))
 
 

@@ -6,6 +6,7 @@ random.Random so a failing case can be replayed from the seed.
 
 import functools
 import math
+import operator
 import random
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from reesgor import MonomialIdeal
 from reesgor.errors import DimensionMismatchError
 from reesgor.oracle import Box
-from reesgor.polyhedra import _column_scan, _dot
+from reesgor.polyhedra import _column_scan, _dot, _slack_fields
 
 
 def random_ideal(rng, dim, max_gens=5, max_coord=5):
@@ -82,13 +83,23 @@ def column_points(rows, bounds):
     """The batches of `polyhedra._column_scan` flattened into
     (point, row values) pairs, in the order the scan yields them.
 
-    Indexes the value columns rather than zipping them, since with no
-    rows zip(*columns) would yield nothing; with empty bounds the one
-    column is the point (t,)."""
-    for prefix, xs, ts, columns in _column_scan(rows, bounds):
-        for i, (x, t) in enumerate(zip(xs, ts)):
+    Each packed slack is read back field by field at the width
+    `_slack_fields` gives, after checking that every field is below its
+    guard bit 2^(W - 1) and that the fields pack back to the yielded
+    int, so no field overflowed into the next one. Each field plus its
+    row's rhs is the row's value; with empty bounds the one column is
+    the point (t,)."""
+    width, _ = _slack_fields(rows, bounds)
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(rows), width)
+    rhss = [rhs for _, rhs in rows]
+    for prefix, xs, ts, slacks in _column_scan(rows, bounds):
+        for x, t, slack in zip(xs, ts, slacks):
+            fields = [slack >> shift & mask for shift in shifts]
+            assert all(f < 1 << (width - 1) for f in fields), (rows, bounds)
+            assert sum(map(operator.lshift, fields, shifts)) == slack
             point = prefix + (x, t) if bounds else (t,)
-            yield point, tuple(column[i] for column in columns)
+            yield point, tuple(map(operator.add, fields, rhss))
 
 
 def column_minima(rows, bounds):

@@ -114,3 +114,50 @@ def test_powers_of_the_maximal_ideal(dim, k):
     ideal = MonomialIdeal.maximal(dim) ** k
     reduction = MonomialIdeal.maximal(dim).bracket_power(k)
     assert verdicts(ideal, reduction) == ((dim - 1) % k == 0, True)
+
+
+def nilpotent_variable(ideal):
+    """A variable x_j outside the ideal with a power in it, as
+    (j, least such power), or None when every variable is in it. For an
+    m-primary ideal the power is at most the largest exponent of a
+    generator, since some generator is a pure power of x_j."""
+    dim = ideal.dim
+    for j in range(dim):
+        unit = tuple(int(i == j) for i in range(dim))
+        if ideal.contains(unit):
+            continue
+        for k in range(2, max(ideal.max_exponents()) + 1):
+            if ideal.contains(tuple(k * c for c in unit)):
+                return j, k
+    return None
+
+
+@pytest.mark.parametrize(
+    "exponents", [(2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (2, 2, 5)]
+)
+def test_no_census_ideal_has_a_domain_as_associated_graded_ring(exponents):
+    """The paper's other hypothesis, that gr_I(R) is a domain, holds
+    for no ideal of the census: it holds for an m-primary monomial I
+    only when I = m.
+
+    Lemma. Let I be an m-primary monomial ideal with I != m. Some
+    variable x_j is not in I, for if every variable were in I, then
+    m ⊆ I ⊆ m. Since I is m-primary, some power x_j^k lies in I. The
+    class of x_j in [gr_I(R)]_0 = R/I is then nonzero, and its k-th
+    power, the class of x_j^k, is zero: a nonzero nilpotent, so
+    gr_I(R) is not a domain. Conversely gr_m(R) is a polynomial ring,
+    a domain. Every census ideal contains J = (x_i^a_i), so x_j^a_j is
+    such a power, and the test finds the least one.
+    """
+    dim = len(exponents)
+    maximal = MonomialIdeal.maximal(dim)
+    _, ideals = census(exponents)
+    for ideal in ideals:
+        assert ideal != maximal
+        found = nilpotent_variable(ideal)
+        assert found is not None, ideal.to_str()
+        j, k = found
+        assert k <= exponents[j], ideal.to_str()
+    for power in (2, 3):
+        assert nilpotent_variable(maximal**power) == (0, power)
+    assert nilpotent_variable(maximal) is None

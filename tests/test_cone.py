@@ -16,6 +16,7 @@ from reesgor import (
     pure_power_gorenstein_test,
 )
 from reesgor.cone import CanonicalData
+from reesgor.polyhedra import _slack_fields
 from reesgor.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -375,6 +376,46 @@ def test_canonical_generators_match_the_reference_scan():
         assert _outcome(canonical_generators, cone) == expected, cone.matrix
         errors += isinstance(expected, tuple)
     assert errors > 0
+
+
+def test_wide_slack_fields_match_the_reference_generators():
+    # Pure powers with exponents near 2^35 (2^70 in d = 1) lift to rows
+    # with entries near 2^70, so the packed slacks have fields wider
+    # than 64 bits. Their true rays span boxes far past the column
+    # budget, so each cone gets small rays instead: e_j + e_{d+1}
+    # scaled by 1, 2 or 3, and e_{d+1}. Generator sets of one and of
+    # several points, and too small search boxes, all occur.
+    big = 1 << 35
+    ideals = [
+        ((big * big + 1,),),
+        ((big + 1, 0), (0, big + 2)),
+        ((big + 1, 0, 0), (0, big, 0), (0, 0, 3)),
+        ((big + 1, 0, 0), (0, big, 0), (0, 0, big - 1), (1, 1, 1)),
+    ]
+    outcomes = set()
+    for gens in ideals:
+        cone = cone_of(gens)
+        d = cone.dim
+        top = tuple(int(i == d) for i in range(d + 1))
+        for scale in (1, 2, 3):
+            rays = tuple(
+                tuple(scale if i in (j, d) else 0 for i in range(d + 1))
+                for j in range(d)
+            ) + (top,)
+            small = dataclasses.replace(cone, rays=rays)
+            expected = _outcome(_reference_canonical_generators, small)
+            assert _outcome(canonical_generators, small) == expected, (
+                gens,
+                scale,
+            )
+            sweep = [sum(r[i] for r in rays) + 1 for i in range(d)]
+            rows = [(row, 1) for row in small.matrix]
+            assert _slack_fields(rows, sweep)[0] > 64
+            if isinstance(expected, tuple):
+                outcomes.add("error")
+            else:
+                outcomes.add(len(expected.generators) > 1)
+    assert outcomes == {"error", False, True}
 
 
 def test_filtration_reduction_number():

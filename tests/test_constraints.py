@@ -82,6 +82,21 @@ def test_the_oracle_is_independent_of_the_algorithms():
             assert node.attr not in ALGORITHM_NAMES, where
 
 
+def test_the_column_scan_derives_its_slack_width():
+    """`polyhedra._column_scan` takes exactly (rows, bounds): the field
+    width of the slacks it packs is derived from them, with its bound
+    proved, and can never be passed in as a parameter or a default."""
+    (path,) = [p for p in SOURCES if p.name == "polyhedra.py"]
+    (scan,) = [
+        node
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_column_scan"
+    ]
+    args = scan.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["rows", "bounds"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+
+
 def _raised_name(node):
     """The class name a `raise` statement names, or None."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc

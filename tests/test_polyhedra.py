@@ -21,11 +21,14 @@ from reesgor.errors import (
 )
 from reesgor.polyhedra import (
     COLUMN_BUDGET,
+    FacetSystem,
+    HalfSpace,
     _column_scan,
     _dilate_minimal_points,
     _dot,
     _plane_rays,
     _row_reduce,
+    _slack_fields,
 )
 from reesgor.report import closure_section
 
@@ -600,9 +603,9 @@ def test_column_scan_values_are_the_row_values_of_its_points():
     checked = 0
     reached = set()
     for rows, bounds in cases:
-        for _, xs, ts, columns in _column_scan(rows, bounds):
+        for _, xs, ts, slacks in _column_scan(rows, bounds):
             assert len(xs) == len(ts) > 0
-            assert [len(column) for column in columns] == [len(xs)] * len(rows)
+            assert len(slacks) == len(xs)
             if not rows:
                 reached.add("a batch with no rows")
             if not bounds:
@@ -624,6 +627,36 @@ def test_column_scan_values_are_the_row_values_of_its_points():
         "an x range clipped from above",
         "a sub-box pruned before the walk",
     }
+
+
+def test_wide_slack_fields_match_the_reference_scan():
+    # Entries and right-hand sides near 2^70 make slacks, and so the
+    # packed fields, wider than 64 bits. The scan must still yield the
+    # reference points, each with its exact row values.
+    rng = seeded(83)
+    big = 1 << 70
+    entries = (-big - 3, -big, -1, 0, 0, 1, big, big + 5)
+    widest = checked = 0
+    for length in range(5):
+        for _ in range(30):
+            bounds = tuple(rng.randint(0, 3) for _ in range(length))
+            rows = [
+                (
+                    tuple(rng.choice(entries) for _ in range(length))
+                    + (rng.choice((0, 1, 3, big, big + 1)),),
+                    rng.choice((-big, -2, 0, 5, big, 3 * big)),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            widest = max(widest, _slack_fields(rows, bounds)[0])
+            points = []
+            for v, values in column_points(rows, bounds):
+                assert values == tuple(_dot(n, v) for n, _ in rows), (rows, v)
+                points.append(v)
+            assert points == list(_reference_column_minima(rows, bounds))
+            checked += len(points)
+    assert widest > 64
+    assert checked > 1000
 
 
 def _prunes_a_sub_box_before_the_walk(rows, bounds):
@@ -772,6 +805,75 @@ def test_dilate_minimal_points_match_the_membership_reference():
                         offset_batches.add(d)
     assert compared > 1000
     assert offset_batches == {2, 3, 4}
+
+
+def test_wide_slack_fields_match_the_membership_reference():
+    # Hand-made facet systems with nonnegative entries and offsets near
+    # 2^70 over small boxes, some with a zero box coordinate: fields
+    # wider than 64 bits, and entries near 2^70 compared with them.
+    rng = seeded(93)
+    big = 1 << 70
+    entries = (0, 1, 2, big, big + 3)
+    widest = compared = 0
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            bounded = tuple(
+                HalfSpace(
+                    tuple(rng.choice(entries) for _ in range(d - 1))
+                    + (rng.choice((1, 2, big)),),
+                    rng.choice((1, 3, big, 2 * big + 1)),
+                )
+                for _ in range(rng.randint(1, 3))
+            )
+            facets = FacetSystem(dim=d, bounded=bounded, coordinate=())
+            maxexp = tuple(rng.randint(0, 2) for _ in range(d))
+            for n in (1, 2):
+                expected = _reference_dilate_minimal_points(facets, n, maxexp)
+                assert _dilate_minimal_points(facets, n, maxexp) == expected, (
+                    bounded,
+                    maxexp,
+                    n,
+                )
+                rows = [(f.normal, n * f.offset) for f in bounded]
+                bounds = [n * m for m in maxexp[: d - 1]]
+                widest = max(widest, _slack_fields(rows, bounds)[0])
+                compared += len(expected)
+    assert widest > 64
+    assert compared > 100
+
+
+def test_closures_over_a_box_with_a_zero_coordinate():
+    # A variable no generator uses has maximal exponent 0, so the scan's
+    # box is 0 there: an outer coordinate, or the scan's x.
+    ideals = [
+        MonomialIdeal(3, ((0, 2, 0), (0, 1, 1), (0, 0, 3))),
+        MonomialIdeal(3, ((2, 0, 0), (1, 0, 1), (0, 0, 3))),
+        MonomialIdeal(4, ((0, 3, 1, 0), (0, 0, 2, 1), (0, 1, 0, 3))),
+        MonomialIdeal(
+            4, ((3, 0, 0, 1), (0, 2, 0, 0), (1, 1, 0, 2), (0, 0, 0, 4))
+        ),
+    ]
+    zero_at = set()
+    for ideal in ideals:
+        d = ideal.dim
+        facets = newton_polyhedron(ideal)
+        assert not facets.is_m_primary_source()
+        maxexp = ideal.max_exponents()
+        zero_at.update(j for j in range(d - 1) if not maxexp[j])
+        for n in (1, 2, 3):
+            rows = [(f.normal, n * f.offset) for f in facets.bounded]
+            bounds = [n * m for m in maxexp[: d - 1]]
+            assert list(column_minima(rows, bounds)) == list(
+                _reference_column_minima(rows, bounds)
+            )
+            assert _dilate_minimal_points(
+                facets, n, maxexp
+            ) == _reference_dilate_minimal_points(facets, n, maxexp), (
+                ideal.to_str(),
+                n,
+            )
+            assert (ideal ** n).is_subset(closure_power(ideal, n, facets))
+    assert zero_at == {0, 1, 2}
 
 
 def test_closure_generator_box_bound():
