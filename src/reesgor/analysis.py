@@ -203,9 +203,10 @@ class QGVerdict:
     """Outcome of the quasi-Gorenstein colon test.
 
     When the verdict is positive, `a` is the unique degree making the
-    colon pattern reduction^i : ideal^r == ideal^(i - u) hold over the
-    checked window, with u = r - d + 1 - a; `probe_ok` records the
-    stabilization probe past the window edge.
+    colon pattern reduction^i : ideal^r == ideal^(i - u) hold for every
+    i, with u = r - d + 1 - a. `checked_range` is (1, m), with m the
+    largest i whose colon was compared; on a positive verdict m is at
+    least the proved horizon H_u of quasi_gorenstein_test.
     """
 
     quasi_gorenstein: bool
@@ -215,7 +216,6 @@ class QGVerdict:
     reduction_number: int
     nilpotency_index: int
     checked_range: Tuple[int, int]
-    probe_ok: Optional[bool]
 
 
 def quasi_gorenstein_test(
@@ -223,20 +223,42 @@ def quasi_gorenstein_test(
 ) -> QGVerdict:
     """Decide whether the extended Rees algebra is quasi-Gorenstein.
 
-    The criterion: for some degree a in [s - d + 1, r - d + 1], with
-    u = r - d + 1 - a, the equality reduction^i : ideal^r ==
-    ideal^(i - u) holds for all i. Degrees i <= 0 hold by the power
-    conventions, so the scan covers 1 <= i <= r + d + 2, extended to
-    u + r when that is larger; a multiplicative probe one step past
-    the edge certifies the pattern continues. Powers of both ideals are
-    formed on first use, so a pattern that breaks at a small i forms
-    only small powers, and each colon reduction^i : ideal^r is formed
-    once per call, shared by every candidate degree, the extension to
-    the edge and the probe. At most one candidate degree can survive;
-    two surviving would mean distinct powers of a proper ideal
-    coincide, so that raises InvariantViolationError, as does a failed
-    probe or a mismatch with the direct computation of u as the
-    largest n with ideal^r inside reduction^n.
+    Write I for the ideal, J = (x_k^a_k) for its pure-power reduction,
+    r and s for the reduction number and the nilpotency index, and d
+    for the dimension. The criterion: for some degree a in
+    [s - d + 1, r - d + 1], with u = r - d + 1 - a in [0, r - s], the
+    equality J^i : I^r == I^(i - u) holds for all i. Degrees i <= 0
+    hold by the power conventions. Each candidate u is compared for
+    1 <= i <= H_u = max(B, u + r, 1), where B is the largest
+    sum_k ceil(g_k / a_k) over the generators g of I^r, and that
+    decides every i.
+
+    Horizon. Let K be a monomial ideal with generators G. Then x^w
+    lies in J^i : K iff sum_k floor((w_k + g_k) / a_k) >= i for every
+    g in G. For i >= B, J^(i+1) : K = J (J^i : K). The right side
+    always lies in the left. A w in the left side with every w_k < a_k
+    would have floor((w_k + g_k) / a_k) <= ceil(g_k / a_k), so a sum
+    at most B < i + 1. So some w_k >= a_k, and w - a_k e_k lowers every
+    sum by exactly one, so it lies in J^i : K. Put K = I^r and use
+    I^(n+1) = J I^n for n >= r: if the pattern holds at some
+    i >= max(B, u + r), then J^(i+1) : I^r = J I^(i-u) = I^(i+1-u). So
+    a pattern that holds up to H_u holds for every i.
+
+    Candidate range. The pattern at i = u and at i = u + 1 says that u
+    is the largest n with I^r inside J^n. Suppose u >= 1 and I^r lies
+    in J^u. A generator g of I^(r-u+1) with every g_k < a_k would put
+    w = g + (u-1) a_1 e_1 in I^(r-u+1) J^(u-1), inside I^r, but
+    sum_k floor(w_k / a_k) = u - 1 puts x^w outside J^u, a
+    contradiction. So I^(r-u+1) lies in J, and s <= r - u.
+
+    Powers of both ideals are formed on first use, so a pattern that
+    breaks at a small i forms only small powers, and each colon
+    J^i : I^r is formed once per call, shared by every candidate. At
+    most one candidate can survive; two surviving would mean distinct
+    powers of a proper ideal coincide, so that raises
+    InvariantViolationError, as does a mismatch of a positive verdict
+    with the direct computation of u as the largest n with I^r inside
+    J^n (which is at most B).
 
     The reduction is the one supplied or, when none is, the one
     find_pure_power_reduction reads off the Newton polyhedron. The
@@ -248,11 +270,14 @@ def quasi_gorenstein_test(
     reduction = _pure_power_reduction(ideal, reduction, "the colon test")
     r = reduction_number(ideal, reduction)
     s = nilpotency_index(ideal, reduction, r)
-    window = r + d + 2
+    exps = reduction.pure_power_exponents()
 
     j_pow = _power_cache(reduction)
     i_pow = _power_cache(ideal)
     i_r = i_pow(r)
+    bound = max(
+        sum(-(-g // e) for g, e in zip(gen, exps)) for gen in i_r.gens
+    )
 
     @functools.cache
     def colon(i: int) -> MonomialIdeal:
@@ -262,12 +287,10 @@ def quasi_gorenstein_test(
     passing: List[Tuple[int, int]] = []
     for a in range(s - d + 1, r - d + 2):
         u = r - d + 1 - a
-        ok = True
-        for i in range(1, window + 1):
-            if colon(i) != i_pow(i - u):
-                ok = False
-                break
-        if ok:
+        if all(
+            colon(i) == i_pow(i - u)
+            for i in range(1, max(bound, u + r, 1) + 1)
+        ):
             passing.append((a, u))
 
     if len(passing) > 1:
@@ -275,51 +298,26 @@ def quasi_gorenstein_test(
             f"several degrees satisfy the colon pattern: "
             f"{[a for a, _ in passing]}"
         )
-    if not passing:
-        return QGVerdict(
-            quasi_gorenstein=False,
-            a=None,
-            u=None,
-            reduction=reduction,
-            reduction_number=r,
-            nilpotency_index=s,
-            checked_range=(-window, window),
-            probe_ok=None,
-        )
-
-    a, u = passing[0]
-    edge = max(window, u + r)
-    for i in range(window + 1, edge + 1):
-        if colon(i) != i_pow(i - u):
+    a, u = passing[0] if passing else (None, None)
+    if passing:
+        direct_u = 0
+        while direct_u <= bound and i_r.is_subset(j_pow(direct_u + 1)):
+            direct_u += 1
+        if direct_u != u:
             raise InvariantViolationError(
-                f"colon pattern breaks between window and edge at i = {i}"
+                f"u from the colon pattern is {u} but ideal^r sits inside "
+                f"reduction^{direct_u} and no further"
             )
-    probe_lhs = colon(edge + 1)
-    probe_rhs = reduction * colon(edge)
-    probe_ok = probe_lhs == probe_rhs
-    if not probe_ok:
-        raise InvariantViolationError(
-            f"stabilization probe failed at the window edge {edge}: "
-            f"{probe_lhs.to_str()} vs {probe_rhs.to_str()}"
-        )
-
-    direct_u = 0
-    while direct_u <= edge and i_r.is_subset(j_pow(direct_u + 1)):
-        direct_u += 1
-    if direct_u != u:
-        raise InvariantViolationError(
-            f"u from the colon pattern is {u} but ideal^r sits inside "
-            f"reduction^{direct_u} and no further"
-        )
+    # the colons are formed for i = 1, 2, ... in turn, so the largest
+    # i compared is the number of colons formed
     return QGVerdict(
-        quasi_gorenstein=True,
+        quasi_gorenstein=bool(passing),
         a=a,
         u=u,
         reduction=reduction,
         reduction_number=r,
         nilpotency_index=s,
-        checked_range=(-window, edge),
-        probe_ok=probe_ok,
+        checked_range=(1, colon.cache_info().currsize),
     )
 
 

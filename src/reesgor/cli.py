@@ -8,7 +8,7 @@
     reesgor cm JOB            Cohen-Macaulay intersection test
     reesgor core JOB --u N    core of the N-th power
     reesgor report JOB        every section at once
-    reesgor --corpus N        seeded random self-check, no job needed
+    reesgor --corpus N        seeded random self-check, without a command
 
 JOB is a JSON file; see report.load_job for the format. Output is
 human-readable by default, canonical JSON with --json.
@@ -161,12 +161,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
 
+    if (args.command is None) == (args.corpus is None):
+        parser.print_usage(sys.stderr)
+        sys.stderr.write(
+            "reesgor: error: exactly one of a command or --corpus is needed\n"
+        )
+        return EXIT_USAGE
     if args.corpus is not None:
         return _corpus_run(args.corpus, args.seed, args.json)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write("reesgor: error: a command or --corpus is needed\n")
-        return EXIT_USAGE
 
     try:
         payload, code = _execute(args)

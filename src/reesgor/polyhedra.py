@@ -500,9 +500,8 @@ def _column_scan(
         )
     if not bounds:
         # A zero-width box coordinate in front gives the same column.
-        padded = [((0,) + tuple(n), rhs) for n, rhs in rows]
-        yield from _column_scan(padded, (0,))
-        return
+        rows = [((0,) + tuple(n), rhs) for n, rhs in rows]
+        bounds = (0,)
     depth = len(bounds) - 1
     last = bounds[-1]
     width, _ = _slack_fields(rows, bounds)

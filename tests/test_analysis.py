@@ -28,9 +28,11 @@ from reesgor.errors import (
     NotAReductionError,
     NotMPrimaryError,
 )
+from reesgor.oracle import oracle_colon
 from reesgor.report import invariants_section
 
 from conftest import random_ideal, random_m_primary, seeded
+from test_census import census
 
 M = MonomialIdeal.maximal(2)
 M2 = M ** 2
@@ -141,7 +143,8 @@ def test_qgor_maximal_ideal():
     assert v.quasi_gorenstein
     assert (v.a, v.u) == (-1, 0)
     assert (v.reduction_number, v.nilpotency_index) == (0, 0)
-    assert v.probe_ok
+    # r = 0 gives B = 0, so the horizon max(B, u + r, 1) is i = 1
+    assert v.checked_range == (1, 1)
 
 
 def test_qgor_square_of_maximal_fails():
@@ -185,12 +188,111 @@ def _record_calls(monkeypatch, name):
 
 def test_qgor_forms_each_colon_once_per_call(monkeypatch):
     # RICH has r = 3 > s = 1, so three candidate degrees scan the
-    # colons from i = 1; CRIT and M pass, so the probe runs at the edge.
+    # colons from i = 1; CRIT and M pass, so their one candidate runs to
+    # the horizon.
     calls = _record_calls(monkeypatch, "colon")
     for ideal, positive in ((RICH, False), (CRIT, True), (M, True)):
         calls.clear()
         assert quasi_gorenstein_test(ideal).quasi_gorenstein == positive
         assert calls and len(set(calls)) == len(calls), ideal
+
+
+def _colon_horizon(reduction, divisor):
+    """B = max over the generators g of divisor of sum_k ceil(g_k / a_k),
+    for the pure powers reduction = (x_k^a_k)."""
+    exps = reduction.pure_power_exponents()
+    return max(
+        sum(-(-g // a) for g, a in zip(gen, exps)) for gen in divisor.gens
+    )
+
+
+def test_pure_power_colon_shifts_past_its_horizon():
+    # J^(i+1) : K == J (J^i : K) for i >= B, the horizon lemma of
+    # quasi_gorenstein_test; both colons also match the brute force.
+    rng = seeded(68)
+    below = 0
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        j = MonomialIdeal.pure_powers(
+            tuple(rng.randint(1, 3) for _ in range(d))
+        )
+        k = random_ideal(rng, d, max_gens=4, max_coord=3)
+        b = _colon_horizon(j, k)
+        for i in range(b - 1, b + 3):
+            upper = (j ** (i + 1)).colon(k)
+            lower = (j ** i).colon(k)
+            assert upper.gens == oracle_colon(j ** (i + 1), k)
+            assert lower.gens == oracle_colon(j ** i, k)
+            if i < b:
+                below += upper != j * lower
+            else:
+                assert upper == j * lower, (j.to_str(), k.to_str(), i)
+    # one step below B the shift can fail, so the horizon is not loose
+    assert below > 0
+
+
+CENSUS_EXPONENTS = ((2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (2, 2, 5))
+
+
+def _census_pairs():
+    """Every census ideal of test_census with its pure-power reduction."""
+    for exponents in CENSUS_EXPONENTS:
+        pure, ideals = census(exponents)
+        for ideal in ideals:
+            yield ideal, pure
+
+
+def test_qgor_pattern_holds_past_its_horizon():
+    # On the quasi-Gorenstein census ideals and powers m^k, the pattern
+    # J^i : I^r == I^(i - u) holds three steps past the horizon
+    # H = max(B, u + r, 1), and the verdict compared every i up to H.
+    maximal_powers = [
+        (maximal ** k, maximal.bracket_power(k))
+        for maximal in map(MonomialIdeal.maximal, (1, 2, 3, 4))
+        for k in (1, 2, 3, 4)
+        if maximal.dim < 4 or k < 3
+    ]
+    positive = b_needed = 0
+    for ideal, reduction in list(_census_pairs()) + maximal_powers:
+        verdict = quasi_gorenstein_test(ideal, reduction)
+        if not verdict.quasi_gorenstein:
+            continue
+        r, u = verdict.reduction_number, verdict.u
+        i_r = ideal ** r
+        b = _colon_horizon(reduction, i_r)
+        horizon = max(b, u + r, 1)
+        assert verdict.checked_range[0] == 1
+        assert verdict.checked_range[1] >= horizon >= b, ideal.to_str()
+        for i in range(1, horizon + 4):
+            assert (reduction ** i).colon(i_r) == ideal ** (i - u), (
+                ideal.to_str(), i
+            )
+        positive += 1
+        b_needed += b > u + r
+    assert positive == 16 and b_needed > 0
+
+
+def test_colon_degree_stays_in_the_candidate_range():
+    # u = max{n : I^r inside J^n} is at most r - s, so the candidate
+    # degrees a = r - d + 1 - u of quasi_gorenstein_test cover it.
+    def draw(rng, k):
+        return random_m_primary(rng, 2 + k % 2, max_coord=4)
+
+    pairs = list(_census_pairs()) + _reduction_cases(69, 60, draw)
+    assert len(pairs) == 241 + 60
+    reaches_j = 0
+    for ideal, reduction in pairs:
+        r = reduction_number(ideal, reduction)
+        s = nilpotency_index(ideal, reduction, r)
+        i_r = ideal ** r
+        top = next(
+            n
+            for n in range(_colon_horizon(reduction, i_r) + 1)
+            if not i_r.is_subset(reduction ** (n + 1))
+        )
+        assert top <= r - s, (ideal.to_str(), top, r, s)
+        reaches_j += top > 0
+    assert reaches_j > 0
 
 
 def test_nilpotency_index_forms_no_power_above_the_answer(monkeypatch):

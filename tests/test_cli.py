@@ -58,6 +58,15 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def test_corpus_with_a_command_is_usage_error(job, capsys):
+    # the command is refused, not silently dropped after the corpus runs
+    assert main(["--corpus", "2", "report", job(PURE)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: reesgor")
+    assert "exactly one of a command or --corpus" in captured.err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["np", "/no/such/file.json"]) == EXIT_USAGE
     assert "reesgor:" in capsys.readouterr().err
@@ -337,11 +346,11 @@ def test_json_output_is_deterministic(job, capsys):
 ANCHOR_REPORT_DIGESTS = (
     (
         {"dim": 3, "gens": [[0, 0, 3], [0, 3, 0], [1, 1, 1], [3, 0, 0]]},
-        "ca8464f2c958db3b9bc21daf5f334f333c769e549577a4d290bed5a4a1b4f358",
+        "8c05ff3308c7d5dad693aff61435c5a5f1fba7d2d7851fdbc19998a6bdb8de95",
     ),
     (
         {"dim": 2, "gens": [[0, 4], [1, 3], [4, 0]]},
-        "77052b70d1c66f07b7c01f869e0d6bd68b18d914f4eba2979da09879ebca2836",
+        "fa82fa087ec4a5ccc31ff7e574887b2d3b9298b050bdf4ed3c306af9357fc78a",
     ),
 )
 
@@ -365,7 +374,7 @@ SECTION_REPORT_DIGESTS = (
     ),
     (
         {"dim": 3, "gens": [[2, 0, 0], [0, 2, 0], [0, 0, 4]]},
-        "9336f2a96a156e28b150bb42050edc59b088142d04ee7ed03ed62ebf92c3619e",
+        "6225b472910e05381c8726daa131f6b52ffaa749392b999b32bfa750dc345c25",
     ),
     (
         {**SQUARE, "reduction": SQUARE["gens"]},
@@ -391,10 +400,10 @@ HUMAN_DIGESTS = tuple(
     for (payload, _), digest in zip(
         ANCHOR_REPORT_DIGESTS + SECTION_REPORT_DIGESTS,
         (
-            "6b64823d5f5e1573eaa8345f2b90218c52fd6f572473e7f51660b763aabc2eea",
-            "fc4bcad3ef17cf4e86531631fac2f7a62d863b04e505f2e423027a86f094f254",
+            "8252fce0c86937bb98495c57605a4486d22792209bf4c6789079d26b4bcf9755",
+            "d67aa89a0afb3dd80861c1b66c71334d6ee47af1c561e18e42ad267146d81212",
             "2ac85cb89bc51635a35241dd6f4192a0f351d61715d043c5136696d82c5acecf",
-            "c33a08aebde242ffa508d96a2e986848a9ceeff6e4c1631958f9aac200276159",
+            "8c9dddad19dd60cb43cba9a1dcd10edfcb41077f71a0d9a8615e97c9fa44a8e7",
             "258907263bbead2e37c29a89bff2be562c688c3abbe6c6ac0052582a694f20c9",
         ),
     )
@@ -590,7 +599,7 @@ PLANE_DIGESTS = (
     (
         "report",
         {"dim": 2, "gens": [[4, 0], [2, 1], [0, 2]]},
-        "22181132b363aa4ca1499266c4a98139a51fd1bf354b2dfbda4bda4e2716be8e",
+        "7e478532afca726a435e5a8bc53497549dbb0b0dacecda7f3583ccdc8e4b4f4a",
     ),
     (
         "np",
@@ -600,7 +609,7 @@ PLANE_DIGESTS = (
     (
         "report",
         {"dim": 2, "gens": [[4, 0], [3, 2], [0, 4]]},
-        "1c37bf39e0629de4676e351e37128b6c1d28969d08e507a41d84a7d2fa67f071",
+        "b85db3471f35a26d88640e94926618ce4a79f3f0f9bcf128563488b537f898ff",
     ),
     (
         "np",
