@@ -27,7 +27,12 @@ from .errors import (
     NotAReductionError,
 )
 from .ideals import MonomialIdeal, _power_cache
-from .polyhedra import FacetSystem, closure_power, newton_polyhedron
+from .polyhedra import (
+    FacetSystem,
+    _facets_for,
+    closure_power,
+    newton_polyhedron,
+)
 
 
 # Most generators the colon divisor of core_compute may have; the
@@ -106,8 +111,7 @@ def find_pure_power_reduction(
     facets, when some candidate generator is not in the ideal, or when
     the candidate fails the reduction test.
     """
-    if facets is None:
-        facets = newton_polyhedron(ideal)
+    facets = _facets_for(ideal, facets)
     if len(facets.bounded) != 1 or not facets.is_m_primary_source():
         return None
     facet = facets.bounded[0]
@@ -164,8 +168,7 @@ def closure_nilpotency_index(
     I^(r+1) = J * I^r lies in J. The scan stops there; passing the
     bound raises InvariantViolationError.
     """
-    if facets is None:
-        facets = newton_polyhedron(ideal)
+    facets = _facets_for(ideal, facets)
     bound = reduction_number(ideal, reduction) + ideal.dim - 1
     for i in range(bound + 1):
         if closure_power(ideal, i + 1, facets).is_subset(reduction):
@@ -521,8 +524,7 @@ def conductor_exponent(
     passes, Lemma B is contradicted and InvariantViolationError
     reports it.
     """
-    if facets is None:
-        facets = newton_polyhedron(ideal)
+    facets = _facets_for(ideal, facets)
     d = ideal.dim
     power = _power_cache(ideal)
 

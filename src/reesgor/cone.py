@@ -56,9 +56,9 @@ from .polyhedra import (
     FacetSystem,
     _column_scan,
     _dot,
+    _facets_for,
     _slack_fields,
     extreme_rays,
-    newton_polyhedron,
 )
 
 
@@ -260,9 +260,7 @@ def is_gorenstein_normalization(
     """Decide whether the normalized extended Rees algebra is
     Gorenstein, by both routes (see module docstring); returns the
     verdict and the canonical module data."""
-    if facets is None:
-        facets = newton_polyhedron(ideal)
-    cone = lift_halfspaces(facets)
+    cone = lift_halfspaces(_facets_for(ideal, facets))
     data = canonical_generators(cone)
 
     base = (1,) * cone.dim + (data.q,)

@@ -5,10 +5,14 @@ generating set: the componentwise-minimal exponent vectors, with
 duplicates removed, sorted lexicographically. Because the stored form
 is canonical, dataclass equality is semantic equality of ideals. The
 zero ideal has an empty generator tuple; the unit ideal is generated by
-the zero vector. The minimal set is found by one bitset pass per
-coordinate rather than by comparing generators in pairs, and in two
-variables by a running minimum over the sorted staircase (see
-minimalize).
+the zero vector. The minimal set is found over the lexicographically
+sorted candidates by one of three exact methods (see minimalize): in
+two variables a running minimum over the staircase; for at most
+SCAN_LIMIT = 16 distinct candidates a scan that compares each one
+with those kept before it; above that one bitset pass per coordinate.
+On the three-variable calls of the pinned report jobs the scan wins
+up to k = 18 distinct candidates (24.3 against 25.1 us) and loses from
+k = 19 (31.8 against 23.6 us).
 
 All exponents are Python ints, so arithmetic never overflows.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InvalidIdealError
@@ -54,56 +58,83 @@ def _check_each(vectors: Sequence[Sequence[int]], dim: int) -> None:
                 raise InvalidIdealError(f"negative exponent in {v}")
 
 
+# Most distinct candidates for which minimalize, outside two variables,
+# compares each candidate with the ones kept instead of forming
+# bitsets; the measurement behind it is in minimalize's docstring.
+SCAN_LIMIT = 16
+
+
 def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     """Reduce a generating set to the componentwise-minimal antichain.
 
     Deduplicates, drops every vector dominated by another, and returns
     the survivors sorted lexicographically. Raises InvalidIdealError on
-    malformed input (wrong arity, negative or non-integer entries;
-    booleans count as non-integers).
+    a dim that is no positive int (a bool is none) and on malformed
+    vectors (wrong arity, negative or non-integer entries; booleans
+    count as non-integers).
 
-    Validation runs on the deduplicated set, with C-level passes for
-    the arity, the entry types (exactly int) and the least entry. Only
-    when that check fails does the loop over the raw vectors run, in
+    Each vector is read once, into a tuple. Validation is a few C-level
+    passes: the arity and the least entry on the deduplicated set, the
+    entry types (exactly int) on every vector, since True == 1 hashes
+    alike and deduplication would let (1, 0) hide a later (True, 0).
+    Only when that check fails does the loop over the vectors run, in
     input order, so the error names the same vector with the same
     message as a check of every vector would; an int subclass other
     than bool fails the quick check but passes the loop.
 
-    The dominance test is one bitset pass per coordinate. Number the
-    distinct candidates 0..k-1 in lexicographic order. For coordinate i,
-    the candidates with i-th entry at most t form a bitset, a prefix OR
-    over the sorted entries; below[j] is the AND over all i of the
-    bitset at t = v_j[i], so bit l is set exactly when v_l <= v_j
-    componentwise. A divisor of v_j is lexicographically at most v_j,
-    so below[j] starts as bits 0..j; those candidates already have
-    first entry at most v_j[0], so the first coordinate needs no pass.
-    Bit j is always set. Since the candidates are distinct, any other
-    set bit is a candidate that divides v_j and differs from it, a
-    strict dominator; so v_j is minimal iff below[j] has a single set
-    bit, b & (b - 1) == 0. No order by degree is needed, and the cost
-    is O(dim * k) big-int ORs and ANDs rather than O(k^2) comparisons.
-    below is a lazy chain: the mask of bits 0..j and its ANDs with the
-    prefix tables are formed when the result reads candidate j, so one
-    such bitset is alive at a time, next to the dim - 1 prefix tables
-    (one bitset per distinct entry of a column). Lists of all k masks
-    and all k single bits held about k^2 bits, more than 2 GiB for the
-    282,376 closure generators of (x^3, y^3, z^3)^250.
+    Lemma (order). Among distinct candidates in lexicographic order,
+    every divisor of v comes before v: it is at most v in every entry,
+    hence lexicographically at most v. Dominance is transitive. So v
+    has a strict divisor iff some earlier candidate that is kept
+    divides it: an earlier divisor that was dropped has a kept divisor
+    of its own, earlier still, which divides v too. The three methods
+    below read off that lemma; which one runs depends on dim and on
+    the count k of distinct candidates only, never on the answer.
 
-    Lemma (dim = 2). Among distinct candidates in lexicographic order,
-    v_j has a strict divisor iff some earlier candidate has second
-    entry <= v_j[1]: every earlier candidate has first entry <= v_j[0],
-    and no later one divides v_j (it is larger in the first entry, or
-    equal there and larger in the second). So v_j is kept iff v_j[1]
-    is below the least second entry before it, a running minimum; the
-    first candidate is always kept. That replaces the bitset pass in
-    two variables, at O(k) int comparisons after the sort.
+    Two variables: a running minimum. Every earlier candidate has
+    first entry <= v[0], so v is kept iff v[1] is below the least
+    second entry of the candidates kept before it; the first candidate
+    is always kept. One loop of O(k) int comparisons after the sort.
+
+    Small sets, k <= SCAN_LIMIT: each candidate is compared with the
+    candidates kept so far, by the last entry first and then in full,
+    and kept when none of them divides it.
+
+    Large sets: one bitset pass per coordinate. Number the candidates
+    0..k-1 in lexicographic order. For coordinate i, the candidates
+    with i-th entry at most t form a bitset, a prefix OR over the
+    sorted entries; below[j] is the AND over all i of the bitset at
+    t = v_j[i], so bit l is set exactly when v_l <= v_j componentwise.
+    By the lemma below[j] starts as bits 0..j; those candidates
+    already have first entry at most v_j[0], so the first coordinate
+    needs no pass. Bit j is always set, and any other set bit is a
+    strict dominator; so v_j is minimal iff below[j] has a single set
+    bit, b & (b - 1) == 0. The cost is O(dim * k) big-int ORs and
+    ANDs rather than O(k^2) comparisons. below is a lazy chain: the
+    mask of bits 0..j and its ANDs with the prefix tables are formed
+    when the result reads candidate j, so one such bitset is alive at
+    a time, next to the dim - 1 prefix tables (one bitset per distinct
+    entry of a column). Lists of all k masks and all k single bits
+    held about k^2 bits, more than 2 GiB for the 282,376 closure
+    generators of (x^3, y^3, z^3)^250.
+
+    SCAN_LIMIT is the crossover of the last two on recorded traffic.
+    The 218 pinned report jobs make 28,546 calls, 9,192 of them in
+    three variables; timed per k there (median of 25 runs, 2 cores,
+    Python 3.11.7), a whole call takes 3.8 us by the scan against
+    7.8 us by the bitsets at k = 3 (3,121 calls), 19.8 against 22.2
+    at k = 15, 24.3 against 25.1 at k = 18, and 31.8 against 23.6 at
+    k = 19. No call had k = 16 or 17.
     """
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise InvalidIdealError("ambient dimension must be a positive int")
     vectors = tuple(vectors)
     try:
-        unique = set(map(tuple, vectors))
+        vectors = tuple(map(tuple, vectors))
+        unique = set(vectors)
         valid = (
             set(map(len, unique)) <= {dim}
-            and set(map(type, chain.from_iterable(unique))) <= {int}
+            and set(map(type, chain.from_iterable(vectors))) <= {int}
             and min(chain.from_iterable(unique), default=0) >= 0
         )
     except TypeError:  # an entry that is not iterable, or not hashable
@@ -113,9 +144,22 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
         unique = set(map(tuple, vectors))
     candidates = sorted(unique)
     if dim == 2:
-        ys = [v[1] for v in candidates]
-        keep = chain((True,), map(operator.lt, ys[1:], accumulate(ys, min)))
-        return tuple(compress(candidates, keep))
+        kept = []
+        least = None
+        for v in candidates:
+            if least is None or v[1] < least:
+                kept.append(v)
+                least = v[1]
+        return tuple(kept)
+    if len(candidates) <= SCAN_LIMIT:
+        kept = []
+        for v in candidates:
+            for u in kept:
+                if u[-1] <= v[-1] and all(map(operator.le, u, v)):
+                    break
+            else:
+                kept.append(v)
+        return tuple(kept)
     below: Iterable[int] = ((2 << j) - 1 for j in range(len(candidates)))
     columns = zip(*candidates)
     next(columns, None)
@@ -140,12 +184,7 @@ class MonomialIdeal:
     gens: Tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.dim, int)
-            or isinstance(self.dim, bool)
-            or self.dim < 1
-        ):
-            raise InvalidIdealError("ambient dimension must be a positive int")
+        # minimalize refuses a dim that is no positive int
         object.__setattr__(self, "gens", minimalize(self.gens, self.dim))
 
     # ---------------------------------------------------------------- #
@@ -173,7 +212,10 @@ class MonomialIdeal:
     def pure_powers(cls, exponents: Sequence[int]) -> "MonomialIdeal":
         """The ideal (x_1^{a_1}, ..., x_d^{a_d}) with every a_i >= 1."""
         exps = tuple(exponents)
-        if not exps or any((not isinstance(a, int)) or a < 1 for a in exps):
+        if not exps or any(
+            isinstance(a, bool) or not isinstance(a, int) or a < 1
+            for a in exps
+        ):
             raise InvalidIdealError(
                 f"pure power exponents must be positive ints, got {exps}"
             )

@@ -575,6 +575,23 @@ def _column_scan(
     yield from walk(0, (), rhss, _pack(rhss, width))
 
 
+def _facets_for(
+    ideal: MonomialIdeal, facets: Optional[FacetSystem]
+) -> FacetSystem:
+    """The Newton polyhedron of ideal: the given facets, once they are
+    checked to live in the ideal's dimension, or else computed. Every
+    function that takes facets next to their ideal reads them here, so
+    a mismatch is refused before any work."""
+    if facets is None:
+        return newton_polyhedron(ideal)
+    if facets.dim != ideal.dim:
+        raise DimensionMismatchError(
+            f"facets of dimension {facets.dim} against an ideal of "
+            f"dimension {ideal.dim}"
+        )
+    return facets
+
+
 def _dilate_minimal_points(
     facets: FacetSystem, n: int, maxexp: Vector
 ) -> Tuple[Vector, ...]:
@@ -649,8 +666,7 @@ def closure_power(
         raise TypeError("exponent must be an int")
     if n <= 0:
         return MonomialIdeal.unit(ideal.dim)
-    if facets is None:
-        facets = newton_polyhedron(ideal)
+    facets = _facets_for(ideal, facets)
     gens = _dilate_minimal_points(facets, n, ideal.max_exponents())
     return MonomialIdeal(ideal.dim, gens)
 

@@ -23,6 +23,7 @@ from reesgor import (
 from reesgor.cli import EXIT_UNTRUSTED, main
 from reesgor.errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     InapplicableError,
     InvariantViolationError,
     NotAReductionError,
@@ -106,6 +107,18 @@ def test_find_pure_power_reduction():
     assert find_pure_power_reduction(MonomialIdeal(2, ((2, 0), (1, 1)))) is None
 
 
+# the facets of an ideal in three variables, offered for one in two
+CUBE_FACETS = newton_polyhedron(
+    MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+)
+MISMATCH = "facets of dimension 3 against an ideal of dimension 2"
+
+
+def test_find_pure_power_reduction_refuses_facets_of_another_dimension():
+    with pytest.raises(DimensionMismatchError, match=MISMATCH):
+        find_pure_power_reduction(M2, CUBE_FACETS)
+
+
 def test_reduction_and_nilpotency_numbers():
     assert reduction_number(M2, J22) == 1
     assert reduction_number(M2, M2) == 0
@@ -121,6 +134,18 @@ def test_closure_nilpotency_index():
     assert closure_nilpotency_index(CRIT, CRIT) == 1
     assert closure_nilpotency_index(RICH, J44) == 1
     assert closure_nilpotency_index(M, M) == 0
+
+
+def test_closure_nilpotency_index_refuses_facets_of_another_dimension(
+    monkeypatch,
+):
+    def no_work(*args):
+        raise AssertionError("work done before the facets were checked")
+
+    monkeypatch.setattr(analysis, "reduction_number", no_work)
+    monkeypatch.setattr(analysis, "closure_power", no_work)
+    with pytest.raises(DimensionMismatchError, match=MISMATCH):
+        closure_nilpotency_index(M2, J22, CUBE_FACETS)
 
 
 def test_invariants_section_values():
@@ -648,6 +673,15 @@ def test_conductor_values():
     assert conductor_exponent(MonomialIdeal(2, ((2, 0), (0, 3)))) == 1
     assert conductor_exponent(RICH) == 1
     assert conductor_exponent(CRIT) == 1
+
+
+def test_conductor_refuses_facets_of_another_dimension(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("closure formed before the facets were checked")
+
+    monkeypatch.setattr(analysis, "closure_power", no_work)
+    with pytest.raises(DimensionMismatchError, match=MISMATCH):
+        conductor_exponent(M2, CUBE_FACETS)
 
 
 def _horizon_eight_conductor(ideal):

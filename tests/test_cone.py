@@ -15,6 +15,7 @@ from reesgor import (
     newton_polyhedron,
     pure_power_gorenstein_test,
 )
+from reesgor import cone as cone_module
 from reesgor.cone import CanonicalData
 from reesgor.polyhedra import _slack_fields
 from reesgor.errors import (
@@ -93,6 +94,26 @@ def test_lift_requires_m_primary():
         cone_of(((1, 0),))
     with pytest.raises(NotMPrimaryError):
         is_gorenstein_normalization(MonomialIdeal(2, ((2, 0), (1, 1))))
+
+
+def test_gorenstein_normalization_refuses_facets_of_another_dimension(
+    monkeypatch,
+):
+    # a square in two variables was once judged on the facets of a cube
+    square = MonomialIdeal(2, ((2, 0), (0, 2)))
+    cube = newton_polyhedron(
+        MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    )
+
+    def no_work(*args):
+        raise AssertionError("cone lifted before the facets were checked")
+
+    monkeypatch.setattr(cone_module, "lift_halfspaces", no_work)
+    with pytest.raises(
+        DimensionMismatchError,
+        match="facets of dimension 3 against an ideal of dimension 2",
+    ):
+        is_gorenstein_normalization(square, cube)
 
 
 def test_membership_predicates():

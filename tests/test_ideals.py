@@ -1,5 +1,7 @@
 """Exponent-vector arithmetic: canonical form, products, colons."""
 
+import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -18,7 +20,8 @@ from reesgor.errors import (
     InapplicableError,
     InvalidIdealError,
 )
-from reesgor.ideals import leq
+from reesgor import ideals
+from reesgor.ideals import SCAN_LIMIT, leq
 from reesgor.oracle import oracle_colon, oracle_intersect
 
 from conftest import random_ideal, random_m_primary, seeded, single_facet_ideal
@@ -98,6 +101,7 @@ def test_minimalize_rejects_bad_input():
         [(1, 0, 2), (1, 1)],
         [(2, 0), (1.0, 1)],  # a float equal to an int
         [(0, 2), (True, 0)],  # a bool
+        [(1, 0), (True, 0)],  # a bool equal to a vector before it
         [(0, 2), (False, 1), (1, -1)],
         [(1, 0), 5],  # a non-iterable entry
         [(1,), 5],  # wrong arity before a non-iterable entry
@@ -112,11 +116,66 @@ def test_minimalize_rejects_bad_input():
         assert expected is not None, vectors
         assert _raised(minimalize, vectors, 2) == expected, vectors
         assert _raised(minimalize, iter(vectors), 2) == expected, vectors
+    # A vector may be an iterator: it is read once, and checked as read.
+    assert minimalize([iter((1, 0)), [0, 1]], 2) == ((0, 1), (1, 0))
+    assert _raised(minimalize, [iter((1, 0)), (0, -1)], 2) == (
+        InvalidIdealError,
+        "negative exponent in (0, -1)",
+    )
+    assert _raised(minimalize, [(1, 0), iter((True, 0))], 2) == (
+        InvalidIdealError,
+        "non-integer exponent in (True, 0)",
+    )
     # An int subclass that is not bool passes both checks.
     vectors = [(Exponent(2), 0), (0, Exponent(3)), (Exponent(3), 1)]
     assert _reference_check(vectors, 2)
     assert minimalize(vectors, 2) == ((0, 3), (2, 0))
     assert MonomialIdeal(2, tuple(vectors)) == I(2, (2, 0), (0, 3))
+
+
+def test_malformed_vectors_are_named_in_every_size_class():
+    # Validation runs before the dominance step, so a small set (the
+    # scan of the kept antichain) and a large one (the bitset pass)
+    # name the same malformed vector, first or last, as the check of
+    # every vector in input order does.
+    for dim in (3, 4):
+        for size in (3, SCAN_LIMIT + 5):
+            good = [
+                tuple((j >> k) % 4 for k in range(0, 2 * dim, 2))
+                for j in range(size)
+            ]
+            bad = (1,) * (dim - 1) + (-1,)
+            short = (1,) * (dim - 1)
+            flag = (True,) + (0,) * (dim - 1)
+            for wrong in (bad, short, flag):
+                for vectors in ([wrong] + good, good + [wrong]):
+                    expected = _raised(_reference_check, vectors, dim)
+                    assert expected is not None, vectors
+                    assert expected[0] is InvalidIdealError
+                    assert _raised(minimalize, vectors, dim) == expected
+
+
+def test_minimalize_refuses_a_dim_the_constructor_refuses():
+    expected = (InvalidIdealError, "ambient dimension must be a positive int")
+    for vectors, dim in (
+        ([(1,)], True),
+        ([(1, 2)], 2.0),
+        ([(1, 2)], "2"),
+        ([], 0),
+        ([(1,)], None),
+    ):
+        assert _raised(minimalize, vectors, dim) == expected
+        assert _raised(MonomialIdeal, dim, tuple(vectors)) == expected
+    assert minimalize([(1, 2)], Exponent(2)) == ((1, 2),)
+
+
+def test_pure_powers_refuse_bool_exponents():
+    for exps in ((True, 2), (2, False), (1.0, 2)):
+        assert _raised(MonomialIdeal.pure_powers, exps) == (
+            InvalidIdealError,
+            f"pure power exponents must be positive ints, got {exps}",
+        )
+    assert MonomialIdeal.pure_powers((1, 2)) == I(2, (1, 0), (0, 2))
 
 
 def test_booleans_are_not_ideal_data():
@@ -139,12 +198,38 @@ def _reference_minimalize(vectors, dim):
     return tuple(sorted(kept))
 
 
+def _sets_of_size(rng, dim, count):
+    """Sets of exactly count distinct rows: random rows from a box that
+    holds at least twice as many, with repeats, and for dim > 1 an
+    antichain drawn from the rows of one coordinate sum."""
+    top = 1
+    while (top + 1) ** dim < 2 * count:
+        top += 1
+    box = list(itertools.product(range(top + 1), repeat=dim))
+    for _ in range(20):
+        rows = rng.sample(box, count)
+        yield rows + rng.choices(rows, k=5)
+    if dim > 1:
+        total = 1
+        while math.comb(total + dim - 1, dim - 1) < count:
+            total += 1
+        plane = [
+            v
+            for v in itertools.product(range(total + 1), repeat=dim)
+            if sum(v) == total
+        ]
+        yield rng.sample(plane, count)
+
+
 def _minimalize_cases(rng):
     """Seeded inputs for d = 1..6: random rows with repeats, chains,
     antichains on a hyperplane, all-equal rows, and the empty set; and
     for d = 2, sets with ties in the first entry and repeated second
     entries, where the running minimum must keep the first candidate of
-    each second entry only."""
+    each second entry only. For every d but 2, sets of exactly
+    SCAN_LIMIT and SCAN_LIMIT + 1 distinct rows sit on either side of
+    the switch from the scan of the kept antichain to the bitsets:
+    random rows with repeats, and antichains, which keep every row."""
     yield [(1, 3), (1, 2), (2, 2), (0, 5), (3, 2), (2, 1), (1, 2)], 2
     yield [(0, 4), (2, 4), (1, 4), (3, 0), (3, 1), (5, 0)], 2
     for _ in range(150):
@@ -181,20 +266,37 @@ def _minimalize_cases(rng):
         yield antichain, dim
         yield [start] * 7, dim
         yield [], dim
+    for dim in (1, 3, 4, 5, 6):
+        for count in (SCAN_LIMIT, SCAN_LIMIT + 1):
+            for rows in _sets_of_size(rng, dim, count):
+                yield rows, dim
 
 
-def test_minimalize_matches_the_pairwise_reference():
+def test_minimalize_matches_the_pairwise_reference(monkeypatch):
     rng = seeded(707)
     sizes = set()
+    methods = {}
     for rows, dim in _minimalize_cases(rng):
+        expected = _reference_minimalize(rows, dim)
         fast = minimalize(rows, dim)
-        assert fast == _reference_minimalize(rows, dim), (rows, dim)
+        assert fast == expected, (rows, dim)
         assert list(fast) == sorted(fast)
-        sizes.add((len(set(rows)), len(fast)))
+        given = len(set(rows))
+        sizes.add((given, len(fast)))
+        # outside d = 2 the count of distinct rows picks the method, so
+        # each method also runs alone on every case
+        if dim != 2:
+            methods.setdefault(dim, set()).add(given <= SCAN_LIMIT)
+            for limit in (-1, len(rows)):
+                monkeypatch.setattr(ideals, "SCAN_LIMIT", limit)
+                assert minimalize(rows, dim) == expected, (rows, dim, limit)
+            monkeypatch.setattr(ideals, "SCAN_LIMIT", SCAN_LIMIT)
+    # both the scan and the bitset pass ran on their own size class
+    assert methods == {dim: {True, False} for dim in (1, 3, 4, 5, 6)}
     # duplicates collapse, dominated rows drop, and antichains survive
     assert (1, 1) in sizes and (0, 0) in sizes
     assert any(kept == 1 < given for given, kept in sizes)
-    assert any(kept == given > 10 for given, kept in sizes)
+    assert any(kept == given > SCAN_LIMIT for given, kept in sizes)
 
 
 def test_minimalize_keeps_one_bitset_per_candidate_alive():

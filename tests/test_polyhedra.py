@@ -702,6 +702,24 @@ def test_closure_power_refuses_bool_and_non_int_powers(monkeypatch):
         closure_section(ideal, True)
 
 
+def test_closure_power_refuses_facets_of_another_dimension(monkeypatch):
+    # "generator (0, 0, 2) has 3 entries, expected 2" blamed the ideal
+    ideal = MonomialIdeal(2, ((2, 0), (0, 2)))
+    facets = newton_polyhedron(
+        MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    )
+
+    def no_work(*args):
+        raise AssertionError("scan ran before the facets were checked")
+
+    monkeypatch.setattr(polyhedra, "_dilate_minimal_points", no_work)
+    with pytest.raises(
+        DimensionMismatchError,
+        match="facets of dimension 3 against an ideal of dimension 2",
+    ):
+        closure_power(ideal, 2, facets)
+
+
 def test_closure_frozen_values():
     j = MonomialIdeal(2, ((2, 0), (0, 2)))
     assert closure_power(j, 1).gens == ((0, 2), (1, 1), (2, 0))
