@@ -107,9 +107,19 @@ def find_pure_power_reduction(
 
     For a facet <a, x> >= h the candidate is generated by x_j^(c_j)
     with c_j = ceil(h / a_j), the smallest pure powers on the facet or
-    beyond it. Returns None when the polyhedron has several bounded
-    facets, when some candidate generator is not in the ideal, or when
-    the candidate fails the reduction test.
+    beyond it. Returns None when the polyhedron does not have exactly
+    one bounded facet, or when that facet's normal is not positive in
+    every coordinate (the ideal is then not primary to the maximal
+    ideal).
+
+    Lemma. Otherwise the candidate is a reduction. The polyhedron is
+    {x >= 0 : <a, x> >= h} with a > 0, whose vertices are the axis
+    points (h / a_j) e_j. Every vertex of a Newton polyhedron is the
+    exponent of a generator, so m_j = h / a_j is an integer, c_j = m_j,
+    and x_j^(m_j) lies in the ideal. The candidate's own polyhedron is
+    the same set, so it is a reduction. Both tests below therefore
+    pass, and InvariantViolationError is raised if either fails,
+    rather than a None that the report would print as a wrong reason.
     """
     facets = _facets_for(ideal, facets)
     if len(facets.bounded) != 1 or not facets.is_m_primary_source():
@@ -117,11 +127,12 @@ def find_pure_power_reduction(
     facet = facets.bounded[0]
     exps = tuple(-(-facet.offset // a) for a in facet.normal)
     candidate = MonomialIdeal.pure_powers(exps)
-    if not candidate.is_subset(ideal):
-        return None
-    if not is_monomial_reduction(candidate, ideal):
-        return None
-    return candidate
+    if candidate.is_subset(ideal) and is_monomial_reduction(candidate, ideal):
+        return candidate
+    raise InvariantViolationError(
+        f"the pure powers {candidate.to_str()} of the one bounded facet "
+        f"of {ideal.to_str()} are not a reduction of it"
+    )
 
 
 def reduction_number(ideal: MonomialIdeal, reduction: MonomialIdeal) -> int:
@@ -557,9 +568,17 @@ class ConsistencyCheck:
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Cross-checks tying the cone-side degree invariant to the
-    algebra-side indices. Never raises; failed checks are recorded
-    and left to the caller (the command line maps them to a distinct
-    exit code)."""
+    algebra-side indices. A failed check does not raise: it is recorded
+    with both sides and left to the caller (the command line maps it to
+    a distinct exit code).
+
+    `a_invariant_consistency` does raise when the checks cannot be set
+    up: NotMPrimaryError for an ideal not primary to the maximal ideal,
+    whose cone is not built; NotAReductionError for a supplied pure-power
+    reduction that is no reduction of the ideal, (x^4, y^4) against
+    (x^2, y^2) say; DimensionMismatchError for one in another dimension;
+    and the budget and invariant errors of the routines it calls. The
+    report prints the section as inapplicable on the first two."""
 
     checks: Tuple[ConsistencyCheck, ...]
 

@@ -45,19 +45,17 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
-    DimensionMismatchError,
     IncompleteSearchError,
     InapplicableError,
     InvariantViolationError,
     NotMPrimaryError,
 )
-from .ideals import MonomialIdeal, Vector
+from .ideals import MonomialIdeal, Vector, _exact_vector
 from .polyhedra import (
     FacetSystem,
     _column_scan,
     _dot,
     _facets_for,
-    _slack_fields,
     extreme_rays,
 )
 
@@ -73,12 +71,11 @@ class ReesCone:
     source: FacetSystem
 
     def relint_member(self, v: Sequence[int]) -> bool:
-        w = tuple(v)
-        if len(w) != self.dim + 1:
-            raise DimensionMismatchError(
-                f"vector of length {len(w)} against a cone in "
-                f"{self.dim + 1} coordinates"
-            )
+        """Is v a lattice point of the relative interior, every facet
+        row >= 1 at v? Like `MonomialIdeal.contains`, refuses a v of
+        the wrong length or with an entry that is no int."""
+        where = f"a cone in {self.dim + 1} coordinates"
+        w = _exact_vector(v, self.dim + 1, where)
         return all(_dot(row, w) >= 1 for row in self.matrix)
 
 
@@ -193,8 +190,10 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     Every row is linear, so row . (v - g) >= 0 for every row of the
     facet matrix M exactly when M v - 1 >= M g - 1 componentwise: v
     is generated iff its slack dominates the slack of some accepted g.
-    The scan yields every slack packed into one int, so each test is
-    one subtraction and one mask on the guard bits (see
+    The scan yields every slack packed into one int with its guard
+    bits G set, and returns G with its batches; an accepted g keeps
+    its slack unguarded, slack ^ G. So each test is one subtraction
+    and one mask, (slack - floor) & G == G (see
     `polyhedra._slack_fields`).
     """
     d = cone.dim
@@ -202,24 +201,23 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
     sweep = tuple(b + 1 for b in box)
     rows = [(row, 1) for row in cone.matrix]
-    _, guard = _slack_fields(rows, sweep[:d])
+    _, guard, batches = _column_scan(rows, sweep[:d])
     x_box, t_box, t_sweep = box[d - 1], box[d], sweep[d]
     accepted: List[Vector] = []
     floors: List[int] = []
     missed: Optional[Vector] = None
-    for prefix, xs, ts, slacks in _column_scan(rows, sweep[:d]):
+    for prefix, xs, ts, slacks in batches:
         inside = all(map(operator.le, prefix, box))
         for x, t, slack in zip(xs, ts, slacks):
             if t > t_sweep:
                 continue
-            guarded = slack | guard
             for floor in floors:
-                if (guarded - floor) & guard == guard:
+                if (slack - floor) & guard == guard:
                     break
             else:
                 if inside and x <= x_box and t <= t_box:
                     accepted.append(prefix + (x, t))
-                    floors.append(slack)
+                    floors.append(slack ^ guard)
                 elif missed is None:
                     missed = prefix + (x, t)
     accepted.sort(key=lambda v: (sum(v), v))

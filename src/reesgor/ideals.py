@@ -58,6 +58,24 @@ def _check_each(vectors: Sequence[Sequence[int]], dim: int) -> None:
                 raise InvalidIdealError(f"negative exponent in {v}")
 
 
+def _exact_vector(vector: Sequence[int], length: int, against: str) -> Vector:
+    """vector as a tuple, refused before any arithmetic on it unless it
+    has length entries, each an int and no bool: DimensionMismatchError
+    names its length and what it was held against, InvalidIdealError a
+    non-integer entry, with the rule and message of minimalize. A float
+    or a bool would compute an answer, and a float past 2^53 a wrong
+    one."""
+    v = tuple(vector)
+    if len(v) != length:
+        raise DimensionMismatchError(
+            f"vector of length {len(v)} against {against}"
+        )
+    for entry in v:
+        if isinstance(entry, bool) or not isinstance(entry, int):
+            raise InvalidIdealError(f"non-integer exponent in {v}")
+    return v
+
+
 # Most distinct candidates for which minimalize, outside two variables,
 # compares each candidate with the ones kept instead of forming
 # bitsets; the measurement behind it is in minimalize's docstring.
@@ -252,12 +270,9 @@ class MonomialIdeal:
         return tuple(exps)
 
     def contains(self, vector: Sequence[int]) -> bool:
-        """Membership of the monomial x^vector."""
-        v = tuple(vector)
-        if len(v) != self.dim:
-            raise DimensionMismatchError(
-                f"vector of length {len(v)} against dimension {self.dim}"
-            )
+        """Membership of the monomial x^vector. Refuses a vector of the
+        wrong length or with an entry that is no int (a bool is none)."""
+        v = _exact_vector(vector, self.dim, f"dimension {self.dim}")
         return _divides_some(self.gens, v)
 
     def is_subset(self, other: "MonomialIdeal") -> bool:

@@ -40,7 +40,7 @@ from .errors import (
     InvalidIdealError,
     InvariantViolationError,
 )
-from .ideals import MonomialIdeal, Vector
+from .ideals import MonomialIdeal, Vector, _exact_vector
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -244,14 +244,11 @@ class FacetSystem:
         polyhedron (equivalently: is x^v integral over I^n)?
         For n <= 0 only nonnegativity is required. Like
         `closure_power`, refuses a bool or non-int n with TypeError,
-        before any arithmetic."""
+        and like `MonomialIdeal.contains` a v of the wrong length or
+        with an entry that is no int, before any arithmetic."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("exponent must be an int")
-        w = tuple(v)
-        if len(w) != self.dim:
-            raise DimensionMismatchError(
-                f"vector of length {len(w)} against dimension {self.dim}"
-            )
+        w = _exact_vector(v, self.dim, f"dimension {self.dim}")
         if any(c < 0 for c in w):
             return False
         if n <= 0:
@@ -388,7 +385,9 @@ def _slack_fields(
 ) -> Tuple[int, int]:
     """The field width W of the packed slacks `_column_scan` yields
     for these rows and bounds, and the mask G of the top bit of each
-    field (its guard bit), one field per row.
+    field (its guard bit), one field per row. The scan calls this once
+    and hands W and G out with its batches, so no consumer derives
+    them again.
 
     Lemma. Every slack the scan yields, and every normal entry n_rj at
     a box coordinate j with bound b_j >= 1, is below 2^(W - 1):
@@ -408,11 +407,13 @@ def _slack_fields(
     `bounds` alone; no constant stands in.
 
     Dominance then costs one subtraction and one mask (the packed
-    exponent vectors of Bachmann and Schönemann, ISSAC 1998): for
-    packed s and f with every field below 2^(W - 1),
-    ((s | G) - f) & G == G iff s_r >= f_r for every row r. Field r of
-    s | G is s_r + 2^(W - 1) > f_r, so no field borrows from the next
-    one, and its guard bit stays set exactly when s_r >= f_r.
+    exponent vectors of Bachmann and Schönemann, ISSAC 1998). Let s
+    pack values s_r and f pack values f_r, all below 2^(W - 1), and
+    let g = s + G be s guarded, as the scan yields it. Then
+    (g - f) & G == G iff s_r >= f_r for every row r. Field r of g is
+    s_r + 2^(W - 1) > f_r, so no field borrows from the next one, and
+    its guard bit stays set exactly when s_r >= f_r. Since s + G has
+    no carry, it equals s | G, and s = g ^ G.
     """
     top = 0
     reach = []
@@ -432,31 +433,40 @@ def _slack_fields(
 
 def _column_scan(
     rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
-) -> Iterator[Tuple[Vector, range, List[int], List[int]]]:
+) -> Tuple[int, int, Iterator[Tuple[Vector, range, List[int], List[int]]]]:
     """Least lattice point of every column of a polyhedron over a box,
     with its row slacks packed into one int, one batch per outer
-    prefix.
+    prefix, and the packed layout those ints share.
 
     `rows` are (normal, rhs) pairs, each the half-space
     <normal, v> >= rhs on vectors one longer than `bounds`, and the
     last entry of every normal is >= 0. Write a point as
     (prefix, x, t): prefix in the box of the outer coordinates
-    bounds[:-1], x in [0, bounds[-1]], and t >= 0. For each prefix in
-    lexicographic order that has a feasible column, yields one batch
-    (prefix, xs, ts, slacks): xs is the range of the x whose column
-    has a feasible point, ts[i] is the least feasible t over xs[i], and
-    slacks[i] = sum_r slack_r << (W * r) packs the point's row slacks
-    slack_r = <normal_r, v> - rhs_r >= 0, in the order of `rows`. The
-    field width W is `_slack_fields(rows, bounds)`, whose lemma puts
-    every slack below its field's guard bit. The points come out in
-    lexicographic order. Because the last entries are >= 0, every row
-    only gets easier as t grows, so t is a max of ceilings; a column
-    that some row with last entry 0 rejects has no such t and is
-    skipped. With no rows every slack is 0 and every column yields
-    t = 0. An empty `bounds` (d = 1 closures) is scanned as the box
-    (0,) with a zero column in front of every normal: its one batch
-    has xs = range(0, 1) and stands for the single point (t,), not
-    (0, t).
+    bounds[:-1], x in [0, bounds[-1]], and t >= 0.
+
+    Returns (W, G, batches): the field width W and the guard mask G of
+    `_slack_fields(rows, bounds)`, derived once here, and an iterator
+    that yields, for each prefix in lexicographic order that has a
+    feasible column, one batch (prefix, xs, ts, slacks). xs is the
+    range of the x whose column has a feasible point, ts[i] is the
+    least feasible t over xs[i], and
+    slacks[i] = G + sum_r slack_r << (W * r) packs the point's row
+    slacks slack_r = <normal_r, v> - rhs_r >= 0, in the order of
+    `rows`, each field with its guard bit set. The lemma of
+    `_slack_fields` puts every slack below 2^(W - 1), so field r holds
+    slack_r + 2^(W - 1) < 2^W and none carries into the next. A
+    consumer tests s_r >= f_r for every row as (s - f) & G == G, f
+    packed at width W from values below 2^(W - 1) (an unguarded slack
+    s ^ G, or normal entries), and needs no mask of its own.
+
+    The points come out in lexicographic order. Because the last
+    entries are >= 0, every row only gets easier as t grows, so t is a
+    max of ceilings; a column that some row with last entry 0 rejects
+    has no such t and is skipped. With no rows G and every slack are 0,
+    and every column yields t = 0. An empty `bounds` (d = 1 closures)
+    is scanned as the box (0,) with a zero column in front of every
+    normal: its one batch has xs = range(0, 1) and stands for the
+    single point (t,), not (0, t).
 
     Each row's need, rhs - <normal, (prefix, x, 0)>, is stepped, never
     formed by a dot product. The outer box is walked depth first; at
@@ -484,13 +494,15 @@ def _column_scan(
     The slacks cost no dot product either. With need_r the row's need
     at x = 0, slack_r at (prefix, x, t) is s_r * x + l_r * t - need_r.
     So the packed slack is x * S + t * L - P, where S and L pack the
-    rows' entries at x and t, and P packs the needs. P is stepped with
-    the needs, one subtraction of the packed entries per step. Fields
-    of S and P may be negative; the ints stay exact, and every field of
-    the sum is a slack in [0, 2^(W - 1)), so it reads back.
+    rows' entries at x and t, and P packs the needs. P starts as the
+    packed rhs minus G, which guards every slack at no cost per point,
+    and is stepped with the needs, one subtraction of the packed
+    entries per step. Fields of S and P may be negative; the ints stay
+    exact, and every field of the sum is a slack plus its guard bit, in
+    [2^(W - 1), 2^W), so it reads back.
 
-    Raises BudgetExceededError, before scanning any column, when the
-    box holds more than COLUMN_BUDGET columns.
+    Raises BudgetExceededError at the call, before scanning any
+    column, when the box holds more than COLUMN_BUDGET columns.
     """
     columns = math.prod(b + 1 for b in bounds)
     if columns > COLUMN_BUDGET:
@@ -504,7 +516,7 @@ def _column_scan(
         bounds = (0,)
     depth = len(bounds) - 1
     last = bounds[-1]
-    width, _ = _slack_fields(rows, bounds)
+    width, guard = _slack_fields(rows, bounds)
     rhss = [rhs for _, rhs in rows]
     # steps[j] holds the rows' entries at outer coordinate j, and
     # packed_steps[j] packs them.
@@ -572,7 +584,7 @@ def _column_scan(
             needs = list(map(operator.sub, needs, step))
             packed -= packed_step
 
-    yield from walk(0, (), rhss, _pack(rhss, width))
+    return width, guard, walk(0, (), rhss, _pack(rhss, width) - guard)
 
 
 def _facets_for(
@@ -610,12 +622,14 @@ def _dilate_minimal_points(
     the scan yields. For v in the dilate and v_j > 0, v - e_j is >= 0,
     and its value on the bounded row (a, n*h) is <a, v> - a_j. So
     v - e_j lies in the dilate iff every row's slack <a, v> - n*h is
-    at least a_j: one subtraction of the packed column of entries a_j
-    from the guarded slack, and one mask. The columns to test are those
-    of the nonzero prefix coordinates, found once per batch; the bound
-    of such a coordinate is >= 1, so `_slack_fields` proves its entries
-    below the guard bit (the normals are >= 0, as `newton_polyhedron`
-    checks). The last coordinate needs no test: it is the least
+    at least a_j: one subtraction of the column of entries a_j, packed
+    at the width the scan returns, from the slack the scan yields
+    already guarded, and one mask with the scan's guard bits. The
+    columns to test are those of the nonzero prefix coordinates, found
+    once per batch; the bound of such a coordinate is >= 1, so
+    `_slack_fields` proves its entries below the guard bit (the
+    normals are >= 0, as `newton_polyhedron` checks). The last
+    coordinate needs no test: it is the least
     feasible one of its column, so v - e_d is never in the dilate.
 
     Lemma (the x coordinate, second to last). In a batch, xs is a
@@ -635,21 +649,16 @@ def _dilate_minimal_points(
         return ((0,) * d,)
     bounds = [n * m for m in maxexp[: d - 1]]
     rows = [(f.normal, n * f.offset) for f in facets.bounded]
-    # entries[j] holds the normals' entries at prefix coordinate j, and
-    # columns[j] packs them at the scan's width
-    entries = list(zip(*(normal for normal, _ in rows)))[: max(d - 2, 0)]
-    columns: List[int] = []
-    guard = 0
-    if entries:
-        width, guard = _slack_fields(rows, bounds)
-        columns = [_pack(column, width) for column in entries]
+    width, guard, batches = _column_scan(rows, bounds)
+    # columns[j] packs the normals' entries at coordinate j; zipping
+    # with a prefix reads the prefix coordinates alone
+    columns = [_pack(c, width) for c in zip(*(normal for normal, _ in rows))]
     gens = []
-    for prefix, xs, ts, slacks in _column_scan(rows, bounds):
+    for prefix, xs, ts, slacks in batches:
         live = [c for p, c in zip(prefix, columns) if p]
         # v - e_x is in the dilate iff the column before has least t <= t
         fresh = itertools.chain((True,), map(operator.gt, ts, ts[1:]))
         for x, t, slack in itertools.compress(zip(xs, ts, slacks), fresh):
-            slack |= guard
             if not (live and any((slack - c) & guard == guard for c in live)):
                 gens.append(prefix + (x, t) if d > 1 else (t,))
     return tuple(sorted(gens))

@@ -14,7 +14,7 @@ import pytest
 from reesgor import MonomialIdeal
 from reesgor.errors import DimensionMismatchError
 from reesgor.oracle import Box
-from reesgor.polyhedra import _column_scan, _dot, _slack_fields
+from reesgor.polyhedra import _column_scan, _dot
 
 
 def random_ideal(rng, dim, max_gens=5, max_coord=5):
@@ -83,20 +83,21 @@ def column_points(rows, bounds):
     """The batches of `polyhedra._column_scan` flattened into
     (point, row values) pairs, in the order the scan yields them.
 
-    Each packed slack is read back field by field at the width
-    `_slack_fields` gives, after checking that every field is below its
-    guard bit 2^(W - 1) and that the fields pack back to the yielded
-    int, so no field overflowed into the next one. Each field plus its
-    row's rhs is the row's value; with empty bounds the one column is
-    the point (t,)."""
-    width, _ = _slack_fields(rows, bounds)
+    Each packed slack is read back field by field at the width the
+    scan returns, after checking that every field has its guard bit
+    2^(W - 1) set and that the fields pack back to the yielded int, so
+    no field overflowed into the next one. Each field less its guard
+    bit, plus its row's rhs, is the row's value; with empty bounds the
+    one column is the point (t,)."""
+    width, _, batches = _column_scan(rows, bounds)
     mask = (1 << width) - 1
+    top = 1 << (width - 1)
     shifts = range(0, width * len(rows), width)
-    rhss = [rhs for _, rhs in rows]
-    for prefix, xs, ts, slacks in _column_scan(rows, bounds):
+    rhss = [rhs - top for _, rhs in rows]
+    for prefix, xs, ts, slacks in batches:
         for x, t, slack in zip(xs, ts, slacks):
             fields = [slack >> shift & mask for shift in shifts]
-            assert all(f < 1 << (width - 1) for f in fields), (rows, bounds)
+            assert all(f >= top for f in fields), (rows, bounds)
             assert sum(map(operator.lshift, fields, shifts)) == slack
             point = prefix + (x, t) if bounds else (t,)
             yield point, tuple(map(operator.add, fields, rhss))

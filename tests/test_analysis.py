@@ -1,6 +1,7 @@
 """Reductions, colon criteria, cores, conductors, consistency."""
 
 import json
+import re
 
 import pytest
 
@@ -112,6 +113,24 @@ CUBE_FACETS = newton_polyhedron(
     MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
 )
 MISMATCH = "facets of dimension 3 against an ideal of dimension 2"
+
+
+def test_find_pure_power_reduction_raises_when_its_lemma_fails(
+    monkeypatch, tmp_path, capsys
+):
+    # The pure powers of one bounded facet with a positive normal are a
+    # reduction, so a failed test is a contradiction, not "no
+    # reduction": the report exits 3 instead of calling the input not
+    # primary to the maximal ideal.
+    monkeypatch.setattr(analysis, "is_monomial_reduction", lambda *args: False)
+    with pytest.raises(InvariantViolationError, match="are not a reduction"):
+        find_pure_power_reduction(M2)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"dim": 2, "gens": [[2, 0], [1, 1], [0, 2]]}))
+    assert main(["--json", "report", str(path)]) == EXIT_UNTRUSTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(x^2, y^2) of the one bounded facet" in captured.err
 
 
 def test_find_pure_power_reduction_refuses_facets_of_another_dimension():
@@ -874,6 +893,27 @@ def test_consistency_needs_a_pure_power_reduction():
     check = by_name["closure-index"]
     assert check.applicable and check.ok
     assert (check.expected, check.actual) == (0, 0)
+
+
+def test_consistency_raises_when_its_checks_cannot_be_set_up(
+    tmp_path, capsys
+):
+    # (x^4, y^4) lies in (x^2, y^2) but is no reduction of it, and
+    # (x^2, xy) is not primary to the maximal ideal. The report prints
+    # the section as inapplicable, with the reason.
+    reason = "(x^4, y^4) is not a reduction of (x^2, y^2)"
+    with pytest.raises(NotAReductionError, match=re.escape(reason)):
+        a_invariant_consistency(J22, MonomialIdeal.pure_powers((4, 4)))
+    with pytest.raises(NotMPrimaryError):
+        a_invariant_consistency(MonomialIdeal(2, ((2, 0), (1, 1))))
+    with pytest.raises(DimensionMismatchError):
+        a_invariant_consistency(J22, MonomialIdeal.pure_powers((4, 4, 4)))
+    path = tmp_path / "job.json"
+    job = {"dim": 2, "gens": [[2, 0], [0, 2]], "reduction": [[4, 0], [0, 4]]}
+    path.write_text(json.dumps(job))
+    assert main(["--json", "report", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["consistency"] == {"inapplicable": reason}
 
 
 def test_consistency_records_both_sides_of_a_failed_check(

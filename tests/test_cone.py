@@ -23,6 +23,7 @@ from reesgor.errors import (
     DimensionMismatchError,
     InapplicableError,
     IncompleteSearchError,
+    InvalidIdealError,
     InvariantViolationError,
     NotMPrimaryError,
 )
@@ -125,6 +126,16 @@ def test_membership_predicates():
     assert not cone.relint_member((3, 0, 2))
     assert not cone_member(cone, (3, 1, 2))
     assert not cone.relint_member((3, 1, 2))
+
+
+def test_relint_member_refuses_entries_that_are_not_ints():
+    # (1.0, 1, 2) and (True, 1, 2) would pass as (1, 1, 2); a negative
+    # entry keeps its answer.
+    cone = cone_of(((3, 0), (1, 1), (0, 3)))
+    for v in ((1.0, 1, 2), (True, 1, 2), (1, 1, 2.5)):
+        with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
+            cone.relint_member(v)
+    assert not cone.relint_member((-1, 1, 2))
 
 
 def test_membership_helpers_refuse_a_vector_of_the_wrong_length():

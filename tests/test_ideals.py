@@ -372,6 +372,22 @@ def test_containment():
     assert m2.contains((1, 1)) and not j.contains((1, 1))
 
 
+def test_contains_refuses_entries_that_are_not_ints():
+    # True and 2.0 would compare as 1 and 2; a float past 2^53 has
+    # lost its last bits. minimalize's rule: an int subclass other than
+    # bool passes, and a negative entry keeps its answer.
+    j = I(2, (2, 0), (0, 2))
+    for v in ((True, 1), (2.0, 0), (0, 1.5), (2.0**53 + 1, 0)):
+        with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
+            j.contains(v)
+
+    class Exponent(int):
+        pass
+
+    assert j.contains((Exponent(2), 0))
+    assert not j.contains((-1, 5)) and not j.contains((5, -1))
+
+
 # ------------------------------------------------------------------ #
 # arithmetic
 

@@ -2,17 +2,21 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 
 from reesgor import (
     MonomialIdeal,
+    canonical_generators,
     closure_power,
     extreme_rays,
+    lift_halfspaces,
     newton_polyhedron,
     polyhedra,
 )
+from reesgor import cone as cone_module
 from reesgor.errors import (
     BudgetExceededError,
     ConeGeometryError,
@@ -603,7 +607,7 @@ def test_column_scan_values_are_the_row_values_of_its_points():
     checked = 0
     reached = set()
     for rows, bounds in cases:
-        for _, xs, ts, slacks in _column_scan(rows, bounds):
+        for _, xs, ts, slacks in _column_scan(rows, bounds)[2]:
             assert len(xs) == len(ts) > 0
             assert len(slacks) == len(xs)
             if not rows:
@@ -657,6 +661,92 @@ def test_wide_slack_fields_match_the_reference_scan():
             checked += len(points)
     assert widest > 64
     assert checked > 1000
+
+
+def _scan_cases(seed, lengths, entries, lasts, rhs, counts):
+    """Seeded (rows, bounds) pairs drawn as in the two reference scans
+    above: 30 boxes per length below `lengths`, each with a number of
+    rows in the closed range `counts`."""
+    rng = seeded(seed)
+    for length in range(lengths):
+        for _ in range(30):
+            bounds = tuple(rng.randint(0, 3) for _ in range(length))
+            rows = [
+                (
+                    tuple(rng.choice(entries) for _ in range(length))
+                    + (rng.choice(lasts),),
+                    rhs(rng),
+                )
+                for _ in range(rng.randint(*counts))
+            ]
+            yield rows, bounds
+
+
+def test_the_scan_yields_guarded_slacks_and_returns_their_layout(monkeypatch):
+    # The random and the >64-bit row sets of the two tests above. Every
+    # yielded slack has its guard bits set, and one subtraction and one
+    # mask against another slack, unguarded, compare the two field by
+    # field.
+    big = 1 << 70
+    cases = itertools.chain(
+        _scan_cases(
+            81, 6, (-3, -1, 0, 0, 0, 1, 2, 4), (0, 0, 1, 2, 3),
+            lambda rng: rng.randint(-2, 7), (0, 5),
+        ),
+        _scan_cases(
+            83, 5, (-big - 3, -big, -1, 0, 0, 1, big, big + 5),
+            (0, 1, 3, big, big + 1),
+            lambda rng: rng.choice((-big, -2, 0, 5, big, 3 * big)), (1, 4),
+        ),
+    )
+    widest = pairs = 0
+    outcomes = set()
+    for rows, bounds in cases:
+        width, guard, batches = _column_scan(rows, bounds)
+        assert (width, guard) == _slack_fields(rows, bounds)
+        mask = (1 << width) - 1
+        points = [
+            (prefix + (x, t) if bounds else (t,), slack)
+            for prefix, xs, ts, slacks in batches
+            for x, t, slack in zip(xs, ts, slacks)
+        ]
+        decoded = []
+        for v, slack in points[:: max(1, len(points) // 16)]:
+            assert slack & guard == guard, (rows, bounds, v)
+            fields = [
+                (slack ^ guard) >> (width * r) & mask for r in range(len(rows))
+            ]
+            assert fields == [_dot(n, v) - rhs for n, rhs in rows]
+            decoded.append((slack, fields))
+        for s, a in decoded:
+            for f, b in decoded:
+                dominates = (s - (f ^ guard)) & guard == guard
+                assert dominates == all(map(operator.ge, a, b)), (rows, a, b)
+                outcomes.add(dominates)
+                pairs += 1
+        widest = max(widest, width)
+    assert widest > 64
+    assert pairs > 10_000
+    assert outcomes == {True, False}
+
+    # One derivation of the layout per scan: the cone takes it from the
+    # scan and no longer imports it, and a d = 3 closure packs its
+    # normal columns at the width the scan returns.
+    assert not hasattr(cone_module, "_slack_fields")
+    derived = []
+
+    def counted(rows, bounds):
+        derived.append(bounds)
+        return _slack_fields(rows, bounds)
+
+    monkeypatch.setattr(polyhedra, "_slack_fields", counted)
+    anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+    canonical_generators(lift_halfspaces(newton_polyhedron(anchor)))
+    assert len(derived) == 1
+    for n in (1, 2, 3):
+        derived.clear()
+        closure_power(anchor, n)
+        assert len(derived) == 1
 
 
 def _prunes_a_sub_box_before_the_walk(rows, bounds):
@@ -818,7 +908,8 @@ def test_dilate_minimal_points_match_the_membership_reference():
                     rows = [(f.normal, n * f.offset) for f in facets.bounded]
                     bounds = [n * m for m in maxexp][: d - 1]
                     if d > 1 and rows and any(
-                        xs.start > 0 for _, xs, _, _ in _column_scan(rows, bounds)
+                        xs.start > 0
+                        for _, xs, _, _ in _column_scan(rows, bounds)[2]
                     ):
                         offset_batches.add(d)
     assert compared > 1000
@@ -929,6 +1020,21 @@ def test_contains_power_refuses_bool_and_non_int_powers():
     assert facets.contains_power((1, 1), 1)
     assert not facets.contains_power((1, 1), 2)
     assert facets.contains_power((1, 1), 0)
+
+
+def test_contains_power_refuses_entries_that_are_not_ints():
+    # On (x, y), the float point (2^53, 1) sums to 2^53 in floating
+    # point, and would miss the dilate n = 2^53 + 1 that it lies in.
+    facets = newton_polyhedron(MonomialIdeal(2, ((2, 0), (0, 2))))
+    for v in ((1.5, 0.5), (True, 1), (1, 1.0)):
+        with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
+            facets.contains_power(v, 1)
+    line = newton_polyhedron(MonomialIdeal.maximal(2))
+    with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
+        line.contains_power((2.0**53, 1.0), 2**53 + 1)
+    assert line.contains_power((2**53, 1), 2**53 + 1)
+    assert not facets.contains_power((-1, 3), 1)
+    assert not facets.contains_power((-1, 3), 0)
 
 
 def test_monomial_membership_under_closure():
