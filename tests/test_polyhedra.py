@@ -31,7 +31,6 @@ from reesgor.polyhedra import (
     _dilate_minimal_points,
     _dot,
     _plane_rays,
-    _row_reduce,
     _slack_fields,
 )
 from reesgor.report import closure_section
@@ -387,12 +386,23 @@ def _outcome(fn, rows, dim):
         return type(exc), str(exc)
 
 
+def _lifted_rows(rng, dim):
+    """The rows `lift_halfspaces` makes for a random m-primary ideal in
+    dim variables: a lifted row per bounded facet, then the unit rows."""
+    facets = newton_polyhedron(random_m_primary(rng, dim, max_coord=4))
+    return [
+        tuple(a - f.offset for a in f.normal) + (f.offset,)
+        for f in facets.bounded
+    ] + [tuple(int(k == j) for k in range(dim + 1)) for j in range(dim)]
+
+
 def _row_sets(rng, count):
     """Seeded constraint sets for extreme_rays: homogenized Newton
     constraints, lifted cone rows, and random rows in [-4, 4] with
     repeated, scaled, negated, summed and zero rows mixed in, so that
     non-pointed, not full-dimensional, redundant and degenerate cones
-    all occur."""
+    all occur. After the count draws come count // 50 lifted row sets
+    in d = 5, the largest size the gorenstein benchmark pool lifts."""
     for i in range(count):
         kind = i % 4
         dim = rng.randint(2, 6) if kind == 3 else rng.randint(2, 4)
@@ -404,14 +414,7 @@ def _row_sets(rng, count):
             yield rows, dim + 1
             continue
         if kind == 1:
-            facets = newton_polyhedron(random_m_primary(rng, dim, max_coord=4))
-            rows = [
-                tuple(a - f.offset for a in f.normal) + (f.offset,)
-                for f in facets.bounded
-            ] + [
-                tuple(int(k == j) for k in range(dim + 1)) for j in range(dim)
-            ]
-            yield rows, dim + 1
+            yield _lifted_rows(rng, dim), dim + 1
             continue
         rows = [
             tuple(rng.randint(-4, 4) for _ in range(dim))
@@ -428,6 +431,8 @@ def _row_sets(rng, count):
             )))
         rng.shuffle(rows)
         yield rows, dim
+    for _ in range(count // 50):
+        yield _lifted_rows(rng, 5), 6
 
 
 def test_extreme_rays_match_the_rational_reference():
@@ -444,50 +449,45 @@ def test_extreme_rays_match_the_rational_reference():
     }
 
 
-def test_row_reduce_keeps_the_rank_rises_and_inverts():
-    rng = seeded(30)
-    for _ in range(200):
-        width = rng.randint(1, 6)
-        rows = [
-            tuple(rng.randint(-4, 4) for _ in range(width))
-            for _ in range(rng.randint(1, width + 3))
-        ]
-        rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))]
-        rng.shuffle(rows)
-        kept, pivots = _row_reduce(rows)
-        assert kept == [
-            i for i in range(len(rows))
-            if _reference_rank(rows[: i + 1]) > _reference_rank(rows[:i])
-        ]
-        columns = [c for c, _ in pivots]
-        for c, row in pivots:
-            assert row[c] > 0
-            assert all(row[k] == 0 for k in columns if k != c)
-        one_pass = _row_reduce(rows, invert=True)
-        assert one_pass[0] == kept
-        if len(kept) < width:
-            continue
-        # a nonsingular base: recover the inverse columns from the
-        # reduced [base | identity] and multiply back
-        base = [rows[i] for i in kept]
-        _, reduced = _row_reduce(
-            [b + tuple(int(k == j) for k in range(width))
-             for j, b in enumerate(base)]
-        )
-        # the one pass finds the base and reduces [base | identity]
-        # to the same rows as the second elimination
-        assert one_pass[1] == reduced
-        reduced.sort()
-        scale = math.lcm(*(row[c] for c, row in reduced))
-        inverse = [
-            [row[width + j] * (scale // row[c]) for c, row in reduced]
-            for j in range(width)
-        ]
-        for i, b in enumerate(base):
-            for j, col in enumerate(inverse):
-                value = sum(x * y for x, y in zip(b, col))
-                assert value == (scale if i == j else 0)
-        assert scale > 0
+def test_extreme_rays_do_not_depend_on_row_order():
+    rng = seeded(31)
+    for rows, dim in _row_sets(rng, 1000):
+        expected = _outcome(extreme_rays, rows, dim)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert _outcome(extreme_rays, shuffled, dim) == expected, (rows, dim)
+        assert _outcome(extreme_rays, rows[::-1], dim) == expected, (rows, dim)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, -1.5), (0, 1)],
+        [(True, 0), (0, 1)],
+        [(1, 2.0**53 + 1), (0, 1)],
+        [(0.5, 0), (0, 1)],
+    ],
+)
+def test_extreme_rays_refuse_entries_that_are_not_ints(rows):
+    # each was answered, or refused for another reason, after int(...)
+    bad = next(row for row in rows if set(map(type, row)) != {int})
+    with pytest.raises(InvalidIdealError, match="non-integer") as info:
+        extreme_rays(rows, 2)
+    assert str(tuple(bad)) in str(info.value)
+
+
+def test_extreme_rays_keep_the_length_check_before_the_entry_check():
+    with pytest.raises(DimensionMismatchError, match="row of wrong length"):
+        extreme_rays([(1.5, 0, 0), (0, 1)], 2)
+
+
+@pytest.mark.parametrize(
+    "rows, dim",
+    [([()], 0), ([], -1), ([(1,)], True), ([(1, 0), (0, 1)], 2.0)],
+)
+def test_extreme_rays_refuse_a_dim_that_is_no_positive_int(rows, dim):
+    with pytest.raises(InvalidIdealError, match="positive int"):
+        extreme_rays(rows, dim)
 
 
 # ------------------------------------------------------------------ #
