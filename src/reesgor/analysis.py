@@ -16,6 +16,7 @@ enforces that bound and raises rather than looping on.
 from __future__ import annotations
 
 import functools
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -101,16 +102,26 @@ def is_monomial_reduction(
 
 def find_pure_power_reduction(
     ideal: MonomialIdeal, facets: Optional[FacetSystem] = None
-) -> Optional[MonomialIdeal]:
-    """The pure-power reduction read off the Newton polyhedron, if the
-    polyhedron has a single bounded facet.
+) -> MonomialIdeal:
+    """The pure-power reduction read off the Newton polyhedron, which
+    needs the polyhedron to have a single bounded facet.
 
     For a facet <a, x> >= h the candidate is generated by x_j^(c_j)
     with c_j = ceil(h / a_j), the smallest pure powers on the facet or
-    beyond it. Returns None when the polyhedron does not have exactly
-    one bounded facet, or when that facet's normal is not positive in
-    every coordinate (the ideal is then not primary to the maximal
-    ideal).
+    beyond it. When there is no such reduction, InapplicableError says
+    "no pure-power reduction: " and why, tested in this order:
+
+    1. "the ideal is not primary to the maximal ideal", when
+       facets.is_m_primary_source() is False. This comes first because
+       only for an m-primary ideal are the positive-offset facets in
+       `facets.bounded` bounded: (x^2, xy) has two of them, x >= 1 among
+       them, and (x^2 y) has none bounded at all, so counting them
+       would name the wrong cause.
+    2. "the Newton polyhedron has more than one bounded facet".
+
+    This is the only place that decides whether an ideal has a
+    pure-power reduction. Its callers pass the error on, except
+    a_invariant_consistency, which records its checks as inapplicable.
 
     Lemma. Otherwise the candidate is a reduction. The polyhedron is
     {x >= 0 : <a, x> >= h} with a > 0, whose vertices are the axis
@@ -119,20 +130,27 @@ def find_pure_power_reduction(
     and x_j^(m_j) lies in the ideal. The candidate's own polyhedron is
     the same set, so it is a reduction. Both tests below therefore
     pass, and InvariantViolationError is raised if either fails,
-    rather than a None that the report would print as a wrong reason.
+    rather than an InapplicableError that the report would print as a
+    wrong reason.
     """
     facets = _facets_for(ideal, facets)
-    if len(facets.bounded) != 1 or not facets.is_m_primary_source():
-        return None
-    facet = facets.bounded[0]
-    exps = tuple(-(-facet.offset // a) for a in facet.normal)
-    candidate = MonomialIdeal.pure_powers(exps)
-    if candidate.is_subset(ideal) and is_monomial_reduction(candidate, ideal):
-        return candidate
-    raise InvariantViolationError(
-        f"the pure powers {candidate.to_str()} of the one bounded facet "
-        f"of {ideal.to_str()} are not a reduction of it"
-    )
+    if not facets.is_m_primary_source():
+        reason = "the ideal is not primary to the maximal ideal"
+    elif len(facets.bounded) > 1:
+        reason = "the Newton polyhedron has more than one bounded facet"
+    else:
+        facet = facets.bounded[0]
+        exps = tuple(-(-facet.offset // a) for a in facet.normal)
+        candidate = MonomialIdeal.pure_powers(exps)
+        if candidate.is_subset(ideal) and is_monomial_reduction(
+            candidate, ideal
+        ):
+            return candidate
+        raise InvariantViolationError(
+            f"the pure powers {candidate.to_str()} of the one bounded facet "
+            f"of {ideal.to_str()} are not a reduction of it"
+        )
+    raise InapplicableError(f"no pure-power reduction: {reason}")
 
 
 def reduction_number(ideal: MonomialIdeal, reduction: MonomialIdeal) -> int:
@@ -194,17 +212,14 @@ def closure_nilpotency_index(
 def _pure_power_reduction(
     ideal: MonomialIdeal, reduction: Optional[MonomialIdeal], test: str
 ) -> MonomialIdeal:
-    """The pure-power reduction the colon and intersection tests run
-    against: the one supplied, or else the one found on the Newton
-    polyhedron. Raises InapplicableError, naming the test, when none is
-    found or the supplied one is not generated by pure powers; neither
-    test raises InapplicableError anywhere else."""
+    """The pure-power reduction the colon and intersection tests and
+    the core run against: the one supplied, or else what
+    find_pure_power_reduction gives, whose InapplicableError names why
+    there is none. A supplied reduction that is not generated by pure
+    powers is refused with InapplicableError naming the test; none of
+    the three raises InapplicableError for it anywhere else."""
     if reduction is None:
-        reduction = find_pure_power_reduction(ideal)
-        if reduction is None:
-            raise InapplicableError(
-                f"no pure-power reduction to run {test} against"
-            )
+        return find_pure_power_reduction(ideal)
     if reduction.pure_power_exponents() is None:
         raise InapplicableError(
             f"{test} needs a reduction generated by pure powers"
@@ -403,9 +418,9 @@ def core_compute(
     K^(r_u + 2), not products of their own.
 
     The caller always passes the reduction, so there is none to search
-    for; one that is not generated by pure powers is refused here with
-    InapplicableError in core_compute's own words, not through the gate
-    of the colon and intersection tests.
+    for; one that is not generated by pure powers is refused with
+    InapplicableError by the gate of the colon and intersection tests,
+    _pure_power_reduction, in core_compute's own words.
 
     Each colon intersects one piece per generator of its divisor, so
     the cost grows with the generator count of B^(r_u + 1), the divisor
@@ -459,10 +474,7 @@ def core_compute(
     """
     if not isinstance(u, int) or isinstance(u, bool) or u < 1:
         raise InapplicableError("the power u must be a positive int")
-    if reduction.pure_power_exponents() is None:
-        raise InapplicableError(
-            "core computation needs a reduction generated by pure powers"
-        )
+    reduction = _pure_power_reduction(ideal, reduction, "core computation")
 
     def within_budget(power: MonomialIdeal, name: str) -> None:
         if len(power.gens) > CORE_GENERATOR_BUDGET:
@@ -602,11 +614,11 @@ def a_invariant_consistency(
     Every check needs a reduction generated by pure powers: the
     closure-index formula holds relative to such a reduction only,
     and the quasi-Gorenstein test refuses any other. With no
-    reduction given, one is searched for; a supplied reduction that is
-    not pure powers (I itself, say) leaves all three checks
-    inapplicable. The last two apply only when the quasi-Gorenstein
-    test is also positive. Inapplicable checks are recorded as such
-    and count as passing.
+    reduction given, one is searched for. When find_pure_power_reduction
+    finds none, or a supplied reduction is not pure powers (I itself,
+    say), all three checks are inapplicable. The last two apply only
+    when the quasi-Gorenstein test is also positive. Inapplicable
+    checks are recorded as such and count as passing.
     """
     d = ideal.dim
     facets = newton_polyhedron(ideal)
@@ -617,7 +629,8 @@ def a_invariant_consistency(
     )
 
     if reduction is None:
-        reduction = find_pure_power_reduction(ideal, facets)
+        with suppress(InapplicableError):
+            reduction = find_pure_power_reduction(ideal, facets)
     if reduction is not None and reduction.pure_power_exponents() is not None:
         s_bar = closure_nilpotency_index(ideal, reduction, facets)
         table["closure-index"] = (s_bar - d + 1, a_inv)

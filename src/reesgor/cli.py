@@ -243,9 +243,7 @@ def corpus_case(index: int, seed: int) -> Dict:
         failures.append(str(exc))
 
     try:
-        reduction = find_pure_power_reduction(ideal, facets)
-        if reduction is not None:
-            quasi_gorenstein_test(ideal, reduction)
+        quasi_gorenstein_test(ideal, find_pure_power_reduction(ideal, facets))
     except InapplicableError:
         pass
     except InvariantViolationError as exc:

@@ -247,11 +247,13 @@ class HalfSpace:
 class FacetSystem:
     """Facet description of a Newton polyhedron.
 
-    `bounded` holds the facets with positive offset, sorted by normal;
-    `coordinate` lists the axes whose coordinate hyperplane is a
-    genuine facet. Membership tests always include the full set of
-    coordinate half-spaces (they are valid for any Newton polyhedron,
-    whether or not they are facets)."""
+    `bounded` holds the facets with positive offset, sorted by normal.
+    They are bounded only for an ideal primary to the maximal ideal
+    (is_m_primary_source): (x^2 y) has x >= 2 and y >= 1, neither of
+    them bounded. `coordinate` lists the axes whose coordinate
+    hyperplane is a genuine facet. Membership tests always include the
+    full set of coordinate half-spaces (they are valid for any Newton
+    polyhedron, whether or not they are facets)."""
 
     dim: int
     bounded: Tuple[HalfSpace, ...]

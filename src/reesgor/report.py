@@ -176,10 +176,6 @@ def core_section(
         raise ValueError("core power u must be at least 1")
     if reduction is None:
         reduction = find_pure_power_reduction(ideal)
-        if reduction is None:
-            raise InapplicableError(
-                "no pure-power reduction to compute the core against"
-            )
     core = core_compute(ideal, reduction, u)
     section = {"u": u, "core": ideal_dict(core)}
     verdict = quasi_gorenstein_test(ideal, reduction)
@@ -206,22 +202,13 @@ def invariants_section(
     reduction (the supplied one, else the pure-power one read off the
     Newton polyhedron), and the conductor exponent.
 
-    With no pure-power reduction, InapplicableError names why. The
-    search fails only on several bounded facets or a source that is
-    not m-primary: with one bounded facet of an m-primary ideal, every
-    vertex, the pure powers among them, lies on that facet, so the
-    pure-power candidate is a reduction.
+    With no reduction supplied and no pure-power one to find, the
+    InapplicableError of find_pure_power_reduction, which names why,
+    passes through as the section's reason.
     """
     facets = newton_polyhedron(ideal)
     if reduction is None:
         reduction = find_pure_power_reduction(ideal, facets)
-        if reduction is None:
-            reason = (
-                "the Newton polyhedron has more than one bounded facet"
-                if len(facets.bounded) > 1
-                else "the ideal is not primary to the maximal ideal"
-            )
-            raise InapplicableError(f"no pure-power reduction: {reason}")
     r = reduction_number(ideal, reduction)
     return {
         "reduction_number": r,

@@ -98,14 +98,27 @@ def test_absorption_with_unequal_polyhedra_is_a_contradiction(monkeypatch):
         is_monomial_reduction(J22, M2)
 
 
+NOT_PRIMARY = (
+    "no pure-power reduction: the ideal is not primary to the maximal ideal"
+)
+SEVERAL_FACETS = (
+    "no pure-power reduction: the Newton polyhedron has more than one "
+    "bounded facet"
+)
+
+
 def test_find_pure_power_reduction():
     assert find_pure_power_reduction(M2) == J22
     assert find_pure_power_reduction(CRIT) == CRIT
     assert find_pure_power_reduction(RICH) == J44
-    assert find_pure_power_reduction(
-        MonomialIdeal(2, ((3, 0), (1, 1), (0, 3)))
-    ) is None
-    assert find_pure_power_reduction(MonomialIdeal(2, ((2, 0), (1, 1)))) is None
+    with pytest.raises(InapplicableError) as refused:
+        find_pure_power_reduction(MonomialIdeal(2, ((3, 0), (1, 1), (0, 3))))
+    assert str(refused.value) == SEVERAL_FACETS
+    # (x^2, xy) has two positive-offset facets, x >= 1 and x + y >= 2,
+    # but it is not m-primary, and that is the reason given
+    with pytest.raises(InapplicableError) as refused:
+        find_pure_power_reduction(MonomialIdeal(2, ((2, 0), (1, 1))))
+    assert str(refused.value) == NOT_PRIMARY
 
 
 # the facets of an ideal in three variables, offered for one in two
@@ -136,6 +149,35 @@ def test_find_pure_power_reduction_raises_when_its_lemma_fails(
 def test_find_pure_power_reduction_refuses_facets_of_another_dimension():
     with pytest.raises(DimensionMismatchError, match=MISMATCH):
         find_pure_power_reduction(M2, CUBE_FACETS)
+
+
+def test_find_pure_power_reduction_answers_or_names_why():
+    # Pure powers that is_monomial_reduction accepts exactly when the
+    # facets are m-primary with one bounded facet; otherwise
+    # InapplicableError, naming the missing m-primary source exactly
+    # when the facets report none, even with several positive-offset
+    # facets.
+    rng = seeded(2500)
+    shapes = set()
+    for k in range(120):
+        make = random_m_primary if k % 3 else random_ideal
+        ideal = make(rng, 2 + k % 2, max_coord=4)
+        facets = newton_polyhedron(ideal)
+        m_primary = facets.is_m_primary_source()
+        shape = (m_primary, min(len(facets.bounded), 2))
+        shapes.add(shape)
+        try:
+            reduction = find_pure_power_reduction(ideal, facets)
+        except InapplicableError as refused:
+            assert shape != (True, 1), ideal.to_str()
+            reason = SEVERAL_FACETS if m_primary else NOT_PRIMARY
+            assert str(refused) == reason, ideal.to_str()
+        else:
+            assert shape == (True, 1), ideal.to_str()
+            assert reduction.pure_power_exponents() is not None
+            assert is_monomial_reduction(reduction, ideal), ideal.to_str()
+    assert {(True, 1), (True, 2), (False, 2)} <= shapes, shapes
+    assert shapes & {(False, 0), (False, 1)}, shapes
 
 
 def test_reduction_and_nilpotency_numbers():
@@ -457,11 +499,12 @@ def _reduction_cases(seed, count, draw):
     cases = []
     for _ in range(10 * count):
         ideal = draw(rng, len(cases))
-        reduction = find_pure_power_reduction(ideal)
-        if reduction is not None:
-            cases.append((ideal, reduction))
-            if len(cases) == count:
-                return cases
+        try:
+            cases.append((ideal, find_pure_power_reduction(ideal)))
+        except InapplicableError:
+            continue
+        if len(cases) == count:
+            return cases
     pytest.fail(
         f"seed {seed}: {len(cases)} of {count} cases after {10 * count} draws"
     )
@@ -637,7 +680,9 @@ def test_powers_with_a_pure_power_reduction_grow_in_generators():
     checked = 0
     for _ in range(60):
         ideal = random_m_primary(rng, rng.choice((2, 3)), max_coord=4)
-        if find_pure_power_reduction(ideal) is None:
+        try:
+            find_pure_power_reduction(ideal)
+        except InapplicableError:
             continue
         for k in range(1, 7):
             assert len((ideal ** k).gens) >= k + 1, (ideal.to_str(), k)

@@ -44,6 +44,15 @@ TWO_FACETS = {"dim": 2, "gens": [[3, 0], [1, 1], [0, 3]]}
 PURE = {"dim": 2, "gens": [[2, 0], [0, 3]]}
 NOT_PRIMARY = {"dim": 2, "gens": [[1, 0]]}
 
+# the two reasons find_pure_power_reduction gives for finding none
+NOT_PRIMARY_REASON = (
+    "no pure-power reduction: the ideal is not primary to the maximal ideal"
+)
+SEVERAL_FACETS = (
+    "no pure-power reduction: the Newton polyhedron has more than one "
+    "bounded facet"
+)
+
 
 # ------------------------------------------------------------------ #
 # exit codes
@@ -332,6 +341,33 @@ def test_the_parser_is_not_built_at_import():
     assert out.strip() == "0"
 
 
+def test_python_dash_m_runs_the_command_line(job, capsys):
+    # `python -m reesgor` is the in-process main: the same stdout bytes
+    # on success, and the same exit code and reason on a refusal.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "reesgor", *argv],
+            env=env,
+            capture_output=True,
+        )
+
+    path = job(SQUARE)
+    done = run("--json", "np", path)
+    assert main(["--json", "np", path]) == EXIT_OK
+    assert done.returncode == EXIT_OK
+    assert done.stdout == capsys.readouterr().out.encode()
+    refused = run("qgor", job(TWO_FACETS, "two_facets.json"))
+    assert refused.returncode == EXIT_INAPPLICABLE
+    assert refused.stdout == b""
+    assert refused.stderr.decode() == f"reesgor: {SEVERAL_FACETS}\n"
+
+
 def test_json_output_is_deterministic(job, capsys):
     main(["--json", "report", job(SQUARE)])
     first = capsys.readouterr().out
@@ -370,7 +406,7 @@ def test_anchor_reports_are_byte_identical_across_changes(job, capsys):
 SECTION_REPORT_DIGESTS = (
     (
         TWO_FACETS,
-        "5ae5f0db27eefcab7a6c05ccb42ec1258c73113977663dbbe034e0e3542f7c9f",
+        "f14642c280af8a8dc38efd84d2cf065feaabbff165a90ea458354e4a2c8c6e42",
     ),
     (
         {"dim": 3, "gens": [[2, 0, 0], [0, 2, 0], [0, 0, 4]]},
@@ -402,7 +438,7 @@ HUMAN_DIGESTS = tuple(
         (
             "8252fce0c86937bb98495c57605a4486d22792209bf4c6789079d26b4bcf9755",
             "d67aa89a0afb3dd80861c1b66c71334d6ee47af1c561e18e42ad267146d81212",
-            "2ac85cb89bc51635a35241dd6f4192a0f351d61715d043c5136696d82c5acecf",
+            "d0bfb46242aedb9bca16061e088ac48185abc62d5284b8a78046fbd50a95742c",
             "8c9dddad19dd60cb43cba9a1dcd10edfcb41077f71a0d9a8615e97c9fa44a8e7",
             "258907263bbead2e37c29a89bff2be562c688c3abbe6c6ac0052582a694f20c9",
         ),
@@ -434,12 +470,8 @@ def test_human_outputs_are_byte_identical_across_changes(job, capsys):
 @pytest.mark.parametrize(
     "spec, command, message",
     [
-        (TWO_FACETS, "qgor", "no pure-power reduction to run the colon test against"),
-        (
-            TWO_FACETS,
-            "cm",
-            "no pure-power reduction to run the intersection test against",
-        ),
+        (TWO_FACETS, "qgor", SEVERAL_FACETS),
+        (TWO_FACETS, "cm", SEVERAL_FACETS),
         (
             {**SQUARE, "reduction": SQUARE["gens"]},
             "qgor",
@@ -619,7 +651,7 @@ PLANE_DIGESTS = (
     (
         "report",
         {"dim": 2, "gens": [[2, 1], [1, 2]]},
-        "5293aba1b258c9c3b33e61aca0a5dfbac3b61ba5cece054c167450b68d0d619c",
+        "72e728baa60072a1d6c7ca97e7c42c97cf7f8e87e011191cf1634844619d5b61",
     ),
     (
         "np",
@@ -690,22 +722,28 @@ def test_report_marks_inapplicable_sections(job, capsys):
 
 @pytest.mark.parametrize(
     "spec, facet_count",
-    [({"dim": 2, "gens": [[2, 0]]}, 1), ({"dim": 2, "gens": [[0, 0]]}, 0)],
-    ids=["x^2", "unit"],
+    [
+        ({"dim": 2, "gens": [[2, 0]]}, 1),
+        ({"dim": 2, "gens": [[0, 0]]}, 0),
+        ({"dim": 2, "gens": [[2, 1]]}, 2),
+        ({"dim": 2, "gens": [[2, 0], [1, 1]]}, 2),
+        ({"dim": 2, "gens": [[2, 1], [1, 2]]}, 3),
+    ],
+    ids=["x^2", "unit", "x^2y", "x^2,xy", "x^2y,xy^2"],
 )
 def test_report_names_why_an_ideal_that_is_not_m_primary_has_no_invariants(
     job, capsys, spec, facet_count
 ):
-    # With at most one bounded facet, the reason is the missing
-    # m-primary source, as the facet section itself reports.
+    # The reason is the missing m-primary source, as the facet section
+    # itself reports, however many positive-offset facets it lists:
+    # without an m-primary source they are not all bounded, and those
+    # of (x^2y) are x >= 2 and y >= 1, neither of them bounded.
     assert main(["--json", "report", job(spec)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["newton"]["bounded_facets"]) == facet_count
     assert payload["newton"]["m_primary"] is False
-    assert payload["invariants"] == {
-        "inapplicable": "no pure-power reduction: the ideal is not primary "
-        "to the maximal ideal"
-    }
+    for name in ("invariants", "quasi_gorenstein", "cohen_macaulay", "core"):
+        assert payload[name] == {"inapplicable": NOT_PRIMARY_REASON}, name
 
 
 def test_report_with_supplied_reduction(job, capsys):
