@@ -53,6 +53,7 @@ from .errors import (
 from .ideals import MonomialIdeal, Vector, _exact_vector
 from .polyhedra import (
     FacetSystem,
+    _check_column_budget,
     _column_scan,
     _dot,
     _facets_for,
@@ -169,22 +170,38 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     the candidates; every other one up to the sweep height must be
     generated by the accepted set.
 
-    Lemma. If v - g lies in the cone, then g <=_lex v. The coordinate
-    rows give z_g <= z_v coordinatewise, z the first d coordinates,
-    and when z_g = z_v a lifted row (a - h*1, h), h > 0, takes the
-    value h * (t_v - t_g) >= 0 at v - g, so t_g <= t_v. Every point
-    that generates v thus comes no later in the scan. So a candidate
-    is a minimal generator iff no candidate accepted before it
-    generates it: a generating candidate that was itself rejected is
-    generated by an accepted one, and so is v, since the cone is
-    closed under addition. A sweep point is generated by the final
-    accepted set iff it is generated by the part accepted before it.
-    The first ungenerated sweep point is kept, and raised with the
-    full accepted list once the pass ends. The accepted generators are
-    sorted by (coordinate sum, v) at the end. The scan yields one
-    batch per prefix of the first d - 1 coordinates, so the prefix is
-    tested against the search box once per batch, and only
-    x <= box[d - 1] and t <= box[d] per column.
+    The scan is oriented: it runs with the first d coordinates
+    permuted so that the longest of the first d sweep sides, side k,
+    comes last among them and becomes the column coordinate x, while t
+    stays last. The scan yields one batch per prefix of the other
+    d - 1 coordinates, so this makes the number of batches, and the
+    per-batch overhead, the least the box allows, whatever the order
+    in which the variables are labelled. Each point is mapped back to
+    input coordinates by putting x in again at position k, so the
+    generators, both boxes and every message are in input
+    coordinates. The budget is checked on the sweep box in input
+    order before the scan, so its message names that box too.
+
+    Lemma. If v - g lies in the cone, then g comes no later than v in
+    the lexicographic order of any permutation of the first d
+    coordinates followed by t. The coordinate rows give z_g <= z_v
+    coordinatewise, z the first d coordinates, and so z_g <=_lex z_v
+    in any order of them. When z_g = z_v a lifted row (a - h*1, h),
+    h > 0, takes the value h * (t_v - t_g) >= 0 at v - g, so
+    t_g <= t_v. Every point that generates v thus comes no later in
+    the oriented scan. So a candidate is a minimal generator iff no
+    candidate accepted before it generates it: a generating candidate
+    that was itself rejected is generated by an accepted one, and so
+    is v, since the cone is closed under addition. A sweep point is
+    generated by the final accepted set iff it is generated by the
+    part accepted before it. So the accepted set, and the set of
+    ungenerated sweep points, do not depend on the orientation. The
+    lexicographically least ungenerated sweep point in input
+    coordinates is kept, and raised with the full accepted list once
+    the pass ends. The accepted generators are sorted by
+    (coordinate sum, v) at the end. The prefix is tested against the
+    search box once per batch, and only x <= box[k] and t <= box[d]
+    per column.
 
     The generated-by test compares slacks instead of forming v - g.
     Every row is linear, so row . (v - g) >= 0 for every row of the
@@ -200,14 +217,19 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     q = compute_q(cone)
     box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
     sweep = tuple(b + 1 for b in box)
-    rows = [(row, 1) for row in cone.matrix]
-    _, guard, batches = _column_scan(rows, sweep[:d])
-    x_box, t_box, t_sweep = box[d - 1], box[d], sweep[d]
+    _check_column_budget(sweep[:d])
+    # the longest side becomes x (the last such side on a tie)
+    k = max(range(d), key=lambda i: (sweep[i], i))
+    order = [*range(k), *range(k + 1, d), k, d]
+    rows = [(tuple(row[i] for i in order), 1) for row in cone.matrix]
+    _, guard, batches = _column_scan(rows, [sweep[i] for i in order[:d]])
+    outer_box = box[:k] + box[k + 1 : d]
+    x_box, t_box, t_sweep = box[k], box[d], sweep[d]
     accepted: List[Vector] = []
     floors: List[int] = []
     missed: Optional[Vector] = None
     for prefix, xs, ts, slacks in batches:
-        inside = all(map(operator.le, prefix, box))
+        inside = all(map(operator.le, prefix, outer_box))
         for x, t, slack in zip(xs, ts, slacks):
             if t > t_sweep:
                 continue
@@ -215,11 +237,12 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
                 if (slack - floor) & guard == guard:
                     break
             else:
+                point = prefix[:k] + (x,) + prefix[k:] + (t,)
                 if inside and x <= x_box and t <= t_box:
-                    accepted.append(prefix + (x, t))
+                    accepted.append(point)
                     floors.append(slack ^ guard)
-                elif missed is None:
-                    missed = prefix + (x, t)
+                elif missed is None or point < missed:
+                    missed = point
     accepted.sort(key=lambda v: (sum(v), v))
     if missed is not None:
         raise IncompleteSearchError(

@@ -451,6 +451,20 @@ def _slack_fields(
     return width, _pack([1 << (width - 1)] * len(rows), width)
 
 
+def _check_column_budget(bounds: Sequence[int]) -> None:
+    """Refuse a box of more than COLUMN_BUDGET columns with
+    BudgetExceededError naming the box and its column count. The count
+    does not depend on the order of the sides, so a caller that scans
+    the box with its coordinates permuted checks it first in its own
+    order, and the message names the box as its caller knows it."""
+    columns = math.prod(b + 1 for b in bounds)
+    if columns > COLUMN_BUDGET:
+        raise BudgetExceededError(
+            f"column scan over the box {tuple(bounds)} needs {columns} "
+            f"columns, budget is {COLUMN_BUDGET}"
+        )
+
+
 def _column_scan(
     rows: Sequence[Tuple[Sequence[int], int]], bounds: Sequence[int]
 ) -> Tuple[int, int, Iterator[Tuple[Vector, range, List[int], List[int]]]]:
@@ -522,14 +536,10 @@ def _column_scan(
     [2^(W - 1), 2^W), so it reads back.
 
     Raises BudgetExceededError at the call, before scanning any
-    column, when the box holds more than COLUMN_BUDGET columns.
+    column, when the box holds more than COLUMN_BUDGET columns (see
+    `_check_column_budget`).
     """
-    columns = math.prod(b + 1 for b in bounds)
-    if columns > COLUMN_BUDGET:
-        raise BudgetExceededError(
-            f"column scan over the box {tuple(bounds)} needs {columns} "
-            f"columns, budget is {COLUMN_BUDGET}"
-        )
+    _check_column_budget(bounds)
     if not bounds:
         # A zero-width box coordinate in front gives the same column.
         rows = [((0,) + tuple(n), rhs) for n, rhs in rows]

@@ -249,7 +249,77 @@ def build_report(job: JobSpec) -> Dict:
 
 
 def to_json(payload: Dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The payload as `json.dumps(payload, sort_keys=True, indent=2)`
+    plus a newline, byte for byte, written in one pass.
+
+    With an indent, json always runs its pure-Python encoder, a chain
+    of generators that yields each piece up through every level.
+    `_write_json` appends the same pieces to one list instead. It
+    writes dicts with str keys, lists, tuples (as lists, as json
+    does), str, int, bool and None, the only types a payload holds. A
+    value of any other type (a float among them: the package computes
+    none), a subclass of one of these and a key that is no str are
+    left to json, which then writes the whole payload. So a value json
+    refuses still raises its TypeError, and a cyclic or too deep
+    payload gets json's error too.
+    """
+    out: List[str] = []
+    try:
+        _write_json(payload, "\n", out)
+    except (_LeftToJson, RecursionError):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+class _LeftToJson(Exception):
+    """A value `_write_json` does not write itself."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value: object, newline: str, out: List[str]) -> None:
+    """Append value to out as json writes it with sort_keys=True and
+    indent=2, `newline` being a newline and the indent of value's own
+    level. Pieces are those of json: items separated by "," and a
+    newline one level deeper, keys by ": ", and an empty container as
+    {} or []. A list of ints is joined in one call."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif kind is dict or kind is list or kind is tuple:
+        if not value:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = newline + "  "
+        if kind is dict:
+            if {*map(type, value)} != {str}:
+                raise _LeftToJson
+            lead = "{" + inner
+            for key in sorted(value):
+                out.append(lead + _quote(key) + ": ")
+                _write_json(value[key], inner, out)
+                lead = "," + inner
+            out.append(newline + "}")
+        elif {*map(type, value)} == {int}:
+            items = ("," + inner).join(map(repr, value))
+            out.append("[" + inner + items + newline + "]")
+        else:
+            lead = "[" + inner
+            for item in value:
+                out.append(lead)
+                _write_json(item, inner, out)
+                lead = "," + inner
+            out.append(newline + "]")
+    else:
+        raise _LeftToJson
 
 
 def render_human(payload: object, indent: int = 0) -> List[str]:

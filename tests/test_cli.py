@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, JSON output, self-check."""
 
 import argparse
+import enum
 import hashlib
 import json
 import os
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reesgor import analysis, cli, report
 from reesgor.cli import (
@@ -873,3 +876,100 @@ def test_corpus_case_runs_the_colon_test_on_the_found_reduction(monkeypatch):
 
 def test_corpus_rejects_bad_count(capsys):
     assert main(["--corpus", "0"]) == EXIT_USAGE
+
+
+# ------------------------------------------------------------------ #
+# the --json writer
+
+
+def _json_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# Quotes, backslashes, control and non-ASCII characters, astral ones
+# included, so every escape json makes is met.
+_escapes = 'a"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'
+_texts = st.one_of(
+    st.text(max_size=8), st.text(st.sampled_from(_escapes), max_size=8)
+)
+_exact_atoms = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    _texts,
+)
+
+
+def _nested(atoms):
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.lists(st.integers(), max_size=5),
+            st.dictionaries(_texts, inner, max_size=4),
+        ),
+        max_leaves=16,
+    )
+
+
+@given(_nested(_exact_atoms))
+@settings(max_examples=100, deadline=None)
+def test_the_json_writer_matches_json_dumps(payload):
+    # the writer alone, so a silent fall back to json would not pass
+    out = []
+    report._write_json(payload, "\n", out)
+    assert "".join(out) + "\n" == _json_dumps(payload)
+    assert report.to_json(payload) == _json_dumps(payload)
+
+
+@given(
+    _nested(
+        st.one_of(
+            _exact_atoms, st.floats(allow_nan=False, allow_infinity=False)
+        )
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_to_json_matches_json_dumps_on_payloads_with_floats(payload):
+    # no payload holds a float; the writer leaves one to json
+    assert report.to_json(payload) == _json_dumps(payload)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"a": [float("nan"), float("inf"), -float("inf")]},
+        {1: "int key", 2: [None]},
+        {"level": [_Level.LOW, 2], "name": _Name("x\u00e9")},
+    ],
+)
+def test_to_json_leaves_unusual_values_to_json(payload):
+    assert report.to_json(payload) == _json_dumps(payload)
+
+
+def test_to_json_leaves_a_cyclic_payload_to_json():
+    payload = {"a": []}
+    payload["a"].append(payload)
+    with pytest.raises(ValueError, match="Circular reference"):
+        report.to_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload", [{"gens": {1, 2}}, [[{"x": frozenset()}]], {1: 2, "a": 3}]
+)
+def test_to_json_refuses_what_json_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        report.to_json(payload)

@@ -410,6 +410,60 @@ def test_canonical_generators_match_the_reference_scan():
     assert errors > 0
 
 
+def test_canonical_data_follows_every_relabelling_of_the_variables():
+    # The scan is oriented along the longest side of the sweep box, so
+    # each relabelling scans in another order; the answer must be the
+    # relabelled answer, boxes included.
+    rng = seeded(26)
+    checked = 0
+    for d in (2, 2, 3, 3, 4, 5):
+        ideal = random_m_primary(rng, d, max_coord=5 if d < 4 else 3)
+        _, data = is_gorenstein_normalization(ideal)
+        for perm in itertools.permutations(range(d)):
+
+            def move(v):
+                return tuple(v[i] for i in perm) + tuple(v[d:])
+
+            image = MonomialIdeal(d, tuple(map(move, ideal.gens)))
+            _, got = is_gorenstein_normalization(image)
+            gens = map(move, data.generators)
+            expected = tuple(sorted(gens, key=lambda v: (sum(v), v)))
+            assert got.generators == expected, (ideal, perm)
+            assert (got.q, got.a_invariant, got.gorenstein) == (
+                data.q,
+                data.a_invariant,
+                data.gorenstein,
+            )
+            assert got.search_box == move(data.search_box)
+            assert got.sweep_box == move(data.sweep_box)
+            checked += max(got.sweep_box[:d]) != got.sweep_box[d - 1]
+    assert checked > 0
+
+
+def test_shrunk_cones_oriented_off_the_last_side_match_the_reference():
+    # Search boxes cut down by one make most of these cones fail. Where
+    # the longest side is not the last one the scan visits points in
+    # another order than the reference, yet both must name the same
+    # missed point (the least in the order of the variables).
+    rng = seeded(5)
+    kinds = set()
+    for i in range(300):
+        d = 2 + i % 3
+        ideal = random_m_primary(rng, d, max_coord=5 if d < 4 else 3)
+        cone = lift_halfspaces(newton_polyhedron(ideal))
+        small = dataclasses.replace(
+            cone,
+            rays=tuple(tuple(max(0, c - 1) for c in r) for r in cone.rays),
+        )
+        sides = [sum(r[j] for r in small.rays) for j in range(d)]
+        if max(sides) == sides[-1]:
+            continue
+        expected = _outcome(_reference_canonical_generators, small)
+        assert _outcome(canonical_generators, small) == expected, ideal
+        kinds.add(expected[0] if isinstance(expected, tuple) else None)
+    assert kinds == {None, IncompleteSearchError, InvariantViolationError}
+
+
 def test_wide_slack_fields_match_the_reference_generators():
     # Pure powers with exponents near 2^35 (2^70 in d = 1) lift to rows
     # with entries near 2^70, so the packed slacks have fields wider
@@ -513,6 +567,17 @@ def test_oversized_box_fails_fast():
         is_gorenstein_normalization(ideal)
     message = str(info.value)
     assert "(8, 12, 14, 18, 20, 24)" in message
+    assert "17506125 columns" in message
+
+
+def test_oversized_box_is_named_in_the_order_of_the_variables():
+    # The scan would run with the longest side, 24, moved last; the
+    # message still names the sweep box as the variables order it.
+    ideal = MonomialIdeal.pure_powers((23, 7, 11, 13, 17, 19))
+    with pytest.raises(BudgetExceededError) as info:
+        is_gorenstein_normalization(ideal)
+    message = str(info.value)
+    assert "(24, 8, 12, 14, 18, 20)" in message
     assert "17506125 columns" in message
 
 
