@@ -166,14 +166,14 @@ def reduction_number(ideal: MonomialIdeal, reduction: MonomialIdeal) -> int:
 
 
 def nilpotency_index(
-    ideal: MonomialIdeal, reduction: MonomialIdeal, r: Optional[int] = None
+    ideal: MonomialIdeal, reduction: MonomialIdeal, r: int
 ) -> int:
     """The least i with ideal^(i+1) contained in the reduction. It
-    never exceeds the reduction number, and the scan enforces that. The
-    powers are climbed one rung at a time, so none above ideal^(i+1)
-    is formed."""
-    if r is None:
-        r = reduction_number(ideal, reduction)
+    never exceeds the reduction number r, and the scan enforces that.
+    r is passed in because every caller has already computed
+    reduction_number(ideal, reduction) for its own use, and the scan
+    needs it only as its horizon. The powers are climbed one rung at a
+    time, so none above ideal^(i+1) is formed."""
     power = _power_cache(ideal)
     for i in range(r + 1):
         if power(i + 1).is_subset(reduction):

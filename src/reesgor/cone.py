@@ -73,8 +73,8 @@ class ReesCone:
 
     def relint_member(self, v: Sequence[int]) -> bool:
         """Is v a lattice point of the relative interior, every facet
-        row >= 1 at v? Like `MonomialIdeal.contains`, refuses a v of
-        the wrong length or with an entry that is no int."""
+        row >= 1 at v? Like `FacetSystem.contains_power`, refuses a v
+        of the wrong length or with an entry that is no int."""
         where = f"a cone in {self.dim + 1} coordinates"
         w = _exact_vector(v, self.dim + 1, where)
         return all(_dot(row, w) >= 1 for row in self.matrix)

@@ -209,22 +209,8 @@ class MonomialIdeal:
     # constructors
 
     @classmethod
-    def zero(cls, dim: int) -> "MonomialIdeal":
-        return cls(dim, ())
-
-    @classmethod
     def unit(cls, dim: int) -> "MonomialIdeal":
         return cls(dim, ((0,) * dim,))
-
-    @classmethod
-    def maximal(cls, dim: int) -> "MonomialIdeal":
-        """The irrelevant maximal ideal (x_1, ..., x_d)."""
-        gens = []
-        for i in range(dim):
-            e = [0] * dim
-            e[i] = 1
-            gens.append(tuple(e))
-        return cls(dim, tuple(gens))
 
     @classmethod
     def pure_powers(cls, exponents: Sequence[int]) -> "MonomialIdeal":
@@ -251,9 +237,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def is_unit(self) -> bool:
-        return self.gens == ((0,) * self.dim,)
-
     def pure_power_exponents(self) -> Optional[Tuple[int, ...]]:
         """If the ideal is exactly (x_1^{a_1}, ..., x_d^{a_d}), return
         (a_1, ..., a_d); otherwise None."""
@@ -269,12 +252,6 @@ class MonomialIdeal:
             return None
         return tuple(exps)
 
-    def contains(self, vector: Sequence[int]) -> bool:
-        """Membership of the monomial x^vector. Refuses a vector of the
-        wrong length or with an entry that is no int (a bool is none)."""
-        v = _exact_vector(vector, self.dim, f"dimension {self.dim}")
-        return _divides_some(self.gens, v)
-
     def is_subset(self, other: "MonomialIdeal") -> bool:
         self._require_same_dim(other)
         return all(map(_divides_some, repeat(other.gens), self.gens))
@@ -289,10 +266,6 @@ class MonomialIdeal:
             raise DimensionMismatchError(
                 f"dimension {self.dim} vs {other.dim}"
             )
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._require_same_dim(other)
-        return MonomialIdeal(self.dim, self.gens + other.gens)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._require_same_dim(other)

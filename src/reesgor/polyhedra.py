@@ -264,8 +264,9 @@ class FacetSystem:
         polyhedron (equivalently: is x^v integral over I^n)?
         For n <= 0 only nonnegativity is required. Like
         `closure_power`, refuses a bool or non-int n with TypeError,
-        and like `MonomialIdeal.contains` a v of the wrong length or
-        with an entry that is no int, before any arithmetic."""
+        and by `_exact_vector` a v of the wrong length or with an
+        entry that is no int (a bool is none; an int subclass passes),
+        before any arithmetic."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("exponent must be an int")
         w = _exact_vector(v, self.dim, f"dimension {self.dim}")

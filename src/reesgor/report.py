@@ -6,10 +6,11 @@ optionally, a candidate reduction:
     {"dim": 2, "gens": [[3, 0], [1, 1], [0, 3]],
      "reduction": [[2, 0], [0, 2]]}
 
-Loading validates shape strictly (unknown keys are errors, a supplied
-reduction must sit inside the ideal). The section builders turn each
-computation into a plain dict of JSON types with deterministic content,
-so serializing the same job twice yields identical bytes.
+Loading validates shape strictly (unknown and repeated keys are
+errors, a supplied reduction must sit inside the ideal). The section
+builders turn each computation into a plain dict of JSON types with
+deterministic content, so serializing the same job twice yields
+identical bytes.
 """
 
 from __future__ import annotations
@@ -84,9 +85,28 @@ def job_from_dict(data: object) -> JobSpec:
     return JobSpec(ideal=ideal, reduction=reduction)
 
 
+def _refuse_repeated_keys(pairs: List[tuple]) -> Dict:
+    """A JSON object as a dict. A key that appears twice raises
+    ValueError naming it, where json alone would keep the last value."""
+    data: Dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"job file repeats the key '{key}'")
+        data[key] = value
+    return data
+
+
 def load_job(path: str) -> JobSpec:
+    """The job in the file at path. A repeated key and nesting too deep
+    for the json decoder raise ValueError, like any other malformed
+    job, rather than letting the last value win or a RecursionError
+    escape."""
     with open(path, "r", encoding="utf-8") as fh:
-        return job_from_dict(json.load(fh))
+        try:
+            data = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
+        except RecursionError:
+            raise ValueError("job file is nested too deeply") from None
+    return job_from_dict(data)
 
 
 # -------------------------------------------------------------------- #
@@ -256,24 +276,16 @@ def to_json(payload: Dict) -> str:
     of generators that yields each piece up through every level.
     `_write_json` appends the same pieces to one list instead. It
     writes dicts with str keys, lists, tuples (as lists, as json
-    does), str, int, bool and None, the only types a payload holds. A
-    value of any other type (a float among them: the package computes
-    none), a subclass of one of these and a key that is no str are
-    left to json, which then writes the whole payload. So a value json
-    refuses still raises its TypeError, and a cyclic or too deep
-    payload gets json's error too.
+    does), str, int, bool and None, the only types a payload holds,
+    and raises TypeError for a key that is no str and, naming its type,
+    for a value of any other type (a float among them: the package
+    computes none) or of a subclass of one of these. A cyclic payload
+    raises RecursionError.
     """
     out: List[str] = []
-    try:
-        _write_json(payload, "\n", out)
-    except (_LeftToJson, RecursionError):
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_json(payload, "\n", out)
     out.append("\n")
     return "".join(out)
-
-
-class _LeftToJson(Exception):
-    """A value `_write_json` does not write itself."""
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -301,7 +313,7 @@ def _write_json(value: object, newline: str, out: List[str]) -> None:
         inner = newline + "  "
         if kind is dict:
             if {*map(type, value)} != {str}:
-                raise _LeftToJson
+                raise TypeError("cannot write a dict key that is no str as JSON")
             lead = "{" + inner
             for key in sorted(value):
                 out.append(lead + _quote(key) + ": ")
@@ -319,7 +331,7 @@ def _write_json(value: object, newline: str, out: List[str]) -> None:
                 lead = "," + inner
             out.append(newline + "]")
     else:
-        raise _LeftToJson
+        raise TypeError(f"cannot write a value of type {kind.__name__} as JSON")
 
 
 def render_human(payload: object, indent: int = 0) -> List[str]:

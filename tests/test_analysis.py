@@ -36,7 +36,7 @@ from reesgor.report import invariants_section
 from conftest import random_ideal, random_m_primary, seeded
 from test_census import census
 
-M = MonomialIdeal.maximal(2)
+M = MonomialIdeal.pure_powers((1, 1))
 M2 = M ** 2
 J22 = MonomialIdeal(2, ((2, 0), (0, 2)))
 CRIT = MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (0, 0, 4)))
@@ -185,9 +185,9 @@ def test_reduction_and_nilpotency_numbers():
     assert reduction_number(M2, M2) == 0
     assert reduction_number(M ** 3, MonomialIdeal(2, ((3, 0), (0, 3)))) == 1
     assert reduction_number(RICH, J44) == 3
-    assert nilpotency_index(M2, J22) == 1
-    assert nilpotency_index(RICH, J44) == 1
-    assert nilpotency_index(CRIT, CRIT) == 0
+    assert nilpotency_index(M2, J22, 1) == 1
+    assert nilpotency_index(RICH, J44, 3) == 1
+    assert nilpotency_index(CRIT, CRIT, reduction_number(CRIT, CRIT)) == 0
 
 
 def test_closure_nilpotency_index():
@@ -334,9 +334,10 @@ def test_qgor_pattern_holds_past_its_horizon():
     # H = max(B, u + r, 1), and the verdict compared every i up to H.
     maximal_powers = [
         (maximal ** k, maximal.bracket_power(k))
-        for maximal in map(MonomialIdeal.maximal, (1, 2, 3, 4))
+        for d in (1, 2, 3, 4)
+        for maximal in [MonomialIdeal.pure_powers((1,) * d)]
         for k in (1, 2, 3, 4)
-        if maximal.dim < 4 or k < 3
+        if d < 4 or k < 3
     ]
     positive = b_needed = 0
     for ideal, reduction in list(_census_pairs()) + maximal_powers:

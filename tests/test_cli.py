@@ -90,6 +90,37 @@ def test_malformed_json_is_usage_error(job, capsys, tmp_path):
     assert main(["np", str(path)]) == EXIT_USAGE
 
 
+def test_too_deeply_nested_job_is_usage_error(tmp_path, capsys):
+    # the decoder's RecursionError is refused at the input boundary
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 2, "gens": ' + "[" * 100_000)
+    assert main(["--json", "np", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "reesgor: job file is nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"dim": 2, "gens": [[2, 0], [0, 2]], "dim": 3}', "dim"),
+        ('{"dim": 2, "gens": [[2, 0], [0, 2]], "gens": [[3, 0], [0, 3]]}',
+         "gens"),
+        ('{"dim": 2, "gens": [[2, 0], [0, 2]], "reduction": null, '
+         '"reduction": [[2, 0], [0, 2]]}', "reduction"),
+    ],
+    ids=["dim", "gens", "reduction"],
+)
+def test_repeated_job_key_is_usage_error(tmp_path, capsys, text, key):
+    # json alone lets the last value win; a job names each key once
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert main(["--json", "np", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"reesgor: job file repeats the key '{key}'\n"
+
+
 def test_bad_job_shapes_are_usage_errors(job):
     assert main(["np", job([1, 2, 3])]) == EXIT_USAGE
     assert main(["np", job({"dim": 2})]) == EXIT_USAGE
@@ -918,23 +949,6 @@ def _nested(atoms):
 @given(_nested(_exact_atoms))
 @settings(max_examples=100, deadline=None)
 def test_the_json_writer_matches_json_dumps(payload):
-    # the writer alone, so a silent fall back to json would not pass
-    out = []
-    report._write_json(payload, "\n", out)
-    assert "".join(out) + "\n" == _json_dumps(payload)
-    assert report.to_json(payload) == _json_dumps(payload)
-
-
-@given(
-    _nested(
-        st.one_of(
-            _exact_atoms, st.floats(allow_nan=False, allow_infinity=False)
-        )
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_to_json_matches_json_dumps_on_payloads_with_floats(payload):
-    # no payload holds a float; the writer leaves one to json
     assert report.to_json(payload) == _json_dumps(payload)
 
 
@@ -947,21 +961,34 @@ class _Name(str):
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, kind",
     [
-        {"a": [float("nan"), float("inf"), -float("inf")]},
-        {1: "int key", 2: [None]},
-        {"level": [_Level.LOW, 2], "name": _Name("x\u00e9")},
+        ({"a": [0, 1.5]}, "value of type float"),
+        (
+            {"a": [float("nan"), float("inf"), -float("inf")]},
+            "value of type float",
+        ),
+        ({1: "int key", 2: [None]}, "dict key that is no str"),
+        ({"level": [_Level.LOW, 2]}, "value of type _Level"),
+        ({"name": _Name("x\u00e9")}, "value of type _Name"),
+        ({_Name("k"): 1}, "dict key that is no str"),
+        ({"gens": {1, 2}}, "value of type set"),
+    ],
+    ids=[
+        "float", "nan-and-infinities", "int-keys", "IntEnum", "str-subclass",
+        "str-subclass-key", "set",
     ],
 )
-def test_to_json_leaves_unusual_values_to_json(payload):
-    assert report.to_json(payload) == _json_dumps(payload)
+def test_to_json_refuses_what_no_payload_holds(payload, kind):
+    # json would write all but the set; no payload holds any of them
+    with pytest.raises(TypeError, match=f"cannot write a {kind} as JSON"):
+        report.to_json(payload)
 
 
-def test_to_json_leaves_a_cyclic_payload_to_json():
+def test_to_json_refuses_a_cyclic_payload():
     payload = {"a": []}
     payload["a"].append(payload)
-    with pytest.raises(ValueError, match="Circular reference"):
+    with pytest.raises(RecursionError):
         report.to_json(payload)
 
 

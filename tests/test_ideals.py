@@ -324,21 +324,24 @@ def test_constructor_canonicalizes():
 
 
 def test_zero_unit_maximal():
-    z = MonomialIdeal.zero(3)
+    z = MonomialIdeal(3, ())
     u = MonomialIdeal.unit(3)
-    m = MonomialIdeal.maximal(3)
-    assert z.is_zero() and not z.is_unit()
-    assert u.is_unit() and not u.is_zero()
+    m = MonomialIdeal.pure_powers((1, 1, 1))
+    assert z.is_zero() and z != u
+    assert u == I(3, (0, 0, 0), (1, 2, 3)) and not u.is_zero()
     assert m.gens == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert u.contains((0, 0, 0)) and not z.contains((5, 5, 5))
+    assert I(3, (0, 0, 0)).is_subset(u)
+    assert not I(3, (5, 5, 5)).is_subset(z)
 
 
 def test_display_names():
     assert I(2, (2, 0), (0, 2)).to_str() == "(x^2, y^2)"
     assert I(2, (1, 1)).to_str() == "(x*y)"
     assert MonomialIdeal.unit(2).to_str() == "(1)"
-    assert MonomialIdeal.zero(2).to_str() == "(0)"
-    assert MonomialIdeal.maximal(5).to_str() == "(x1, x2, x3, x4, x5)"
+    assert MonomialIdeal(2, ()).to_str() == "(0)"
+    assert MonomialIdeal.pure_powers((1,) * 5).to_str() == (
+        "(x1, x2, x3, x4, x5)"
+    )
 
 
 # ------------------------------------------------------------------ #
@@ -365,27 +368,11 @@ def test_m_primary_and_pure_powers():
 
 
 def test_containment():
-    m2 = MonomialIdeal.maximal(2) ** 2
+    m2 = MonomialIdeal.pure_powers((1, 1)) ** 2
     j = I(2, (2, 0), (0, 2))
     assert j.is_subset(m2)
     assert not m2.is_subset(j)
-    assert m2.contains((1, 1)) and not j.contains((1, 1))
-
-
-def test_contains_refuses_entries_that_are_not_ints():
-    # True and 2.0 would compare as 1 and 2; a float past 2^53 has
-    # lost its last bits. minimalize's rule: an int subclass other than
-    # bool passes, and a negative entry keeps its answer.
-    j = I(2, (2, 0), (0, 2))
-    for v in ((True, 1), (2.0, 0), (0, 1.5), (2.0**53 + 1, 0)):
-        with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
-            j.contains(v)
-
-    class Exponent(int):
-        pass
-
-    assert j.contains((Exponent(2), 0))
-    assert not j.contains((-1, 5)) and not j.contains((5, -1))
+    assert I(2, (1, 1)).is_subset(m2) and not I(2, (1, 1)).is_subset(j)
 
 
 # ------------------------------------------------------------------ #
@@ -393,14 +380,15 @@ def test_contains_refuses_entries_that_are_not_ints():
 
 
 def test_sum_product_power():
-    m = MonomialIdeal.maximal(2)
-    assert m + m == m
+    m = MonomialIdeal.pure_powers((1, 1))
+    assert MonomialIdeal(2, m.gens + m.gens) == m
     assert m * m == I(2, (2, 0), (1, 1), (0, 2))
     assert m ** 3 == I(2, (3, 0), (2, 1), (1, 2), (0, 3))
     assert m ** 0 == MonomialIdeal.unit(2)
     assert m ** -2 == MonomialIdeal.unit(2)
     j = I(2, (2, 0), (0, 2))
-    assert j + I(2, (1, 1)) == I(2, (2, 0), (1, 1), (0, 2))
+    k = I(2, (1, 1))
+    assert MonomialIdeal(2, j.gens + k.gens) == I(2, (2, 0), (1, 1), (0, 2))
 
 
 def test_power_matches_repeated_product():
@@ -432,23 +420,23 @@ def test_power_takes_one_product_per_further_factor(monkeypatch):
 
 
 def test_colon_frozen_values():
-    m = MonomialIdeal.maximal(2)
+    m = MonomialIdeal.pure_powers((1, 1))
     j = I(2, (2, 0), (0, 2))
     assert j.colon(m) == I(2, (1, 1), (2, 0), (0, 2))
     assert j.colon(m ** 2) == m
     assert (j ** 2).colon(m ** 2) == m ** 3
     assert (m ** 2).colon(m) == m
     assert j.colon(MonomialIdeal.unit(2)) == j
-    assert j.colon(MonomialIdeal.zero(2)) == MonomialIdeal.unit(2)
+    assert j.colon(MonomialIdeal(2, ())) == MonomialIdeal.unit(2)
 
 
 def test_intersection_frozen_values():
-    m = MonomialIdeal.maximal(2)
+    m = MonomialIdeal.pure_powers((1, 1))
     j = I(2, (2, 0), (0, 2))
     assert (j & m ** 4) == m ** 4
     assert (I(2, (1, 0)) & I(2, (0, 1))) == I(2, (1, 1))
     assert (j & MonomialIdeal.unit(2)) == j
-    assert (j & MonomialIdeal.zero(2)).is_zero()
+    assert (j & MonomialIdeal(2, ())).is_zero()
 
 
 def _reference_intersect(left, right):
@@ -506,7 +494,7 @@ def test_intersection_and_colon_match_the_references():
         assert left.colon(right).gens == oracle_colon(left, right), (
             left, right,
         )
-        inside = sum(right.contains(g) for g in left.gens)
+        inside = sum(I(right.dim, g).is_subset(right) for g in left.gens)
         shortcut += inside
         joined += len(left.gens) - inside
     # both branches of & run often: a generator already in the other
@@ -541,13 +529,11 @@ def test_dimension_mismatch_refused():
     with pytest.raises(DimensionMismatchError):
         j * k
     with pytest.raises(DimensionMismatchError):
-        j + k
-    with pytest.raises(DimensionMismatchError):
         j.colon(k)
     with pytest.raises(DimensionMismatchError):
         j & k
     with pytest.raises(DimensionMismatchError):
-        j.contains((1, 0, 0))
+        j.is_subset(k)
 
 
 # ------------------------------------------------------------------ #

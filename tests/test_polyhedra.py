@@ -92,7 +92,7 @@ def test_facets_interior_generator_is_redundant():
 
 def test_facets_zero_ideal_rejected():
     with pytest.raises(InvalidIdealError):
-        newton_polyhedron(MonomialIdeal.zero(2))
+        newton_polyhedron(MonomialIdeal(2, ()))
 
 
 def _homogenized_rays(ideal):
@@ -129,7 +129,7 @@ def _plane_shape(ideal, rays):
     lines = [w for w in rays if w[:2] != (0, 0)]
     on = [sum(1 for w in lines if _dot(w[:2], g) == -w[2]) for g in gens]
     shapes = set()
-    if ideal.is_unit():
+    if ideal == MonomialIdeal.unit(ideal.dim):
         shapes.add("unit")
     elif len(gens) == 1:
         shapes.add("principal")
@@ -826,8 +826,8 @@ def test_closure_frozen_values():
 
 def test_closure_power_conventions():
     j = MonomialIdeal(2, ((2, 0), (0, 2)))
-    assert closure_power(j, 0).is_unit()
-    assert closure_power(j, -3).is_unit()
+    assert closure_power(j, 0) == MonomialIdeal.unit(j.dim)
+    assert closure_power(j, -3) == MonomialIdeal.unit(j.dim)
 
 
 def test_closure_contains_power_and_is_closed():
@@ -1029,12 +1029,20 @@ def test_contains_power_refuses_entries_that_are_not_ints():
     for v in ((1.5, 0.5), (True, 1), (1, 1.0)):
         with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
             facets.contains_power(v, 1)
-    line = newton_polyhedron(MonomialIdeal.maximal(2))
+    line = newton_polyhedron(MonomialIdeal.pure_powers((1, 1)))
     with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
         line.contains_power((2.0**53, 1.0), 2**53 + 1)
     assert line.contains_power((2**53, 1), 2**53 + 1)
+    with pytest.raises(DimensionMismatchError, match="length 3 against"):
+        facets.contains_power((1, 1, 1), 1)
     assert not facets.contains_power((-1, 3), 1)
     assert not facets.contains_power((-1, 3), 0)
+
+    # the rule of minimalize: an int subclass other than bool passes
+    class Exponent(int):
+        pass
+
+    assert facets.contains_power((Exponent(2), 0), 1)
 
 
 def test_monomial_membership_under_closure():
