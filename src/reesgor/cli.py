@@ -36,7 +36,7 @@ from .errors import (
     InapplicableError,
     InvariantViolationError,
 )
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _axes
 from .oracle import oracle_colon, oracle_intersect
 from .polyhedra import closure_power, newton_polyhedron
 from .report import (
@@ -190,11 +190,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _random_m_primary(rng: random.Random, dim: int) -> MonomialIdeal:
-    gens = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = rng.randint(1, 5)
-        gens.append(tuple(e))
+    gens = _axes([rng.randint(1, 5) for _ in range(dim)], dim)
     for _ in range(rng.randint(0, 3)):
         extra = tuple(rng.randint(0, 5) for _ in range(dim))
         while not any(extra):

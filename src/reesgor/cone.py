@@ -50,7 +50,7 @@ from .errors import (
     InvariantViolationError,
     NotMPrimaryError,
 )
-from .ideals import MonomialIdeal, Vector, _exact_vector
+from .ideals import MonomialIdeal, Vector, _axes, _exact_vector
 from .polyhedra import (
     FacetSystem,
     _check_column_budget,
@@ -64,12 +64,15 @@ from .polyhedra import (
 @dataclass(frozen=True)
 class ReesCone:
     """Facet matrix and extreme rays of the semigroup cone, in the
-    orthant coordinates described in the module docstring."""
+    orthant coordinates described in the module docstring. The matrix
+    is all a consumer reads of the facets of NP(I): a row with last
+    entry h > 0 is the lifted row (a - h*1, h) of the bounded facet
+    <a, x> >= h, and the d rows with last entry 0 are the coordinate
+    rows. That layout is written only in `lift_halfspaces`."""
 
     dim: int
     matrix: Tuple[Vector, ...]
     rays: Tuple[Vector, ...]
-    source: FacetSystem
 
     def relint_member(self, v: Sequence[int]) -> bool:
         """Is v a lattice point of the relative interior, every facet
@@ -92,31 +95,31 @@ def lift_halfspaces(facets: FacetSystem) -> ReesCone:
             "cone construction requires an ideal primary to the maximal ideal"
         )
     d = facets.dim
-    rows: List[Vector] = []
-    for f in facets.bounded:
-        rows.append(tuple(a - f.offset for a in f.normal) + (f.offset,))
-    for j in range(d):
-        e = [0] * (d + 1)
-        e[j] = 1
-        rows.append(tuple(e))
+    rows = [
+        tuple(a - f.offset for a in f.normal) + (f.offset,)
+        for f in facets.bounded
+    ] + _axes((1,) * d, d + 1)
     rays = extreme_rays(rows, d + 1)
-    return ReesCone(dim=d, matrix=tuple(rows), rays=rays, source=facets)
+    return ReesCone(dim=d, matrix=tuple(rows), rays=rays)
 
 
 def compute_q(cone: ReesCone) -> int:
     """The least q with (1, ..., 1, q) in the relative interior.
 
-    Each lifted row evaluates on (1, ..., 1, q) to sum(a) + h*(q - d),
-    increasing in q, so the minimum is a max of ceilings. The result
-    must land in [1, d + 1]; anything else means the cone data is
-    corrupt and raises InvariantViolationError.
+    The coordinate rows take the value 1 there for every q. A row of
+    the matrix with last entry h > 0 takes the value s + h*q, where
+    s = sum(row[:d]), increasing in q; it is >= 1 iff
+    q >= ceil((1 - s) / h) = -((s - 1) // h). So q is the largest of 1
+    and these ceilings. For the lifted row (a - h*1, h) this is
+    sum(a) + h*(q - d). The result must land in [1, d + 1], the probe
+    must be interior and q - 1 must not be; anything else means the
+    cone data is corrupt and raises InvariantViolationError.
     """
     d = cone.dim
     q = 1
-    for f in cone.source.bounded:
-        s = sum(f.normal)
-        # smallest q with s + h*(q - d) >= 1
-        q = max(q, d - (s - 1) // f.offset)
+    for *head, h in cone.matrix:
+        if h > 0:
+            q = max(q, -((sum(head) - 1) // h))
     if q > d + 1:
         raise InvariantViolationError(
             f"interior degree q = {q} exceeds d + 1 = {d + 1}"

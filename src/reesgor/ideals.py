@@ -19,10 +19,11 @@ All exponents are Python ints, so arithmetic never overflows.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InvalidIdealError
 
@@ -74,6 +75,13 @@ def _exact_vector(vector: Sequence[int], length: int, against: str) -> Vector:
         if isinstance(entry, bool) or not isinstance(entry, int):
             raise InvalidIdealError(f"non-integer exponent in {v}")
     return v
+
+
+def _axes(scales: Sequence[int], length: int) -> List[Vector]:
+    """The vectors scales[j] * e_j, j < len(scales), each of the given
+    length."""
+    zero = (0,) * length
+    return [zero[:j] + (s,) + zero[j + 1 :] for j, s in enumerate(scales)]
 
 
 # Most distinct candidates for which minimalize, outside two variables,
@@ -223,13 +231,7 @@ class MonomialIdeal:
             raise InvalidIdealError(
                 f"pure power exponents must be positive ints, got {exps}"
             )
-        dim = len(exps)
-        gens = []
-        for i, a in enumerate(exps):
-            e = [0] * dim
-            e[i] = a
-            gens.append(tuple(e))
-        return cls(dim, tuple(gens))
+        return cls(len(exps), tuple(_axes(exps, len(exps))))
 
     # ---------------------------------------------------------------- #
     # predicates
@@ -239,7 +241,12 @@ class MonomialIdeal:
 
     def pure_power_exponents(self) -> Optional[Tuple[int, ...]]:
         """If the ideal is exactly (x_1^{a_1}, ..., x_d^{a_d}), return
-        (a_1, ..., a_d); otherwise None."""
+        (a_1, ..., a_d); otherwise None.
+
+        The gens are a minimal generating set, so no two of them are
+        powers of one variable: of two such powers one divides the
+        other. So d generators, each on one variable, cover all d
+        variables, and every a_i is set."""
         if len(self.gens) != self.dim:
             return None
         exps = [0] * self.dim
@@ -248,8 +255,6 @@ class MonomialIdeal:
             if len(support) != 1:
                 return None
             exps[support[0]] = g[support[0]]
-        if 0 in exps:
-            return None
         return tuple(exps)
 
     def is_subset(self, other: "MonomialIdeal") -> bool:
@@ -277,12 +282,16 @@ class MonomialIdeal:
         return MonomialIdeal(self.dim, tuple(products))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
-        """I^n by n - 1 products with I, one per further factor, on the
-        ladder of _power_cache. Exponents n <= 0 give the unit ideal
-        (the convention used throughout the filtration code)."""
+        """I^n by n - 1 products with I, one per further factor, each
+        product dropped once the next is formed, so one power is alive
+        at a time. Exponents n <= 0 give the unit ideal (the convention
+        used throughout the filtration code). A walk that revisits
+        powers keeps them on a _power_cache ladder instead."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("exponent must be an int")
-        return _power_cache(self)(n)
+        if n <= 0:
+            return MonomialIdeal.unit(self.dim)
+        return functools.reduce(operator.mul, repeat(self, n - 1), self)
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection: generated by pairwise componentwise maxima.
@@ -361,8 +370,9 @@ class MonomialIdeal:
 def _power_cache(ideal: MonomialIdeal) -> Callable[[int], MonomialIdeal]:
     """A function n -> ideal^n that forms each power on first use, by
     one product with the power before it (ideal^n = unit for n <= 0).
-    It is the one ladder of powers: `**` climbs a fresh one, and a walk
-    that revisits powers keeps its own for the length of a call."""
+    It is the one ladder of powers: a walk that revisits powers keeps
+    its own for the length of a call, and every rung stays alive with
+    it. `**` reads only its top power, so it climbs no ladder."""
     pows = [MonomialIdeal.unit(ideal.dim), ideal]
 
     def power(n: int) -> MonomialIdeal:

@@ -4,7 +4,9 @@ Everything in this module is deliberately naive: colons and
 intersections by filling the membership of a box of lattice points.
 None of it calls the algorithmic routines in the rest of the package,
 so an agreement between the two is evidence, not a tautology. Inputs
-are read only for their generator data. `--corpus` checks every colon
+are read only for their generator data, and for the componentwise
+maximum `MonomialIdeal.max_exponents` takes of it, which is container
+inspection and no algorithm. `--corpus` checks every colon
 and intersection it forms against these fills.
 
 Enumerations refuse a box of more than DEFAULT_BUDGET points and raise
@@ -114,9 +116,7 @@ def oracle_colon(
     exact because the ideal's generators lie in B: min(w, B) <= w, and
     a generator h <= w has h <= B, so h <= min(w, B).
     """
-    bounds = tuple(
-        max((g[i] for g in ideal.gens), default=0) for i in range(ideal.dim)
-    )
+    bounds = ideal.max_exponents()
     box = Box(bounds)
     inside = _fill_ideal(ideal.gens, box)
     strides = box.strides()
@@ -143,14 +143,7 @@ def oracle_intersect(
     bounding box of both generator sets with each ideal and taking the
     points in both. The minimal generators, the pairwise maxima of
     generators, lie in that box."""
-    bounds = tuple(
-        max(
-            max((g[i] for g in left.gens), default=0),
-            max((g[i] for g in right.gens), default=0),
-        )
-        for i in range(left.dim)
-    )
-    box = Box(bounds)
+    box = Box(tuple(map(max, left.max_exponents(), right.max_exponents())))
     in_left = _fill_ideal(left.gens, box)
     in_right = _fill_ideal(right.gens, box)
     _, minimal = _fill_upset(

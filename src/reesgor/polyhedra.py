@@ -42,7 +42,7 @@ from .errors import (
     InvalidIdealError,
     InvariantViolationError,
 )
-from .ideals import MonomialIdeal, Vector, _exact_vector
+from .ideals import MonomialIdeal, Vector, _axes, _exact_vector
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -166,8 +166,7 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     if not set(map(type, itertools.chain.from_iterable(constraints))) <= {int}:
         for a in constraints:
             _exact_vector(a, dim, f"dimension {dim}")
-    zero = (0,) * dim
-    lineality = [zero[:j] + (1,) + zero[j + 1 :] for j in range(dim)]
+    lineality = _axes((1,) * dim, dim)
     masks = {}
     seen = 0
     for idx in reversed(range(len(constraints))):
@@ -247,7 +246,11 @@ class HalfSpace:
 class FacetSystem:
     """Facet description of a Newton polyhedron.
 
-    `bounded` holds the facets with positive offset, sorted by normal.
+    `bounded` holds the facets with positive offset, sorted by normal:
+    `newton_polyhedron` reads them off the dual rays (normal, -offset),
+    which both `extreme_rays` and `_plane_rays` return sorted, and
+    distinct facets have distinct primitive normals, so ray order is
+    normal order.
     They are bounded only for an ideal primary to the maximal ideal
     (is_m_primary_source): (x^2 y) has x >= 2 and y >= 1, neither of
     them bounded. `coordinate` lists the axes whose coordinate
@@ -343,11 +346,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
     if d == 2:
         rays = _plane_rays(ideal.gens)
     else:
-        constraints: List[Vector] = [g + (1,) for g in ideal.gens]
-        for j in range(d):
-            e = [0] * (d + 1)
-            e[j] = 1
-            constraints.append(tuple(e))
+        constraints = [g + (1,) for g in ideal.gens] + _axes((1,) * d, d + 1)
         rays = extreme_rays(constraints, d + 1)
 
     bounded: List[HalfSpace] = []
@@ -379,7 +378,6 @@ def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
             raise InvariantViolationError(
                 f"dual ray {w} has nonzero normal but negative offset"
             )
-    bounded.sort(key=lambda f: (f.normal, f.offset))
     return FacetSystem(dim=d, bounded=tuple(bounded), coordinate=tuple(sorted(coordinate)))
 
 

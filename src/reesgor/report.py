@@ -337,14 +337,16 @@ def _write_json(value: object, newline: str, out: List[str]) -> None:
 def render_human(payload: object, indent: int = 0) -> List[str]:
     """Deterministic plain-text rendering of a result dict: a dict
     entry is labelled "key:", a list item "-", and a nested value that
-    is not flat goes on the lines below its label, one level deeper."""
+    is not flat goes on the lines below its label, one level deeper.
+
+    payload is a dict or a list: the command line passes a result
+    dict, and the recursion below passes only a non-empty dict or
+    list. A scalar is always rendered on its label's line."""
     pad = "  " * indent
     if isinstance(payload, dict):
         items = [(f"{key}:", payload[key]) for key in sorted(payload)]
-    elif isinstance(payload, list):
-        items = [("-", value) for value in payload]
     else:
-        return [f"{pad}{_flat(payload)}"]
+        items = [("-", value) for value in payload]
     lines: List[str] = []
     for label, value in items:
         if isinstance(value, (dict, list)) and value and not _is_flat(value):

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, JSON output, self-check."""
 
 import argparse
+import dataclasses
 import enum
 import hashlib
 import json
@@ -12,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reesgor import analysis, cli, report
+from reesgor import (
+    MonomialIdeal,
+    analysis,
+    cli,
+    pure_power_gorenstein_test,
+    report,
+)
 from reesgor.cli import (
     EXIT_INAPPLICABLE,
     EXIT_OK,
@@ -121,7 +128,7 @@ def test_repeated_job_key_is_usage_error(tmp_path, capsys, text, key):
     assert captured.err == f"reesgor: job file repeats the key '{key}'\n"
 
 
-def test_bad_job_shapes_are_usage_errors(job):
+def test_bad_job_shapes_are_usage_errors(job, capsys):
     assert main(["np", job([1, 2, 3])]) == EXIT_USAGE
     assert main(["np", job({"dim": 2})]) == EXIT_USAGE
     assert main(["np", job({"dim": 2, "gens": [[2, 0]], "zz": 1})]) == EXIT_USAGE
@@ -129,6 +136,19 @@ def test_bad_job_shapes_are_usage_errors(job):
     assert (
         main(["qgor", job({**PURE, "reduction": [[1, 0]]})]) == EXIT_USAGE
     )
+    capsys.readouterr()
+    # generators that are no list of lists are refused by their key
+    for payload, key in (
+        ({"dim": 2, "gens": "x"}, "gens"),
+        ({"dim": 2, "gens": [[1, 0], 3]}, "gens"),
+        ({**PURE, "reduction": {}}, "reduction"),
+    ):
+        assert main(["np", job(payload)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"reesgor: '{key}' must be a list of exponent lists\n"
+        )
 
 
 def test_boolean_job_data_is_usage_error(job, capsys):
@@ -254,6 +274,12 @@ def test_core_power_below_one_is_usage_error(job, capsys):
             assert captured.out == ""
             assert "u must be at least 1" in captured.err
     assert main(["--json", "core", "--u", "2", job(PURE)]) == EXIT_OK
+    # the closure power is refused the same way
+    capsys.readouterr()
+    assert main(["--json", "iclosure", "-n", "0", job(PURE)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "reesgor: closure power must be at least 1\n"
 
 
 def test_core_over_budget_is_untrusted(job, capsys, monkeypatch):
@@ -903,6 +929,53 @@ def test_corpus_case_runs_the_colon_test_on_the_found_reduction(monkeypatch):
     case = cli.corpus_case(1, 5)
     assert seen == [("(x^5, y^4, z^2)", "(x^5, y^4, z^2)")]
     assert case["failures"] == ["quasi-Gorenstein cross-check: boom"]
+
+
+def _closure_of(gen):
+    def closure(ideal, n, facets=None):
+        return MonomialIdeal(ideal.dim, (gen,))
+
+    return closure
+
+
+def _flipped_fast_test(ideal):
+    test = pure_power_gorenstein_test(ideal)
+    return dataclasses.replace(test, gorenstein=not test.gorenstein)
+
+
+def _incomplete_search(ideal, facets=None):
+    raise IncompleteSearchError("search box too small")
+
+
+@pytest.mark.parametrize(
+    "name, wrong, failure",
+    [
+        ("oracle_colon", lambda ideal, divisor: (),
+         "colon disagrees with the oracle"),
+        ("oracle_intersect", lambda left, right: (),
+         "intersection disagrees with the oracle"),
+        ("closure_power", _closure_of((0, 0, 0)),
+         "closure generator (0, 0, 0) outside the polyhedron"),
+        ("closure_power", _closure_of((5, 5, 5)),
+         "closure generator (5, 5, 5) not minimal"),
+        ("pure_power_gorenstein_test", _flipped_fast_test,
+         "fast and full Gorenstein tests disagree"),
+        ("is_gorenstein_normalization", _incomplete_search,
+         "search box too small"),
+    ],
+    ids=["colon", "intersect", "outside", "not-minimal", "fast", "search"],
+)
+def test_corpus_case_names_each_failed_cross_check(
+    monkeypatch, capsys, name, wrong, failure
+):
+    # seed 0 draws the pure-power ideal (x^4, y, z^3) as case 0, so
+    # every cross-check of corpus_case runs on it; a wrong answer from
+    # one routine fails that check alone, in its own words
+    monkeypatch.setattr(cli, name, wrong)
+    assert main(["--json", "--corpus", "1", "--seed", "0"]) == EXIT_UNTRUSTED
+    (case,) = json.loads(capsys.readouterr().out)["results"]
+    assert case["ideal"] == "(x^4, y, z^3)"
+    assert case["failures"] == [failure]
 
 
 def test_corpus_rejects_bad_count(capsys):

@@ -419,6 +419,22 @@ def test_power_takes_one_product_per_further_factor(monkeypatch):
         assert all(other is ideal for other in products), n
 
 
+def test_power_keeps_one_power_alive():
+    # I ** n drops each product once the next is formed. A ladder that
+    # held I^1 .. I^300 at once, though ** reads only the top rung,
+    # peaked at 7.9 MB on this input; one power at a time peaks near
+    # 0.3 MB.
+    ideal = I(2, (2, 0), (1, 1), (0, 2))
+    tracemalloc.start()
+    try:
+        top = ideal ** 300
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert top.gens == tuple((i, 600 - i) for i in range(601))
+    assert peak < 2_000_000
+
+
 def test_colon_frozen_values():
     m = MonomialIdeal.pure_powers((1, 1))
     j = I(2, (2, 0), (0, 2))
@@ -534,6 +550,15 @@ def test_dimension_mismatch_refused():
         j & k
     with pytest.raises(DimensionMismatchError):
         j.is_subset(k)
+    # an operand that is no ideal at all is refused by type, named
+    with pytest.raises(TypeError, match="expected MonomialIdeal, got int$"):
+        j * 3
+    with pytest.raises(TypeError, match="expected MonomialIdeal, got str$"):
+        j & "x"
+    with pytest.raises(TypeError, match="got NoneType$"):
+        j.colon(None)
+    with pytest.raises(TypeError, match="expected MonomialIdeal, got int$"):
+        j.is_subset(2)
 
 
 # ------------------------------------------------------------------ #
