@@ -353,10 +353,10 @@ def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
     coordinate: List[int] = []
     for w in rays:
         normal, last = w[:d], w[d]
-        if all(c == 0 for c in normal):
+        if not any(normal):
             # horizon facet of the homogenization; vacuous downstairs
             continue
-        if any(c < 0 for c in normal):
+        if min(normal) < 0:
             raise InvariantViolationError(
                 f"facet normal with a negative entry: {w}"
             )
@@ -368,12 +368,12 @@ def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
                 )
             bounded.append(HalfSpace(normal, offset))
         elif offset == 0:
-            support = [j for j, c in enumerate(normal) if c != 0]
-            if len(support) != 1 or normal[support[0]] != 1:
+            # the entries are >= 0 here, so a sum of 1 is one entry 1
+            if sum(normal) != 1:
                 raise InvariantViolationError(
                     f"offset-zero facet with non-axis normal {normal}"
                 )
-            coordinate.append(support[0])
+            coordinate.append(normal.index(1))
         else:
             raise InvariantViolationError(
                 f"dual ray {w} has nonzero normal but negative offset"

@@ -27,6 +27,8 @@ def test_box_points_and_budget():
     assert len(list(box.points())) == 12
     # one point past the budget is refused before any is produced
     with pytest.raises(BudgetExceededError):
+        Box((oracle.DEFAULT_BUDGET,)).size
+    with pytest.raises(BudgetExceededError):
         Box((oracle.DEFAULT_BUDGET,)).points()
     with pytest.raises(BudgetExceededError):
         list(Box((1000, 1000, 1000)).points())
@@ -150,11 +152,17 @@ def _reference_oracle_intersect(left, right):
 
 
 def _special_ideals(dim):
+    """The zero and unit ideals, two powers of the maximal ideal, and
+    ideals that are not m-primary once d >= 2: a power of the first
+    variable alone, whose box then has last side 0, and one monomial
+    off every axis."""
     return (
         MonomialIdeal(dim, ()),
         MonomialIdeal.unit(dim),
         MonomialIdeal.pure_powers((1,) * dim),
         MonomialIdeal.pure_powers((2,) * dim),
+        MonomialIdeal(dim, ((2,) + (0,) * (dim - 1),)),
+        MonomialIdeal(dim, ((1,) * dim,)),
     )
 
 
@@ -170,6 +178,10 @@ def test_box_fills_match_the_point_scans(dim):
         pairs.append((other * ideal, other))
         pairs.append((random_ideal(rng, dim, max_coord=max_coord), other))
         pairs.append((other, random_ideal(rng, dim, max_coord=max_coord)))
+        # divisor generators beyond the box of the numerator, so every
+        # read of the colon is clamped
+        pairs.append((ideal, other * other * other))
+        pairs.append((random_ideal(rng, dim, max_coord=2), other * other))
     special = _special_ideals(dim)
     pairs += [(a, b) for a in special for b in special]
     pairs += [(ideal, s) for s in special] + [(s, ideal) for s in special]
@@ -183,10 +195,13 @@ def test_box_fills_match_the_point_scans(dim):
 
 
 def test_box_budget_refuses_before_allocating(monkeypatch):
+    """The fills allocate their starts with list(), so a list built
+    before the budget check fails the test with an AssertionError."""
+
     def no_allocation(*args):
         raise AssertionError("allocated before the budget check")
 
-    monkeypatch.setattr(oracle, "bytearray", no_allocation, raising=False)
+    monkeypatch.setattr(oracle, "list", no_allocation, raising=False)
     big = MonomialIdeal.pure_powers((10**6,) * 3)
     message = (
         f"box {(10**6,) * 3} holds {(10**6 + 1) ** 3} points, "

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from reesgor.errors import (
     ConeGeometryError,
     DimensionMismatchError,
     InvalidIdealError,
+    InvariantViolationError,
 )
 from reesgor.polyhedra import (
     COLUMN_BUDGET,
@@ -93,6 +95,40 @@ def test_facets_interior_generator_is_redundant():
 def test_facets_zero_ideal_rejected():
     with pytest.raises(InvalidIdealError):
         newton_polyhedron(MonomialIdeal(2, ()))
+
+
+@pytest.mark.parametrize(
+    "source, ray, message",
+    [
+        ("_plane_rays", (1, -1, -1),
+         "facet normal with a negative entry: (1, -1, -1)"),
+        ("_plane_rays", (2, 2, -4),
+         "imprimitive facet normal (2, 2) (offset 4)"),
+        ("_plane_rays", (1, 1, 0),
+         "offset-zero facet with non-axis normal (1, 1)"),
+        ("_plane_rays", (2, 0, 0),
+         "offset-zero facet with non-axis normal (2, 0)"),
+        ("_plane_rays", (0, 1, 1),
+         "dual ray (0, 1, 1) has nonzero normal but negative offset"),
+        ("extreme_rays", (0, 3, 0, -6),
+         "imprimitive facet normal (0, 3, 0) (offset 6)"),
+        ("extreme_rays", (0, 1, 1, 0),
+         "offset-zero facet with non-axis normal (0, 1, 1)"),
+    ],
+)
+def test_newton_polyhedron_refuses_a_corrupt_dual_ray(
+    monkeypatch, source, ray, message
+):
+    """Each check on the dual rays names a ray that breaks it: the
+    rays of a sound ideal, with one corrupt ray put in, are refused."""
+    dim = len(ray) - 1
+    ideal = MonomialIdeal.pure_powers((2,) * dim)
+    sound = getattr(polyhedra, source)
+    monkeypatch.setattr(
+        polyhedra, source, lambda *args: sound(*args) + (ray,)
+    )
+    with pytest.raises(InvariantViolationError, match=re.escape(message)):
+        newton_polyhedron(ideal)
 
 
 def _homogenized_rays(ideal):
