@@ -11,7 +11,6 @@ before it is returned.
 from .analysis import (
     CMVerdict,
     ConsistencyCheck,
-    ConsistencyReport,
     QGVerdict,
     a_invariant_consistency,
     closure_nilpotency_index,
@@ -62,7 +61,6 @@ __all__ = [
     "CanonicalData",
     "ConeGeometryError",
     "ConsistencyCheck",
-    "ConsistencyReport",
     "DimensionMismatchError",
     "FacetSystem",
     "HalfSpace",

@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolationError,
     NotAReductionError,
 )
-from .ideals import MonomialIdeal, _power_cache
+from .ideals import MonomialIdeal, _exact_int, _power_cache
 from .polyhedra import (
     FacetSystem,
     _facets_for,
@@ -472,7 +472,7 @@ def core_compute(
     minimal generators, mu(I^k) >= k + 1, and the generator check has
     already refused by k = CORE_GENERATOR_BUDGET.
     """
-    if not isinstance(u, int) or isinstance(u, bool) or u < 1:
+    if not _exact_int(u) or u < 1:
         raise InapplicableError("the power u must be a positive int")
     reduction = _pure_power_reduction(ideal, reduction, "core computation")
 
@@ -577,34 +577,12 @@ class ConsistencyCheck:
     actual: Optional[int]
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Cross-checks tying the cone-side degree invariant to the
-    algebra-side indices. A failed check does not raise: it is recorded
-    with both sides and left to the caller (the command line maps it to
-    a distinct exit code).
-
-    `a_invariant_consistency` does raise when the checks cannot be set
-    up: NotMPrimaryError for an ideal not primary to the maximal ideal,
-    whose cone is not built; NotAReductionError for a supplied pure-power
-    reduction that is no reduction of the ideal, (x^4, y^4) against
-    (x^2, y^2) say; DimensionMismatchError for one in another dimension;
-    and the budget and invariant errors of the routines it calls. The
-    report prints the section as inapplicable on the first two."""
-
-    checks: Tuple[ConsistencyCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def a_invariant_consistency(
     ideal: MonomialIdeal,
     reduction: Optional[MonomialIdeal] = None,
-) -> ConsistencyReport:
+) -> Tuple[ConsistencyCheck, ...]:
     """Compare the degree invariant of the normalized algebra with its
-    algebra-side characterizations:
+    algebra-side characterizations, one check each, in this order:
 
       closure-index:     a == closure nilpotency index - d + 1
       conductor-shift:   a == quasi-Gorenstein degree + conductor
@@ -619,13 +597,25 @@ def a_invariant_consistency(
     say), all three checks are inapplicable. The last two apply only
     when the quasi-Gorenstein test is also positive. Inapplicable
     checks are recorded as such and count as passing.
+
+    A failed check does not raise: it is recorded with both sides and
+    left to the caller (the command line maps it to a distinct exit
+    code). The function does raise when the checks cannot be set up:
+    NotMPrimaryError for an ideal not primary to the maximal ideal,
+    whose cone is not built; NotAReductionError for a supplied
+    pure-power reduction that is no reduction of the ideal, (x^4, y^4)
+    against (x^2, y^2) say; DimensionMismatchError for one in another
+    dimension; and the budget and invariant errors of the routines it
+    calls. The report prints the section as inapplicable on the first
+    two.
     """
     d = ideal.dim
     facets = newton_polyhedron(ideal)
     a_inv = is_gorenstein_normalization(ideal, facets)[1].a_invariant
-    # check name -> (expected, actual), or None when inapplicable
-    table: Dict[str, Optional[Tuple[int, int]]] = dict.fromkeys(
-        ("closure-index", "conductor-shift", "nilpotency-degree")
+    # check name -> (expected, actual), (None, None) when inapplicable
+    table: Dict[str, Tuple[Optional[int], Optional[int]]] = dict.fromkeys(
+        ("closure-index", "conductor-shift", "nilpotency-degree"),
+        (None, None),
     )
 
     if reduction is None:
@@ -642,13 +632,7 @@ def a_invariant_consistency(
             if s == verdict.reduction_number:
                 table["nilpotency-degree"] = (s - d + 1, verdict.a)
 
-    checks: List[ConsistencyCheck] = []
-    for name, pair in table.items():
-        if pair is None:
-            checks.append(ConsistencyCheck(name, False, True, None, None))
-        else:
-            expected, actual = pair
-            checks.append(
-                ConsistencyCheck(name, True, expected == actual, expected, actual)
-            )
-    return ConsistencyReport(tuple(checks))
+    return tuple(
+        ConsistencyCheck(name, e is not None, e == a, e, a)
+        for name, (e, a) in table.items()
+    )

@@ -40,9 +40,18 @@ def _divides_some(gens: Sequence[Vector], v: Vector) -> bool:
     return any(map(leq, gens, repeat(v)))
 
 
+def _exact_int(value: object) -> bool:
+    """The one rule that keeps arithmetic exact: an exponent, dimension
+    or power is an int, or an int subclass other than bool. bool is an
+    int subclass, but True is no exponent; a float would compute an
+    answer, and past 2^53 a wrong one. Each caller raises its own
+    error when the rule fails."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_each(vectors: Sequence[Sequence[int]], dim: int) -> None:
     """Raise InvalidIdealError for the first malformed vector, in input
-    order, naming the vector; int subclasses other than bool pass."""
+    order, naming the vector; an entry passes by `_exact_int`."""
     for raw in vectors:
         v = tuple(raw)
         if len(v) != dim:
@@ -50,10 +59,7 @@ def _check_each(vectors: Sequence[Sequence[int]], dim: int) -> None:
                 f"generator {v} has {len(v)} entries, expected {dim}"
             )
         for entry in v:
-            # bool is an int subclass, but True is no exponent
-            if type(entry) is not int and (
-                isinstance(entry, bool) or not isinstance(entry, int)
-            ):
+            if type(entry) is not int and not _exact_int(entry):
                 raise InvalidIdealError(f"non-integer exponent in {v}")
             if entry < 0:
                 raise InvalidIdealError(f"negative exponent in {v}")
@@ -61,24 +67,20 @@ def _check_each(vectors: Sequence[Sequence[int]], dim: int) -> None:
 
 def _exact_vector(vector: Sequence[int], length: int, against: str) -> Vector:
     """vector as a tuple, refused before any arithmetic on it unless it
-    has length entries, each an int and no bool: DimensionMismatchError
-    names its length and what it was held against, InvalidIdealError a
-    non-integer entry, with the rule and message of minimalize. A float
-    or a bool would compute an answer, and a float past 2^53 a wrong
-    one. An exact int passes on one type test, as in _check_each; only
-    another type meets the isinstance pair. On vectors of 2 to 4
-    entries that loop beats a C-level pass over the types, such as
-    minimalize runs on many vectors at once (about 0.1-0.2 against
-    0.3-0.4 us, Python 3.11.7)."""
+    has length entries, each passing `_exact_int`: DimensionMismatchError
+    names its length and what it was held against, InvalidIdealError an
+    entry that fails, with the message of minimalize. An exact int
+    passes on one type test, as in _check_each; only another type
+    calls `_exact_int`. On vectors of 2 to 4 entries that loop beats a
+    C-level pass over the types, such as minimalize runs on many
+    vectors at once (about 0.1-0.2 against 0.3-0.4 us, Python 3.11.7)."""
     v = tuple(vector)
     if len(v) != length:
         raise DimensionMismatchError(
             f"vector of length {len(v)} against {against}"
         )
     for entry in v:
-        if type(entry) is not int and (
-            isinstance(entry, bool) or not isinstance(entry, int)
-        ):
+        if type(entry) is not int and not _exact_int(entry):
             raise InvalidIdealError(f"non-integer exponent in {v}")
     return v
 
@@ -101,9 +103,9 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
 
     Deduplicates, drops every vector dominated by another, and returns
     the survivors sorted lexicographically. Raises InvalidIdealError on
-    a dim that is no positive int (a bool is none) and on malformed
-    vectors (wrong arity, negative or non-integer entries; booleans
-    count as non-integers).
+    a dim that is no positive int and on malformed vectors (wrong arity,
+    negative entries, or entries that fail `_exact_int`). The survivors
+    hold plain ints, also when the input held an int subclass.
 
     Each vector is read once, into a tuple. Validation is a few C-level
     passes: the arity and the least entry on the deduplicated set, the
@@ -112,7 +114,8 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     Only when that check fails does the loop over the vectors run, in
     input order, so the error names the same vector with the same
     message as a check of every vector would; an int subclass other
-    than bool fails the quick check but passes the loop.
+    than bool fails the quick check but passes the loop, and is then
+    stored as the int it equals.
 
     Lemma (order). Among distinct candidates in lexicographic order,
     every divisor of v comes before v: it is at most v in every entry,
@@ -158,7 +161,7 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     at k = 15, 24.3 against 25.1 at k = 18, and 31.8 against 23.6 at
     k = 19. No call had k = 16 or 17.
     """
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+    if not _exact_int(dim) or dim < 1:
         raise InvalidIdealError("ambient dimension must be a positive int")
     vectors = tuple(vectors)
     try:
@@ -173,7 +176,7 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
         valid = False
     if not valid:
         _check_each(vectors, dim)
-        unique = set(map(tuple, vectors))
+        unique = {tuple(map(int, v)) for v in vectors}
     candidates = sorted(unique)
     if dim == 2:
         kept = []
@@ -218,6 +221,8 @@ class MonomialIdeal:
     def __post_init__(self) -> None:
         # minimalize refuses a dim that is no positive int
         object.__setattr__(self, "gens", minimalize(self.gens, self.dim))
+        if type(self.dim) is not int:  # an int subclass, kept as its int
+            object.__setattr__(self, "dim", int(self.dim))
 
     # ---------------------------------------------------------------- #
     # constructors
@@ -230,10 +235,7 @@ class MonomialIdeal:
     def pure_powers(cls, exponents: Sequence[int]) -> "MonomialIdeal":
         """The ideal (x_1^{a_1}, ..., x_d^{a_d}) with every a_i >= 1."""
         exps = tuple(exponents)
-        if not exps or any(
-            isinstance(a, bool) or not isinstance(a, int) or a < 1
-            for a in exps
-        ):
+        if not exps or any(not _exact_int(a) or a < 1 for a in exps):
             raise InvalidIdealError(
                 f"pure power exponents must be positive ints, got {exps}"
             )
@@ -293,7 +295,7 @@ class MonomialIdeal:
         at a time. Exponents n <= 0 give the unit ideal (the convention
         used throughout the filtration code). A walk that revisits
         powers keeps them on a _power_cache ladder instead."""
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not _exact_int(n):
             raise TypeError("exponent must be an int")
         if n <= 0:
             return MonomialIdeal.unit(self.dim)
@@ -340,7 +342,7 @@ class MonomialIdeal:
     def bracket_power(self, u: int) -> "MonomialIdeal":
         """The ideal generated by the u-th powers of the generators
         (for monomial generators: each exponent vector scaled by u)."""
-        if not isinstance(u, int) or isinstance(u, bool) or u < 1:
+        if not _exact_int(u) or u < 1:
             raise InvalidIdealError("bracket power requires a positive int")
         return MonomialIdeal(
             self.dim, tuple(tuple(u * e for e in g) for g in self.gens)

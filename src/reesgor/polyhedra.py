@@ -42,7 +42,7 @@ from .errors import (
     InvalidIdealError,
     InvariantViolationError,
 )
-from .ideals import MonomialIdeal, Vector, _axes, _exact_vector
+from .ideals import MonomialIdeal, Vector, _axes, _exact_int, _exact_vector
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -79,12 +79,13 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     cone without both properties has no well-defined extreme-ray
     description for our purposes. Returned rays are primitive integer
     vectors, sorted. Before any arithmetic, refuses a dim that is no
-    positive int (a bool is none) with InvalidIdealError, as
+    positive int by `_exact_int` with InvalidIdealError, as
     `minimalize` does, a row of another length with
-    DimensionMismatchError, and a bool or non-int entry with the
-    InvalidIdealError of `_exact_vector`, which names its row. The
-    entry check is one C-level pass over the types; the loop of
-    `_exact_vector` runs only when that pass fails.
+    DimensionMismatchError, and an entry that fails `_exact_int` with
+    the InvalidIdealError of `_exact_vector`, which names its row. The
+    entry check is one C-level pass over the types, a sufficient test
+    rather than the rule; the loop of `_exact_vector` runs only when
+    that pass fails.
 
     One loop over the rows: the lineality-first double description
     with the combinatorial adjacency test (Fukuda and Prodon, "Double
@@ -158,7 +159,7 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     with the most zero entries first, at the cost of a sort, saved
     31-34%, and taking them in their given order 11-24%.
     """
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+    if not _exact_int(dim) or dim < 1:
         raise InvalidIdealError("ambient dimension must be a positive int")
     constraints = list(map(tuple, rows))
     if not set(map(len, constraints)) <= {dim}:
@@ -266,11 +267,10 @@ class FacetSystem:
         """Is v a lattice point of the n-fold dilate of the
         polyhedron (equivalently: is x^v integral over I^n)?
         For n <= 0 only nonnegativity is required. Like
-        `closure_power`, refuses a bool or non-int n with TypeError,
-        and by `_exact_vector` a v of the wrong length or with an
-        entry that is no int (a bool is none; an int subclass passes),
-        before any arithmetic."""
-        if not isinstance(n, int) or isinstance(n, bool):
+        `closure_power`, refuses an n that fails `_exact_int` with
+        TypeError, and by `_exact_vector` a v of the wrong length or
+        with an entry that fails it, before any arithmetic."""
+        if not _exact_int(n):
             raise TypeError("exponent must be an int")
         w = _exact_vector(v, self.dim, f"dimension {self.dim}")
         if any(c < 0 for c in w):
@@ -698,9 +698,9 @@ def closure_power(
 ) -> MonomialIdeal:
     """The integral closure of ideal^n as a monomial ideal. For
     n <= 0 returns the unit ideal, matching the power convention.
-    Like `ideal ** n`, refuses a bool or non-int n with TypeError,
-    before any work."""
-    if not isinstance(n, int) or isinstance(n, bool):
+    Like `ideal ** n`, refuses an n that fails `_exact_int` with
+    TypeError, before any work."""
+    if not _exact_int(n):
         raise TypeError("exponent must be an int")
     if n <= 0:
         return MonomialIdeal.unit(ideal.dim)

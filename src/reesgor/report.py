@@ -36,7 +36,7 @@ from .cone import (
     pure_power_gorenstein_test,
 )
 from .errors import InapplicableError, NotAReductionError, NotMPrimaryError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _exact_int
 from .polyhedra import closure_power, newton_polyhedron
 
 SCHEMA_VERSION = 1
@@ -68,7 +68,7 @@ def job_from_dict(data: object) -> JobSpec:
     if "dim" not in data or "gens" not in data:
         raise ValueError("job needs 'dim' and 'gens'")
     dim = data["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _exact_int(dim) or dim < 1:
         raise ValueError("'dim' must be a positive integer")
     ideal = MonomialIdeal(dim, _exponent_lists(data, "gens"))
     reduction = None
@@ -211,8 +211,8 @@ def core_section(
 def consistency_section(
     ideal: MonomialIdeal, reduction: Optional[MonomialIdeal]
 ) -> Dict:
-    rep = a_invariant_consistency(ideal, reduction)
-    return {**_plain(rep), "all_ok": rep.all_ok}
+    checks = a_invariant_consistency(ideal, reduction)
+    return {"checks": _plain(checks), "all_ok": all(c.ok for c in checks)}
 
 
 def invariants_section(
@@ -364,7 +364,7 @@ def _is_flat(value: object) -> bool:
 
 
 def _flat(value: object) -> str:
-    if isinstance(value, bool):
+    if type(value) is bool:
         return "true" if value else "false"
     if value is None:
         return "none"

@@ -97,6 +97,43 @@ def test_the_column_scan_derives_its_slack_width():
     assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
 
 
+def _tests_for_bool(node):
+    """Is node a call isinstance(x, bool), bool alone or in a tuple?"""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return False
+    kinds = node.args[1]
+    kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+
+
+def test_the_exact_int_rule_has_one_home():
+    """An exponent, dimension or power is an int or an int subclass,
+    never a bool. `ideals._exact_int` states that rule, and no other
+    package code tests for bool with isinstance, so no copy of the rule
+    can drift from it."""
+    sites = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if _tests_for_bool(node)
+    ]
+    (path,) = [p for p in SOURCES if p.name == "ideals.py"]
+    home = [
+        (path.name, node.lineno)
+        for func in _tree(path).body
+        if isinstance(func, ast.FunctionDef) and func.name == "_exact_int"
+        for node in ast.walk(func)
+        if _tests_for_bool(node)
+    ]
+    assert sites == home
+    assert len(home) == 1
+
+
 def _raised_name(node):
     """The class name a `raise` statement names, or None."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc

@@ -1,5 +1,6 @@
 """Exponent-vector arithmetic: canonical form, products, colons."""
 
+import enum
 import itertools
 import math
 import tracemalloc
@@ -12,6 +13,8 @@ from reesgor import (
     MonomialIdeal,
     closure_power,
     core_compute,
+    extreme_rays,
+    lift_halfspaces,
     minimalize,
     newton_polyhedron,
 )
@@ -23,6 +26,7 @@ from reesgor.errors import (
 from reesgor import ideals
 from reesgor.ideals import SCAN_LIMIT, leq
 from reesgor.oracle import oracle_colon, oracle_intersect
+from reesgor.report import JobSpec, build_report, job_from_dict, to_json
 
 from conftest import random_ideal, random_m_primary, seeded, single_facet_ideal
 
@@ -167,6 +171,123 @@ def test_minimalize_refuses_a_dim_the_constructor_refuses():
         assert _raised(minimalize, vectors, dim) == expected
         assert _raised(MonomialIdeal, dim, tuple(vectors)) == expected
     assert minimalize([(1, 2)], Exponent(2)) == ((1, 2),)
+
+
+class _Level(enum.IntEnum):
+    """An int subclass whose repr shows it: a member that leaks into an
+    answer changes the answer's repr."""
+
+    TWO = 2
+    THREE = 3
+
+
+def test_int_subclass_exponents_are_stored_as_ints():
+    # An int subclass passes the rule, but the ideal stores the ints it
+    # equals, so its report is written as JSON like any other.
+    expected = to_json(build_report(JobSpec(I(2, (2, 0), (0, 3)), None)))
+    for two, three in ((Exponent(2), Exponent(3)), (_Level.TWO, _Level.THREE)):
+        ideal = MonomialIdeal(two, ((two, 0), (0, three)))
+        assert type(ideal.dim) is int
+        assert {type(e) for g in ideal.gens for e in g} == {int}
+        assert to_json(build_report(JobSpec(ideal, None))) == expected
+
+
+def _facets():
+    return newton_polyhedron(I(2, (2, 0), (0, 3)))
+
+
+# entry -> (a call with x at that entry, the error and message it
+# raises for a value that fails the rule, {x} standing for the value)
+INT_ENTRIES = {
+    "MonomialIdeal-dim": (
+        lambda x: MonomialIdeal(x, ((2, 0), (0, 3))),
+        InvalidIdealError,
+        "ambient dimension must be a positive int",
+    ),
+    "MonomialIdeal-gens": (
+        lambda x: MonomialIdeal(2, ((x, 0), (0, 3))),
+        InvalidIdealError,
+        "non-integer exponent in ({x}, 0)",
+    ),
+    "minimalize-dim": (
+        lambda x: minimalize([(2, 0), (0, 3)], x),
+        InvalidIdealError,
+        "ambient dimension must be a positive int",
+    ),
+    "minimalize-entries": (
+        lambda x: minimalize([(x, 0), (0, 3)], 2),
+        InvalidIdealError,
+        "non-integer exponent in ({x}, 0)",
+    ),
+    "pure_powers": (
+        lambda x: MonomialIdeal.pure_powers((x, 3)),
+        InvalidIdealError,
+        "pure power exponents must be positive ints, got ({x}, 3)",
+    ),
+    "bracket_power": (
+        lambda x: I(2, (2, 0), (1, 1)).bracket_power(x),
+        InvalidIdealError,
+        "bracket power requires a positive int",
+    ),
+    "pow": (
+        lambda x: I(2, (2, 0), (1, 1)) ** x,
+        TypeError,
+        "exponent must be an int",
+    ),
+    "extreme_rays-dim": (
+        lambda x: extreme_rays([(1, 0), (1, 2)], x),
+        InvalidIdealError,
+        "ambient dimension must be a positive int",
+    ),
+    "extreme_rays-entries": (
+        lambda x: extreme_rays([(x, -1), (0, 1)], 2),
+        InvalidIdealError,
+        "non-integer exponent in ({x}, -1)",
+    ),
+    "contains_power-v": (
+        lambda x: _facets().contains_power((x, 1), 1),
+        InvalidIdealError,
+        "non-integer exponent in ({x}, 1)",
+    ),
+    "contains_power-n": (
+        lambda x: _facets().contains_power((2, 2), x),
+        TypeError,
+        "exponent must be an int",
+    ),
+    "relint_member": (
+        lambda x: lift_halfspaces(_facets()).relint_member((x, 1, 1)),
+        InvalidIdealError,
+        "non-integer exponent in ({x}, 1, 1)",
+    ),
+    "closure_power": (
+        lambda x: closure_power(I(2, (2, 0), (1, 1)), x),
+        TypeError,
+        "exponent must be an int",
+    ),
+    "core_compute": (
+        lambda x: core_compute(
+            I(2, (2, 0), (1, 1), (0, 2)), I(2, (2, 0), (0, 2)), x
+        ),
+        InapplicableError,
+        "the power u must be a positive int",
+    ),
+    "job_from_dict-dim": (
+        lambda x: job_from_dict({"dim": x, "gens": [[2, 0], [0, 3]]}),
+        ValueError,
+        "'dim' must be a positive integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", INT_ENTRIES)
+def test_every_int_entry_follows_the_one_rule(entry):
+    # `ideals._exact_int`: an int subclass gives the answer of the int
+    # it equals, with no member of it left in the answer, and a bool or
+    # a float is refused with the entry's own error and message.
+    call, error, message = INT_ENTRIES[entry]
+    assert repr(call(_Level.TWO)) == repr(call(2))
+    for value in (True, 2.0):
+        assert _raised(call, value) == (error, message.format(x=value))
 
 
 def test_pure_powers_refuse_bool_exponents():

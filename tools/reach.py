@@ -8,14 +8,18 @@ only read; each job is written to a temporary directory. Then prints
 one line per statement of src/reesgor that has bytecode and that none
 of the runs executed, as `module:line: source`, and a summary line on
 standard error. A statement counts as executed when any line of it
-(for a compound statement, any line of its header) runs. Run from the
-root of the repository:
+(for a compound statement, any line of its header) runs. The summary
+line ends with the sha256 of every run's exit code, standard output
+and standard error, in run order: two trees whose digests are equal
+gave byte-identical output on all the runs. Run from the root of the
+repository:
 
     python3 tools/reach.py
 """
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -80,6 +84,7 @@ def main() -> None:
         return trace_lines
 
     sys.path.insert(0, str(PACKAGE.parent))
+    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as folder:
         runs = list(_jobs(folder)) + [
             ["--json", "--corpus", "10", "--seed", str(seed)]
@@ -90,9 +95,13 @@ def main() -> None:
             from reesgor import cli
 
             for argv in runs:
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    cli.main(argv)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                # one JSON array per run, so no two runs' bytes can merge
+                digest.update(json.dumps(
+                    [code, out.getvalue(), err.getvalue()]).encode())
         finally:
             sys.settrace(None)
 
@@ -110,8 +119,8 @@ def main() -> None:
             if not ran.intersection(span):
                 missed += 1
                 print(f"{module}:{line}: {source[line - 1].strip()}")
-    print(f"{missed} of {total} statements not executed by {len(runs)} runs",
-          file=sys.stderr)
+    print(f"{missed} of {total} statements not executed by {len(runs)} runs; "
+          f"output sha256 {digest.hexdigest()}", file=sys.stderr)
 
 
 if __name__ == "__main__":
