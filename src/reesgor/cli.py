@@ -38,7 +38,7 @@ from .errors import (
 )
 from .ideals import MonomialIdeal, _axes
 from .oracle import oracle_colon, oracle_intersect
-from .polyhedra import closure_power, newton_polyhedron
+from .polyhedra import _job, closure_power, newton_polyhedron
 from .report import (
     build_report,
     closure_section,
@@ -134,7 +134,9 @@ def build_parser() -> _Parser:
 _shared_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
+@_job()
 def _execute(args: argparse.Namespace) -> Tuple[Dict, int]:
+    """One command run, which is one job (see `polyhedra._job`)."""
     payload = _COMMANDS[args.command][2](load_job(args.job), args)
     # a report whose sections disagree cannot be trusted
     consistency = payload.get("consistency", {})
@@ -208,8 +210,10 @@ def _corpus_ideals(
     return _random_m_primary(rng, dim), _random_m_primary(rng, dim)
 
 
+@_job()
 def corpus_case(index: int, seed: int) -> Dict:
-    """One self-check case: random ideals, every cheap cross-check."""
+    """One self-check case: random ideals, every cheap cross-check.
+    The case is one job, like a command run (see `polyhedra._job`)."""
     ideal, other = _corpus_ideals(index, seed)
     failures: List[str] = []
 

@@ -57,6 +57,7 @@ from .polyhedra import (
     _column_scan,
     _dot,
     _facets_for,
+    _once,
     extreme_rays,
 )
 
@@ -146,6 +147,22 @@ class CanonicalData:
 
 
 def canonical_generators(cone: ReesCone) -> CanonicalData:
+    """Minimal generators of the module of interior lattice points,
+    found by the scan `_canonical_scan`, whose docstring proves it.
+
+    Solved once per job. The scan reads only the cone, a frozen
+    `ReesCone` of tuples of ints compared by value, and returns a
+    frozen `CanonicalData` of ints, bools and tuples. So within one
+    job (`polyhedra._job`) it runs once per cone and a repeat returns
+    what a fresh scan would (the lemma of `polyhedra._once`). Its
+    refusals (IncompleteSearchError, BudgetExceededError,
+    InvariantViolationError) are stored by no job: each is raised
+    again, in the same words.
+    """
+    return _once(_canonical_scan, cone)
+
+
+def _canonical_scan(cone: ReesCone) -> CanonicalData:
     """Minimal generators of the module of interior lattice points.
 
     Every minimal generator lies, coordinatewise, under the sum of the

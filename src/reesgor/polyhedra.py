@@ -28,12 +28,16 @@ Everything is exact; no floating point anywhere.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from .errors import (
     BudgetExceededError,
@@ -67,6 +71,58 @@ def _project(v0: int, u: Sequence[int], v: int, l0: Sequence[int]) -> Vector:
 
 
 # -------------------------------------------------------------------- #
+# the job memo
+
+# The memo of the job running in this context, from (kernel, its
+# arguments) to the kernel's result; None outside a job.
+_job_memo: contextvars.ContextVar[Optional[Dict]] = contextvars.ContextVar(
+    "reesgor_job_memo", default=None
+)
+
+
+@contextlib.contextmanager
+def _job() -> Iterator[None]:
+    """Run the block as one job, with a memo of its own for `_once`.
+
+    One command run (`cli._execute`) and one self-check case
+    (`cli.corpus_case`) are each one job: both are decorated with
+    `@_job()`, which enters a new job on every call. The memo is empty
+    when the block starts and gone when it ends, however it ends, so
+    nothing crosses from one job to the next. A job entered inside
+    another starts empty too, and the outer job's memo is back when it
+    ends."""
+    token = _job_memo.set({})
+    try:
+        yield
+    finally:
+        _job_memo.reset(token)
+
+
+def _once(kernel: Callable, *args):
+    """kernel(*args), run at most once per job for equal arguments.
+
+    Lemma. Each kernel passed here reads only its arguments, which are
+    immutable values compared by value (tuples of ints, and frozen
+    `FacetSystem` and `cone.ReesCone` objects), and returns an
+    immutable value (tuples and frozen dataclasses). So within one
+    job a stored result is exactly what a fresh run would return, and
+    handing it out again changes nothing but time.
+
+    Outside a job the kernel runs on every call, as the reference the
+    memo is tested against. Only returned results are stored: a kernel
+    that raises stores nothing, and raises again, with the same
+    message, when it is asked again."""
+    memo = _job_memo.get()
+    if memo is None:
+        return kernel(*args)
+    key = (kernel, *args)
+    result = memo.get(key)
+    if result is None:  # no kernel returns None
+        result = memo[key] = kernel(*args)
+    return result
+
+
+# -------------------------------------------------------------------- #
 # double description
 
 
@@ -86,6 +142,30 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     entry check is one C-level pass over the types, a sufficient test
     rather than the rule; the loop of `_exact_vector` runs only when
     that pass fails.
+
+    Solved once per job. The loop, `_double_description`, reads only
+    the validated rows and dim, tuples of ints compared by value, and
+    returns a tuple of tuples. So within one job (`_job`) it runs once
+    per (rows, dim) and a repeat returns what a fresh run would (the
+    lemma of `_once`). Every call still runs the checks above, and a
+    ConeGeometryError is stored by no job: it is raised again, in the
+    same words.
+    """
+    if not _exact_int(dim) or dim < 1:
+        raise InvalidIdealError("ambient dimension must be a positive int")
+    constraints = tuple(map(tuple, rows))
+    if not set(map(len, constraints)) <= {dim}:
+        raise DimensionMismatchError("constraint row of wrong length")
+    if not set(map(type, itertools.chain.from_iterable(constraints))) <= {int}:
+        for a in constraints:
+            _exact_vector(a, dim, f"dimension {dim}")
+    return _once(_double_description, constraints, dim)
+
+
+def _double_description(
+    constraints: Tuple[Vector, ...], dim: int
+) -> Tuple[Vector, ...]:
+    """The extreme rays of `extreme_rays`, for rows it has validated.
 
     One loop over the rows: the lineality-first double description
     with the combinatorial adjacency test (Fukuda and Prodon, "Double
@@ -147,9 +227,9 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     no zero row.
 
     Order. The rays come out sorted, so the order the rows are taken
-    in is free; they are taken last first. Both callers append the
-    unit rows e_j last, so those come first, and each uses up its own
-    e_j with no arithmetic. Timed on 5,307 recorded calls in 3 to 6
+    in is free; they are taken last first. Both package callers of
+    `extreme_rays` append the unit rows e_j last, so those come first,
+    and each uses up its own e_j with no arithmetic. Timed on 5,307 recorded calls in 3 to 6
     coordinates (those of the 218 report and 768 gorenstein benchmark
     pool jobs and of 31 corpus self-checks; the sum of per-call minima
     over 9 interleaved repeats, in three comparisons, 2 cores, Python
@@ -159,14 +239,6 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     with the most zero entries first, at the cost of a sort, saved
     31-34%, and taking them in their given order 11-24%.
     """
-    if not _exact_int(dim) or dim < 1:
-        raise InvalidIdealError("ambient dimension must be a positive int")
-    constraints = list(map(tuple, rows))
-    if not set(map(len, constraints)) <= {dim}:
-        raise DimensionMismatchError("constraint row of wrong length")
-    if not set(map(type, itertools.chain.from_iterable(constraints))) <= {int}:
-        for a in constraints:
-            _exact_vector(a, dim, f"dimension {dim}")
     lineality = _axes((1,) * dim, dim)
     masks = {}
     seen = 0
@@ -699,12 +771,20 @@ def closure_power(
     """The integral closure of ideal^n as a monomial ideal. For
     n <= 0 returns the unit ideal, matching the power convention.
     Like `ideal ** n`, refuses an n that fails `_exact_int` with
-    TypeError, before any work."""
+    TypeError, before any work.
+
+    Solved once per job. The scan, `_dilate_minimal_points(facets, n,
+    maxexp)`, reads only its arguments, a frozen `FacetSystem`, an int
+    and a tuple of ints, all compared by value, and returns a tuple of
+    tuples. So within one job (`_job`) it runs once per input and a
+    repeat returns what a fresh scan would (the lemma of `_once`). A
+    BudgetExceededError is stored by no job: it is raised again, in
+    the same words."""
     if not _exact_int(n):
         raise TypeError("exponent must be an int")
     if n <= 0:
         return MonomialIdeal.unit(ideal.dim)
     facets = _facets_for(ideal, facets)
-    gens = _dilate_minimal_points(facets, n, ideal.max_exponents())
+    gens = _once(_dilate_minimal_points, facets, n, ideal.max_exponents())
     return MonomialIdeal(ideal.dim, gens)
 

@@ -153,7 +153,9 @@ def closure_section(ideal: MonomialIdeal, n: int) -> Dict:
         raise ValueError("closure power must be at least 1")
     closed = closure_power(ideal, n)
     return {
-        "power": n,
+        # n passed closure_power's int check: an int subclass is written
+        # as the int it equals
+        "power": int(n),
         "closure": ideal_dict(closed),
         "already_closed": closed == ideal ** n,
     }
@@ -197,7 +199,8 @@ def core_section(
     if reduction is None:
         reduction = find_pure_power_reduction(ideal)
     core = core_compute(ideal, reduction, u)
-    section = {"u": u, "core": ideal_dict(core)}
+    # u passed core_compute's int check, so int(u) converts no refused value
+    section = {"u": int(u), "core": ideal_dict(core)}
     verdict = quasi_gorenstein_test(ideal, reduction)
     if verdict.quasi_gorenstein:
         exponent = ideal.dim * u + verdict.a

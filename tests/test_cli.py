@@ -13,10 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_m_primary, seeded, single_facet_ideal
 from reesgor import (
     MonomialIdeal,
     analysis,
     cli,
+    closure_power,
+    cone,
+    is_gorenstein_normalization,
+    newton_polyhedron,
+    polyhedra,
     pure_power_gorenstein_test,
     report,
 )
@@ -30,6 +36,7 @@ from reesgor.cli import (
 )
 from reesgor.errors import (
     BudgetExceededError,
+    ConeGeometryError,
     InapplicableError,
     IncompleteSearchError,
     InvariantViolationError,
@@ -1073,3 +1080,166 @@ def test_to_json_refuses_what_json_refuses(payload):
         json.dumps(payload, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         report.to_json(payload)
+
+
+def test_int_subclass_powers_are_written_as_ints():
+    # closure_power and core_compute take an int subclass; the sections
+    # write the int it equals, so the payload stays writable
+    ideal = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
+    assert report.to_json(report.closure_section(ideal, _Level.LOW)) == (
+        report.to_json(report.closure_section(ideal, 1))
+    )
+    assert report.to_json(report.core_section(ideal, None, _Level.LOW)) == (
+        report.to_json(report.core_section(ideal, None, 1))
+    )
+
+
+# ------------------------------------------------------------------ #
+# the job memo: each geometric kernel solves an input once per job
+
+
+# (module, name) of each memoized kernel and of the public function
+# that reads it
+KERNELS = (
+    (polyhedra, "_double_description"),
+    (polyhedra, "_dilate_minimal_points"),
+    (cone, "_canonical_scan"),
+)
+READERS = (
+    (polyhedra, "extreme_rays"),
+    (polyhedra, "closure_power"),
+    (cone, "canonical_generators"),
+)
+
+
+def _count(monkeypatch, functions):
+    """Count the calls of each (module, name), rebound in every reesgor
+    module that holds the function, as the benchmark tracer does."""
+    counts = {}
+    for home, name in functions:
+        original = getattr(home, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("reesgor"):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+# (kernel runs, public calls) on each anchor's `--json report`, in the
+# order of KERNELS and READERS
+ANCHOR_KERNEL_RUNS = (
+    (ANCHOR_REPORT_DIGESTS[0][0], (3, 3, 1), (39, 9, 2)),
+    (ANCHOR_REPORT_DIGESTS[1][0], (1, 2, 1), (3, 7, 2)),
+)
+
+
+@pytest.mark.parametrize("payload, runs, calls", ANCHOR_KERNEL_RUNS)
+def test_kernels_run_once_per_input_and_every_call_stays(
+    job, capsys, monkeypatch, payload, runs, calls
+):
+    counts = _count(monkeypatch, KERNELS + READERS)
+    assert main(["--json", "report", job(payload)]) == EXIT_OK
+    capsys.readouterr()
+    assert tuple(counts[name] for _, name in KERNELS) == runs
+    assert tuple(counts[name] for _, name in READERS) == calls
+
+
+def test_outside_a_job_every_call_runs_its_kernel(monkeypatch):
+    counts = _count(monkeypatch, KERNELS)
+    ideal = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+    facets = newton_polyhedron(ideal)
+    for _ in range(2):
+        newton_polyhedron(ideal)
+        closure_power(ideal, 2, facets)
+        is_gorenstein_normalization(ideal, facets)
+    # the facets above, then two double descriptions per round: the
+    # facets again and the lift of the cone
+    assert counts == {
+        "_double_description": 1 + 2 * 2,
+        "_dilate_minimal_points": 2,
+        "_canonical_scan": 2,
+    }
+
+
+def _report_or_refusal(ideal):
+    """The `--json report` of ideal computed outside any job, as
+    (exit code, stdout, stderr) of the command line."""
+    try:
+        payload = report.build_report(report.JobSpec(ideal, None))
+    except Exception as exc:  # noqa: BLE001 - mapped like the cli maps it
+        return classify_failure(exc), "", f"reesgor: {exc}\n"
+    untrusted = payload["consistency"].get("all_ok") is False
+    return EXIT_UNTRUSTED if untrusted else EXIT_OK, report.to_json(payload), ""
+
+
+def _memo_inputs():
+    rng = seeded(3101)
+    for dim in (2, 3):
+        for _ in range(40):
+            yield single_facet_ideal(rng, dim)[0]
+    for _ in range(40):
+        yield random_m_primary(rng, 4)
+
+
+def test_the_memo_changes_nothing_but_time(job, capsys):
+    # the reference is the plain path: no job, every kernel run
+    for ideal in _memo_inputs():
+        path = job({"dim": ideal.dim, "gens": [list(g) for g in ideal.gens]})
+        code = main(["--json", "report", path])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _report_or_refusal(ideal), ideal.gens
+        assert polyhedra._job_memo.get() is None
+
+
+def test_two_corpus_cases_share_no_entry(monkeypatch):
+    # the same case twice: a memo shared across cases would leave the
+    # second one nothing to solve
+    counts = _count(monkeypatch, KERNELS)
+    first = cli.corpus_case(1, 5)
+    assert polyhedra._job_memo.get() is None
+    once = dict(counts)
+    assert all(once.values())
+    assert cli.corpus_case(1, 5) == first
+    assert polyhedra._job_memo.get() is None
+    assert counts == {name: 2 * runs for name, runs in once.items()}
+
+
+CUBES = MonomialIdeal.pure_powers((3, 3, 3))
+CUBES_FACETS = newton_polyhedron(CUBES)
+REFUSALS = (
+    # rows that do not span: the cone is not pointed
+    (
+        "_double_description",
+        lambda: polyhedra.extreme_rays([(1, 0, 0), (0, 1, 0)], 3),
+        ConeGeometryError,
+    ),
+    # a box of (3001)^2 columns, past the column budget; the facets
+    # are formed outside the job, so the job solves nothing else
+    (
+        "_dilate_minimal_points",
+        lambda: closure_power(CUBES, 1000, CUBES_FACETS),
+        BudgetExceededError,
+    ),
+)
+
+
+@pytest.mark.parametrize("kernel, call, error", REFUSALS)
+def test_a_kernel_that_raises_in_a_job_raises_again(
+    monkeypatch, kernel, call, error
+):
+    counts = _count(monkeypatch, KERNELS)
+    with polyhedra._job():
+        with pytest.raises(error) as first:
+            call()
+        with pytest.raises(error) as second:
+            call()
+        assert polyhedra._job_memo.get() == {}
+    assert str(second.value) == str(first.value)
+    assert counts[kernel] == 2
