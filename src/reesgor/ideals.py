@@ -11,8 +11,17 @@ two variables a running minimum over the staircase; for at most
 SCAN_LIMIT = 16 distinct candidates a scan that compares each one
 with those kept before it; above that one bitset pass per coordinate.
 On the three-variable calls of the pinned report jobs the scan wins
-up to k = 18 distinct candidates (24.3 against 25.1 us) and loses from
-k = 19 (31.8 against 23.6 us).
+up to k = 15 distinct candidates, ties at k = 18 and loses from k = 19
+(about 40 against 24 us).
+
+Every ideal is built through minimalize, which has two entries. Any
+input is validated first: dim, the arity, sign and type of every
+entry. A set of the private type _Valid skips that step. Only three
+methods build one, each from the gens of ideals that already passed
+minimalize, so from tuples of plain ints >= 0 of length dim, and each
+by an operation that keeps that property: `*` takes sums g + h,
+`&` takes each g of self and maxima max(g, h), and `colon` takes
+clamped differences max(h - g, 0).
 
 All exponents are Python ints, so arithmetic never overflows.
 """
@@ -92,6 +101,12 @@ def _axes(scales: Sequence[int], length: int) -> List[Vector]:
     return [zero[:j] + (s,) + zero[j + 1 :] for j, s in enumerate(scales)]
 
 
+class _Valid(frozenset):
+    """Candidate vectors valid by a stated lemma (tuples of plain ints
+    >= 0 of the ideal's dim), which minimalize reads without validating
+    them; its docstring names the three methods that build one."""
+
+
 # Most distinct candidates for which minimalize, outside two variables,
 # compares each candidate with the ones kept instead of forming
 # bitsets; the measurement behind it is in minimalize's docstring.
@@ -106,6 +121,15 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     a dim that is no positive int and on malformed vectors (wrong arity,
     negative entries, or entries that fail `_exact_int`). The survivors
     hold plain ints, also when the input held an int subclass.
+
+    Two entries. A set of exactly the private type _Valid goes straight
+    to the sort and the dominance step, unchecked: its vectors are valid
+    by the lemma of the method that built it, `MonomialIdeal.__mul__`
+    (sums of two gens), `__and__` (gens of self and maxima of two gens)
+    or `colon` (clamped differences max(h - g, 0)). Each operation maps
+    tuples of plain ints >= 0 of length dim to such tuples. Every other
+    input, a set or frozenset of any other type included, is validated
+    as below.
 
     Each vector is read once, into a tuple. Validation is a few C-level
     passes: the arity and the least entry on the deduplicated set, the
@@ -154,13 +178,18 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     generators of (x^3, y^3, z^3)^250.
 
     SCAN_LIMIT is the crossover of the last two on recorded traffic.
-    The 218 pinned report jobs make 28,546 calls, 9,192 of them in
-    three variables; timed per k there (median of 25 runs, 2 cores,
-    Python 3.11.7), a whole call takes 3.8 us by the scan against
-    7.8 us by the bitsets at k = 3 (3,121 calls), 19.8 against 22.2
-    at k = 15, 24.3 against 25.1 at k = 18, and 31.8 against 23.6 at
-    k = 19. No call had k = 16 or 17.
+    The 218 pinned report jobs make 28,264 calls, 20,649 of them on
+    _Valid input and 9,079 in three variables. Timed per k on those
+    sorted candidates, the dominance step alone (median of 25 runs,
+    three rounds, 2 cores, Python 3.11.7) takes 1.2-1.6 us by the scan
+    against 7.8-8.4 us by the bitsets at k = 3 (3,121 calls),
+    17.5-20.9 against 18.6-22.3 at k = 15, 20.9-25.4 against 20.9-26.1
+    at k = 18, a tie, and 38.2-42.4 against 23.4-26.5 at k = 19. No
+    call had k = 16 or 17, so any limit from 15 to 18 picks the same
+    methods to within the noise, and 16 stays.
     """
+    if type(vectors) is _Valid:
+        return _minimal(sorted(vectors), dim)
     if not _exact_int(dim) or dim < 1:
         raise InvalidIdealError("ambient dimension must be a positive int")
     vectors = tuple(vectors)
@@ -177,7 +206,13 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     if not valid:
         _check_each(vectors, dim)
         unique = {tuple(map(int, v)) for v in vectors}
-    candidates = sorted(unique)
+    return _minimal(sorted(unique), dim)
+
+
+def _minimal(candidates: List[Vector], dim: int) -> Tuple[Vector, ...]:
+    """The dominance step of minimalize: the minimal vectors among
+    distinct valid candidates of length dim, in lexicographic order,
+    by the method that dim and their count pick."""
     if dim == 2:
         kept = []
         least = None
@@ -282,12 +317,14 @@ class MonomialIdeal:
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._require_same_dim(other)
-        products = {
+        # both gens passed minimalize: tuples of plain ints >= 0 of
+        # length dim, and so is the sum of any two of them
+        products = _Valid({
             tuple(map(operator.add, g, h))
             for g in self.gens
             for h in other.gens
-        }
-        return MonomialIdeal(self.dim, tuple(products))
+        })
+        return MonomialIdeal(self.dim, products)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         """I^n by n - 1 products with I, one per further factor, each
@@ -315,7 +352,9 @@ class MonomialIdeal:
                 joins.add(g)
             else:
                 joins.update(tuple(map(max, g, h)) for h in other.gens)
-        return MonomialIdeal(self.dim, tuple(joins))
+        # both gens passed minimalize: tuples of plain ints >= 0 of
+        # length dim, and so are each g and each maximum of two
+        return MonomialIdeal(self.dim, _Valid(joins))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal (self : other).
@@ -330,7 +369,9 @@ class MonomialIdeal:
         zeros = (0,) * self.dim
         result: Optional[MonomialIdeal] = None
         for g in other.gens:
-            shifted = tuple(
+            # both gens passed minimalize: tuples of plain ints of
+            # length dim, so each max(h - g, 0) is one, with no entry < 0
+            shifted = _Valid(
                 tuple(map(max, map(operator.sub, h, g), zeros))
                 for h in self.gens
             )

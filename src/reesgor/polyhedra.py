@@ -309,10 +309,25 @@ def _double_description(
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """The half-space {v : <normal, v> >= offset}."""
+    """The half-space {v : <normal, v> >= offset}. Refuses, with
+    InvalidIdealError naming it, a normal entry or an offset that fails
+    `_exact_int`, and stores an int subclass as the int it equals.
+    Plain ints pass on one C-level pass over the types: the report pool
+    builds several thousand of these in `newton_polyhedron`."""
 
     normal: Tuple[int, ...]
     offset: int
+
+    def __post_init__(self) -> None:
+        normal, offset = self.normal, self.offset
+        if (type(normal) is tuple and type(offset) is int
+                and {int}.issuperset(map(type, normal))):
+            return
+        normal = tuple(normal)
+        if not (all(map(_exact_int, normal)) and _exact_int(offset)):
+            raise InvalidIdealError(f"non-integer entry in facet {self}")
+        object.__setattr__(self, "normal", tuple(map(int, normal)))
+        object.__setattr__(self, "offset", int(offset))
 
 
 @dataclass(frozen=True)
@@ -329,11 +344,26 @@ class FacetSystem:
     them bounded. `coordinate` lists the axes whose coordinate
     hyperplane is a genuine facet. Membership tests always include the
     full set of coordinate half-spaces (they are valid for any Newton
-    polyhedron, whether or not they are facets)."""
+    polyhedron, whether or not they are facets). Refuses with
+    InvalidIdealError a dim that is no positive int, as `minimalize`
+    does, and a bounded facet whose normal has another length, naming
+    the facet."""
 
     dim: int
     bounded: Tuple[HalfSpace, ...]
     coordinate: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not _exact_int(self.dim) or self.dim < 1:
+            raise InvalidIdealError("ambient dimension must be a positive int")
+        if type(self.dim) is not int:  # an int subclass, kept as its int
+            object.__setattr__(self, "dim", int(self.dim))
+        for f in self.bounded:
+            if len(f.normal) != self.dim:
+                raise InvalidIdealError(
+                    f"facet {f} has {len(f.normal)} normal entries, "
+                    f"expected {self.dim}"
+                )
 
     def contains_power(self, v: Sequence[int], n: int) -> bool:
         """Is v a lattice point of the n-fold dilate of the

@@ -134,6 +134,57 @@ def test_the_exact_int_rule_has_one_home():
     assert len(home) == 1
 
 
+def _uses_of(tree, name):
+    """(enclosing qualified name, how) for each use of name in tree:
+    "builds" for a call of it, "reads" for any other load of the name
+    or of an attribute of that name, "imports" for an import of it."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        where = ".".join(scope)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name
+        ):
+            uses.append((where, "builds"))
+            children = node.args + node.keywords
+        else:
+            if isinstance(node, ast.Name) and node.id == name or (
+                isinstance(node, ast.Attribute) and node.attr == name
+            ):
+                uses.append((where, "reads"))
+            elif isinstance(node, ast.alias) and node.name == name:
+                uses.append((where, "imports"))
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, scope)
+
+    visit(tree, ())
+    return uses
+
+
+def test_only_the_named_methods_build_the_trusted_marker():
+    """`ideals._Valid` marks vectors that minimalize reads without
+    validating them. Its builders are exactly the three methods whose
+    lemma keeps their vectors valid (sums, maxima and clamped
+    differences of validated gens), and minimalize is its only reader:
+    a new trusted caller, or a second reader, is a reviewed change."""
+    uses = {
+        (path.name, where, how)
+        for path in SOURCES
+        for where, how in _uses_of(_tree(path), "_Valid")
+    }
+    assert uses == {
+        ("ideals.py", "MonomialIdeal.__mul__", "builds"),
+        ("ideals.py", "MonomialIdeal.__and__", "builds"),
+        ("ideals.py", "MonomialIdeal.colon", "builds"),
+        ("ideals.py", "minimalize", "reads"),
+    }
+
+
 def _raised_name(node):
     """The class name a `raise` statement names, or None."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reesgor import (
+    FacetSystem,
+    HalfSpace,
     MonomialIdeal,
     closure_power,
     core_compute,
@@ -120,6 +122,24 @@ def test_minimalize_rejects_bad_input():
         assert expected is not None, vectors
         assert _raised(minimalize, vectors, 2) == expected, vectors
         assert _raised(minimalize, iter(vectors), 2) == expected, vectors
+        assert _raised(minimalize, (v for v in vectors), 2) == expected
+    # Only the private marker type skips validation: malformed vectors
+    # in a plain set or frozenset are refused as in any other container,
+    # naming the first one in the set's own order.
+    sets = 0
+    for vectors in malformed:
+        try:
+            distinct = len(set(vectors)) == len(vectors)
+        except TypeError:  # an unhashable entry cannot be in a set
+            continue
+        if not distinct:  # (1, 0) and (True, 0) are one set member
+            continue
+        for form in (set(vectors), frozenset(vectors)):
+            expected = _raised(_reference_check, form, 2)
+            assert expected is not None, form
+            assert _raised(minimalize, form, 2) == expected, form
+            sets += 1
+    assert sets > 20
     # A vector may be an iterator: it is read once, and checked as read.
     assert minimalize([iter((1, 0)), [0, 1]], 2) == ((0, 1), (1, 0))
     assert _raised(minimalize, [iter((1, 0)), (0, -1)], 2) == (
@@ -271,6 +291,21 @@ INT_ENTRIES = {
         InapplicableError,
         "the power u must be a positive int",
     ),
+    "HalfSpace-normal": (
+        lambda x: HalfSpace((x, 1), 2),
+        InvalidIdealError,
+        "non-integer entry in facet HalfSpace(normal=({x}, 1), offset=2)",
+    ),
+    "HalfSpace-offset": (
+        lambda x: HalfSpace((1, 1), x),
+        InvalidIdealError,
+        "non-integer entry in facet HalfSpace(normal=(1, 1), offset={x})",
+    ),
+    "FacetSystem-dim": (
+        lambda x: FacetSystem(x, (HalfSpace((1, 1), 2),), ()),
+        InvalidIdealError,
+        "ambient dimension must be a positive int",
+    ),
     "job_from_dict-dim": (
         lambda x: job_from_dict({"dim": x, "gens": [[2, 0], [0, 3]]}),
         ValueError,
@@ -402,15 +437,20 @@ def test_minimalize_matches_the_pairwise_reference(monkeypatch):
         fast = minimalize(rows, dim)
         assert fast == expected, (rows, dim)
         assert list(fast) == sorted(fast)
+        # the unchecked entry for vectors valid by a lemma
+        assert minimalize(ideals._Valid(rows), dim) == expected, (rows, dim)
         given = len(set(rows))
         sizes.add((given, len(fast)))
         # outside d = 2 the count of distinct rows picks the method, so
-        # each method also runs alone on every case
+        # each method also runs alone on every case, through both entries
         if dim != 2:
             methods.setdefault(dim, set()).add(given <= SCAN_LIMIT)
             for limit in (-1, len(rows)):
                 monkeypatch.setattr(ideals, "SCAN_LIMIT", limit)
                 assert minimalize(rows, dim) == expected, (rows, dim, limit)
+                assert minimalize(ideals._Valid(rows), dim) == expected, (
+                    rows, dim, limit,
+                )
             monkeypatch.setattr(ideals, "SCAN_LIMIT", SCAN_LIMIT)
     # both the scan and the bitset pass ran on their own size class
     assert methods == {dim: {True, False} for dim in (1, 3, 4, 5, 6)}
@@ -627,10 +667,19 @@ def test_intersection_and_colon_match_the_references():
     for left, right in _intersection_pairs(rng):
         both = left & right
         assert both == _reference_intersect(left, right), (left, right)
+        # the product, built through the validated entry of minimalize
+        assert left * right == MonomialIdeal(left.dim, tuple(
+            tuple(a + b for a, b in zip(g, h))
+            for g in left.gens
+            for h in right.gens
+        )), (left, right)
         assert both.gens == oracle_intersect(left, right), (left, right)
         assert left.colon(right).gens == oracle_colon(left, right), (
             left, right,
         )
+        # each single-divisor piece, built through the validated entry
+        for g, piece in zip(right.gens, _colon_pieces(left, right)):
+            assert left.colon(I(left.dim, g)) == piece, (left, g)
         inside = sum(I(right.dim, g).is_subset(right) for g in left.gens)
         shortcut += inside
         joined += len(left.gens) - inside

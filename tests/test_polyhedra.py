@@ -846,6 +846,35 @@ def test_closure_power_refuses_facets_of_another_dimension(monkeypatch):
         closure_power(ideal, 2, facets)
 
 
+def test_hand_made_facets_are_checked_at_construction():
+    # closure_power(I, 1, FacetSystem(2, (HalfSpace((1, 1), 2.5),), ()))
+    # raised AttributeError deep in the scan, and an offset of True was
+    # read as 1: each is now refused where the facet is made, naming it
+    for make, message in (
+        (lambda: HalfSpace((1.0, 1), 2),
+         "non-integer entry in facet HalfSpace(normal=(1.0, 1), offset=2)"),
+        (lambda: HalfSpace((1, 1), 2.5),
+         "non-integer entry in facet HalfSpace(normal=(1, 1), offset=2.5)"),
+        (lambda: HalfSpace((1, 1), True),
+         "non-integer entry in facet HalfSpace(normal=(1, 1), offset=True)"),
+        (lambda: FacetSystem(2, (HalfSpace((1, 1, 1), 2),), ()),
+         "facet HalfSpace(normal=(1, 1, 1), offset=2) has 3 normal "
+         "entries, expected 2"),
+        (lambda: FacetSystem(3, (HalfSpace((1, 1, 1), 2),
+                                 HalfSpace((1, 2), 2)), ()),
+         "facet HalfSpace(normal=(1, 2), offset=2) has 2 normal entries, "
+         "expected 3"),
+    ):
+        with pytest.raises(InvalidIdealError) as caught:
+            make()
+        assert str(caught.value) == message
+    # a hand-made system of plain ints is taken as it stands
+    ideal = MonomialIdeal(2, ((2, 0), (0, 2)))
+    made = FacetSystem(2, (HalfSpace([1, 1], 2),), (0, 1))
+    assert made == newton_polyhedron(ideal)
+    assert closure_power(ideal, 3, made) == closure_power(ideal, 3)
+
+
 def test_closure_frozen_values():
     j = MonomialIdeal(2, ((2, 0), (0, 2)))
     assert closure_power(j, 1).gens == ((0, 2), (1, 1), (2, 0))

@@ -1,0 +1,117 @@
+"""Time the benchmark's job pools in this process, one tree or two.
+
+Runs through `cli.main`, in --json form, every pooled `report` and
+`gorenstein` job of perfbench/pins/*.jsonl and `--corpus 10 --seed S`
+for S = 1000..1059, for the given number of passes, and times each
+run with `time.perf_counter`. The pin files are only read; each job is
+written to a temporary directory. Prints, per workload, the sum over
+runs of each run's least time over the passes.
+
+With --against, the package of another checkout (its src/reesgor) is
+copied to a temporary directory under another package name and
+imported next to this checkout's. Both trees run each job in turn,
+the one that runs first alternating from pass to pass, so the two
+see the machine in the same state. Each line then gives both sums,
+the change from the other tree to this one in per cent, and the
+number of runs whose exit code or output differed between the trees
+(on the last pass). Nothing is checked: the tool prints and exits 0.
+Run from the root of the repository:
+
+    python3 tools/pooltime.py --passes 10 --against ../parent
+"""
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import pathlib
+import shutil
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PINS = ROOT / "perfbench" / "pins"
+CORPUS_SEEDS = range(1000, 1060)
+OTHER_NAME = "reesgor_against"
+
+
+def _runs(folder):
+    """workload -> argv lists, the pooled jobs' files written to
+    folder."""
+    runs = {}
+    for workload in ("report", "gorenstein"):
+        runs[workload] = []
+        with open(PINS / f"{workload}.jsonl", encoding="utf-8") as fh:
+            for index, line in enumerate(fh):
+                entry = json.loads(line)
+                path = pathlib.Path(folder) / f"{workload}-{index}.json"
+                path.write_text(json.dumps(
+                    {"dim": entry["dim"], "gens": entry["gens"]}))
+                runs[workload].append(["--json", workload, str(path)])
+    runs["corpus"] = [
+        ["--json", "--corpus", "10", "--seed", str(seed)]
+        for seed in CORPUS_SEEDS
+    ]
+    return runs
+
+
+def _timed_run(main, argv):
+    """(seconds, (exit code, stdout, stderr)) of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        start = time.perf_counter()
+        code = main(argv)
+        seconds = time.perf_counter() - start
+    return seconds, (code, out.getvalue(), err.getvalue())
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--passes", type=int, default=5,
+                        help="passes over every pool (default 5)")
+    parser.add_argument("--against", type=pathlib.Path,
+                        help="root of a second checkout to time side by side")
+    args = parser.parse_args()
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+
+    sys.path.insert(0, str(ROOT / "src"))
+    trees = {"this": importlib.import_module("reesgor.cli").main}
+    with tempfile.TemporaryDirectory() as folder:
+        if args.against is not None:
+            source = args.against / "src" / "reesgor"
+            if not (source / "__init__.py").is_file():
+                parser.error(f"no package at {source}")
+            shutil.copytree(source, pathlib.Path(folder) / OTHER_NAME,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            sys.path.insert(0, folder)
+            cli = importlib.import_module(f"{OTHER_NAME}.cli")
+            trees["against"] = cli.main
+        for workload, argvs in _runs(folder).items():
+            best = {name: [float("inf")] * len(argvs) for name in trees}
+            outputs = {name: [None] * len(argvs) for name in trees}
+            for index in range(args.passes):
+                order = list(trees)
+                if index % 2:
+                    order.reverse()
+                for job, argv in enumerate(argvs):
+                    for name in order:
+                        seconds, output = _timed_run(trees[name], argv)
+                        best[name][job] = min(best[name][job], seconds)
+                        outputs[name][job] = output
+            sums = {name: sum(times) for name, times in best.items()}
+            line = (f"{workload}: sum over {len(argvs)} runs of the best "
+                    f"of {args.passes}: {sums['this']:.3f} s")
+            if "against" in trees:
+                change = 100 * (sums["this"] / sums["against"] - 1)
+                differ = sum(a != b for a, b in zip(outputs["this"],
+                                                    outputs["against"]))
+                line += (f" against {sums['against']:.3f} s "
+                         f"({change:+.1f}%), output differs on {differ}")
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
