@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cone import is_gorenstein_normalization
 from .errors import (
@@ -280,11 +280,14 @@ def quasi_gorenstein_test(
     sum_k floor(w_k / a_k) = u - 1 puts x^w outside J^u, a
     contradiction. So I^(r-u+1) lies in J, and s <= r - u.
 
-    Powers of both ideals are formed on first use, so a pattern that
-    breaks at a small i forms only small powers, and each colon
-    J^i : I^r is formed once per call, shared by every candidate. At
-    most one candidate can survive; two surviving would mean distinct
-    powers of a proper ideal coincide, so that raises
+    One loop over i = 1, 2, ... forms J^i : I^r once per i and compares
+    it with every live candidate whose horizon H_u is at least i; a
+    candidate whose pattern breaks is dropped, and the loop stops once
+    no live candidate has H_u > i. Powers of both ideals are formed on
+    first use, so a pattern that breaks at a small i forms only small
+    powers. checked_range is (1, the last i). At most one candidate
+    can survive; two surviving would mean distinct powers of a proper
+    ideal coincide, so that raises
     InvariantViolationError, as does a mismatch of a positive verdict
     with the direct computation of u as the largest n with I^r inside
     J^n (which is at most B).
@@ -308,19 +311,17 @@ def quasi_gorenstein_test(
         sum(-(-g // e) for g, e in zip(gen, exps)) for gen in i_r.gens
     )
 
-    @functools.cache
-    def colon(i: int) -> MonomialIdeal:
-        """reduction^i : ideal^r, formed once per call."""
-        return j_pow(i).colon(i_r)
-
-    passing: List[Tuple[int, int]] = []
-    for a in range(s - d + 1, r - d + 2):
-        u = r - d + 1 - a
-        if all(
-            colon(i) == i_pow(i - u)
-            for i in range(1, max(bound, u + r, 1) + 1)
-        ):
-            passing.append((a, u))
+    # candidate u -> its horizon H_u, for u = r - s, ..., 0: a ascends
+    horizons = {u: max(bound, u + r, 1) for u in range(r - s, -1, -1)}
+    i = 0
+    while any(h > i for h in horizons.values()):
+        i += 1
+        colon = j_pow(i).colon(i_r)
+        horizons = {
+            u: h for u, h in horizons.items()
+            if h < i or colon == i_pow(i - u)
+        }
+    passing = [(r - d + 1 - u, u) for u in horizons]
 
     if len(passing) > 1:
         raise InvariantViolationError(
@@ -337,8 +338,6 @@ def quasi_gorenstein_test(
                 f"u from the colon pattern is {u} but ideal^r sits inside "
                 f"reduction^{direct_u} and no further"
             )
-    # the colons are formed for i = 1, 2, ... in turn, so the largest
-    # i compared is the number of colons formed
     return QGVerdict(
         quasi_gorenstein=bool(passing),
         a=a,
@@ -346,7 +345,7 @@ def quasi_gorenstein_test(
         reduction=reduction,
         reduction_number=r,
         nilpotency_index=s,
-        checked_range=(1, colon.cache_info().currsize),
+        checked_range=(1, i),
     )
 
 

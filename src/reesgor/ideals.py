@@ -15,13 +15,17 @@ up to k = 15 distinct candidates, ties at k = 18 and loses from k = 19
 (about 40 against 24 us).
 
 Every ideal is built through minimalize, which has two entries. Any
-input is validated first: dim, the arity, sign and type of every
-entry. A set of the private type _Valid skips that step. Only three
-methods build one, each from the gens of ideals that already passed
-minimalize, so from tuples of plain ints >= 0 of length dim, and each
-by an operation that keeps that property: `*` takes sums g + h,
+input is validated first, in one walk over its vectors: dim, the
+arity, sign and type of every entry. A set of the private type _Valid
+skips that step. Only four methods build one, each by a lemma that
+makes its vectors tuples of plain ints >= 0 of length dim. Three take
+the gens of ideals that already passed minimalize, so vectors of that
+kind, by an operation that keeps the property: `*` takes sums g + h,
 `&` takes each g of self and maxima max(g, h), and `colon` takes
-clamped differences max(h - g, 0).
+clamped differences max(h - g, 0). The fourth,
+`polyhedra.closure_power`, takes the lattice points of its column
+scan, whose coordinates come from ranges that start at 0 and from
+maxima with 0.
 
 All exponents are Python ints, so arithmetic never overflows.
 """
@@ -31,8 +35,8 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DimensionMismatchError, InvalidIdealError
 
@@ -58,9 +62,15 @@ def _exact_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_each(vectors: Sequence[Sequence[int]], dim: int) -> None:
-    """Raise InvalidIdealError for the first malformed vector, in input
-    order, naming the vector; an entry passes by `_exact_int`."""
+def _check_each(vectors: Iterable[Sequence[int]], dim: int) -> Set[Vector]:
+    """The distinct vectors, each read once into a tuple and checked in
+    input order: the first malformed one raises InvalidIdealError
+    naming it, for a wrong arity, an entry that fails `_exact_int` or a
+    negative entry. A vector joins the set only once its entries pass,
+    so an unhashable entry is refused as an entry, not by the set. A
+    tuple of plain ints is stored as it is, with no copy; one holding
+    an int subclass is stored as the ints it equals."""
+    unique = set()
     for raw in vectors:
         v = tuple(raw)
         if len(v) != dim:
@@ -72,6 +82,8 @@ def _check_each(vectors: Sequence[Sequence[int]], dim: int) -> None:
                 raise InvalidIdealError(f"non-integer exponent in {v}")
             if entry < 0:
                 raise InvalidIdealError(f"negative exponent in {v}")
+        unique.add(v if {*map(type, v)} <= {int} else tuple(map(int, v)))
+    return unique
 
 
 def _exact_vector(vector: Sequence[int], length: int, against: str) -> Vector:
@@ -81,8 +93,8 @@ def _exact_vector(vector: Sequence[int], length: int, against: str) -> Vector:
     entry that fails, with the message of minimalize. An exact int
     passes on one type test, as in _check_each; only another type
     calls `_exact_int`. On vectors of 2 to 4 entries that loop beats a
-    C-level pass over the types, such as minimalize runs on many
-    vectors at once (about 0.1-0.2 against 0.3-0.4 us, Python 3.11.7)."""
+    C-level pass over the types (about 0.1-0.2 against 0.3-0.4 us,
+    Python 3.11.7)."""
     v = tuple(vector)
     if len(v) != length:
         raise DimensionMismatchError(
@@ -104,7 +116,7 @@ def _axes(scales: Sequence[int], length: int) -> List[Vector]:
 class _Valid(frozenset):
     """Candidate vectors valid by a stated lemma (tuples of plain ints
     >= 0 of the ideal's dim), which minimalize reads without validating
-    them; its docstring names the three methods that build one."""
+    them; its docstring names the four methods that build one."""
 
 
 # Most distinct candidates for which minimalize, outside two variables,
@@ -125,21 +137,23 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     Two entries. A set of exactly the private type _Valid goes straight
     to the sort and the dominance step, unchecked: its vectors are valid
     by the lemma of the method that built it, `MonomialIdeal.__mul__`
-    (sums of two gens), `__and__` (gens of self and maxima of two gens)
-    or `colon` (clamped differences max(h - g, 0)). Each operation maps
-    tuples of plain ints >= 0 of length dim to such tuples. Every other
-    input, a set or frozenset of any other type included, is validated
-    as below.
+    (sums of two gens), `__and__` (gens of self and maxima of two gens),
+    `colon` (clamped differences max(h - g, 0)) or
+    `polyhedra.closure_power` (lattice points of its column scan). Each
+    yields tuples of plain ints >= 0 of length dim. Every other input,
+    a set or frozenset of any other type included, is validated as
+    below.
 
-    Each vector is read once, into a tuple. Validation is a few C-level
-    passes: the arity and the least entry on the deduplicated set, the
-    entry types (exactly int) on every vector, since True == 1 hashes
-    alike and deduplication would let (1, 0) hide a later (True, 0).
-    Only when that check fails does the loop over the vectors run, in
-    input order, so the error names the same vector with the same
-    message as a check of every vector would; an int subclass other
-    than bool fails the quick check but passes the loop, and is then
-    stored as the int it equals.
+    Validation is one walk, `_check_each`: each vector is read once,
+    into a tuple, and checked before it joins the set of distinct
+    vectors, so the first malformed vector in input order raises, named.
+    Every vector is checked, duplicates too, since True == 1 hashes
+    alike and deduplication would let (1, 0) hide a later (True, 0). An
+    int subclass other than bool passes, and is stored as the int it
+    equals. The package's large candidate sets (products, joins, colon
+    pieces, closures) come as _Valid; what reaches this entry is
+    caller input and a few constructions such as `unit`, `pure_powers`
+    and `bracket_power`, the size of the ideal they start from.
 
     Lemma (order). Among distinct candidates in lexicographic order,
     every divisor of v comes before v: it is at most v in every entry,
@@ -192,21 +206,7 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
         return _minimal(sorted(vectors), dim)
     if not _exact_int(dim) or dim < 1:
         raise InvalidIdealError("ambient dimension must be a positive int")
-    vectors = tuple(vectors)
-    try:
-        vectors = tuple(map(tuple, vectors))
-        unique = set(vectors)
-        valid = (
-            set(map(len, unique)) <= {dim}
-            and set(map(type, chain.from_iterable(vectors))) <= {int}
-            and min(chain.from_iterable(unique), default=0) >= 0
-        )
-    except TypeError:  # an entry that is not iterable, or not hashable
-        valid = False
-    if not valid:
-        _check_each(vectors, dim)
-        unique = {tuple(map(int, v)) for v in vectors}
-    return _minimal(sorted(unique), dim)
+    return _minimal(sorted(_check_each(vectors, dim)), dim)
 
 
 def _minimal(candidates: List[Vector], dim: int) -> Tuple[Vector, ...]:

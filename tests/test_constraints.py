@@ -168,10 +168,11 @@ def _uses_of(tree, name):
 
 def test_only_the_named_methods_build_the_trusted_marker():
     """`ideals._Valid` marks vectors that minimalize reads without
-    validating them. Its builders are exactly the three methods whose
+    validating them. Its builders are exactly the four methods whose
     lemma keeps their vectors valid (sums, maxima and clamped
-    differences of validated gens), and minimalize is its only reader:
-    a new trusted caller, or a second reader, is a reviewed change."""
+    differences of validated gens, and the lattice points of the
+    closure scan), and minimalize is its only reader: a new trusted
+    caller, or a second reader, is a reviewed change."""
     uses = {
         (path.name, where, how)
         for path in SOURCES
@@ -182,6 +183,8 @@ def test_only_the_named_methods_build_the_trusted_marker():
         ("ideals.py", "MonomialIdeal.__and__", "builds"),
         ("ideals.py", "MonomialIdeal.colon", "builds"),
         ("ideals.py", "minimalize", "reads"),
+        ("polyhedra.py", "", "imports"),
+        ("polyhedra.py", "closure_power", "builds"),
     }
 
 
@@ -337,4 +340,4 @@ def test_every_memo_is_per_call_or_holds_one_entry():
         for line, in_body, bounded in _cache_uses(_tree(path)):
             seen += 1
             assert in_body or bounded, (path.name, line)
-    assert seen >= 3  # the parser cache and the two analysis memos
+    assert seen >= 2  # the parser cache and the conductor's closure cache

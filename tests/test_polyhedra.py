@@ -652,6 +652,8 @@ def test_column_scan_values_are_the_row_values_of_its_points():
                 reached.add("empty bounds")
             elif xs[-1] < bounds[-1]:
                 reached.add("an x range clipped from above")
+        if bounds and any(n[-1] > 0 and n[-2] == 0 for n, _ in rows):
+            reached.add("a row that lifts t alone, the same at every x")
         if _prunes_a_sub_box_before_the_walk(rows, bounds):
             reached.add("a sub-box pruned before the walk")
         points = []
@@ -666,6 +668,7 @@ def test_column_scan_values_are_the_row_values_of_its_points():
         "empty bounds",
         "an x range clipped from above",
         "a sub-box pruned before the walk",
+        "a row that lifts t alone, the same at every x",
     }
 
 
@@ -864,6 +867,19 @@ def test_hand_made_facets_are_checked_at_construction():
                                  HalfSpace((1, 2), 2)), ()),
          "facet HalfSpace(normal=(1, 2), offset=2) has 2 normal entries, "
          "expected 3"),
+        # x - y >= 1 gave the unit ideal as the closure of (x^2, y^2),
+        # while contains_power((0, 0), 1) said False: the scan's box and
+        # slack widths need normals >= 0 and offsets > 0
+        (lambda: FacetSystem(2, (HalfSpace((1, -1), 1),), ()),
+         "bounded facet HalfSpace(normal=(1, -1), offset=1) needs a "
+         "normal >= 0 and an offset > 0"),
+        (lambda: FacetSystem(2, (HalfSpace((1, 1), 0),), ()),
+         "bounded facet HalfSpace(normal=(1, 1), offset=0) needs a "
+         "normal >= 0 and an offset > 0"),
+        (lambda: FacetSystem(3, (HalfSpace((1, 1, 1), 2),
+                                 HalfSpace((0, 2, 1), -1)), ()),
+         "bounded facet HalfSpace(normal=(0, 2, 1), offset=-1) needs a "
+         "normal >= 0 and an offset > 0"),
     ):
         with pytest.raises(InvalidIdealError) as caught:
             make()
@@ -873,6 +889,45 @@ def test_hand_made_facets_are_checked_at_construction():
     made = FacetSystem(2, (HalfSpace([1, 1], 2),), (0, 1))
     assert made == newton_polyhedron(ideal)
     assert closure_power(ideal, 3, made) == closure_power(ideal, 3)
+
+
+class Power(int):
+    """An int subclass that is not bool: a power like any other."""
+
+
+def test_closure_points_are_valid_without_the_check():
+    # closure_power hands its scan's points to minimalize unchecked: on
+    # seeded facets in d = 1..4, systems with no bounded facet, and
+    # hand-made facets with zero entries, they pass the validated entry
+    # and give the same ideal, in plain ints even for an int-subclass n
+    rng = seeded(97)
+    cases = []
+    for d in (1, 2, 3, 4):
+        for _ in range(6):
+            ideal = random_ideal(rng, d, max_gens=4, max_coord=3)
+            cases.append((ideal, newton_polyhedron(ideal)))
+    for ideal in (
+        MonomialIdeal(1, ((3,),)),
+        MonomialIdeal(2, ((2, 1),)),
+        MonomialIdeal(3, ((1, 0, 2), (0, 1, 1))),
+    ):
+        cases.append((ideal, newton_polyhedron(ideal)))
+        cases.append((ideal, FacetSystem(ideal.dim, (), ())))
+    ideal = MonomialIdeal(3, ((2, 0, 0), (0, 3, 0), (0, 0, 1)))
+    cases.append((ideal, FacetSystem(
+        3, (HalfSpace((0, 1, 1), 1), HalfSpace((1, 0, 2), 3)), ())))
+    cases.append((ideal, FacetSystem(3, (HalfSpace((2, 0, 0), 1),), ())))
+    assert {facets.dim for _, facets in cases} == {1, 2, 3, 4}
+    assert any(not facets.bounded for _, facets in cases)
+    for ideal, facets in cases:
+        for n in (1, 2, Power(3)):
+            points = _dilate_minimal_points(facets, n, ideal.max_exponents())
+            for v in points:
+                assert type(v) is tuple and len(v) == ideal.dim
+                assert all(type(e) is int and e >= 0 for e in v), v
+            closed = closure_power(ideal, n, facets)
+            assert closed == MonomialIdeal(ideal.dim, tuple(points))
+            assert all(type(e) is int for g in closed.gens for e in g)
 
 
 def test_closure_frozen_values():
