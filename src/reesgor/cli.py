@@ -36,9 +36,9 @@ from .errors import (
     InapplicableError,
     InvariantViolationError,
 )
-from .ideals import MonomialIdeal, _axes
+from .ideals import MonomialIdeal, _axes, _job
 from .oracle import oracle_colon, oracle_intersect
-from .polyhedra import _job, closure_power, newton_polyhedron
+from .polyhedra import closure_power, newton_polyhedron
 from .report import (
     build_report,
     closure_section,
@@ -136,7 +136,7 @@ _shared_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 @_job()
 def _execute(args: argparse.Namespace) -> Tuple[Dict, int]:
-    """One command run, which is one job (see `polyhedra._job`)."""
+    """One command run, which is one job (see `ideals._job`)."""
     payload = _COMMANDS[args.command][2](load_job(args.job), args)
     # a report whose sections disagree cannot be trusted
     consistency = payload.get("consistency", {})
@@ -213,7 +213,7 @@ def _corpus_ideals(
 @_job()
 def corpus_case(index: int, seed: int) -> Dict:
     """One self-check case: random ideals, every cheap cross-check.
-    The case is one job, like a command run (see `polyhedra._job`)."""
+    The case is one job, like a command run (see `ideals._job`)."""
     ideal, other = _corpus_ideals(index, seed)
     failures: List[str] = []
 

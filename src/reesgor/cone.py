@@ -50,14 +50,13 @@ from .errors import (
     InvariantViolationError,
     NotMPrimaryError,
 )
-from .ideals import MonomialIdeal, Vector, _axes, _exact_vector
+from .ideals import MonomialIdeal, Vector, _axes, _exact_vector, _once
 from .polyhedra import (
     FacetSystem,
     _check_column_budget,
     _column_scan,
     _dot,
     _facets_for,
-    _once,
     extreme_rays,
 )
 
@@ -153,8 +152,8 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     Solved once per job. The scan reads only the cone, a frozen
     `ReesCone` of tuples of ints compared by value, and returns a
     frozen `CanonicalData` of ints, bools and tuples. So within one
-    job (`polyhedra._job`) it runs once per cone and a repeat returns
-    what a fresh scan would (the lemma of `polyhedra._once`). Its
+    job (`ideals._job`) it runs once per cone and a repeat returns
+    what a fresh scan would (the lemma of `ideals._once`). Its
     refusals (IncompleteSearchError, BudgetExceededError,
     InvariantViolationError) are stored by no job: each is raised
     again, in the same words.

@@ -15,28 +15,41 @@ up to k = 15 distinct candidates, ties at k = 18 and loses from k = 19
 (about 40 against 24 us).
 
 Every ideal is built through minimalize, which has two entries. Any
-input is validated first, in one walk over its vectors: dim, the
-arity, sign and type of every entry. A set of the private type _Valid
-skips that step. Only four methods build one, each by a lemma that
-makes its vectors tuples of plain ints >= 0 of length dim. Three take
-the gens of ideals that already passed minimalize, so vectors of that
-kind, by an operation that keeps the property: `*` takes sums g + h,
-`&` takes each g of self and maxima max(g, h), and `colon` takes
-clamped differences max(h - g, 0). The fourth,
-`polyhedra.closure_power`, takes the lattice points of its column
-scan, whose coordinates come from ranges that start at 0 and from
-maxima with 0.
+input is validated and minimalized: one walk checks dim and the
+arity, sign and type of every entry, then the dominance step keeps
+the minimal vectors. A tuple of the private type _Minimal is already
+the sorted minimal generating set, and minimalize returns it as a
+plain tuple, unchecked. Four builders make one, each by a lemma. Two
+are the kernels of `*` and `&`, `_product` and `_join`, which take
+the gens of ideals that already passed minimalize (tuples of plain
+ints >= 0 of length dim) and keep that property: sums g + h, and each
+g of self or maxima max(g, h). The third is `colon`, whose pieces take
+clamped differences max(h - g, 0). Each of the three then runs the
+dominance step itself. The fourth, `polyhedra.closure_power`, takes
+the points of its column scan, which keeps exactly the lattice points
+of the dilate that have no lower neighbour in it, sorted.
+
+The per-job memo lives here, the lowest layer: `_job` scopes it to one
+command run or self-check case, and `_once` runs a kernel at most once
+per input within it. Its kernels are `_product`, `_join`, and in the
+layers above the double description, the facet system and the
+two-variable rays of a Newton polyhedron, the closure scan and the
+canonical scan.
 
 All exponents are Python ints, so arithmetic never overflows.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from .errors import DimensionMismatchError, InvalidIdealError
 
@@ -113,10 +126,71 @@ def _axes(scales: Sequence[int], length: int) -> List[Vector]:
     return [zero[:j] + (s,) + zero[j + 1 :] for j, s in enumerate(scales)]
 
 
-class _Valid(frozenset):
-    """Candidate vectors valid by a stated lemma (tuples of plain ints
-    >= 0 of the ideal's dim), which minimalize reads without validating
-    them; its docstring names the four methods that build one."""
+class _Minimal(tuple):
+    """Vectors that are already the sorted minimal generating set of an
+    ideal, by a stated lemma, which minimalize returns as a plain tuple
+    without reading them; its docstring names the four builders."""
+
+
+# -------------------------------------------------------------------- #
+# the job memo
+
+# The memo of the job running in this context, from (kernel, its
+# arguments) to the kernel's result; None outside a job.
+_job_memo: contextvars.ContextVar[Optional[Dict]] = contextvars.ContextVar(
+    "reesgor_job_memo", default=None
+)
+
+
+@contextlib.contextmanager
+def _job() -> Iterator[None]:
+    """Run the block as one job, with a memo of its own for `_once`.
+
+    One command run (`cli._execute`) and one self-check case
+    (`cli.corpus_case`) are each one job: both are decorated with
+    `@_job()`, which enters a new job on every call. The memo is empty
+    when the block starts and gone when it ends, however it ends, so
+    nothing crosses from one job to the next. A job entered inside
+    another starts empty too, and the outer job's memo is back when it
+    ends."""
+    token = _job_memo.set({})
+    try:
+        yield
+    finally:
+        _job_memo.reset(token)
+
+
+def _once(kernel: Callable, *args):
+    """kernel(*args), run at most once per job for equal arguments.
+
+    The memo lives in this module, the lowest layer, so every layer
+    reads the same one. Its kernels: `_product` and `_join` here (the
+    work of `*` and `&`), `polyhedra._double_description` (inside
+    `extreme_rays`), `polyhedra._plane_rays` and
+    `polyhedra._facet_system` (inside `newton_polyhedron`),
+    `polyhedra._dilate_minimal_points` (inside `closure_power`) and
+    `cone._canonical_scan` (inside `canonical_generators`). `**`
+    stores nothing: it runs its products with the memo set aside.
+
+    Lemma. Each kernel passed here reads only its arguments, which are
+    immutable values compared by value (ints, tuples of ints, and
+    frozen `FacetSystem` and `cone.ReesCone` objects), and returns an
+    immutable value (tuples and frozen dataclasses). So within one
+    job a stored result is exactly what a fresh run would return, and
+    handing it out again changes nothing but time.
+
+    Outside a job the kernel runs on every call, as the reference the
+    memo is tested against. Only returned results are stored: a kernel
+    that raises stores nothing, and raises again, with the same
+    message, when it is asked again."""
+    memo = _job_memo.get()
+    if memo is None:
+        return kernel(*args)
+    key = (kernel, *args)
+    result = memo.get(key)
+    if result is None:  # no kernel returns None
+        result = memo[key] = kernel(*args)
+    return result
 
 
 # Most distinct candidates for which minimalize, outside two variables,
@@ -134,15 +208,19 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     negative entries, or entries that fail `_exact_int`). The survivors
     hold plain ints, also when the input held an int subclass.
 
-    Two entries. A set of exactly the private type _Valid goes straight
-    to the sort and the dominance step, unchecked: its vectors are valid
-    by the lemma of the method that built it, `MonomialIdeal.__mul__`
-    (sums of two gens), `__and__` (gens of self and maxima of two gens),
-    `colon` (clamped differences max(h - g, 0)) or
-    `polyhedra.closure_power` (lattice points of its column scan). Each
-    yields tuples of plain ints >= 0 of length dim. Every other input,
-    a set or frozenset of any other type included, is validated as
-    below.
+    Two entries. A tuple of exactly the private type _Minimal is
+    returned as a plain tuple, unchecked: it is already the sorted
+    minimal generating set, by the lemma of the builder that made it.
+    The builders are `_product` (the kernel of `MonomialIdeal.__mul__`:
+    sums of two gens), `_join` (the kernel of `__and__`: gens of self
+    and maxima of two gens), `colon` (its pieces: clamped differences
+    max(h - g, 0)), each of which runs the dominance step below on its
+    own candidates, and `polyhedra.closure_power` (the points of its
+    column scan, minimal by the scan's lemma). Every other input, a
+    tuple, set or frozenset of any other type included, is validated
+    and minimalized as below. So every construction still calls
+    minimalize once, and a memoized product or join is one call that
+    reads nothing.
 
     Validation is one walk, `_check_each`: each vector is read once,
     into a tuple, and checked before it joins the set of distinct
@@ -151,7 +229,7 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     alike and deduplication would let (1, 0) hide a later (True, 0). An
     int subclass other than bool passes, and is stored as the int it
     equals. The package's large candidate sets (products, joins, colon
-    pieces, closures) come as _Valid; what reaches this entry is
+    pieces, closures) come as _Minimal; what reaches this entry is
     caller input and a few constructions such as `unit`, `pure_powers`
     and `bracket_power`, the size of the ideal they start from.
 
@@ -192,8 +270,9 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     generators of (x^3, y^3, z^3)^250.
 
     SCAN_LIMIT is the crossover of the last two on recorded traffic.
-    The 218 pinned report jobs make 28,264 calls, 20,649 of them on
-    _Valid input and 9,079 in three variables. Timed per k on those
+    The 218 pinned report jobs made 28,264 calls, 20,649 of them on
+    the candidates of products, joins and colon pieces, and 9,079 in
+    three variables. Timed per k on those
     sorted candidates, the dominance step alone (median of 25 runs,
     three rounds, 2 cores, Python 3.11.7) takes 1.2-1.6 us by the scan
     against 7.8-8.4 us by the bitsets at k = 3 (3,121 calls),
@@ -202,8 +281,8 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     call had k = 16 or 17, so any limit from 15 to 18 picks the same
     methods to within the noise, and 16 stays.
     """
-    if type(vectors) is _Valid:
-        return _minimal(sorted(vectors), dim)
+    if type(vectors) is _Minimal:
+        return tuple(vectors)
     if not _exact_int(dim) or dim < 1:
         raise InvalidIdealError("ambient dimension must be a positive int")
     return _minimal(sorted(_check_each(vectors, dim)), dim)
@@ -244,6 +323,38 @@ def _minimal(candidates: List[Vector], dim: int) -> Tuple[Vector, ...]:
             at_most[t] = prefix
         below = map(operator.and_, below, map(at_most.__getitem__, column))
     return tuple(v for v, b in zip(candidates, below) if b & (b - 1) == 0)
+
+
+def _product(
+    a_gens: Tuple[Vector, ...], b_gens: Tuple[Vector, ...], dim: int
+) -> Tuple[Vector, ...]:
+    """The minimal generators of (a_gens) * (b_gens), the kernel of
+    `MonomialIdeal.__mul__`. Both gens passed minimalize: tuples of
+    plain ints >= 0 of length dim, and so is the sum of any two of
+    them, so the distinct sums go straight to the dominance step."""
+    sums = {tuple(map(operator.add, g, h)) for g in a_gens for h in b_gens}
+    return _Minimal(_minimal(sorted(sums), dim))
+
+
+def _join(
+    a_gens: Tuple[Vector, ...], b_gens: Tuple[Vector, ...], dim: int
+) -> Tuple[Vector, ...]:
+    """The minimal generators of (a_gens) ∩ (b_gens), the kernel of
+    `MonomialIdeal.__and__`: the pairwise componentwise maxima.
+
+    A generator g of a_gens that already lies in (b_gens) is emitted
+    alone rather than joined with every generator of b_gens: g is in
+    the intersection, and each join lcm(g, h) is a multiple of g, so
+    the joins add nothing. Both gens passed minimalize: tuples of
+    plain ints >= 0 of length dim, and so are each g and each maximum
+    of two, so the candidates go straight to the dominance step."""
+    joins = set()
+    for g in a_gens:
+        if _divides_some(b_gens, g):
+            joins.add(g)
+        else:
+            joins.update(tuple(map(max, g, h)) for h in b_gens)
+    return _Minimal(_minimal(sorted(joins), dim))
 
 
 @dataclass(frozen=True)
@@ -316,45 +427,38 @@ class MonomialIdeal:
             )
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """The product, by the kernel `_product`, run once per pair of
+        operands within a job (`_once`)."""
         self._require_same_dim(other)
-        # both gens passed minimalize: tuples of plain ints >= 0 of
-        # length dim, and so is the sum of any two of them
-        products = _Valid({
-            tuple(map(operator.add, g, h))
-            for g in self.gens
-            for h in other.gens
-        })
-        return MonomialIdeal(self.dim, products)
+        return MonomialIdeal(
+            self.dim, _once(_product, self.gens, other.gens, self.dim)
+        )
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         """I^n by n - 1 products with I, one per further factor, each
         product dropped once the next is formed, so one power is alive
-        at a time. Exponents n <= 0 give the unit ideal (the convention
-        used throughout the filtration code). A walk that revisits
-        powers keeps them on a _power_cache ladder instead."""
+        at a time. The products run with the job memo set aside, so a
+        power stores nothing in it either. Exponents n <= 0 give the
+        unit ideal (the convention used throughout the filtration
+        code). A walk that revisits powers keeps them on a _power_cache
+        ladder instead."""
         if not _exact_int(n):
             raise TypeError("exponent must be an int")
         if n <= 0:
             return MonomialIdeal.unit(self.dim)
-        return functools.reduce(operator.mul, repeat(self, n - 1), self)
+        token = _job_memo.set(None)
+        try:
+            return functools.reduce(operator.mul, repeat(self, n - 1), self)
+        finally:
+            _job_memo.reset(token)
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Intersection: generated by pairwise componentwise maxima.
-
-        A generator g of self that already lies in other is emitted
-        alone rather than joined with every generator of other: g is in
-        the intersection, and each join lcm(g, h) is a multiple of g,
-        so the joins add nothing. The canonical result is the same."""
+        """Intersection, by the kernel `_join` (pairwise componentwise
+        maxima), run once per pair of operands within a job (`_once`)."""
         self._require_same_dim(other)
-        joins = set()
-        for g in self.gens:
-            if _divides_some(other.gens, g):
-                joins.add(g)
-            else:
-                joins.update(tuple(map(max, g, h)) for h in other.gens)
-        # both gens passed minimalize: tuples of plain ints >= 0 of
-        # length dim, and so are each g and each maximum of two
-        return MonomialIdeal(self.dim, _Valid(joins))
+        return MonomialIdeal(
+            self.dim, _once(_join, self.gens, other.gens, self.dim)
+        )
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal (self : other).
@@ -371,11 +475,13 @@ class MonomialIdeal:
         for g in other.gens:
             # both gens passed minimalize: tuples of plain ints of
             # length dim, so each max(h - g, 0) is one, with no entry < 0
-            shifted = _Valid(
+            shifted = {
                 tuple(map(max, map(operator.sub, h, g), zeros))
                 for h in self.gens
+            }
+            piece = MonomialIdeal(
+                self.dim, _Minimal(_minimal(sorted(shifted), self.dim))
             )
-            piece = MonomialIdeal(self.dim, shifted)
             result = piece if result is None else (result & piece)
         assert result is not None
         return result

@@ -28,16 +28,12 @@ Everything is exact; no floating point anywhere.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceededError,
@@ -46,7 +42,15 @@ from .errors import (
     InvalidIdealError,
     InvariantViolationError,
 )
-from .ideals import MonomialIdeal, Vector, _Valid, _axes, _exact_int, _exact_vector
+from .ideals import (
+    MonomialIdeal,
+    Vector,
+    _Minimal,
+    _axes,
+    _exact_int,
+    _exact_vector,
+    _once,
+)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -68,58 +72,6 @@ def _project(v0: int, u: Sequence[int], v: int, l0: Sequence[int]) -> Vector:
     """v0 * u - v * l0 divided by its content: u projected along l0
     onto the hyperplane of a row a, for v0 = <a, l0> and v = <a, u>."""
     return _int_primitive([v0 * x - v * y for x, y in zip(u, l0)])
-
-
-# -------------------------------------------------------------------- #
-# the job memo
-
-# The memo of the job running in this context, from (kernel, its
-# arguments) to the kernel's result; None outside a job.
-_job_memo: contextvars.ContextVar[Optional[Dict]] = contextvars.ContextVar(
-    "reesgor_job_memo", default=None
-)
-
-
-@contextlib.contextmanager
-def _job() -> Iterator[None]:
-    """Run the block as one job, with a memo of its own for `_once`.
-
-    One command run (`cli._execute`) and one self-check case
-    (`cli.corpus_case`) are each one job: both are decorated with
-    `@_job()`, which enters a new job on every call. The memo is empty
-    when the block starts and gone when it ends, however it ends, so
-    nothing crosses from one job to the next. A job entered inside
-    another starts empty too, and the outer job's memo is back when it
-    ends."""
-    token = _job_memo.set({})
-    try:
-        yield
-    finally:
-        _job_memo.reset(token)
-
-
-def _once(kernel: Callable, *args):
-    """kernel(*args), run at most once per job for equal arguments.
-
-    Lemma. Each kernel passed here reads only its arguments, which are
-    immutable values compared by value (tuples of ints, and frozen
-    `FacetSystem` and `cone.ReesCone` objects), and returns an
-    immutable value (tuples and frozen dataclasses). So within one
-    job a stored result is exactly what a fresh run would return, and
-    handing it out again changes nothing but time.
-
-    Outside a job the kernel runs on every call, as the reference the
-    memo is tested against. Only returned results are stored: a kernel
-    that raises stores nothing, and raises again, with the same
-    message, when it is asked again."""
-    memo = _job_memo.get()
-    if memo is None:
-        return kernel(*args)
-    key = (kernel, *args)
-    result = memo.get(key)
-    if result is None:  # no kernel returns None
-        result = memo[key] = kernel(*args)
-    return result
 
 
 # -------------------------------------------------------------------- #
@@ -147,11 +99,11 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
 
     Solved once per job. The loop, `_double_description`, reads only
     the validated rows and dim, tuples of ints compared by value, and
-    returns a tuple of tuples. So within one job (`_job`) it runs once
-    per (rows, dim) and a repeat returns what a fresh run would (the
-    lemma of `_once`). Every call still runs the checks above, and a
-    ConeGeometryError is stored by no job: it is raised again, in the
-    same words.
+    returns a tuple of tuples. So within one job (`ideals._job`) it
+    runs once per (rows, dim) and a repeat returns what a fresh run
+    would (the lemma of `ideals._once`). Every call still runs the
+    checks above, and a ConeGeometryError is stored by no job: it is
+    raised again, in the same words.
     """
     if not _exact_int(dim) or dim < 1:
         raise InvalidIdealError("ambient dimension must be a positive int")
@@ -444,17 +396,32 @@ def newton_polyhedron(ideal: MonomialIdeal) -> FacetSystem:
     The dual rays come from _plane_rays when d = 2 and from
     `extreme_rays` on the homogenized constraints otherwise; both
     return the same sorted primitive rays (see _plane_rays for the
-    lemma), and every check below runs on them either way.
+    lemma), and `_facet_system` reads the facets off them, with every
+    check, either way.
+
+    Solved once per job. `_plane_rays` reads only the gens and
+    `_facet_system` only d and the rays, tuples of ints compared by
+    value, and each returns an immutable value. So within one job
+    (`ideals._job`) each runs once per input and a repeat returns what
+    a fresh run would (the lemma of `ideals._once`). Every call still
+    calls `extreme_rays` when d != 2, and an InvariantViolationError is
+    stored by no job: it is raised again, in the same words.
     """
     if ideal.is_zero():
         raise InvalidIdealError("the zero ideal has an empty Newton polyhedron")
     d = ideal.dim
     if d == 2:
-        rays = _plane_rays(ideal.gens)
+        rays = _once(_plane_rays, ideal.gens)
     else:
         constraints = [g + (1,) for g in ideal.gens] + _axes((1,) * d, d + 1)
         rays = extreme_rays(constraints, d + 1)
+    return _once(_facet_system, d, rays)
 
+
+def _facet_system(d: int, rays: Tuple[Vector, ...]) -> FacetSystem:
+    """The facets of `newton_polyhedron`, read off the sorted primitive
+    dual rays of the homogenized cone in d + 1 coordinates, each ray
+    checked for the shape a Newton polyhedron's facets must have."""
     bounded: List[HalfSpace] = []
     coordinate: List[int] = []
     for w in rays:
@@ -781,6 +748,18 @@ def _dilate_minimal_points(
     In d = 2 there are no prefix coordinates to test. For d = 1 the
     box is empty and its one column is the point (t,), with no column
     before it.
+
+    Lemma (minimal output). The scan keeps exactly the lattice points
+    of the dilate in the box that have no lower neighbour v - e_j in
+    it, and sorts them. Such a point is minimal among all lattice
+    points of the dilate: the normals are >= 0, so the dilate is closed
+    upward in the orthant, and a point u <= v, u != v, in it gives the
+    lower neighbour v - e_j >= u for any j with u_j < v_j. So the
+    points are pairwise incomparable, one per column hence distinct,
+    and sorted: they are their own minimalization, for any
+    `FacetSystem` that passed its checks, whatever the box. With no
+    bounded facet the dilate is the orthant, whose one minimal point
+    is 0.
     """
     d = facets.dim
     if not facets.bounded:
@@ -813,26 +792,26 @@ def closure_power(
     Solved once per job. The scan, `_dilate_minimal_points(facets, n,
     maxexp)`, reads only its arguments, a frozen `FacetSystem`, an int
     and a tuple of ints, all compared by value, and returns a tuple of
-    tuples. So within one job (`_job`) it runs once per input and a
-    repeat returns what a fresh scan would (the lemma of `_once`). A
-    BudgetExceededError is stored by no job: it is raised again, in
-    the same words.
+    tuples. So within one job (`ideals._job`) it runs once per input
+    and a repeat returns what a fresh scan would (the lemma of
+    `ideals._once`). A BudgetExceededError is stored by no job: it is
+    raised again, in the same words.
 
-    Lemma (valid points). The scan's points are tuples of plain ints
-    >= 0 of length dim, so they go to minimalize as an `ideals._Valid`
-    set, unchecked. n is taken as the int it equals, and every other
-    operand is a plain int: the normals and offsets of a `FacetSystem`
-    and the ideal's maximal exponents. Each prefix coordinate comes
-    from a `range` that starts at 0, x from a range whose start is a
-    max with 0, and t from a max with 0; in d = 1 a point is (t,).
-    That holds whatever the signs of the normals, and a point has dim
-    entries because the facets were checked to live in the ideal's
-    dim."""
+    Lemma (trusted points). The scan's points are already the sorted
+    minimal generators (the lemma of `_dilate_minimal_points`), so they
+    go to minimalize as an `ideals._Minimal` tuple, which it returns
+    unread. Their entries are plain ints >= 0, dim of them: n is taken
+    as the int it equals, and every other operand is a plain int (the
+    normals and offsets of a `FacetSystem` and the ideal's maximal
+    exponents). Each prefix coordinate comes from a `range` that
+    starts at 0, x from a range whose start is a max with 0, and t from
+    a max with 0; in d = 1 a point is (t,). A point has dim entries
+    because the facets were checked to live in the ideal's dim."""
     if not _exact_int(n):
         raise TypeError("exponent must be an int")
     if n <= 0:
         return MonomialIdeal.unit(ideal.dim)
     facets = _facets_for(ideal, facets)
     gens = _once(_dilate_minimal_points, facets, int(n), ideal.max_exponents())
-    return MonomialIdeal(ideal.dim, _Valid(gens))
+    return MonomialIdeal(ideal.dim, _Minimal(gens))
 

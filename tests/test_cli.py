@@ -20,6 +20,7 @@ from reesgor import (
     cli,
     closure_power,
     cone,
+    ideals,
     is_gorenstein_normalization,
     newton_polyhedron,
     polyhedra,
@@ -1095,26 +1096,33 @@ def test_int_subclass_powers_are_written_as_ints():
 
 
 # ------------------------------------------------------------------ #
-# the job memo: each geometric kernel solves an input once per job
+# the job memo: each kernel solves an input once per job
 
 
-# (module, name) of each memoized kernel and of the public function
+# (home, name) of each memoized kernel and of the public function
 # that reads it
 KERNELS = (
     (polyhedra, "_double_description"),
     (polyhedra, "_dilate_minimal_points"),
     (cone, "_canonical_scan"),
+    (ideals, "_product"),
+    (ideals, "_join"),
+    (polyhedra, "_facet_system"),
 )
 READERS = (
     (polyhedra, "extreme_rays"),
     (polyhedra, "closure_power"),
     (cone, "canonical_generators"),
+    (MonomialIdeal, "__mul__"),
+    (MonomialIdeal, "__and__"),
+    (polyhedra, "newton_polyhedron"),
 )
 
 
 def _count(monkeypatch, functions):
-    """Count the calls of each (module, name), rebound in every reesgor
-    module that holds the function, as the benchmark tracer does."""
+    """Count the calls of each (home, name), rebound on its home (a
+    module, or the class of a method) and in every reesgor module that
+    holds the function, as the benchmark tracer does."""
     counts = {}
     for home, name in functions:
         original = getattr(home, name)
@@ -1124,6 +1132,7 @@ def _count(monkeypatch, functions):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
+        monkeypatch.setattr(home, name, counted)
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("reesgor"):
                 for key, value in list(vars(module).items()):
@@ -1135,8 +1144,8 @@ def _count(monkeypatch, functions):
 # (kernel runs, public calls) on each anchor's `--json report`, in the
 # order of KERNELS and READERS
 ANCHOR_KERNEL_RUNS = (
-    (ANCHOR_REPORT_DIGESTS[0][0], (3, 3, 1), (39, 9, 2)),
-    (ANCHOR_REPORT_DIGESTS[1][0], (1, 2, 1), (3, 7, 2)),
+    (ANCHOR_REPORT_DIGESTS[0][0], (3, 3, 1, 10, 11, 1), (39, 9, 2, 145, 55, 36)),
+    (ANCHOR_REPORT_DIGESTS[1][0], (1, 2, 1, 13, 15, 1), (3, 7, 2, 194, 104, 36)),
 )
 
 
@@ -1159,12 +1168,17 @@ def test_outside_a_job_every_call_runs_its_kernel(monkeypatch):
         newton_polyhedron(ideal)
         closure_power(ideal, 2, facets)
         is_gorenstein_normalization(ideal, facets)
+        ideal * ideal
+        ideal & ideal
     # the facets above, then two double descriptions per round: the
     # facets again and the lift of the cone
     assert counts == {
         "_double_description": 1 + 2 * 2,
         "_dilate_minimal_points": 2,
         "_canonical_scan": 2,
+        "_product": 2,
+        "_join": 2,
+        "_facet_system": 1 + 2,
     }
 
 
@@ -1195,7 +1209,7 @@ def test_the_memo_changes_nothing_but_time(job, capsys):
         code = main(["--json", "report", path])
         out, err = capsys.readouterr()
         assert (code, out, err) == _report_or_refusal(ideal), ideal.gens
-        assert polyhedra._job_memo.get() is None
+        assert ideals._job_memo.get() is None
 
 
 def test_two_corpus_cases_share_no_entry(monkeypatch):
@@ -1203,12 +1217,22 @@ def test_two_corpus_cases_share_no_entry(monkeypatch):
     # second one nothing to solve
     counts = _count(monkeypatch, KERNELS)
     first = cli.corpus_case(1, 5)
-    assert polyhedra._job_memo.get() is None
+    assert ideals._job_memo.get() is None
     once = dict(counts)
     assert all(once.values())
     assert cli.corpus_case(1, 5) == first
-    assert polyhedra._job_memo.get() is None
+    assert ideals._job_memo.get() is None
     assert counts == {name: 2 * runs for name, runs in once.items()}
+
+
+def test_a_corpus_case_in_its_job_matches_one_outside_any_job():
+    # corpus_case is one job; undecorated, it runs every kernel on
+    # every call, the reference the memo must not move from
+    for seed in (11, 12, 13):
+        for index in range(8):
+            outside = cli.corpus_case.__wrapped__(index, seed)
+            assert ideals._job_memo.get() is None
+            assert cli.corpus_case(index, seed) == outside, (index, seed)
 
 
 CUBES = MonomialIdeal.pure_powers((3, 3, 3))
@@ -1235,11 +1259,11 @@ def test_a_kernel_that_raises_in_a_job_raises_again(
     monkeypatch, kernel, call, error
 ):
     counts = _count(monkeypatch, KERNELS)
-    with polyhedra._job():
+    with ideals._job():
         with pytest.raises(error) as first:
             call()
         with pytest.raises(error) as second:
             call()
-        assert polyhedra._job_memo.get() == {}
+        assert ideals._job_memo.get() == {}
     assert str(second.value) == str(first.value)
     assert counts[kernel] == 2

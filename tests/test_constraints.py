@@ -167,25 +167,33 @@ def _uses_of(tree, name):
 
 
 def test_only_the_named_methods_build_the_trusted_marker():
-    """`ideals._Valid` marks vectors that minimalize reads without
-    validating them. Its builders are exactly the four methods whose
-    lemma keeps their vectors valid (sums, maxima and clamped
-    differences of validated gens, and the lattice points of the
-    closure scan), and minimalize is its only reader: a new trusted
-    caller, or a second reader, is a reviewed change."""
+    """`ideals._Minimal` marks vectors that are already the sorted
+    minimal generators, which minimalize returns without reading them.
+    Its builders are exactly the four whose lemma makes their vectors
+    minimal: the kernels of `*` and `&` and the colon pieces, each of
+    which runs the dominance step on sums, maxima or clamped
+    differences of validated gens, and the closure scan's points, which
+    have no lower neighbour in the dilate. minimalize is its only
+    reader: a new trusted caller, or a second reader, is a reviewed
+    change. The marker it replaced, `_Valid`, is used nowhere."""
     uses = {
         (path.name, where, how)
         for path in SOURCES
-        for where, how in _uses_of(_tree(path), "_Valid")
+        for where, how in _uses_of(_tree(path), "_Minimal")
     }
     assert uses == {
-        ("ideals.py", "MonomialIdeal.__mul__", "builds"),
-        ("ideals.py", "MonomialIdeal.__and__", "builds"),
+        ("ideals.py", "_product", "builds"),
+        ("ideals.py", "_join", "builds"),
         ("ideals.py", "MonomialIdeal.colon", "builds"),
         ("ideals.py", "minimalize", "reads"),
         ("polyhedra.py", "", "imports"),
         ("polyhedra.py", "closure_power", "builds"),
     }
+    assert not [
+        (path.name, use)
+        for path in SOURCES
+        for use in _uses_of(_tree(path), "_Valid")
+    ]
 
 
 def _raised_name(node):

@@ -437,8 +437,12 @@ def test_minimalize_matches_the_pairwise_reference(monkeypatch):
         fast = minimalize(rows, dim)
         assert fast == expected, (rows, dim)
         assert list(fast) == sorted(fast)
-        # the unchecked entry for vectors valid by a lemma
-        assert minimalize(ideals._Valid(rows), dim) == expected, (rows, dim)
+        # the dominance step alone, as the kernels of * and & and the
+        # colon pieces run it on their distinct candidates, and the
+        # unchecked entry for vectors already minimal by a lemma
+        assert ideals._minimal(sorted(set(rows)), dim) == expected, (rows, dim)
+        trusted = minimalize(ideals._Minimal(expected), dim)
+        assert type(trusted) is tuple and trusted == expected, (rows, dim)
         given = len(set(rows))
         sizes.add((given, len(fast)))
         # outside d = 2 the count of distinct rows picks the method, so
@@ -448,7 +452,7 @@ def test_minimalize_matches_the_pairwise_reference(monkeypatch):
             for limit in (-1, len(rows)):
                 monkeypatch.setattr(ideals, "SCAN_LIMIT", limit)
                 assert minimalize(rows, dim) == expected, (rows, dim, limit)
-                assert minimalize(ideals._Valid(rows), dim) == expected, (
+                assert ideals._minimal(sorted(set(rows)), dim) == expected, (
                     rows, dim, limit,
                 )
             monkeypatch.setattr(ideals, "SCAN_LIMIT", SCAN_LIMIT)
@@ -592,6 +596,27 @@ def test_power_keeps_one_power_alive():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert top.gens == tuple((i, 600 - i) for i in range(601))
+    assert peak < 2_000_000
+
+
+def test_power_stores_nothing_in_a_job():
+    # inside a job ** runs its products with the memo set aside, so
+    # I ** 300 adds no entry and still peaks as it does outside one;
+    # the job's memo is back afterwards, and a product stores again
+    ideal = I(2, (2, 0), (1, 1), (0, 2))
+    with ideals._job():
+        memo = ideals._job_memo.get()
+        tracemalloc.start()
+        try:
+            top = ideal ** 300
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert memo == {}
+        assert ideals._job_memo.get() is memo
+        assert ideal * ideal == ideal ** 2
+        assert list(memo) == [(ideals._product, ideal.gens, ideal.gens, 2)]
     assert top.gens == tuple((i, 600 - i) for i in range(601))
     assert peak < 2_000_000
 

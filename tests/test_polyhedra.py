@@ -14,6 +14,7 @@ from reesgor import (
     closure_power,
     extreme_rays,
     lift_halfspaces,
+    minimalize,
     newton_polyhedron,
     polyhedra,
 )
@@ -925,9 +926,34 @@ def test_closure_points_are_valid_without_the_check():
             for v in points:
                 assert type(v) is tuple and len(v) == ideal.dim
                 assert all(type(e) is int and e >= 0 for e in v), v
+            assert points == minimalize(points, ideal.dim)
             closed = closure_power(ideal, n, facets)
             assert closed == MonomialIdeal(ideal.dim, tuple(points))
             assert all(type(e) is int for g in closed.gens for e in g)
+
+
+def test_closure_points_are_their_own_minimalization():
+    # closure_power hands its scan's points to minimalize as already
+    # minimal, unread: the scan keeps exactly the lattice points of the
+    # dilate with no lower neighbour in it, sorted. Checked against the
+    # validated entry on 1,800 seeded (ideal, n) pairs in d = 1..4, half
+    # of them m-primary, and on systems with no bounded facet
+    rng = seeded(3404)
+    pairs = 0
+    for d in (1, 2, 3, 4):
+        for k in range(150):
+            ideal = (random_ideal if k % 2 else random_m_primary)(rng, d)
+            facets = newton_polyhedron(ideal)
+            for n in (1, 2, 3):
+                points = _dilate_minimal_points(
+                    facets, n, ideal.max_exponents()
+                )
+                assert points == minimalize(points, d), (ideal.gens, n)
+                pairs += 1
+        empty = FacetSystem(d, (), ())
+        assert _dilate_minimal_points(empty, 2, (3,) * d) == ((0,) * d,)
+        assert closure_power(ideal, 2, empty).gens == ((0,) * d,)
+    assert pairs == 1800
 
 
 def test_closure_frozen_values():

@@ -1,0 +1,129 @@
+"""Time the heavy inputs outside the benchmark's pools, one process each.
+
+Runs, through `reesgor.cli.main` in --json form, each heavy input of
+the ROADMAP baseline in a subprocess of its own: the r = 8 report of
+(x^5, x^2y^2z, xy^2z^2, y^5, z^5), `core --u 3..6` and `iclosure -n
+100` on the anchor (x^3, y^3, z^3, xyz), and `iclosure -n 250` on
+(x^3, y^3, z^3), the README's largest closure. Each child imports the
+package, runs the command with its standard output going to a file,
+and reports its own process time for the command (`time.process_time`
+around `main`, imports excluded) and its own peak resident set size
+(`resource.getrusage(RUSAGE_SELF).ru_maxrss`, the whole process). Prints
+one line per input: exit code, process time, peak RSS and the sha256
+of the standard output, then of standard error.
+
+With --against, the same inputs also run on the package of a second
+checkout (its src/reesgor), in a child of its own, the tree that runs
+first alternating from round to round, and each line ends with
+whether the two outputs matched. Nothing is checked: the tool prints
+and exits 0. Run from the root of the repository:
+
+    python3 tools/heavy.py --rounds 3 --against ../parent
+"""
+
+import argparse
+import hashlib
+import json
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+R8 = [[5, 0, 0], [2, 2, 1], [1, 2, 2], [0, 5, 0], [0, 0, 5]]
+ANCHOR = [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]
+CUBES = [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
+
+# name -> (generators, command line after --json, with JOB for the file)
+INPUTS = {
+    "report r=8": (R8, ["report", "JOB"]),
+    **{
+        f"core --u {u} anchor": (ANCHOR, ["core", "JOB", "--u", str(u)])
+        for u in (3, 4, 5, 6)
+    },
+    "iclosure -n 100 anchor": (ANCHOR, ["iclosure", "JOB", "-n", "100"]),
+    "iclosure -n 250 cubes": (CUBES, ["iclosure", "JOB", "-n", "250"]),
+}
+
+# The child: argv is (src folder, stats file, cli arguments...).
+CHILD = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from reesgor.cli import main
+start = time.process_time()
+code = main(sys.argv[3:])
+seconds = time.process_time() - start
+sys.stdout.flush()
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump({"code": code, "seconds": seconds, "peak_kb": peak_kb}, fh)
+"""
+
+
+def _run(src, argv, folder):
+    """(exit code, process seconds, peak MB, stdout sha256, stderr
+    sha256) of one child running the cli on argv."""
+    folder = pathlib.Path(folder)
+    stats = folder / "stats.json"
+    with open(folder / "out", "wb") as out, open(folder / "err", "wb") as err:
+        subprocess.run(
+            [sys.executable, "-c", CHILD, str(src), str(stats), *argv],
+            stdout=out, stderr=err, check=False,
+        )
+    digests = [
+        hashlib.sha256((folder / name).read_bytes()).hexdigest()
+        for name in ("out", "err")
+    ]
+    if not stats.is_file():  # the child died before writing its stats
+        return None, float("nan"), float("nan"), *digests
+    found = json.loads(stats.read_text(encoding="utf-8"))
+    stats.unlink()
+    return (found["code"], found["seconds"], found["peak_kb"] / 1024,
+            *digests)
+
+
+def _show(result):
+    code, seconds, peak, out, err = result
+    return (f"exit {code}, {seconds:.2f} s, {peak:.1f} MB, "
+            f"out {out[:12]}, err {err[:12]}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--rounds", type=int, default=1,
+                        help="runs of each input per tree (default 1)")
+    parser.add_argument("--against", type=pathlib.Path,
+                        help="root of a second checkout to run side by side")
+    args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    trees = {"this": ROOT / "src"}
+    if args.against is not None:
+        source = args.against / "src"
+        if not (source / "reesgor" / "__init__.py").is_file():
+            parser.error(f"no package at {source / 'reesgor'}")
+        trees["against"] = source
+
+    with tempfile.TemporaryDirectory() as folder:
+        for name, (gens, command) in INPUTS.items():
+            job = pathlib.Path(folder) / "job.json"
+            job.write_text(json.dumps({"dim": len(gens[0]), "gens": gens}))
+            argv = ["--json"] + [str(job) if a == "JOB" else a for a in command]
+            for index in range(args.rounds):
+                order = list(trees)
+                if index % 2:
+                    order.reverse()
+                results = {tree: _run(trees[tree], argv, folder)
+                           for tree in order}
+                line = f"{name}: {_show(results['this'])}"
+                if "against" in trees:
+                    this, other = results["this"], results["against"]
+                    same = (this[0], *this[3:]) == (other[0], *other[3:])
+                    line += (f"; against {_show(results['against'])}; "
+                             f"output {'same' if same else 'DIFFERS'}")
+                print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
