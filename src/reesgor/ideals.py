@@ -12,7 +12,7 @@ SCAN_LIMIT = 16 distinct candidates a scan that compares each one
 with those kept before it; above that one bitset pass per coordinate.
 On the three-variable calls of the pinned report jobs the scan wins
 up to k = 15 distinct candidates, ties at k = 18 and loses from k = 19
-(about 40 against 24 us).
+(about 22 against 15 us).
 
 Every ideal is built through minimalize, which has two entries. Any
 input is validated and minimalized: one walk checks dim and the
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import operator
 from dataclasses import dataclass
 from itertools import repeat
@@ -152,7 +151,8 @@ def _job() -> Iterator[None]:
     when the block starts and gone when it ends, however it ends, so
     nothing crosses from one job to the next. A job entered inside
     another starts empty too, and the outer job's memo is back when it
-    ends."""
+    ends. `_job` sets and resets `_job_memo` and `_once` reads it;
+    nothing else in the package touches it."""
     token = _job_memo.set({})
     try:
         yield
@@ -169,15 +169,20 @@ def _once(kernel: Callable, *args):
     `extreme_rays`), `polyhedra._plane_rays` and
     `polyhedra._facet_system` (inside `newton_polyhedron`),
     `polyhedra._dilate_minimal_points` (inside `closure_power`) and
-    `cone._canonical_scan` (inside `canonical_generators`). `**`
-    stores nothing: it runs its products with the memo set aside.
+    `cone._canonical_scan` (inside `canonical_generators`). `**` calls
+    `_product` itself, not through here, so a power stores nothing.
 
     Lemma. Each kernel passed here reads only its arguments, which are
-    immutable values compared by value (ints, tuples of ints, and
-    frozen `FacetSystem` and `cone.ReesCone` objects), and returns an
-    immutable value (tuples and frozen dataclasses). So within one
+    immutable values compared by value: ints, tuples of ints, and
+    frozen `FacetSystem` and `cone.ReesCone` objects whose fields are
+    ints and tuples, as every one the package builds is. It returns
+    an immutable value (tuples and frozen dataclasses). So within one
     job a stored result is exactly what a fresh run would return, and
-    handing it out again changes nothing but time.
+    handing it out again changes nothing but time. A hand-made facet
+    system with a list field, such as `FacetSystem(2, [HalfSpace((1,
+    1), 2)], [])`, is no such value, since a list has no hash: passed
+    to `closure_power` inside `_job()`, its lookup raises TypeError
+    (unhashable type: 'list'), where outside a job the scan runs.
 
     Outside a job the kernel runs on every call, as the reference the
     memo is tested against. Only returned results are stored: a kernel
@@ -246,6 +251,9 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     first entry <= v[0], so v is kept iff v[1] is below the least
     second entry of the candidates kept before it; the first candidate
     is always kept. One loop of O(k) int comparisons after the sort.
+    Sending two variables to the two methods below instead cost the
+    pinned report jobs 1.1-2.0% more time (median 1.8% of five
+    side-by-side timings, `tools/pooltime.py`, 2 cores, Python 3.11.7).
 
     Small sets, k <= SCAN_LIMIT: each candidate is compared with the
     candidates kept so far, by the last entry first and then in full,
@@ -270,16 +278,17 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     generators of (x^3, y^3, z^3)^250.
 
     SCAN_LIMIT is the crossover of the last two on recorded traffic.
-    The 218 pinned report jobs made 28,264 calls, 20,649 of them on
-    the candidates of products, joins and colon pieces, and 9,079 in
-    three variables. Timed per k on those
-    sorted candidates, the dominance step alone (median of 25 runs,
-    three rounds, 2 cores, Python 3.11.7) takes 1.2-1.6 us by the scan
-    against 7.8-8.4 us by the bitsets at k = 3 (3,121 calls),
-    17.5-20.9 against 18.6-22.3 at k = 15, 20.9-25.4 against 20.9-26.1
-    at k = 18, a tie, and 38.2-42.4 against 23.4-26.5 at k = 19. No
-    call had k = 16 or 17, so any limit from 15 to 18 picks the same
-    methods to within the noise, and 16 stays.
+    With products, joins and facet systems solved once per job, the
+    218 pinned report jobs run the dominance step 12,650 times, 8,352
+    of them in two variables and 4,298 in three. Timed per k on those
+    sorted three-variable candidates, the dominance step alone (median
+    of 25 runs, three rounds, 2 cores, Python 3.11.7) takes 0.7-1.5 us
+    by the scan against 7.0-8.8 us by the bitsets at k = 3 (1,013
+    calls), 7.4-15.4 against 11.5-22.0 at k = 15, 9.7-20.5 against
+    12.6-24.1 at k = 18, where the rounds disagree, and 21.3-45.0
+    against 14.3-27.6 at k = 19. No call had k = 16 or 17, so any
+    limit from 15 to 18 picks the same methods to within the noise,
+    and 16 stays.
     """
     if type(vectors) is _Minimal:
         return tuple(vectors)
@@ -437,20 +446,21 @@ class MonomialIdeal:
     def __pow__(self, n: int) -> "MonomialIdeal":
         """I^n by n - 1 products with I, one per further factor, each
         product dropped once the next is formed, so one power is alive
-        at a time. The products run with the job memo set aside, so a
-        power stores nothing in it either. Exponents n <= 0 give the
-        unit ideal (the convention used throughout the filtration
-        code). A walk that revisits powers keeps them on a _power_cache
-        ladder instead."""
+        at a time. Each product is one run of the kernel `_product` on
+        the generator tuples, not through the job memo (`_once`), so a
+        power stores nothing in it either; I ** 1 is I. Exponents
+        n <= 0 give the unit ideal (the convention used throughout the
+        filtration code). A walk that revisits powers keeps them on a
+        _power_cache ladder instead."""
         if not _exact_int(n):
             raise TypeError("exponent must be an int")
         if n <= 0:
             return MonomialIdeal.unit(self.dim)
-        token = _job_memo.set(None)
-        try:
-            return functools.reduce(operator.mul, repeat(self, n - 1), self)
-        finally:
-            _job_memo.reset(token)
+        power = self
+        for _ in range(n - 1):
+            product = _product(power.gens, self.gens, self.dim)
+            power = MonomialIdeal(self.dim, product)
+        return power
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection, by the kernel `_join` (pairwise componentwise

@@ -90,12 +90,12 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     positive int by `_exact_int` with InvalidIdealError, as
     `minimalize` does, a row of another length with
     DimensionMismatchError, and an entry that fails `_exact_int` with
-    the InvalidIdealError of `_exact_vector`, which names its row. The
-    entry check is one C-level pass over the types, a sufficient test
-    rather than the rule; the loop of `_exact_vector` runs only when
-    that pass fails. Sending every row through that loop instead took
-    0.5-1.0% more time on the pinned report jobs, in all of four
-    side-by-side timings (`tools/pooltime.py`, 2 cores, Python 3.11.7).
+    the InvalidIdealError of `_exact_vector`, which names its row;
+    every row goes through that loop. A C-level pass over the types
+    that let plain ints skip it bought nothing measurable: without it
+    the pinned report jobs took +0.3% (median of seven side-by-side
+    timings, -0.1 to +0.9%), inside the 0.9-point spread of the tree
+    timed against itself (`tools/pooltime.py`, 2 cores, Python 3.11.7).
 
     Solved once per job. The loop, `_double_description`, reads only
     the validated rows and dim, tuples of ints compared by value, and
@@ -110,9 +110,8 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     constraints = tuple(map(tuple, rows))
     if not set(map(len, constraints)) <= {dim}:
         raise DimensionMismatchError("constraint row of wrong length")
-    if not set(map(type, itertools.chain.from_iterable(constraints))) <= {int}:
-        for a in constraints:
-            _exact_vector(a, dim, f"dimension {dim}")
+    for a in constraints:
+        _exact_vector(a, dim, f"dimension {dim}")
     return _once(_double_description, constraints, dim)
 
 
@@ -260,22 +259,21 @@ class HalfSpace:
     """The half-space {v : <normal, v> >= offset}. Refuses, with
     InvalidIdealError naming it, a normal entry or an offset that fails
     `_exact_int`, and stores an int subclass as the int it equals.
-    Plain ints pass on one C-level pass over the types: the report pool
-    builds several thousand of these in `newton_polyhedron`."""
+    Plain ints take the same path: with the facet systems solved once
+    per job, the 218 pinned report jobs build 291 of these, and a
+    C-level pass over the types that let plain ints skip it bought
+    nothing measurable (the pool took -0.2% without it, median of five
+    side-by-side timings; `tools/pooltime.py`, 2 cores, Python 3.11.7)."""
 
     normal: Tuple[int, ...]
     offset: int
 
     def __post_init__(self) -> None:
-        normal, offset = self.normal, self.offset
-        if (type(normal) is tuple and type(offset) is int
-                and {int}.issuperset(map(type, normal))):
-            return
-        normal = tuple(normal)
-        if not (all(map(_exact_int, normal)) and _exact_int(offset)):
+        normal = tuple(self.normal)
+        if not (all(map(_exact_int, normal)) and _exact_int(self.offset)):
             raise InvalidIdealError(f"non-integer entry in facet {self}")
         object.__setattr__(self, "normal", tuple(map(int, normal)))
-        object.__setattr__(self, "offset", int(offset))
+        object.__setattr__(self, "offset", int(self.offset))
 
 
 @dataclass(frozen=True)
@@ -594,11 +592,13 @@ def _column_scan(
     from above (s < 0), in closed form; xs is the intersection of
     those intervals with [0, bounds[-1]]. Every other row has last
     entry l > 0, and t(x) = max(0, ceil(need(x) / l) over those rows),
-    with one list comprehension per row over xs. A row with s = 0 has
-    the same ceiling at every x, so it is taken once per batch: taking
-    it per x instead cost the pinned gorenstein jobs 0.3-1.2% more time
-    (median 0.9% of five side-by-side timings, `tools/pooltime.py`, 2
-    cores, Python 3.11.7).
+    with one list comprehension per row over xs. That holds a row with
+    s = 0 too, whose ceiling is the same at every x: taking such rows
+    once per batch instead bought nothing measurable (the pinned pools
+    took +0.2 / -0.1 / +0.6% without it, report / gorenstein / corpus,
+    medians of five side-by-side timings, inside the spread of the
+    tree timed against itself; `tools/pooltime.py`, 2 cores, Python
+    3.11.7).
 
     The slacks cost no dot product either. With need_r the row's need
     at x = 0, slack_r at (prefix, x, t) is s_r * x + l_r * t - need_r.
@@ -636,15 +636,13 @@ def _column_scan(
                 j -= 1
             settled[j].append(i)
     # shapes[i] holds row i's entries (s, l) at x and t. Rows with l = 0
-    # bound x from below or above; rows with l > 0 bound t, by the same
-    # amount along the whole column range when s = 0 (flat rows).
+    # bound x from below or above; rows with l > 0 bound t.
     shapes = [(n[-2], n[-1]) for n, _ in rows]
     along = _pack((s for s, _ in shapes), width)
     lift = _pack((l for _, l in shapes), width)
     lower = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s > 0]
     upper = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s < 0]
-    lifting = [(i, s, l) for i, (s, l) in enumerate(shapes) if l and s]
-    flat = [(i, l) for i, (s, l) in enumerate(shapes) if l and not s]
+    lifting = [(i, s, l) for i, (s, l) in enumerate(shapes) if l]
 
     def batch(prefix: Vector, needs: List[int], packed: int):
         lo, hi = 0, last
@@ -659,18 +657,13 @@ def _column_scan(
         if lo > hi:
             return None
         xs = range(lo, hi + 1)
-        floor = 0
-        for i, l in flat:
-            c = -(-needs[i] // l)
-            if c > floor:
-                floor = c
         ceilings = [
             [-((s * x - needs[i]) // l) for x in xs] for i, s, l in lifting
         ]
         if ceilings:
-            ts = list(map(max, itertools.repeat(floor), *ceilings))
+            ts = list(map(max, itertools.repeat(0), *ceilings))
         else:
-            ts = [floor] * len(xs)
+            ts = [0] * len(xs)
         slacks = [x * along + t * lift - packed for x, t in zip(xs, ts)]
         return prefix, xs, ts, slacks
 

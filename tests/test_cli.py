@@ -1144,8 +1144,8 @@ def _count(monkeypatch, functions):
 # (kernel runs, public calls) on each anchor's `--json report`, in the
 # order of KERNELS and READERS
 ANCHOR_KERNEL_RUNS = (
-    (ANCHOR_REPORT_DIGESTS[0][0], (3, 3, 1, 10, 11, 1), (39, 9, 2, 145, 55, 36)),
-    (ANCHOR_REPORT_DIGESTS[1][0], (1, 2, 1, 13, 15, 1), (3, 7, 2, 194, 104, 36)),
+    (ANCHOR_REPORT_DIGESTS[0][0], (3, 3, 1, 10, 11, 1), (39, 9, 2, 144, 55, 36)),
+    (ANCHOR_REPORT_DIGESTS[1][0], (1, 2, 1, 13, 15, 1), (3, 7, 2, 193, 104, 36)),
 )
 
 

@@ -567,21 +567,22 @@ def test_power_matches_repeated_product():
 
 
 def test_power_takes_one_product_per_further_factor(monkeypatch):
-    # I ** n makes n - 1 products for n >= 1 and none for n <= 0.
+    # I ** n runs the product kernel n - 1 times for n >= 1 and never
+    # for n <= 0, each time with the gens of I as its second factor.
     products = []
-    multiply = MonomialIdeal.__mul__
+    multiply = ideals._product
 
-    def counting(self, other):
-        products.append(other)
-        return multiply(self, other)
+    def counting(a_gens, b_gens, dim):
+        products.append(b_gens)
+        return multiply(a_gens, b_gens, dim)
 
-    monkeypatch.setattr(MonomialIdeal, "__mul__", counting)
+    monkeypatch.setattr(ideals, "_product", counting)
     ideal = I(3, (2, 0, 0), (1, 1, 0), (0, 3, 1), (0, 0, 2))
     for n in range(-2, 7):
         products.clear()
         ideal ** n
         assert len(products) == max(n - 1, 0), n
-        assert all(other is ideal for other in products), n
+        assert all(gens is ideal.gens for gens in products), n
 
 
 def test_power_keeps_one_power_alive():
@@ -601,9 +602,10 @@ def test_power_keeps_one_power_alive():
 
 
 def test_power_stores_nothing_in_a_job():
-    # inside a job ** runs its products with the memo set aside, so
-    # I ** 300 adds no entry and still peaks as it does outside one;
-    # the job's memo is back afterwards, and a product stores again
+    # ** runs the product kernel itself, not through the job memo, so
+    # inside a job I ** 300 adds no entry and still peaks as it does
+    # outside one; the job's memo is the same dict afterwards, and a
+    # product (through `*`) stores in it
     ideal = I(2, (2, 0), (1, 1), (0, 2))
     with ideals._job():
         memo = ideals._job_memo.get()

@@ -11,8 +11,10 @@ standard error. A statement counts as executed when any line of it
 (for a compound statement, any line of its header) runs. The summary
 line ends with the sha256 of every run's exit code, standard output
 and standard error, in run order: two trees whose digests are equal
-gave byte-identical output on all the runs. Run from the root of the
-repository:
+gave byte-identical output on all the runs. The digest is compared
+with the one recorded in tools/reach.sha256, and the script exits 1
+when they differ, after a line naming both; a change meant to alter
+output updates that file. Run from the root of the repository:
 
     python3 tools/reach.py
 """
@@ -29,6 +31,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reesgor"
 PINS = ROOT / "perfbench" / "pins"
+EXPECTED = ROOT / "tools" / "reach.sha256"
 CORPUS_SEEDS = range(1000, 1040)
 
 
@@ -121,6 +124,11 @@ def main() -> None:
                 print(f"{module}:{line}: {source[line - 1].strip()}")
     print(f"{missed} of {total} statements not executed by {len(runs)} runs; "
           f"output sha256 {digest.hexdigest()}", file=sys.stderr)
+    expected = EXPECTED.read_text("utf-8").strip()
+    if digest.hexdigest() != expected:
+        print(f"output sha256 differs from {expected} in {EXPECTED.name}",
+              file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":
