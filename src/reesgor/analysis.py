@@ -15,7 +15,6 @@ enforces that bound and raises rather than looping on.
 
 from __future__ import annotations
 
-import functools
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -544,21 +543,18 @@ def conductor_exponent(
     So the scan checks c = 0, ..., d - 1, each for n = 1, ..., N_c;
     it forms closures up to I^d and powers up to I^max(1, d-1). If no c
     passes, Lemma B is contradicted and InvariantViolationError
-    reports it.
+    reports it. Successive c may revisit the closure of one power; the
+    closures are shared through `closure_power`'s job memo, so inside a
+    job (`ideals._job`) each is scanned once.
     """
     facets = _facets_for(ideal, facets)
     d = ideal.dim
     power = _power_cache(ideal)
-
-    @functools.cache
-    def closure(n: int) -> MonomialIdeal:
-        # a global lookup per call, so a rebound closure_power takes effect
-        return closure_power(ideal, n, facets)
-
     for c in range(d):
         n_max = max(1, d - 1 - c)
         if all(
-            closure(n + c).is_subset(power(n)) for n in range(1, n_max + 1)
+            closure_power(ideal, n + c, facets).is_subset(power(n))
+            for n in range(1, n_max + 1)
         ):
             return c
     raise InvariantViolationError(

@@ -18,6 +18,7 @@ from reesgor import (
     is_monomial_reduction,
     newton_polyhedron,
     nilpotency_index,
+    polyhedra,
     quasi_gorenstein_test,
     reduction_number,
 )
@@ -30,6 +31,7 @@ from reesgor.errors import (
     NotAReductionError,
     NotMPrimaryError,
 )
+from reesgor.ideals import _job
 from reesgor.oracle import oracle_colon
 from reesgor.report import invariants_section
 
@@ -818,27 +820,32 @@ def test_conductor_closes_no_power_above_the_dimension(monkeypatch):
 
 
 def test_conductor_forms_each_closure_once_per_call(monkeypatch):
-    # Successive degrees c revisit closures of the same powers; each is
-    # formed once per call and shared.
-    formed = []
+    # Successive degrees c revisit closures of the same powers; inside a
+    # job the memo of closure_power scans each once, and every c is the
+    # one a call outside a job gives.
+    scanned = []
+    scan = polyhedra._dilate_minimal_points
 
-    def recording(ideal, n, facets=None):
-        formed.append(n)
-        return closure_power(ideal, n, facets)
+    def recording(facets, n, maxexp):
+        scanned.append(n)
+        return scan(facets, n, maxexp)
 
-    monkeypatch.setattr(analysis, "closure_power", recording)
     rng = seeded(35)
     ideals = [random_m_primary(rng, d, max_coord=4) for d in (3, 3, 4, 4)]
-    for ideal in ideals + [RICH, CRIT]:
-        formed.clear()
-        conductor_exponent(ideal)
-        assert formed and len(set(formed)) == len(formed), (ideal.to_str(), formed)
+    closed = closure_power(MonomialIdeal.pure_powers((5, 7, 2)), 1)
+    cases = ideals + [RICH, CRIT, closed]
+    expected = [conductor_exponent(ideal) for ideal in cases]
+    monkeypatch.setattr(polyhedra, "_dilate_minimal_points", recording)
+    for ideal, c in zip(cases, expected):
+        scanned.clear()
+        with _job():
+            assert conductor_exponent(ideal) == c
+        assert scanned and len(set(scanned)) == len(scanned), (
+            ideal.to_str(), scanned)
     # Integrally closed but not normal: c = 0 closes I^1 and I^2 and
     # fails at n = 2, and c = 1 then reuses the closure of I^2.
-    closed = closure_power(MonomialIdeal.pure_powers((5, 7, 2)), 1)
-    formed.clear()
-    assert conductor_exponent(closed) == 1
-    assert formed == [1, 2]
+    assert expected[-1] == 1
+    assert scanned == [1, 2]
 
 
 def test_conductor_without_a_passing_c_raises(monkeypatch, tmp_path, capsys):

@@ -306,8 +306,8 @@ def _bounded_to_one(call):
 
 
 def _cache_uses(tree):
-    """(line, inside a function body, bounded to one entry) for each
-    use of a functools cache in the module."""
+    """For each use of a functools cache in the module, whether it is
+    bounded to one entry."""
     imported = {
         alias.asname or alias.name
         for node in ast.walk(tree)
@@ -317,35 +317,30 @@ def _cache_uses(tree):
     }
     uses = []
 
-    def visit(node, in_body):
+    def visit(node):
         if isinstance(node, ast.Call) and _is_cache(node.func, imported):
-            uses.append((node.lineno, in_body, _bounded_to_one(node)))
-            children = [(child, in_body) for child in node.args + node.keywords]
+            uses.append(_bounded_to_one(node))
+            children = node.args + node.keywords
         elif _is_cache(node, imported):
-            uses.append((node.lineno, in_body, False))
+            uses.append(False)
             children = []
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # decorators and defaults run where the def is, not in its body
-            children = [(child, in_body) for child in node.decorator_list]
-            children += [(node.args, in_body)]
-            children += [(child, True) for child in node.body]
         else:
-            children = [(child, in_body) for child in ast.iter_child_nodes(node)]
-        for child, inside in children:
-            visit(child, inside)
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child)
 
-    visit(tree, False)
+    visit(tree)
     return uses
 
 
 def test_every_memo_is_per_call_or_holds_one_entry():
-    """A memo over ideals that outlives a call grows from job to job in
-    a process that runs many: every functools.cache or lru_cache in
-    the package is applied inside a function body, so it is dropped
-    with the call, or holds at most one entry."""
-    seen = 0
-    for path in SOURCES:
-        for line, in_body, bounded in _cache_uses(_tree(path)):
-            seen += 1
-            assert in_body or bounded, (path.name, line)
-    assert seen >= 2  # the parser cache and the conductor's closure cache
+    """Computed results are cached only by the job memo of
+    `ideals._once`, which is dropped with the job: every functools.cache
+    or lru_cache in the package, at module level or inside a function
+    body, holds at most one entry. The one such cache is the parser's."""
+    uses = [
+        (path.name, bounded)
+        for path in SOURCES
+        for bounded in _cache_uses(_tree(path))
+    ]
+    assert uses == [("cli.py", True)]

@@ -3,8 +3,11 @@
 Runs, through `reesgor.cli.main` in --json form, each heavy input of
 the ROADMAP baseline in a subprocess of its own: the r = 8 report of
 (x^5, x^2y^2z, xy^2z^2, y^5, z^5), `core --u 3..6` and `iclosure -n
-100` on the anchor (x^3, y^3, z^3, xyz), and `iclosure -n 250` on
-(x^3, y^3, z^3), the README's largest closure. Each child imports the
+100` on the anchor (x^3, y^3, z^3, xyz), `iclosure -n 250` on
+(x^3, y^3, z^3), the README's largest closure, the reports of the
+paper's two d = 5 cases (m^2, and the squares with every squarefree
+cubic), and the report of the r = 34 witness (x^8, x^3y^3z, x^2y^3z^4,
+y^7, z^5), which exits 3 past the power horizon. Each child imports the
 package, runs the command with its standard output going to a file,
 and reports its own process time for the command (`time.process_time`
 around `main`, imports excluded) and its own peak resident set size
@@ -23,6 +26,7 @@ and exits 0. Run from the root of the repository:
 
 import argparse
 import hashlib
+import itertools
 import json
 import pathlib
 import subprocess
@@ -34,6 +38,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 R8 = [[5, 0, 0], [2, 2, 1], [1, 2, 2], [0, 5, 0], [0, 0, 5]]
 ANCHOR = [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]
 CUBES = [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
+R34 = [[8, 0, 0], [3, 3, 1], [2, 3, 4], [0, 7, 0], [0, 0, 5]]
+# exponent vectors in five variables with entries up to 2
+FIVE = [list(v) for v in itertools.product(range(3), repeat=5)]
+M2_FIVE = [v for v in FIVE if sum(v) == 2]
+SQUARES_CUBICS_FIVE = [
+    v for v in FIVE if sorted(v) in ([0, 0, 0, 0, 2], [0, 0, 1, 1, 1])
+]
 
 # name -> (generators, command line after --json, with JOB for the file)
 INPUTS = {
@@ -44,6 +55,9 @@ INPUTS = {
     },
     "iclosure -n 100 anchor": (ANCHOR, ["iclosure", "JOB", "-n", "100"]),
     "iclosure -n 250 cubes": (CUBES, ["iclosure", "JOB", "-n", "250"]),
+    "report m^2 d=5": (M2_FIVE, ["report", "JOB"]),
+    "report squares+cubics d=5": (SQUARES_CUBICS_FIVE, ["report", "JOB"]),
+    "report r=34 witness": (R34, ["report", "JOB"]),
 }
 
 # The child: argv is (src folder, stats file, cli arguments...).
@@ -61,6 +75,19 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
 """
 
 
+def _sha256(path):
+    """The sha256 of a file, read in blocks of 1 MB. A child's peak RSS
+    starts from this process's RSS when it is forked (Linux carries
+    the high-water mark across fork and exec), so this process never
+    holds a whole output: the 20 MB of `iclosure -n 250`, held once,
+    would lift the peak of every later row to about 41 MB."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _run(src, argv, folder):
     """(exit code, process seconds, peak MB, stdout sha256, stderr
     sha256) of one child running the cli on argv."""
@@ -71,10 +98,7 @@ def _run(src, argv, folder):
             [sys.executable, "-c", CHILD, str(src), str(stats), *argv],
             stdout=out, stderr=err, check=False,
         )
-    digests = [
-        hashlib.sha256((folder / name).read_bytes()).hexdigest()
-        for name in ("out", "err")
-    ]
+    digests = [_sha256(folder / name) for name in ("out", "err")]
     if not stats.is_file():  # the child died before writing its stats
         return None, float("nan"), float("nan"), *digests
     found = json.loads(stats.read_text(encoding="utf-8"))
