@@ -33,12 +33,21 @@ row is primitive too. The coordinate rows force the point to be
 candidate is t = q. Route 1 enumerates nothing, so it does not depend
 on the search region that route 2 relies on.
 
+Route 2's generators come from one of two kernels. A cone with one
+bounded facet reads them off its residue box in closed form
+(`_residue_generators`); its search and sweep boxes are then the boxes
+of that proof, the sum of the extreme rays and one more, and nothing is
+searched in them. Every other cone runs the column scan
+(`_swept_generators`) over those boxes, and its sweep certifies that
+the search box was large enough.
+
 A disagreement raises InvariantViolationError rather than returning
 either answer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -135,7 +144,11 @@ def compute_q(cone: ReesCone) -> int:
 @dataclass(frozen=True)
 class CanonicalData:
     """Canonical module of the normalized algebra: minimal generators
-    of the interior-point module, with the search certificate."""
+    of the interior-point module, with the boxes they were found in.
+    For a cone with several bounded facets the boxes are the column
+    scan's search certificate. For a one-facet cone they are the boxes
+    of the closed form's proof (the sum of the extreme rays, and one
+    more on every side), and no point of them is searched."""
 
     q: int
     generators: Tuple[Vector, ...]
@@ -147,9 +160,10 @@ class CanonicalData:
 
 def canonical_generators(cone: ReesCone) -> CanonicalData:
     """Minimal generators of the module of interior lattice points,
-    found by the scan `_canonical_scan`, whose docstring proves it.
+    found by `_canonical_scan`, whose docstring and those of its two
+    kernels prove it.
 
-    Solved once per job. The scan reads only the cone, a frozen
+    Solved once per job. `_canonical_scan` reads only the cone, a frozen
     `ReesCone` of tuples of ints compared by value, and returns a
     frozen `CanonicalData` of ints, bools and tuples. So within one
     job (`ideals._job`) it runs once per cone and a repeat returns
@@ -162,7 +176,213 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
 
 
 def _canonical_scan(cone: ReesCone) -> CanonicalData:
-    """Minimal generators of the module of interior lattice points.
+    """Minimal generators of the module of interior lattice points,
+    with q, the a-invariant and the invariant checks on them.
+
+    Every minimal generator lies, coordinatewise, under the sum of the
+    extreme rays, the search box (a point beyond that splits off an
+    extreme ray while staying interior); the sweep box is one more on
+    every side. The column budget is checked on the sweep box, in
+    input order, before either kernel runs, so an oversized input
+    fails with that box in its message on both paths.
+
+    A one-facet cone that passes the gate of `_residue_sides` reads
+    its generators off its residue box, by `_residue_generators`. Any
+    other cone runs the column scan `_swept_generators`. The scan's
+    outcome depends only on the facet matrix and the search box, and
+    the gate holds exactly when the matrix is the one-facet matrix of
+    `_residue_generators` and the box is the sum of that cone's true
+    extreme rays. On such a cone the box holds every minimal
+    generator, so the scan accepts exactly the minimal generators and
+    its sweep finds every interior point generated: it returns the
+    list that `_residue_generators` proves, and raises nothing. A cone
+    built with other rays fails the gate and keeps the scan's verdict,
+    `IncompleteSearchError` included, in the same words.
+    """
+    d = cone.dim
+    q = compute_q(cone)
+    box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
+    sweep = tuple(b + 1 for b in box)
+    _check_column_budget(sweep[:d])
+    facet = _residue_sides(cone, box)
+    if facet is None:
+        accepted = _swept_generators(cone, box, sweep)
+    else:
+        accepted = _residue_generators(*facet)
+
+    base = (1,) * d + (q,)
+    if base not in accepted:
+        raise InvariantViolationError(
+            f"{base} is missing from the canonical generators {accepted}"
+        )
+    a_inv = -min(sum(g[:d]) - g[d] for g in accepted)
+    if a_inv < q - d:
+        raise InvariantViolationError(
+            f"a-invariant {a_inv} below its lower bound {q - d}"
+        )
+    gorenstein = len(accepted) == 1
+    if gorenstein and a_inv != q - d:
+        raise InvariantViolationError(
+            f"principal canonical module but a-invariant {a_inv} != {q - d}"
+        )
+    return CanonicalData(
+        q=q,
+        generators=tuple(accepted),
+        gorenstein=gorenstein,
+        a_invariant=a_inv,
+        search_box=box,
+        sweep_box=sweep,
+    )
+
+
+def _residue_sides(
+    cone: ReesCone, box: Tuple[int, ...]
+) -> Optional[Tuple[Tuple[int, ...], int, Tuple[int, ...]]]:
+    """(n, h, a) when the generators of the cone can be read off its
+    residue box, else None.
+
+    That is when the matrix is one lifted row (n - h*1, h) and the d
+    coordinate rows, every a_i = h / n_i is a positive integer, and
+    the search box is (a_1, ..., a_d, 1 + sum_i (a_i - 1)). That box
+    is the sum of the true extreme rays of this matrix's cone: the
+    cone is simplicial, with one ray per facet left out. Leaving out
+    the lifted row gives e_{d+1}. Leaving out coordinate row i gives
+    z = z_i e_i with n_i z_i - h z_i + h t = 0, whose least lattice
+    point is (a_i e_i, a_i - 1), primitive since a_i and a_i - 1 are
+    coprime. A cone built by `lift_halfspaces` from an ideal whose
+    Newton polyhedron has one bounded facet <n, x> >= h therefore
+    passes: that facet holds the vertex a_i e_i on every axis, so
+    n_i a_i = h.
+    """
+    d = cone.dim
+    lifted = [row for row in cone.matrix if row[d] > 0]
+    if len(cone.matrix) != d + 1 or len(lifted) != 1:
+        return None
+    if set(cone.matrix) - set(lifted) != set(_axes((1,) * d, d + 1)):
+        return None
+    *head, h = lifted[0]
+    normal = tuple(c + h for c in head)
+    if any(n <= 0 or h % n for n in normal):
+        return None
+    sides = tuple(h // n for n in normal)
+    if box != sides + (1 + sum(sides) - d,):
+        return None
+    return normal, h, sides
+
+
+def _residue_generators(
+    normal: Tuple[int, ...], h: int, sides: Tuple[int, ...]
+) -> List[Vector]:
+    """Minimal generators of the interior-point module of the cone cut
+    out by the lifted row (n - h*1, h) and the coordinate rows, where
+    every a_i = h / n_i is a positive integer, sorted by
+    (coordinate sum, v) as the scan sorts them.
+
+    Write N(z) = <n, z> for z in Z^d. The lifted row takes the value
+    N(z) - h*(sum(z) - t) at (z, t), so (z, t) is interior iff z >= 1
+    and sum(z) - t <= (N(z) - 1) / h.
+
+    - The least interior point of the column over z >= 1 is
+      m(z) = (z, sum(z) - b(z)) with b(z) = (N(z) - 1) // h. Write
+      N(z) - 1 = h*b(z) + rho(z), 0 <= rho(z) < h.
+    - Every interior point is m(z) + j e_{d+1}, j >= 0, and e_{d+1} is
+      in the cone, so the minimal generators are among the m(z). And
+      m(z) is minimal iff m(z) - m(z') is in the cone for no z' != z:
+      if v - m(z') - j e_{d+1} is in the cone for some j >= 0, then so
+      is v - m(z'), adding j e_{d+1}.
+    - m(z) - m(z') is in the cone iff z' <= z and rho(z') <= rho(z):
+      the coordinate rows ask z' <= z, and the lifted row takes the
+      value N(z - z') - h*(b(z) - b(z')) = rho(z) - rho(z') there.
+    - rho(z + a_i e_i) = rho(z), as N grows by n_i a_i = h. So if some
+      z_i > a_i, then z' = z - a_i e_i has rho(z') = rho(z) and m(z)
+      is not minimal. Every minimal generator has z in the residue box
+      prod_i [1, a_i], and there m(z) is minimal iff rho(z) is below
+      rho(z') for every z' in [1, z] other than z.
+
+    So one pass over the residue box finds them. Let P(z) be the least
+    rho over [1, z]. The box is walked in lines along its longest side
+    k (the last such side on a tie), x = z_k. Let O be the least of the
+    lines of P one step below the current line in each other
+    coordinate (none on the first line), so O(x) is the least rho over
+    the z' <= z outside the line.
+    - Along the line, with c = (N(z) - 1 - n_k x) mod h,
+      rho = (c + n_k x) mod h, for x = 1, ..., a_k. It climbs by n_k
+      from c + n_k while below h, wraps once, at x = w + 1 with
+      w = a_k - 1 - c // n_k, to c mod n_k, and climbs again to c
+      (n_k a_k = h). So its running minimum is the step S that is
+      `first` = rho(1) for x <= w and `low` = c mod n_k from the wrap
+      on, and only x = 1 and the wrap can be below every rho before
+      them on the line.
+    - So P = min(S, O) along the line, and the minimal m(z) of the
+      line are those two points, each kept iff its rho is below O
+      there (always, on the first line).
+    The lines of P are kept in one slab: the lines whose outermost
+    coordinate is the current one or the one before, each slot
+    overwritten once its line is read for the last time. The outermost
+    coordinate is the longest side other than k, so the slab holds
+    prod_i a_i / a_outer entries, not the whole box. A line of P equal
+    to a line below it is stored as that line, so lines that repeat
+    share one list.
+    """
+    d = len(sides)
+    k = max(range(d), key=lambda i: (sides[i], i))
+    outer = sorted(
+        (i for i in range(d) if i != k), key=lambda i: (-sides[i], i)
+    )
+    n_k, a_k = normal[k], sides[k]
+    # slot strides of the coordinates after the outermost one
+    strides = [
+        math.prod(sides[i] for i in outer[j + 1 :])
+        for j in range(1, len(outer))
+    ]
+    slab: List[List[int]] = [[]] * math.prod(sides[i] for i in outer[1:])
+    weights = [normal[i] for i in outer]
+    found: List[Vector] = []
+    ranges = [range(1, sides[i] + 1) for i in outer]
+    for slot, prefix in enumerate(itertools.product(*ranges)):
+        slot %= len(slab)
+        below = [
+            slab[slot - s] for s, z in zip(strides, prefix[1:]) if z > 1
+        ]
+        if prefix and prefix[0] > 1:
+            below.append(slab[slot])
+        top = sum(map(operator.mul, weights, prefix)) - 1
+        c = top % h
+        w = a_k - 1 - c // n_k
+        low = c % n_k
+        first = c + n_k if w else low
+        step = [first] * w + [low] * (a_k - w)
+        if not below:  # the first line: nothing below, h exceeds every rho
+            below = [[h] * a_k]
+        other = below[0] if len(below) == 1 else list(map(min, *below))
+        least = list(map(min, step, other))
+        for line in below:
+            if line == least:
+                least = line
+                break
+        slab[slot] = least
+        # x counts from 0 here: the wrap is at x = w
+        xs = [0] if first < other[0] else []
+        if w and low < other[w]:
+            xs.append(w)
+        for x in xs:
+            z = [0] * d
+            for i, v in zip(outer, prefix):
+                z[i] = v
+            z[k] = x + 1
+            z.append(sum(z) - (top + n_k * (x + 1)) // h)
+            found.append(tuple(z))
+    del slab  # freed before the sort builds its keys
+    found.sort(key=lambda v: (sum(v), v))
+    return found
+
+
+def _swept_generators(
+    cone: ReesCone, box: Tuple[int, ...], sweep: Tuple[int, ...]
+) -> List[Vector]:
+    """Minimal generators of the module of interior lattice points, by
+    a column scan over the search and sweep boxes, sorted by
+    (coordinate sum, v).
 
     Every minimal generator lies, coordinatewise, under the sum of the
     extreme rays (a point beyond that splits off an extreme ray while
@@ -233,10 +453,6 @@ def _canonical_scan(cone: ReesCone) -> CanonicalData:
     `polyhedra._slack_fields`).
     """
     d = cone.dim
-    q = compute_q(cone)
-    box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
-    sweep = tuple(b + 1 for b in box)
-    _check_column_budget(sweep[:d])
     # the longest side becomes x (the last such side on a tie)
     k = max(range(d), key=lambda i: (sweep[i], i))
     order = [*range(k), *range(k + 1, d), k, d]
@@ -268,30 +484,7 @@ def _canonical_scan(cone: ReesCone) -> CanonicalData:
             f"interior point {missed} is not generated by {accepted}; "
             f"search box {box} was too small"
         )
-
-    base = (1,) * d + (q,)
-    if base not in accepted:
-        raise InvariantViolationError(
-            f"{base} is missing from the canonical generators {accepted}"
-        )
-    a_inv = -min(sum(g[:d]) - g[d] for g in accepted)
-    if a_inv < q - d:
-        raise InvariantViolationError(
-            f"a-invariant {a_inv} below its lower bound {q - d}"
-        )
-    gorenstein = len(accepted) == 1
-    if gorenstein and a_inv != q - d:
-        raise InvariantViolationError(
-            f"principal canonical module but a-invariant {a_inv} != {q - d}"
-        )
-    return CanonicalData(
-        q=q,
-        generators=tuple(accepted),
-        gorenstein=gorenstein,
-        a_invariant=a_inv,
-        search_box=box,
-        sweep_box=sweep,
-    )
+    return accepted
 
 
 def is_gorenstein_normalization(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -35,7 +37,10 @@ from conftest import (
     oracle_relint_points,
     random_m_primary,
     seeded,
+    single_facet_ideal,
 )
+
+PINS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pins"
 
 
 def cone_of(gens):
@@ -502,6 +507,85 @@ def test_wide_slack_fields_match_the_reference_generators():
             else:
                 outcomes.add(len(expected.generators) > 1)
     assert outcomes == {"error", False, True}
+
+
+def _pinned_ideals(workload):
+    with open(PINS / f"{workload}.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            entry = json.loads(line)
+            yield MonomialIdeal(entry["dim"], tuple(map(tuple, entry["gens"])))
+
+
+def test_one_facet_cones_read_the_scans_generators_off_the_residue_box():
+    # Every pure power of the gorenstein pool, 300 seeded one-facet
+    # ideals in d = 1..4 and every one-facet m-primary report-pool
+    # ideal: the gate passes, the closed form is taken, and its
+    # generators are the ones the column scan finds.
+    ideals = [
+        ideal
+        for ideal in _pinned_ideals("gorenstein")
+        if ideal.pure_power_exponents() is not None
+    ]
+    pure = len(ideals)
+    rng = seeded(37)
+    ideals += [single_facet_ideal(rng, 1 + i % 4)[0] for i in range(300)]
+    pool = 0
+    for ideal in _pinned_ideals("report"):
+        facets = newton_polyhedron(ideal)
+        if facets.is_m_primary_source() and len(facets.bounded) == 1:
+            ideals.append(ideal)
+            pool += 1
+    assert pure > 500 and pool > 50
+    for ideal in ideals:
+        cone = lift_halfspaces(newton_polyhedron(ideal))
+        data = canonical_generators(cone)
+        box = data.search_box
+        assert cone_module._residue_sides(cone, box) is not None, ideal
+        swept = cone_module._swept_generators(cone, box, data.sweep_box)
+        assert data.generators == tuple(swept), ideal
+
+
+def test_cones_off_the_gate_keep_the_scans_outcome_in_its_words():
+    # One-facet cones whose rays are cut down by one, and hand-built
+    # one-row cones whose facet normal does not divide h or whose rows
+    # are not the coordinate rows, fail the gate: each takes the scan,
+    # errors and their messages included.
+    rng = seeded(38)
+    cones = []
+    for i in range(40):
+        cone = lift_halfspaces(
+            newton_polyhedron(single_facet_ideal(rng, 2 + i % 3)[0])
+        )
+        cones.append(
+            dataclasses.replace(
+                cone,
+                rays=tuple(
+                    tuple(max(0, c - 1) for c in r) for r in cone.rays
+                ),
+            )
+        )
+    # the last one divides h, but its second coordinate row is y >= x
+    for normal, h, skew in (
+        ((2, 3), 5, 0), ((3, 4), 6, 0), ((4, 6, 3), 8, 0), ((2, 3), 6, -1)
+    ):
+        d = len(normal)
+        rows = [tuple(n - h for n in normal) + (h,)] + [
+            tuple(int(i == j) for i in range(d + 1)) for j in range(d)
+        ]
+        rows[-1] = (skew,) + rows[-1][1:]
+        cones.append(
+            cone_module.ReesCone(
+                dim=d, matrix=tuple(rows), rays=extreme_rays(rows, d + 1)
+            )
+        )
+    kinds = set()
+    for cone in cones:
+        box = tuple(sum(r[i] for r in cone.rays) for i in range(cone.dim + 1))
+        assert cone_module._residue_sides(cone, box) is None, cone
+        expected = _outcome(_reference_canonical_generators, cone)
+        assert _outcome(canonical_generators, cone) == expected, cone
+        kinds.add(expected[0] if isinstance(expected, tuple) else None)
+    assert kinds == {None, IncompleteSearchError, InvariantViolationError}
 
 
 def test_filtration_reduction_number():

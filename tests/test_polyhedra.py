@@ -771,18 +771,29 @@ def test_the_scan_yields_guarded_slacks_and_returns_their_layout(monkeypatch):
 
     # One derivation of the layout per scan: the cone takes it from the
     # scan and no longer imports it, and a d = 3 closure packs its
-    # normal columns at the width the scan returns.
+    # normal columns at the width the scan returns. The anchor's cone
+    # has one facet, so its canonical step reads the residue box and
+    # scans nothing; the two-facet cone of (x^3, xy, y^3) scans once.
     assert not hasattr(cone_module, "_slack_fields")
     derived = []
+    scans = []
 
     def counted(rows, bounds):
         derived.append(bounds)
         return _slack_fields(rows, bounds)
 
+    def counted_scan(rows, bounds):
+        scans.append(bounds)
+        return _column_scan(rows, bounds)
+
     monkeypatch.setattr(polyhedra, "_slack_fields", counted)
+    monkeypatch.setattr(cone_module, "_column_scan", counted_scan)
     anchor = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
     canonical_generators(lift_halfspaces(newton_polyhedron(anchor)))
-    assert len(derived) == 1
+    assert (len(scans), len(derived)) == (0, 0)
+    two_facets = MonomialIdeal(2, ((3, 0), (1, 1), (0, 3)))
+    canonical_generators(lift_halfspaces(newton_polyhedron(two_facets)))
+    assert (len(scans), len(derived)) == (1, 1)
     for n in (1, 2, 3):
         derived.clear()
         closure_power(anchor, n)

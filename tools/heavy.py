@@ -6,14 +6,19 @@ the ROADMAP baseline in a subprocess of its own: the r = 8 report of
 100` on the anchor (x^3, y^3, z^3, xyz), `iclosure -n 250` on
 (x^3, y^3, z^3), the README's largest closure, the reports of the
 paper's two d = 5 cases (m^2, and the squares with every squarefree
-cubic), and the report of the r = 34 witness (x^8, x^3y^3z, x^2y^3z^4,
-y^7, z^5), which exits 3 past the power horizon. Each child imports the
-package, runs the command with its standard output going to a file,
-and reports its own process time for the command (`time.process_time`
-around `main`, imports excluded) and its own peak resident set size
-(`resource.getrusage(RUSAGE_SELF).ru_maxrss`, the whole process). Prints
-one line per input: exit code, process time, peak RSS and the sha256
-of the standard output, then of standard error.
+cubic), the report of the r = 34 witness (x^8, x^3y^3z, x^2y^3z^4,
+y^7, z^5), which exits 3 past the power horizon, and `gorenstein` on
+the pure powers with exponents (3, 5, 7, 11, 13) and (23, 7, 11, 13,
+17). Each child imports the package, runs the command with its
+standard output going to a file, and reports its own process time for
+the command (`time.process_time` around `main`, imports excluded) and
+its own peak resident set size, the whole process: `VmHWM` of
+/proc/self/status, which exec starts afresh, so it is the child's own
+peak. Where that file is absent it falls back to
+`resource.getrusage(RUSAGE_SELF).ru_maxrss`, which Linux carries across
+fork and exec, so that figure is at least this process's RSS at the
+fork. Prints one line per input: exit code, process time, peak RSS and
+the sha256 of the standard output, then of standard error.
 
 With --against, the same inputs also run on the package of a second
 checkout (its src/reesgor), in a child of its own, the tree that runs
@@ -58,6 +63,14 @@ INPUTS = {
     "report m^2 d=5": (M2_FIVE, ["report", "JOB"]),
     "report squares+cubics d=5": (SQUARES_CUBICS_FIVE, ["report", "JOB"]),
     "report r=34 witness": (R34, ["report", "JOB"]),
+    **{
+        f"gorenstein {exponents}": (
+            [[a if i == j else 0 for i in range(5)]
+             for j, a in enumerate(exponents)],
+            ["gorenstein", "JOB"],
+        )
+        for exponents in ((3, 5, 7, 11, 13), (23, 7, 11, 13, 17))
+    },
 }
 
 # The child: argv is (src folder, stats file, cli arguments...).
@@ -69,18 +82,24 @@ start = time.process_time()
 code = main(sys.argv[3:])
 seconds = time.process_time() - start
 sys.stdout.flush()
-peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        peak_kb = next(
+            int(line.split()[1]) for line in fh if line.startswith("VmHWM:")
+        )
+except (OSError, StopIteration):
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump({"code": code, "seconds": seconds, "peak_kb": peak_kb}, fh)
 """
 
 
 def _sha256(path):
-    """The sha256 of a file, read in blocks of 1 MB. A child's peak RSS
-    starts from this process's RSS when it is forked (Linux carries
-    the high-water mark across fork and exec), so this process never
-    holds a whole output: the 20 MB of `iclosure -n 250`, held once,
-    would lift the peak of every later row to about 41 MB."""
+    """The sha256 of a file, read in blocks of 1 MB. This process never
+    holds a whole output: where a child falls back to `ru_maxrss`, its
+    peak starts from this process's RSS at the fork, and the 20 MB of
+    `iclosure -n 250`, held once, would lift the peak of every later
+    row to about 41 MB."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
