@@ -77,11 +77,21 @@ class ReesCone:
     is all a consumer reads of the facets of NP(I): a row with last
     entry h > 0 is the lifted row (a - h*1, h) of the bounded facet
     <a, x> >= h, and the d rows with last entry 0 are the coordinate
-    rows. That layout is written only in `lift_halfspaces`."""
+    rows. That layout is written only in `lift_halfspaces`.
+
+    Refuses, as `FacetSystem` and `HalfSpace` refuse their own data, a
+    matrix row or ray that fails `_exact_vector` at length dim + 1:
+    malformed input is named here, not later as a wrong index or a
+    violated invariant."""
 
     dim: int
     matrix: Tuple[Vector, ...]
     rays: Tuple[Vector, ...]
+
+    def __post_init__(self) -> None:
+        where = f"a cone in {self.dim + 1} coordinates"
+        for v in (*self.matrix, *self.rays):
+            _exact_vector(v, self.dim + 1, where)
 
     def relint_member(self, v: Sequence[int]) -> bool:
         """Is v a lattice point of the relative interior, every facet
@@ -516,6 +526,16 @@ class PurePowerTest:
 
     With L = lcm(a_1, ..., a_d), write sum_i L / a_i = j * L + p with
     1 <= p <= L. The normalized algebra is Gorenstein iff p = 1.
+
+    Its a-invariant is -j (`quotient`). The cone has the one bounded
+    facet sum_i z_i / a_i >= 1, so by the lemma of `_residue_generators`
+    its minimal generators are points m(z) = (z, sum(z) - b(z)), z >= 1,
+    with b(z) = (N(z) - 1) // h = ceil(N(z) / h) - 1. That depends on
+    N / h alone, so take n_i = L / a_i and h = L. z = (1, ..., 1) is
+    always kept, as [1, z] holds no other point, and b grows with z,
+    as every n_i > 0. So a = -min b(z) over the generators
+    = -b(1, ..., 1) = -((sum_i L / a_i - 1) // L) = -j, since
+    sum_i L / a_i - 1 = j * L + (p - 1) with 0 <= p - 1 < L.
     """
 
     exponents: Tuple[int, ...]

@@ -578,14 +578,9 @@ def _column_scan(
     each step of coordinate j subtracts the rows' entries there. Along
     x, the need at x is the need at the prefix minus entry * x.
 
-    Pruning lemma. Call a row settled at depth j when its entries at
-    the outer coordinates j, j + 1, ... and at x and t are all 0. Its
-    need is then the same at every point below the depth-j prefix, so
-    if it is positive no point there meets the row and the whole
-    sub-box is skipped; if it is <= 0 the row holds everywhere there.
-    Each settled row is tested once, at the least depth at which it is
-    settled. (A row with one such zero entry too few is not constant on
-    the sub-box, and testing it there would skip feasible columns.)
+    A row that is 0 at x and t has the same need on every column of a
+    batch, so it is tested once per batch, and a positive need there
+    rejects the whole batch.
 
     Along x, a row with last entry 0 and x entry s != 0 holds iff
     s * x >= need at x = 0, so it bounds x from below (s > 0) or
@@ -627,24 +622,21 @@ def _column_scan(
     # packed_steps[j] packs them.
     steps = [[n[j] for n, _ in rows] for j in range(depth)]
     packed_steps = [_pack(step, width) for step in steps]
-    # settled[j] lists the rows settled at depth j and not before.
-    settled: List[List[int]] = [[] for _ in range(depth + 1)]
-    for i, (n, _) in enumerate(rows):
-        if not (n[-2] or n[-1]):
-            j = depth
-            while j and not n[j - 1]:
-                j -= 1
-            settled[j].append(i)
     # shapes[i] holds row i's entries (s, l) at x and t. Rows with l = 0
-    # bound x from below or above; rows with l > 0 bound t.
+    # bound x from below or above, or, with s = 0 too, hold on the
+    # whole batch or on none of it; rows with l > 0 bound t.
     shapes = [(n[-2], n[-1]) for n, _ in rows]
     along = _pack((s for s, _ in shapes), width)
     lift = _pack((l for _, l in shapes), width)
+    constant = [i for i, (s, l) in enumerate(shapes) if not (s or l)]
     lower = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s > 0]
     upper = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s < 0]
     lifting = [(i, s, l) for i, (s, l) in enumerate(shapes) if l]
 
     def batch(prefix: Vector, needs: List[int], packed: int):
+        for i in constant:
+            if needs[i] > 0:
+                return None
         lo, hi = 0, last
         for i, s in lower:
             c = -(-needs[i] // s)
@@ -668,9 +660,6 @@ def _column_scan(
         return prefix, xs, ts, slacks
 
     def walk(j: int, prefix: Vector, needs: List[int], packed: int):
-        for i in settled[j]:
-            if needs[i] > 0:
-                return
         if j == depth:
             found = batch(prefix, needs, packed)
             if found is not None:

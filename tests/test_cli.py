@@ -565,8 +565,10 @@ def test_colon_and_intersection_tests_refuse_in_their_own_words(
 # sha256 of the `--json gorenstein` stdout of the two ROADMAP anchors,
 # the largest pure-power ladder input, a d = 4 ideal without pure-power
 # shape, a d = 1 ideal, two more pure-power inputs (d = 3 and d = 4)
-# and a d = 4 ideal with five bounded facets. Their sweep boxes reach
-# the column scan's pruned sub-boxes and its clipped x ranges. Same
+# and a d = 4 ideal with five bounded facets. The first seven cones
+# have one bounded facet and read their generators off the residue
+# box; the last runs the column scan, whose coordinate rows reject
+# whole batches and whose lifted rows clip x ranges from below. Same
 # rule as the report digests above.
 GORENSTEIN_DIGESTS = (
     (
@@ -644,8 +646,8 @@ def test_gorenstein_outputs_are_byte_identical_across_changes(job, capsys):
 
 # sha256 of the `--json iclosure -n 3` stdout of x * (x^2, y^2) in
 # d = 3: its two bounded facets, x >= 1 and x + y >= 3, give the
-# closure scan a row that prunes whole columns and a row that clips the
-# x range from below, with no row bounding t. Same rule as above.
+# closure scan a row that rejects whole batches and a row that clips
+# the x range from below, with no row bounding t. Same rule as above.
 ICLOSURE_DIGEST = (
     {"dim": 3, "gens": [[3, 0, 0], [1, 2, 0]]},
     "b622529c75823c36683b34a1def811267438caee2165725d262151e3a6a295f1",

@@ -29,6 +29,7 @@ from reesgor.errors import (
     InvariantViolationError,
     NotMPrimaryError,
 )
+from reesgor.cli import EXIT_USAGE, classify_failure
 from reesgor.report import gorenstein_section
 from conftest import (
     column_minima,
@@ -153,6 +154,30 @@ def test_membership_helpers_refuse_a_vector_of_the_wrong_length():
     for v in ((1,), (1, 2, 3)):
         with pytest.raises(DimensionMismatchError, match=f"length {len(v)}.* 2$"):
             facets.contains_power(v, 1)
+
+
+def test_rees_cone_refuses_malformed_rows_and_rays_when_built():
+    # A short ray once made canonical_generators raise IndexError, and
+    # short matrix rows a violated invariant, which the exit table reads
+    # as an untrusted result rather than as bad input.
+    cone = cone_of(((2, 0), (0, 2)))
+    for bad in (
+        {"matrix": tuple(r[1:] for r in cone.matrix)},
+        {"rays": tuple(r[:2] for r in cone.rays)},
+    ):
+        with pytest.raises(
+            DimensionMismatchError,
+            match="length 2 against a cone in 3 coordinates",
+        ) as refused:
+            dataclasses.replace(cone, **bad)
+        assert classify_failure(refused.value) == EXIT_USAGE
+    for bad in (
+        {"matrix": cone.matrix + ((1, 0.5, 0),)},
+        {"rays": cone.rays + ((1, 0, True),)},
+    ):
+        with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
+            dataclasses.replace(cone, **bad)
+    assert dataclasses.replace(cone) == cone
 
 
 def test_matrix_and_rays_are_mutually_dual():
@@ -415,14 +440,43 @@ def test_canonical_generators_match_the_reference_scan():
     assert errors > 0
 
 
-def test_canonical_data_follows_every_relabelling_of_the_variables():
+def test_canonical_data_follows_every_relabelling_of_the_variables(
+    monkeypatch,
+):
     # The scan is oriented along the longest side of the sweep box, so
     # each relabelling scans in another order; the answer must be the
-    # relabelled answer, boxes included.
+    # relabelled answer, boxes included. The seeded draws all have one
+    # bounded facet and read the residue box; the two cones with two
+    # bounded facets, in d = 3 and 4, run the scan.
     rng = seeded(26)
+    ideals = [
+        random_m_primary(rng, d, max_coord=5 if d < 4 else 3)
+        for d in (2, 2, 3, 3, 4, 5)
+    ]
+    ideals += [
+        MonomialIdeal(3, ((6, 0, 0), (0, 2, 0), (0, 0, 3), (1, 0, 1))),
+        MonomialIdeal(
+            4,
+            (
+                (3, 0, 0, 0),
+                (0, 2, 0, 0),
+                (0, 0, 2, 0),
+                (0, 0, 0, 4),
+                (1, 0, 0, 1),
+            ),
+        ),
+    ]
+    swept = []
+    sweep_kernel = cone_module._swept_generators
+
+    def counted(cone, box, sweep):
+        swept.append(sweep)
+        return sweep_kernel(cone, box, sweep)
+
+    monkeypatch.setattr(cone_module, "_swept_generators", counted)
     checked = 0
-    for d in (2, 2, 3, 3, 4, 5):
-        ideal = random_m_primary(rng, d, max_coord=5 if d < 4 else 3)
+    for ideal in ideals:
+        d = ideal.dim
         _, data = is_gorenstein_normalization(ideal)
         for perm in itertools.permutations(range(d)):
 
@@ -443,6 +497,9 @@ def test_canonical_data_follows_every_relabelling_of_the_variables():
             assert got.sweep_box == move(data.sweep_box)
             checked += max(got.sweep_box[:d]) != got.sweep_box[d - 1]
     assert checked > 0
+    # 1 + 6 and 1 + 24 scans: each cone and every relabelling of it
+    assert len(swept) == 32
+    assert any(max(s[:-1]) != s[-2] for s in swept)
 
 
 def test_shrunk_cones_oriented_off_the_last_side_match_the_reference():
@@ -639,9 +696,10 @@ def test_fast_and_full_agree_on_samples():
                  (2, 3, 5, 7), (3, 5, 7, 11), (2, 3, 5, 7, 11),
                  (3, 5, 7, 11, 13)]:
         ideal = MonomialIdeal.pure_powers(exps)
-        fast = pure_power_gorenstein_test(ideal).gorenstein
-        full, _ = is_gorenstein_normalization(ideal)
-        assert fast == full, exps
+        fast = pure_power_gorenstein_test(ideal)
+        full, data = is_gorenstein_normalization(ideal)
+        assert fast.gorenstein == full, exps
+        assert data.a_invariant == -fast.quotient, exps
 
 
 def test_oversized_box_fails_fast():

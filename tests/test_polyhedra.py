@@ -618,8 +618,8 @@ def test_column_minima_match_the_reference_scan():
 
 def test_column_scan_values_are_the_row_values_of_its_points():
     # The rows and boxes of the reference comparison above: bounds of
-    # length 0-5, rows with last entry 0, rows settled at every depth,
-    # and settled and moving rows interleaved in every order.
+    # length 0-5, rows with last entry 0, rows zero at x and t, and
+    # such rows and moving rows interleaved in every order.
     rng = seeded(81)
     entries = (-3, -1, 0, 0, 0, 1, 2, 4)
     cases = []
@@ -644,7 +644,9 @@ def test_column_scan_values_are_the_row_values_of_its_points():
     checked = 0
     reached = set()
     for rows, bounds in cases:
-        for _, xs, ts, slacks in _column_scan(rows, bounds)[2]:
+        rejected = _prefixes_rejected_by_a_constant_row(rows, bounds)
+        for prefix, xs, ts, slacks in _column_scan(rows, bounds)[2]:
+            assert prefix not in rejected, (rows, bounds, prefix)
             assert len(xs) == len(ts) > 0
             assert len(slacks) == len(xs)
             if not rows:
@@ -655,8 +657,8 @@ def test_column_scan_values_are_the_row_values_of_its_points():
                 reached.add("an x range clipped from above")
         if bounds and any(n[-1] > 0 and n[-2] == 0 for n, _ in rows):
             reached.add("a row that lifts t alone, the same at every x")
-        if _prunes_a_sub_box_before_the_walk(rows, bounds):
-            reached.add("a sub-box pruned before the walk")
+        if rejected:
+            reached.add("a batch rejected by a row zero at x and t")
         points = []
         for v, values in column_points(rows, bounds):
             assert values == tuple(_dot(n, v) for n, _ in rows), (rows, v)
@@ -668,7 +670,7 @@ def test_column_scan_values_are_the_row_values_of_its_points():
         "a batch with no rows",
         "empty bounds",
         "an x range clipped from above",
-        "a sub-box pruned before the walk",
+        "a batch rejected by a row zero at x and t",
         "a row that lifts t alone, the same at every x",
     }
 
@@ -800,24 +802,22 @@ def test_the_scan_yields_guarded_slacks_and_returns_their_layout(monkeypatch):
         assert len(derived) == 1
 
 
-def _prunes_a_sub_box_before_the_walk(rows, bounds):
-    """Does some row, zero at x, at t and at every outer coordinate
-    from j on, with j below the last outer coordinate, have a positive
-    need at some prefix of length j? Then the scan skips that prefix's
-    whole sub-box at depth j, before the walk reaches a full prefix."""
-    depth = len(bounds) - 1
-    for normal, rhs in rows:
-        if depth < 1 or normal[-2] or normal[-1]:
-            continue
-        j = depth
-        while j and not normal[j - 1]:
-            j -= 1
-        if j < depth and any(
-            rhs > _dot(normal[:j], prefix)
-            for prefix in itertools.product(*(range(b + 1) for b in bounds[:j]))
-        ):
-            return True
-    return False
+def _prefixes_rejected_by_a_constant_row(rows, bounds):
+    """The prefixes at which some row, zero at x and at t, has a
+    positive need: no column of such a prefix meets that row, so the
+    scan yields no batch for it. An empty `bounds` has the one prefix
+    (), and there the x entry is the zero the scan puts in front."""
+    outer = bounds[:-1]
+    constant = [
+        (normal, rhs)
+        for normal, rhs in rows
+        if not normal[-1] and not (bounds and normal[-2])
+    ]
+    return {
+        prefix
+        for prefix in itertools.product(*(range(b + 1) for b in outer))
+        if any(rhs > _dot(normal, prefix) for normal, rhs in constant)
+    }
 
 
 def test_column_scan_budget():
