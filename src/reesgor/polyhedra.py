@@ -578,19 +578,18 @@ def _column_scan(
     each step of coordinate j subtracts the rows' entries there. Along
     x, the need at x is the need at the prefix minus entry * x.
 
-    A row that is 0 at x and t has the same need on every column of a
-    batch, so it is tested once per batch, and a positive need there
-    rejects the whole batch.
-
-    Along x, a row with last entry 0 and x entry s != 0 holds iff
-    s * x >= need at x = 0, so it bounds x from below (s > 0) or
-    from above (s < 0), in closed form; xs is the intersection of
-    those intervals with [0, bounds[-1]]. Every other row has last
-    entry l > 0, and t(x) = max(0, ceil(need(x) / l) over those rows),
-    with one list comprehension per row over xs. That holds a row with
-    s = 0 too, whose ceiling is the same at every x: taking such rows
-    once per batch instead bought nothing measurable (the pinned pools
-    took +0.2 / -0.1 / +0.6% without it, report / gorenstein / corpus,
+    A row with last entry 0 and x entry s holds at x iff
+    s * x >= need at x = 0, so one loop over these rows per batch
+    settles them in closed form: s > 0 bounds x from below by
+    ceil(need / s), s < 0 bounds it from above by floor(need / s), and
+    s = 0 leaves the same need on every column, so a positive need
+    rejects the whole batch. xs is the intersection of those bounds
+    with [0, bounds[-1]]. Every other row has last entry l > 0, and
+    t(x) = max(0, ceil(need(x) / l) over those rows), with one list
+    comprehension per row over xs. That holds a row with s = 0 too,
+    whose ceiling is the same at every x: taking such rows once per
+    batch instead bought nothing measurable (the pinned pools took
+    +0.2 / -0.1 / +0.6% without it, report / gorenstein / corpus,
     medians of five side-by-side timings, inside the spread of the
     tree timed against itself; `tools/pooltime.py`, 2 cores, Python
     3.11.7).
@@ -623,29 +622,27 @@ def _column_scan(
     steps = [[n[j] for n, _ in rows] for j in range(depth)]
     packed_steps = [_pack(step, width) for step in steps]
     # shapes[i] holds row i's entries (s, l) at x and t. Rows with l = 0
-    # bound x from below or above, or, with s = 0 too, hold on the
-    # whole batch or on none of it; rows with l > 0 bound t.
+    # clip x, or, with s = 0 too, hold on the whole batch or on none of
+    # it; rows with l > 0 bound t.
     shapes = [(n[-2], n[-1]) for n, _ in rows]
     along = _pack((s for s, _ in shapes), width)
     lift = _pack((l for _, l in shapes), width)
-    constant = [i for i, (s, l) in enumerate(shapes) if not (s or l)]
-    lower = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s > 0]
-    upper = [(i, s) for i, (s, l) in enumerate(shapes) if not l and s < 0]
+    flat = [(i, s) for i, (s, l) in enumerate(shapes) if not l]
     lifting = [(i, s, l) for i, (s, l) in enumerate(shapes) if l]
 
     def batch(prefix: Vector, needs: List[int], packed: int):
-        for i in constant:
-            if needs[i] > 0:
-                return None
         lo, hi = 0, last
-        for i, s in lower:
-            c = -(-needs[i] // s)
-            if c > lo:
-                lo = c
-        for i, s in upper:
-            c = needs[i] // s
-            if c < hi:
-                hi = c
+        for i, s in flat:
+            if s > 0:
+                c = -(-needs[i] // s)
+                if c > lo:
+                    lo = c
+            elif s:
+                c = needs[i] // s
+                if c < hi:
+                    hi = c
+            elif needs[i] > 0:
+                return None
         if lo > hi:
             return None
         xs = range(lo, hi + 1)
@@ -659,7 +656,10 @@ def _column_scan(
         slacks = [x * along + t * lift - packed for x, t in zip(xs, ts)]
         return prefix, xs, ts, slacks
 
-    def walk(j: int, prefix: Vector, needs: List[int], packed: int):
+    # walk takes itself as an argument: a closure that named itself
+    # would hold itself through its own cell, and every scan would leave
+    # that cycle, with the rows and steps it holds, to the collector.
+    def walk(walk, j: int, prefix: Vector, needs: List[int], packed: int):
         if j == depth:
             found = batch(prefix, needs, packed)
             if found is not None:
@@ -667,11 +667,11 @@ def _column_scan(
             return
         step, packed_step = steps[j], packed_steps[j]
         for p in range(bounds[j] + 1):
-            yield from walk(j + 1, prefix + (p,), needs, packed)
+            yield from walk(walk, j + 1, prefix + (p,), needs, packed)
             needs = list(map(operator.sub, needs, step))
             packed -= packed_step
 
-    return width, guard, walk(0, (), rhss, _pack(rhss, width) - guard)
+    return width, guard, walk(walk, 0, (), rhss, _pack(rhss, width) - guard)
 
 
 def _facets_for(

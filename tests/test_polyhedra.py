@@ -1,5 +1,6 @@
 """Newton polyhedron facets, extreme rays, and integral closures."""
 
+import gc
 import itertools
 import math
 import operator
@@ -579,26 +580,51 @@ def _reference_column_minima(rows, bounds):
             yield prefix + (t,)
 
 
-def test_column_minima_match_the_reference_scan():
-    rng = seeded(81)
-    # zeros are common, so rows with last entry 0, rows constant along
-    # the last box coordinate, and rows with both occur throughout
-    entries = (-3, -1, 0, 0, 0, 1, 2, 4)
-    yielded = 0
-    for length in range(6):
+def _scan_cases(seed, lengths, entries, lasts, rhs, counts):
+    """Seeded (rows, bounds) pairs: 30 boxes per length below
+    `lengths`, each with a number of rows in the closed range `counts`,
+    drawn from `entries`, `lasts` at t and `rhs(rng)`."""
+    rng = seeded(seed)
+    for length in range(lengths):
         for _ in range(30):
             bounds = tuple(rng.randint(0, 3) for _ in range(length))
             rows = [
                 (
                     tuple(rng.choice(entries) for _ in range(length))
-                    + (rng.choice((0, 0, 1, 2, 3)),),
-                    rng.randint(-2, 7),
+                    + (rng.choice(lasts),),
+                    rhs(rng),
                 )
-                for _ in range(rng.randint(0, 5))
+                for _ in range(rng.randint(*counts))
             ]
-            expected = list(_reference_column_minima(rows, bounds))
-            assert list(column_minima(rows, bounds)) == expected, (rows, bounds)
-            yielded += len(expected)
+            yield rows, bounds
+
+
+def _small_scan_cases():
+    # zeros are common, so rows with last entry 0, rows constant along
+    # the last box coordinate, and rows with both occur throughout
+    return _scan_cases(
+        81, 6, (-3, -1, 0, 0, 0, 1, 2, 4), (0, 0, 1, 2, 3),
+        lambda rng: rng.randint(-2, 7), (0, 5),
+    )
+
+
+def _wide_scan_cases():
+    # entries and right-hand sides near 2^70, so that slacks, and the
+    # packed fields, are wider than 64 bits
+    big = 1 << 70
+    return _scan_cases(
+        83, 5, (-big - 3, -big, -1, 0, 0, 1, big, big + 5),
+        (0, 1, 3, big, big + 1),
+        lambda rng: rng.choice((-big, -2, 0, 5, big, 3 * big)), (1, 4),
+    )
+
+
+def test_column_minima_match_the_reference_scan():
+    yielded = 0
+    for rows, bounds in _small_scan_cases():
+        expected = list(_reference_column_minima(rows, bounds))
+        assert list(column_minima(rows, bounds)) == expected, (rows, bounds)
+        yielded += len(expected)
     assert yielded > 1000
 
     edge_cases = [
@@ -620,22 +646,7 @@ def test_column_scan_values_are_the_row_values_of_its_points():
     # The rows and boxes of the reference comparison above: bounds of
     # length 0-5, rows with last entry 0, rows zero at x and t, and
     # such rows and moving rows interleaved in every order.
-    rng = seeded(81)
-    entries = (-3, -1, 0, 0, 0, 1, 2, 4)
-    cases = []
-    for length in range(6):
-        for _ in range(30):
-            bounds = tuple(rng.randint(0, 3) for _ in range(length))
-            rows = [
-                (
-                    tuple(rng.choice(entries) for _ in range(length))
-                    + (rng.choice((0, 0, 1, 2, 3)),),
-                    rng.randint(-2, 7),
-                )
-                for _ in range(rng.randint(0, 5))
-            ]
-            cases.append((rows, bounds))
-    cases += [
+    cases = list(_small_scan_cases()) + [
         ([((1, 0, 2), 5), ((0, -1, 0), -2)], (0, 0)),
         ([], (2, 1, 3)),
         ([((3,), 7), ((0,), -1)], ()),
@@ -655,6 +666,8 @@ def test_column_scan_values_are_the_row_values_of_its_points():
                 reached.add("empty bounds")
             elif xs[-1] < bounds[-1]:
                 reached.add("an x range clipped from above")
+            if xs.start > 0:
+                reached.add("an x range clipped from below")
         if bounds and any(n[-1] > 0 and n[-2] == 0 for n, _ in rows):
             reached.add("a row that lifts t alone, the same at every x")
         if rejected:
@@ -670,58 +683,27 @@ def test_column_scan_values_are_the_row_values_of_its_points():
         "a batch with no rows",
         "empty bounds",
         "an x range clipped from above",
+        "an x range clipped from below",
         "a batch rejected by a row zero at x and t",
         "a row that lifts t alone, the same at every x",
     }
 
 
 def test_wide_slack_fields_match_the_reference_scan():
-    # Entries and right-hand sides near 2^70 make slacks, and so the
-    # packed fields, wider than 64 bits. The scan must still yield the
-    # reference points, each with its exact row values.
-    rng = seeded(83)
-    big = 1 << 70
-    entries = (-big - 3, -big, -1, 0, 0, 1, big, big + 5)
+    # Slacks, and so the packed fields, wider than 64 bits. The scan
+    # must still yield the reference points, each with its exact row
+    # values.
     widest = checked = 0
-    for length in range(5):
-        for _ in range(30):
-            bounds = tuple(rng.randint(0, 3) for _ in range(length))
-            rows = [
-                (
-                    tuple(rng.choice(entries) for _ in range(length))
-                    + (rng.choice((0, 1, 3, big, big + 1)),),
-                    rng.choice((-big, -2, 0, 5, big, 3 * big)),
-                )
-                for _ in range(rng.randint(1, 4))
-            ]
-            widest = max(widest, _slack_fields(rows, bounds)[0])
-            points = []
-            for v, values in column_points(rows, bounds):
-                assert values == tuple(_dot(n, v) for n, _ in rows), (rows, v)
-                points.append(v)
-            assert points == list(_reference_column_minima(rows, bounds))
-            checked += len(points)
+    for rows, bounds in _wide_scan_cases():
+        widest = max(widest, _slack_fields(rows, bounds)[0])
+        points = []
+        for v, values in column_points(rows, bounds):
+            assert values == tuple(_dot(n, v) for n, _ in rows), (rows, v)
+            points.append(v)
+        assert points == list(_reference_column_minima(rows, bounds))
+        checked += len(points)
     assert widest > 64
     assert checked > 1000
-
-
-def _scan_cases(seed, lengths, entries, lasts, rhs, counts):
-    """Seeded (rows, bounds) pairs drawn as in the two reference scans
-    above: 30 boxes per length below `lengths`, each with a number of
-    rows in the closed range `counts`."""
-    rng = seeded(seed)
-    for length in range(lengths):
-        for _ in range(30):
-            bounds = tuple(rng.randint(0, 3) for _ in range(length))
-            rows = [
-                (
-                    tuple(rng.choice(entries) for _ in range(length))
-                    + (rng.choice(lasts),),
-                    rhs(rng),
-                )
-                for _ in range(rng.randint(*counts))
-            ]
-            yield rows, bounds
 
 
 def test_the_scan_yields_guarded_slacks_and_returns_their_layout(monkeypatch):
@@ -729,18 +711,7 @@ def test_the_scan_yields_guarded_slacks_and_returns_their_layout(monkeypatch):
     # yielded slack has its guard bits set, and one subtraction and one
     # mask against another slack, unguarded, compare the two field by
     # field.
-    big = 1 << 70
-    cases = itertools.chain(
-        _scan_cases(
-            81, 6, (-3, -1, 0, 0, 0, 1, 2, 4), (0, 0, 1, 2, 3),
-            lambda rng: rng.randint(-2, 7), (0, 5),
-        ),
-        _scan_cases(
-            83, 5, (-big - 3, -big, -1, 0, 0, 1, big, big + 5),
-            (0, 1, 3, big, big + 1),
-            lambda rng: rng.choice((-big, -2, 0, 5, big, 3 * big)), (1, 4),
-        ),
-    )
+    cases = itertools.chain(_small_scan_cases(), _wide_scan_cases())
     widest = pairs = 0
     outcomes = set()
     for rows, bounds in cases:
@@ -818,6 +789,21 @@ def _prefixes_rejected_by_a_constant_row(rows, bounds):
         for prefix in itertools.product(*(range(b + 1) for b in outer))
         if any(rhs > _dot(normal, prefix) for normal, rhs in constant)
     }
+
+
+def test_column_scans_leave_no_reference_cycle():
+    # A scan frees what it holds when its batches are dropped, whether
+    # read to the end or not, without waiting for the cyclic collector.
+    rows = [((1, 0, 2), 5), ((0, 1, 3), 4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            assert list(_column_scan(rows, (3, 4))[2])
+            assert next(_column_scan(rows, (3, 4))[2])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_column_scan_budget():
