@@ -19,7 +19,7 @@ input is validated and minimalized: one walk checks dim and the
 arity, sign and type of every entry, then the dominance step keeps
 the minimal vectors. A tuple of the private type _Minimal is already
 the sorted minimal generating set, and minimalize returns it as a
-plain tuple, unchecked. Four builders make one, each by a lemma. Two
+plain tuple, unchecked. Six builders make one, each by a lemma. Two
 are the kernels of `*` and `&`, `_product` and `_join`, which take
 the gens of ideals that already passed minimalize (tuples of plain
 ints >= 0 of length dim) and keep that property: sums g + h, and each
@@ -27,7 +27,11 @@ g of self or maxima max(g, h). The third is `colon`, whose pieces take
 clamped differences max(h - g, 0). Each of the three then runs the
 dominance step itself. The fourth, `polyhedra.closure_power`, takes
 the points of its column scan, which keeps exactly the lattice points
-of the dilate that have no lower neighbour in it, sorted.
+of the dilate that have no lower neighbour in it, sorted. The last
+two check their input first: `MonomialIdeal.unit`, whose zero vector
+alone is the sorted minimal set, and `MonomialIdeal.pure_powers`,
+whose powers of distinct variables divide none of each other, sorted
+with the power of the last variable first.
 
 The per-job memo lives here, the lowest layer: `_job` scopes it to one
 command run or self-check case, and `_once` runs a kernel at most once
@@ -44,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import (
@@ -128,7 +133,7 @@ def _axes(scales: Sequence[int], length: int) -> List[Vector]:
 class _Minimal(tuple):
     """Vectors that are already the sorted minimal generating set of an
     ideal, by a stated lemma, which minimalize returns as a plain tuple
-    without reading them; its docstring names the four builders."""
+    without reading them; its docstring names the six builders."""
 
 
 # -------------------------------------------------------------------- #
@@ -220,10 +225,14 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     sums of two gens), `_join` (the kernel of `__and__`: gens of self
     and maxima of two gens), `colon` (its pieces: clamped differences
     max(h - g, 0)), each of which runs the dominance step below on its
-    own candidates, and `polyhedra.closure_power` (the points of its
-    column scan, minimal by the scan's lemma). Every other input, a
-    tuple, set or frozenset of any other type included, is validated
-    and minimalized as below. So every construction still calls
+    own candidates, `polyhedra.closure_power` (the points of its
+    column scan, minimal by the scan's lemma), `MonomialIdeal.unit`
+    (the zero vector, once its dim passes the check below) and
+    `MonomialIdeal.pure_powers` (the powers a_j e_j of distinct
+    variables, j falling, once every a_j passes `_exact_int` and is
+    >= 1, stored as plain ints). Every other input, a tuple, set or
+    frozenset of any other type included, is validated and
+    minimalized as below. So every construction still calls
     minimalize once, and a memoized product or join is one call that
     reads nothing.
 
@@ -234,9 +243,9 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     alike and deduplication would let (1, 0) hide a later (True, 0). An
     int subclass other than bool passes, and is stored as the int it
     equals. The package's large candidate sets (products, joins, colon
-    pieces, closures) come as _Minimal; what reaches this entry is
-    caller input and a few constructions such as `unit`, `pure_powers`
-    and `bracket_power`, the size of the ideal they start from.
+    pieces, closures) come as _Minimal, and so do the unit ideal and
+    pure powers; what reaches this entry is caller input and
+    `bracket_power`, the size of the ideal it starts from.
 
     Lemma (order). Among distinct candidates in lexicographic order,
     every divisor of v comes before v: it is at most v in every entry,
@@ -292,9 +301,14 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     """
     if type(vectors) is _Minimal:
         return tuple(vectors)
+    _check_dim(dim)
+    return _minimal(sorted(_check_each(vectors, dim)), dim)
+
+
+def _check_dim(dim: int) -> None:
+    """Refuse a dim that is no positive int, by `_exact_int`."""
     if not _exact_int(dim) or dim < 1:
         raise InvalidIdealError("ambient dimension must be a positive int")
-    return _minimal(sorted(_check_each(vectors, dim)), dim)
 
 
 def _minimal(candidates: List[Vector], dim: int) -> Tuple[Vector, ...]:
@@ -366,35 +380,46 @@ def _join(
     return _Minimal(_minimal(sorted(joins), dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MonomialIdeal:
     """A monomial ideal, canonicalized on construction."""
 
     dim: int
     gens: Tuple[Vector, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, gens: Iterable[Sequence[int]]) -> None:
         # minimalize refuses a dim that is no positive int
-        object.__setattr__(self, "gens", minimalize(self.gens, self.dim))
-        if type(self.dim) is not int:  # an int subclass, kept as its int
-            object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "gens", minimalize(gens, dim))
+        # an int subclass is kept as its int
+        object.__setattr__(self, "dim", dim if type(dim) is int else int(dim))
 
     # ---------------------------------------------------------------- #
     # constructors
 
     @classmethod
     def unit(cls, dim: int) -> "MonomialIdeal":
-        return cls(dim, ((0,) * dim,))
+        """The unit ideal (1), generated by the zero vector. A dim that
+        is no int fails on forming that vector, with the TypeError of
+        `*`; any other dim that is no positive int is refused with the
+        InvalidIdealError of minimalize. The zero vector alone is the
+        sorted minimal generating set, so it is built as _Minimal."""
+        zero = (0,) * dim
+        _check_dim(dim)
+        return cls(dim, _Minimal((zero,)))
 
     @classmethod
     def pure_powers(cls, exponents: Sequence[int]) -> "MonomialIdeal":
-        """The ideal (x_1^{a_1}, ..., x_d^{a_d}) with every a_i >= 1."""
+        """The ideal (x_1^{a_1}, ..., x_d^{a_d}) with every a_i >= 1.
+        Powers of distinct variables, none dividing another, are the
+        minimal generating set, and sorted the power of x_d comes
+        first: `_axes` in reverse order, built as _Minimal."""
         exps = tuple(exponents)
         if not exps or any(not _exact_int(a) or a < 1 for a in exps):
             raise InvalidIdealError(
                 f"pure power exponents must be positive ints, got {exps}"
             )
-        return cls(len(exps), tuple(_axes(exps, len(exps))))
+        dim = len(exps)
+        return cls(dim, _Minimal(reversed(_axes(tuple(map(int, exps)), dim))))
 
     # ---------------------------------------------------------------- #
     # predicates
@@ -421,8 +446,39 @@ class MonomialIdeal:
         return tuple(exps)
 
     def is_subset(self, other: "MonomialIdeal") -> bool:
+        """Is self contained in other, i.e. does some generator of other
+        divide each generator of self? Two fast paths, then the scan.
+
+        Two variables: bisection. The generators of other that are
+        lexicographically at most v form a prefix of other.gens, and
+        every divisor of v is among them. On a two-variable staircase
+        the second entries fall strictly along the sorted gens, so the
+        last of that prefix has the least second entry in it: v lies in
+        other iff the prefix is not empty and that generator's second
+        entry is at most v[1] (its first entry is at most v[0]).
+
+        A pure-power other (x_1^a_1, ..., x_d^a_d): x^v lies in it iff
+        v_i >= a_i for some i, one comparison per entry. Its sorted gens
+        are the powers a_j e_j with j falling, so gens[k] is the power
+        of x_(d-k), and a generator holds a single power iff its entry
+        there is its sum (entries are >= 0).
+
+        Otherwise each generator of self is tested against every
+        generator of other."""
         self._require_same_dim(other)
-        return all(map(_divides_some, repeat(other.gens), self.gens))
+        gens = other.gens
+        if self.dim == 2:
+            for v in self.gens:
+                i = bisect_right(gens, v)
+                if not i or gens[i - 1][1] > v[1]:
+                    return False
+            return True
+        if len(gens) == self.dim:
+            powers = [g[-1 - k] for k, g in enumerate(gens)]
+            if powers == list(map(sum, gens)):
+                powers.reverse()
+                return all(any(map(operator.ge, v, powers)) for v in self.gens)
+        return all(map(_divides_some, repeat(gens), self.gens))
 
     # ---------------------------------------------------------------- #
     # arithmetic

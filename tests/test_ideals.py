@@ -1,8 +1,11 @@
 """Exponent-vector arithmetic: canonical form, products, colons."""
 
+import collections
+import dataclasses
 import enum
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -538,6 +541,136 @@ def test_containment():
     assert j.is_subset(m2)
     assert not m2.is_subset(j)
     assert I(2, (1, 1)).is_subset(m2) and not I(2, (1, 1)).is_subset(j)
+
+
+def _scanned_subset(left, right):
+    """left <= right by testing every generator of right against each
+    generator of left: the path the fast paths of is_subset skip."""
+    return all(
+        map(ideals._divides_some, itertools.repeat(right.gens), left.gens)
+    )
+
+
+def _containment_path(right):
+    """The path is_subset takes against right."""
+    if right.dim == 2:
+        return "bisection"
+    return "scan" if right.pure_power_exponents() is None else "pure powers"
+
+
+def test_fast_containment_paths_agree_with_the_scan():
+    # Left sides: random ideals, one-generator ideals (the membership
+    # test of x^v), m-primary ideals, and the zero and unit ideals;
+    # right sides the same plus pure powers, in d = 1..4.
+    rng = seeded(43)
+    reached = collections.Counter()
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        zero, unit = MonomialIdeal(dim, ()), MonomialIdeal.unit(dim)
+        pure = MonomialIdeal.pure_powers(
+            [rng.randint(1, 5) for _ in range(dim)]
+        )
+        point = tuple(rng.randint(0, 6) for _ in range(dim))
+        lefts = [
+            random_ideal(rng, dim, max_gens=8, max_coord=6),
+            random_m_primary(rng, dim),
+            I(dim, point),
+            pure,
+            zero,
+            unit,
+        ]
+        rights = [
+            random_ideal(rng, dim, max_gens=8),
+            random_m_primary(rng, dim, extras=rng.randint(0, 3)),
+            pure,
+            zero,
+            unit,
+        ]
+        for left in lefts:
+            for right in rights:
+                expected = _scanned_subset(left, right)
+                assert left.is_subset(right) is expected, (left, right)
+                reached[_containment_path(right), expected] += 1
+    for path in ("bisection", "pure powers", "scan"):
+        assert reached[path, True] > 100 and reached[path, False] > 100, reached
+
+
+def test_the_slotted_ideal_keeps_its_dataclass_contract(monkeypatch):
+    ideal = I(2, (2, 0), (0, 2), (1, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ideal.dim = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ideal.gens = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ideal.gens
+    # A name that is no field has no slot. The frozen __setattr__ of a
+    # slotted dataclass refers to the class before slots were added,
+    # so on Python 3.10-3.13 it raises TypeError from super() there.
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        ideal.extra = 1
+    assert not hasattr(ideal, "__dict__") and not hasattr(ideal, "extra")
+    assert repr(ideal) == "MonomialIdeal(dim=2, gens=((0, 2), (2, 0)))"
+    assert ideal == I(2, (0, 2), (2, 0)) and ideal != I(2, (0, 2))
+    assert hash(ideal) == hash(I(2, (0, 2), (2, 0))) == hash(
+        (2, ((0, 2), (2, 0)))
+    )
+    assert [f.name for f in dataclasses.fields(ideal)] == ["dim", "gens"]
+    # replace builds through the constructor, so it canonicalizes
+    assert dataclasses.replace(ideal, gens=[(1, 1), (2, 2)]) == I(2, (1, 1))
+    assert dataclasses.replace(ideal).gens == ((0, 2), (2, 0))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(ideal, protocol))
+        assert copy == ideal and type(copy) is MonomialIdeal, protocol
+    for dim in (Exponent(2), _Level.TWO):
+        assert type(MonomialIdeal(dim, ((1, 0),)).dim) is int
+        assert type(MonomialIdeal.unit(dim).dim) is int
+    assert type(MonomialIdeal.pure_powers((_Level.TWO, 1)).gens[1][0]) is int
+    # The errors of the parent tree, whose unit formed the zero vector
+    # before the constructor refused the dim.
+    for dim, expected in (
+        (0, (InvalidIdealError, "ambient dimension must be a positive int")),
+        (-1, (InvalidIdealError, "ambient dimension must be a positive int")),
+        (True, (InvalidIdealError, "ambient dimension must be a positive int")),
+        (2.0, (TypeError, "can't multiply sequence by non-int of type 'float'")),
+        ("2", (TypeError, "can't multiply sequence by non-int of type 'str'")),
+    ):
+        assert _raised(MonomialIdeal.unit, dim) == expected, dim
+    for exponents in ((), (0, 1), (True, 1), (1.0, 2), (-1,), ("a",), (2, None)):
+        assert _raised(MonomialIdeal.pure_powers, exponents) == (
+            InvalidIdealError,
+            f"pure power exponents must be positive ints, got {exponents}",
+        )
+    assert _raised(MonomialIdeal.pure_powers, None) == (
+        TypeError, "'NoneType' object is not iterable",
+    )
+    # Every construction calls the module-global minimalize once, the
+    # count perfbench/tracer.py reads off its wrapper of that name.
+    calls, built = [], []
+    minimalize_ = ideals.minimalize
+    init = MonomialIdeal.__init__
+
+    def counted_minimalize(vectors, dim):
+        calls.append(dim)
+        return minimalize_(vectors, dim)
+
+    def counted_init(self, dim, gens):
+        built.append(dim)
+        init(self, dim, gens)
+
+    monkeypatch.setattr(ideals, "minimalize", counted_minimalize)
+    monkeypatch.setattr(MonomialIdeal, "__init__", counted_init)
+    anchor = I(3, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
+    for construction in (
+        lambda: MonomialIdeal.unit(3),
+        lambda: MonomialIdeal.pure_powers((2, 3, 4)),
+        lambda: I(3, (1, 2, 0)),
+    ):
+        before = len(calls)
+        construction()
+        assert len(calls) == before + 1 == len(built)
+    with ideals._job():
+        build_report(JobSpec(anchor, None))
+    assert len(calls) == len(built) > 300
 
 
 # ------------------------------------------------------------------ #

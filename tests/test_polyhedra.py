@@ -497,6 +497,50 @@ def test_extreme_rays_do_not_depend_on_row_order():
         assert _outcome(extreme_rays, rows[::-1], dim) == expected, (rows, dim)
 
 
+def test_the_orthant_start_matches_the_reference_on_unit_rows():
+    # The double description sets up the cone of the unit rows e_j in
+    # one pass; these row sets put repeats, negations and zero rows
+    # next to them, and place them first, last and shuffled.
+    rng = seeded(37)
+    cases = [
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),  # only unit rows
+        ([(0, 1), (1, 0)], 2),
+        ([(1, 0, 0), (0, 0, 1)], 3),  # unit rows, not pointed
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)], 3),  # a repeat
+        ([(0, 1, 0), (1, 1, -1), (0, 1, 0), (1, 0, 0), (0, 0, 1)], 3),
+        ([(1, 0), (-1, 0), (0, 1)], 2),  # a unit row and its negation
+        ([(0, 0, 1), (1, 0, 0), (0, 1, 0), (0, -1, 0)], 3),
+        ([(-1, 0, 0), (1, 0, 0), (0, 1, 1), (0, 1, -1)], 3),
+        ([(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)], 3),  # a zero row
+        ([(0, 0), (1, 0), (0, 0), (0, 1), (1, 0)], 2),
+        ([(2, 0, 0), (0, 1, 0), (0, 0, 3), (1, 1, -1)], 3),  # no unit row
+    ]
+    for _ in range(60):
+        dim = rng.randint(2, 4)
+        rows = _lifted_rows(rng, dim)
+        units = [row for row in rows if sorted(row) == [0] * dim + [1]]
+        others = [row for row in rows if row not in units]
+        units += rng.sample(units, rng.randint(0, 2))
+        if rng.random() < 0.3:
+            others.append((0,) * (dim + 1))
+        if rng.random() < 0.3:
+            others.append(tuple(-c for c in rng.choice(units)))
+        shuffled = units + others
+        rng.shuffle(shuffled)
+        cases += [(units + others, dim + 1), (others + units, dim + 1),
+                  (shuffled, dim + 1)]
+    outcomes = set()
+    for rows, dim in cases:
+        expected = _outcome(_reference_extreme_rays, rows, dim)
+        assert _outcome(extreme_rays, rows, dim) == expected, (rows, dim)
+        outcomes.add(expected[1] if isinstance(expected[0], type) else "rays")
+    assert outcomes == {
+        "rays",
+        "cone is not pointed: constraint normals do not span",
+        "cone is not full dimensional: extreme rays span a proper subspace",
+    }
+
+
 @pytest.mark.parametrize(
     "rows",
     [

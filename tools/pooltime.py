@@ -15,9 +15,14 @@ see the machine in the same state. Each line then gives both sums,
 the change from the other tree to this one in per cent, and the
 number of runs whose exit code or output differed between the trees
 (on the last pass). Nothing is checked: the tool prints and exits 0.
-Run from the root of the repository:
 
-    python3 tools/pooltime.py --passes 10 --against ../parent
+With --runs N the whole comparison is repeated N times, each run
+printing its lines as above. Then one line per workload gives the
+median over the runs of the change in per cent, and its quartiles
+(without --against, of the sums in seconds). A control is the tree
+timed against a copy of itself. Run from the root of the repository:
+
+    python3 tools/pooltime.py --passes 10 --runs 3 --against ../parent
 """
 
 import argparse
@@ -27,6 +32,7 @@ import io
 import json
 import pathlib
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -67,15 +73,36 @@ def _timed_run(main, argv):
     return seconds, (code, out.getvalue(), err.getvalue())
 
 
+def _compare(trees, argvs, passes):
+    """(sum of each tree's best times, outputs of each tree's last
+    pass) over the runs argvs."""
+    best = {name: [float("inf")] * len(argvs) for name in trees}
+    outputs = {name: [None] * len(argvs) for name in trees}
+    for index in range(passes):
+        order = list(trees)
+        if index % 2:
+            order.reverse()
+        for job, argv in enumerate(argvs):
+            for name in order:
+                seconds, output = _timed_run(trees[name], argv)
+                best[name][job] = min(best[name][job], seconds)
+                outputs[name][job] = output
+    return {name: sum(times) for name, times in best.items()}, outputs
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--passes", type=int, default=5,
                         help="passes over every pool (default 5)")
+    parser.add_argument("--runs", type=int, default=1,
+                        help="repeats of the whole timing (default 1)")
     parser.add_argument("--against", type=pathlib.Path,
                         help="root of a second checkout to time side by side")
     args = parser.parse_args()
     if args.passes < 1:
         parser.error("--passes must be at least 1")
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
 
     sys.path.insert(0, str(ROOT / "src"))
     trees = {"this": importlib.import_module("reesgor.cli").main}
@@ -89,29 +116,31 @@ def main() -> None:
             sys.path.insert(0, folder)
             cli = importlib.import_module(f"{OTHER_NAME}.cli")
             trees["against"] = cli.main
-        for workload, argvs in _runs(folder).items():
-            best = {name: [float("inf")] * len(argvs) for name in trees}
-            outputs = {name: [None] * len(argvs) for name in trees}
-            for index in range(args.passes):
-                order = list(trees)
-                if index % 2:
-                    order.reverse()
-                for job, argv in enumerate(argvs):
-                    for name in order:
-                        seconds, output = _timed_run(trees[name], argv)
-                        best[name][job] = min(best[name][job], seconds)
-                        outputs[name][job] = output
-            sums = {name: sum(times) for name, times in best.items()}
-            line = (f"{workload}: sum over {len(argvs)} runs of the best "
-                    f"of {args.passes}: {sums['this']:.3f} s")
-            if "against" in trees:
-                change = 100 * (sums["this"] / sums["against"] - 1)
-                differ = sum(a != b for a, b in zip(outputs["this"],
-                                                    outputs["against"]))
-                line += (f" against {sums['against']:.3f} s "
-                         f"({change:+.1f}%), output differs on {differ}")
-            print(line, flush=True)
-
+        pools = _runs(folder)
+        figures = {workload: [] for workload in pools}
+        for _ in range(args.runs):
+            for workload, argvs in pools.items():
+                sums, outputs = _compare(trees, argvs, args.passes)
+                line = (f"{workload}: sum over {len(argvs)} runs of the best "
+                        f"of {args.passes}: {sums['this']:.3f} s")
+                if "against" in trees:
+                    change = 100 * (sums["this"] / sums["against"] - 1)
+                    differ = sum(a != b for a, b in zip(outputs["this"],
+                                                        outputs["against"]))
+                    line += (f" against {sums['against']:.3f} s "
+                             f"({change:+.1f}%), output differs on {differ}")
+                    figures[workload].append(change)
+                else:
+                    figures[workload].append(sums["this"])
+                print(line, flush=True)
+        if args.runs > 1:
+            form = "{:+.2f}%" if "against" in trees else "{:.3f} s"
+            for workload, values in figures.items():
+                low, median, high = statistics.quantiles(
+                    values, n=4, method="inclusive")
+                print(f"{workload}: median of {args.runs} runs "
+                      f"{form.format(median)}, quartiles "
+                      f"{form.format(low)}..{form.format(high)}", flush=True)
 
 if __name__ == "__main__":
     main()
