@@ -319,7 +319,10 @@ def test_shared_parser_matches_a_fresh_parser_per_call(
 ):
     # Options of one call must not leak into the next: -n, --fast, --u
     # and --corpus/--seed each fall back to their defaults, also after
-    # a usage error in the middle of the sequence.
+    # a usage error in the middle of the sequence. The same sequence
+    # with argparse parsing every line, the plain path turned off, is
+    # the third run: exit codes, stdout and stderr all match.
+    monkeypatch.chdir(os.path.dirname(job(PURE)))
     pure, square = job(PURE), job(SQUARE, "square.json")
     sequence = [
         ["--json", "iclosure", "-n", "3", square],
@@ -332,6 +335,8 @@ def test_shared_parser_matches_a_fresh_parser_per_call(
         ["--json", "--corpus", "3", "--seed", "5"],
         ["--json", "np", square],
         ["iclosure", square],
+        ["--json", "np", "-"],
+        ["gorenstein", "--json", pure],
     ]
 
     def run_all():
@@ -346,9 +351,16 @@ def test_shared_parser_matches_a_fresh_parser_per_call(
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_shared_parser", cli.build_parser)
         fresh = run_all()
-    assert shared == fresh
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            cli._Parser, "parse_args", argparse.ArgumentParser.parse_args
+        )
+        argparse_only = run_all()
+    assert shared == fresh == argparse_only
     codes = [code for code, _, _ in shared]
-    assert codes == [EXIT_OK] * 4 + [EXIT_USAGE] + [EXIT_OK] * 5
+    assert codes == (
+        [EXIT_OK] * 4 + [EXIT_USAGE] + [EXIT_OK] * 5 + [EXIT_USAGE] * 2
+    )
     assert json.loads(shared[0][1])["power"] == 3
     assert json.loads(shared[1][1])["power"] == 1
     assert json.loads(shared[2][1])["method"] == "pure-power"
@@ -356,6 +368,88 @@ def test_shared_parser_matches_a_fresh_parser_per_call(
     assert json.loads(shared[5][1])["u"] == 2
     assert json.loads(shared[6][1])["u"] == 1
     assert "bounded_facets" in json.loads(shared[8][1])
+
+
+def test_plain_command_lines_parse_as_argparse_does(capsys, monkeypatch):
+    # `[--json] COMMAND JOB` with JOB a non-empty str not starting with
+    # "-" is answered without argparse once its command has been parsed
+    # once. Wherever the plain path answers, its namespace is the one
+    # argparse gives on the same parser; every other line, usage errors
+    # and -h among them, ends as argparse ends it.
+    parser = cli.build_parser()
+    known = argparse.ArgumentParser.parse_known_args
+    asked = []
+
+    def counting(self, args=None, namespace=None):
+        if self is parser:
+            asked.append(args)
+        return known(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+
+    def outcome(parse, argv):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    jobs = ["", "-", "--", "-x", "--json", "@f", "a b", "ü.json", "job.json"]
+    argvs = [
+        prefix + [command, name]
+        for command in cli._COMMANDS
+        for prefix in ([], ["--json"])
+        for name in jobs
+    ] + [
+        ["iclosure", "-n", "3", "J"],
+        ["--json", "iclosure", "J", "-n", "3"],
+        ["--json", "gorenstein", "--fast", "J"],
+        ["core", "--u", "2", "J"],
+        ["--json", "core", "J", "--u", "2"],
+        ["--seed", "5", "report", "J"],
+        ["report", "--json", "J"],
+        ["--js", "report", "J"],
+        ["--json", "--json", "report", "J"],
+        ["--json", "report", "J", "K"],
+        ["--json", "report"],
+        ["--json", "repo", "J"],
+        ["--json", "--corpus", "3"],
+        ["report", "-h"],
+        ["-h"],
+        [],
+    ]
+    plain_asks = dict.fromkeys(cli._COMMANDS, 0)
+    answered = 0
+    for argv in argvs * 2:
+        is_plain = (
+            len(argv) == 2 + (argv[:1] == ["--json"])
+            and argv[-2] in cli._COMMANDS
+            and argv[-1] != ""
+            and not argv[-1].startswith("-")
+        )
+        before = len(asked)
+        got = outcome(parser.parse_args, argv)
+        if is_plain:
+            plain_asks[argv[-2]] += len(asked) - before
+            answered += len(asked) == before
+        else:
+            assert len(asked) > before, argv
+        want = outcome(
+            lambda a: argparse.ArgumentParser.parse_args(parser, a), argv
+        )
+        assert got == want, argv
+    assert all(count == 1 for count in plain_asks.values())
+    assert answered == 2 * 2 * 4 * len(cli._COMMANDS) - len(cli._COMMANDS)
+    # an argv of None is read from sys.argv, as argparse reads it
+    monkeypatch.setattr(sys, "argv", ["reesgor", "--json", "np", "J"])
+    del asked[:]
+    assert parser.parse_args() == argparse.ArgumentParser.parse_args(parser)
+    assert len(asked) == 1
+    # a namespace passed in is filled by argparse
+    given = argparse.Namespace(extra=1)
+    assert parser.parse_args(["--json", "np", "J"], given) is given
+    assert vars(given) == dict(vars(parser.parse_args(["--json", "np", "J"])),
+                               extra=1)
 
 
 def test_main_builds_its_parser_once_per_process(job, capsys, monkeypatch):

@@ -20,11 +20,20 @@ fork and exec, so that figure is at least this process's RSS at the
 fork. Prints one line per input: exit code, process time, peak RSS and
 the sha256 of the standard output, then of standard error.
 
+The last line is the cold start: the wall time of a whole fresh
+`python -m reesgor --json report JOB` process on the anchor, interpreter
+start and imports included, as the median of --starts processes (default
+11) with the extremes, after one untimed process per tree that warms
+the caches. It says whether PYTHONDONTWRITEBYTECODE is set: with it
+set, and no bytecode cached in the tree from an earlier run, every
+process compiles the package again, so the row reads higher.
+
 With --against, the same inputs also run on the package of a second
 checkout (its src/reesgor), in a child of its own, the tree that runs
-first alternating from round to round, and each line ends with
-whether the two outputs matched. Nothing is checked: the tool prints
-and exits 0. Run from the root of the repository:
+first alternating from round to round (for the cold start, from
+process to process), and each line ends with whether the two outputs
+matched. Nothing is checked: the tool prints and exits 0. Run from the
+root of the repository:
 
     python3 tools/heavy.py --rounds 3 --against ../parent
 """
@@ -33,10 +42,13 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -126,6 +138,60 @@ def _run(src, argv, folder):
             *digests)
 
 
+def _start(src, argv, folder):
+    """(wall seconds, exit code, stdout sha256, stderr sha256) of one
+    fresh `python -m reesgor` process on argv, importing the package
+    from src, run in folder so that its own directory adds no
+    package."""
+    folder = pathlib.Path(folder)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                      if p])
+    with open(folder / "out", "wb") as out, open(folder / "err", "wb") as err:
+        start = time.perf_counter()
+        code = subprocess.run(
+            [sys.executable, "-m", "reesgor", *argv], stdout=out,
+            stderr=err, cwd=folder, env=env, check=False,
+        ).returncode
+        seconds = time.perf_counter() - start
+    return (seconds, code,
+            *(_sha256(folder / name) for name in ("out", "err")))
+
+
+def _cold_start(trees, starts, folder):
+    """The cold-start line: each tree's median wall time over starts
+    fresh processes, the tree that starts first alternating."""
+    job = pathlib.Path(folder) / "job.json"
+    job.write_text(json.dumps({"dim": 3, "gens": ANCHOR}))
+    argv = ["--json", "report", str(job)]
+    for src in trees.values():  # untimed: warms the caches
+        _start(src, argv, folder)
+    runs = {tree: [] for tree in trees}
+    for index in range(starts):
+        order = list(trees)
+        if index % 2:
+            order.reverse()
+        for tree in order:
+            runs[tree].append(_start(trees[tree], argv, folder))
+
+    def show(tree):
+        times = sorted(1000 * run[0] for run in runs[tree])
+        _, code, out, err = runs[tree][-1]
+        return (f"median {statistics.median(times):.1f} ms "
+                f"({times[0]:.1f}-{times[-1]:.1f}), exit {code}, "
+                f"out {out[:12]}, err {err[:12]}")
+
+    written = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "not set"
+    line = (f"cold start --json report anchor, {starts} processes, "
+            f"PYTHONDONTWRITEBYTECODE {written}: {show('this')}")
+    if "against" in trees:
+        same = len({run[1:] for tree in trees for run in runs[tree]}) == 1
+        line += (f"; against {show('against')}; "
+                 f"output {'same' if same else 'DIFFERS'}")
+    return line
+
+
 def _show(result):
     code, seconds, peak, out, err = result
     return (f"exit {code}, {seconds:.2f} s, {peak:.1f} MB, "
@@ -138,9 +204,14 @@ def main() -> None:
                         help="runs of each input per tree (default 1)")
     parser.add_argument("--against", type=pathlib.Path,
                         help="root of a second checkout to run side by side")
+    parser.add_argument("--starts", type=int, default=11,
+                        help="fresh processes per tree for the cold start "
+                        "(default 11)")
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.starts < 1:
+        parser.error("--starts must be at least 1")
     trees = {"this": ROOT / "src"}
     if args.against is not None:
         source = args.against / "src"
@@ -166,6 +237,7 @@ def main() -> None:
                     line += (f"; against {_show(results['against'])}; "
                              f"output {'same' if same else 'DIFFERS'}")
                 print(line, flush=True)
+        print(_cold_start(trees, args.starts, folder), flush=True)
 
 
 if __name__ == "__main__":
