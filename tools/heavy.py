@@ -22,11 +22,12 @@ the sha256 of the standard output, then of standard error.
 
 The last line is the cold start: the wall time of a whole fresh
 `python -m reesgor --json report JOB` process on the anchor, interpreter
-start and imports included, as the median of --starts processes (default
-11) with the extremes, after one untimed process per tree that warms
-the caches. It says whether PYTHONDONTWRITEBYTECODE is set: with it
-set, and no bytecode cached in the tree from an earlier run, every
-process compiles the package again, so the row reads higher.
+start and imports included, as the median of 11 processes with the
+extremes. The processes write and read their bytecode under a
+PYTHONPYCACHEPREFIX folder of their own, with PYTHONDONTWRITEBYTECODE
+removed, and one untimed process per tree fills it first, so every
+timed process runs from cached bytecode, whatever `__pycache__` the
+trees hold and whether the caller's environment stops bytecode writes.
 
 With --against, the same inputs also run on the package of a second
 checkout (its src/reesgor), in a child of its own, the tree that runs
@@ -51,6 +52,8 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# fresh processes per tree for the cold start
+STARTS = 11
 
 R8 = [[5, 0, 0], [2, 2, 1], [1, 2, 2], [0, 5, 0], [0, 0, 5]]
 ANCHOR = [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]
@@ -119,17 +122,22 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _capture(command, folder, **options):
+    """(returncode, stdout sha256, stderr sha256) of one subprocess
+    running command with its output going to files in folder."""
+    folder = pathlib.Path(folder)
+    with open(folder / "out", "wb") as out, open(folder / "err", "wb") as err:
+        code = subprocess.run(command, stdout=out, stderr=err, check=False,
+                              **options).returncode
+    return code, *(_sha256(folder / name) for name in ("out", "err"))
+
+
 def _run(src, argv, folder):
     """(exit code, process seconds, peak MB, stdout sha256, stderr
     sha256) of one child running the cli on argv."""
-    folder = pathlib.Path(folder)
-    stats = folder / "stats.json"
-    with open(folder / "out", "wb") as out, open(folder / "err", "wb") as err:
-        subprocess.run(
-            [sys.executable, "-c", CHILD, str(src), str(stats), *argv],
-            stdout=out, stderr=err, check=False,
-        )
-    digests = [_sha256(folder / name) for name in ("out", "err")]
+    stats = pathlib.Path(folder) / "stats.json"
+    _, *digests = _capture(
+        [sys.executable, "-c", CHILD, str(src), str(stats), *argv], folder)
     if not stats.is_file():  # the child died before writing its stats
         return None, float("nan"), float("nan"), *digests
     found = json.loads(stats.read_text(encoding="utf-8"))
@@ -141,34 +149,30 @@ def _run(src, argv, folder):
 def _start(src, argv, folder):
     """(wall seconds, exit code, stdout sha256, stderr sha256) of one
     fresh `python -m reesgor` process on argv, importing the package
-    from src, run in folder so that its own directory adds no
-    package."""
-    folder = pathlib.Path(folder)
-    env = dict(os.environ)
+    from src, run in folder so that its own directory adds no package,
+    with its bytecode cached under folder/pycache."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pathlib.Path(folder) / "pycache")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                       if p])
-    with open(folder / "out", "wb") as out, open(folder / "err", "wb") as err:
-        start = time.perf_counter()
-        code = subprocess.run(
-            [sys.executable, "-m", "reesgor", *argv], stdout=out,
-            stderr=err, cwd=folder, env=env, check=False,
-        ).returncode
-        seconds = time.perf_counter() - start
-    return (seconds, code,
-            *(_sha256(folder / name) for name in ("out", "err")))
+    start = time.perf_counter()
+    result = _capture([sys.executable, "-m", "reesgor", *argv], folder,
+                      cwd=folder, env=env)
+    return time.perf_counter() - start, *result
 
 
-def _cold_start(trees, starts, folder):
-    """The cold-start line: each tree's median wall time over starts
+def _cold_start(trees, folder):
+    """The cold-start line: each tree's median wall time over STARTS
     fresh processes, the tree that starts first alternating."""
     job = pathlib.Path(folder) / "job.json"
     job.write_text(json.dumps({"dim": 3, "gens": ANCHOR}))
     argv = ["--json", "report", str(job)]
-    for src in trees.values():  # untimed: warms the caches
+    for src in trees.values():  # untimed: caches the bytecode
         _start(src, argv, folder)
     runs = {tree: [] for tree in trees}
-    for index in range(starts):
+    for index in range(STARTS):
         order = list(trees)
         if index % 2:
             order.reverse()
@@ -182,9 +186,8 @@ def _cold_start(trees, starts, folder):
                 f"({times[0]:.1f}-{times[-1]:.1f}), exit {code}, "
                 f"out {out[:12]}, err {err[:12]}")
 
-    written = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "not set"
-    line = (f"cold start --json report anchor, {starts} processes, "
-            f"PYTHONDONTWRITEBYTECODE {written}: {show('this')}")
+    line = (f"cold start --json report anchor, {STARTS} processes, "
+            f"bytecode cached: {show('this')}")
     if "against" in trees:
         same = len({run[1:] for tree in trees for run in runs[tree]}) == 1
         line += (f"; against {show('against')}; "
@@ -204,17 +207,12 @@ def main() -> None:
                         help="runs of each input per tree (default 1)")
     parser.add_argument("--against", type=pathlib.Path,
                         help="root of a second checkout to run side by side")
-    parser.add_argument("--starts", type=int, default=11,
-                        help="fresh processes per tree for the cold start "
-                        "(default 11)")
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    if args.starts < 1:
-        parser.error("--starts must be at least 1")
     trees = {"this": ROOT / "src"}
     if args.against is not None:
-        source = args.against / "src"
+        source = args.against.resolve() / "src"
         if not (source / "reesgor" / "__init__.py").is_file():
             parser.error(f"no package at {source / 'reesgor'}")
         trees["against"] = source
@@ -237,7 +235,7 @@ def main() -> None:
                     line += (f"; against {_show(results['against'])}; "
                              f"output {'same' if same else 'DIFFERS'}")
                 print(line, flush=True)
-        print(_cold_start(trees, args.starts, folder), flush=True)
+        print(_cold_start(trees, folder), flush=True)
 
 
 if __name__ == "__main__":
