@@ -211,7 +211,7 @@ def _canonical_scan(cone: ReesCone) -> CanonicalData:
     """
     d = cone.dim
     q = compute_q(cone)
-    box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
+    box = tuple(map(sum, zip(*cone.rays)))
     sweep = tuple(b + 1 for b in box)
     _check_column_budget(sweep[:d])
     facet = _residue_sides(cone, box)
@@ -326,62 +326,87 @@ def _residue_generators(
     - So P = min(S, O) along the line, and the minimal m(z) of the
       line are those two points, each kept iff its rho is below O
       there (always, on the first line).
+
+    Three lemmas skip the work on lines that hold no generator. P and
+    O never go below 0, as no rho does, and neither increases along x,
+    since each is a least value over a set that grows with x.
+    - Lines without a candidate. If neither x = 1 nor the wrap is below
+      O, then P = O on the line: before the wrap
+      S = first >= O(1) >= O(x), and from the wrap on
+      S = low >= O(w + 1) >= O(x) (with no wrap, first = low). Such a
+      line stores O itself and builds no S.
+    - Dead lines. If a line one step below is all 0, then so is O, no
+      rho is below it, and P = O = 0. Such a line stores one shared
+      zero line and computes neither c nor S.
+    - Early stop. Call a line a corner when every outer coordinate but
+      the outermost is 1. Every later line of the walk
+      (`itertools.product` order, outermost coordinate first) lies
+      above the corner in every outer coordinate, so at each x the
+      corner's point lies in [1, z] outside the later line, and O there
+      is at most the corner's P. Once a corner's stored P starts at 0
+      it is 0 on the whole line, every later O is 0, no later line
+      holds a generator, and the walk stops. The only line one step
+      below a corner is the corner before it, which was not 0 (else the
+      walk had stopped), so a corner is never dead, and the test runs
+      only after a line's P is computed. A Gorenstein cone, with
+      rho(1, ..., 1) = 0, stops after its first line.
+    A line with a candidate stores min(S, O), which at the candidate's
+    x is below every line under it, so it equals none of them.
+
     The lines of P are kept in one slab: the lines whose outermost
     coordinate is the current one or the one before, each slot
     overwritten once its line is read for the last time. The outermost
     coordinate is the longest side other than k, so the slab holds
-    prod_i a_i / a_outer entries, not the whole box. A line of P equal
-    to a line below it is stored as that line, so lines that repeat
-    share one list.
+    prod_i a_i / a_outer entries, not the whole box. A corner is slot
+    0 of its layer.
     """
     d = len(sides)
-    k = max(range(d), key=lambda i: (sides[i], i))
-    outer = sorted(
-        (i for i in range(d) if i != k), key=lambda i: (-sides[i], i)
-    )
+    # the longest side first, the last such side on a tie
+    k, *outer = sorted(range(d), key=lambda i: (sides[i], i), reverse=True)
     n_k, a_k = normal[k], sides[k]
-    # slot strides of the coordinates after the outermost one
-    strides = [
+    # slot strides of the outer coordinates; the line one step below in
+    # the outermost one is in the same slot, a layer back
+    strides = [0] + [
         math.prod(sides[i] for i in outer[j + 1 :])
         for j in range(1, len(outer))
     ]
     slab: List[List[int]] = [[]] * math.prod(sides[i] for i in outer[1:])
     weights = [normal[i] for i in outer]
+    zero = [0] * a_k
     found: List[Vector] = []
     ranges = [range(1, sides[i] + 1) for i in outer]
     for slot, prefix in enumerate(itertools.product(*ranges)):
         slot %= len(slab)
-        below = [
-            slab[slot - s] for s, z in zip(strides, prefix[1:]) if z > 1
-        ]
-        if prefix and prefix[0] > 1:
-            below.append(slab[slot])
+        below = [slab[slot - s] for s, z in zip(strides, prefix) if z > 1]
+        if zero in below:  # a dead line
+            slab[slot] = zero
+            continue
         top = sum(map(operator.mul, weights, prefix)) - 1
         c = top % h
         w = a_k - 1 - c // n_k
         low = c % n_k
         first = c + n_k if w else low
-        step = [first] * w + [low] * (a_k - w)
         if not below:  # the first line: nothing below, h exceeds every rho
             below = [[h] * a_k]
         other = below[0] if len(below) == 1 else list(map(min, *below))
-        least = list(map(min, step, other))
-        for line in below:
-            if line == least:
-                least = line
-                break
-        slab[slot] = least
         # x counts from 0 here: the wrap is at x = w
         xs = [0] if first < other[0] else []
         if w and low < other[w]:
             xs.append(w)
-        for x in xs:
-            z = [0] * d
-            for i, v in zip(outer, prefix):
-                z[i] = v
-            z[k] = x + 1
-            z.append(sum(z) - (top + n_k * (x + 1)) // h)
-            found.append(tuple(z))
+        if xs:
+            step = [first] * w + [low] * (a_k - w)
+            slab[slot] = list(map(min, step, other))
+            for x in xs:
+                z = [0] * d
+                for i, v in zip(outer, prefix):
+                    z[i] = v
+                z[k] = x + 1
+                z.append(sum(z) - (top + n_k * (x + 1)) // h)
+                found.append(tuple(z))
+        else:  # a line without a candidate keeps its floor
+            slab[slot] = other
+        if not slot and not slab[slot][0]:  # a corner at 0: stop
+            break
     del slab  # freed before the sort builds its keys
     found.sort(key=lambda v: (sum(v), v))
     return found

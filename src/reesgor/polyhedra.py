@@ -64,15 +64,11 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 def _int_primitive(v: Sequence[int]) -> Vector:
     g = math.gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ConeGeometryError("zero vector cannot be made primitive")
     return tuple([c // g for c in v])
-
-
-def _project(v0: int, u: Sequence[int], v: int, l0: Sequence[int]) -> Vector:
-    """v0 * u - v * l0 divided by its content: u projected along l0
-    onto the hyperplane of a row a, for v0 = <a, l0> and v = <a, u>."""
-    return _int_primitive([v0 * x - v * y for x, y in zip(u, l0)])
 
 
 # -------------------------------------------------------------------- #
@@ -141,7 +137,8 @@ def _double_description(
     A row a with <a, l0> != 0 for some l0 in L (the first such,
     negated if need be so that v0 = <a, l0> > 0) uses l0 up. Every
     other u in L and in R is projected along l0 onto a^perp, to
-    u' = v0 * u - <a, u> * l0 over its content (u itself when
+    u' = v0 * u - <a, u> * l0 made primitive by one `_int_primitive`
+    call, the only division by the content (u itself when
     <a, u> = 0). Each x in C is x' + (<a, x> / v0) * l0 with x' in
     span(L') + cone(R'), so C cut by a is
     span(L') + cone(R') + cone(l0). L' is a basis of span(L) cut by
@@ -223,13 +220,16 @@ def _double_description(
             if v0 < 0:
                 l0, v0 = tuple([-c for c in l0]), -v0
             lineality = [
-                _project(v0, l, v, l0) if v else l
+                _int_primitive([v0 * x - v * y for x, y in zip(l, l0)])
+                if v else l
                 for l, v in zip(lineality, values)
             ]
             projected = {l0: seen}
             for r, m in masks.items():
                 v = sum(map(operator.mul, a, r))
-                projected[_project(v0, r, v, l0) if v else r] = m | bit
+                if v:
+                    r = _int_primitive([v0 * x - v * y for x, y in zip(r, l0)])
+                projected[r] = m | bit
             masks = projected
             seen |= bit
             continue

@@ -1,9 +1,12 @@
 """The lifted semigroup cone and the canonical module read off it."""
 
 import dataclasses
+import inspect
 import itertools
 import json
+import math
 import pathlib
+import sys
 
 import pytest
 
@@ -643,6 +646,95 @@ def test_cones_off_the_gate_keep_the_scans_outcome_in_its_words():
         assert _outcome(canonical_generators, cone) == expected, cone
         kinds.add(expected[0] if isinstance(expected, tuple) else None)
     assert kinds == {None, IncompleteSearchError, InvariantViolationError}
+
+
+def _brute_residue_generators(normal, h, sides):
+    # The residue box by the lemma's criterion alone: z is a generator
+    # iff rho(z) < rho(z') for every other z' in [1, z]. It shares no
+    # code with the walk, its lines, floors or stop.
+    def rho(z):
+        return (sum(n * c for n, c in zip(normal, z)) - 1) % h
+
+    found = []
+    for z in itertools.product(*(range(1, a + 1) for a in sides)):
+        under = itertools.product(*(range(1, c + 1) for c in z))
+        if all(rho(z) < rho(y) for y in under if y != z):
+            top = sum(n * c for n, c in zip(normal, z)) - 1
+            found.append(z + (sum(z) - top // h,))
+    return sorted(found, key=lambda v: (sum(v), v))
+
+
+def _lines_run(function, calls):
+    # The line numbers of function that run while calls() does, by a
+    # line trace of its frames alone, as tools/reach.py takes one.
+    ran = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return lines
+
+    def enter(frame, event, arg):
+        return lines if frame.f_code is function.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        calls()
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
+def test_the_residue_walk_matches_the_brute_force_definition():
+    # Seeded one-facet cones in d = 1..5, with h the lcm of the sides
+    # or, for two thirds of them, a multiple of it, plus Gorenstein
+    # cones (rho(1, ..., 1) = 0, where the walk stops after its first
+    # line) and cones whose floor reaches 0 partway through. A line
+    # trace shows that they reach the early stop, the dead zero line
+    # and the line that keeps its floor.
+    rng = seeded(43)
+    largest = {1: 40, 2: 12, 3: 6, 4: 4, 5: 3}
+    cases = [(5,), (1, 4), (2, 2, 2), (1, 1, 3), (3, 3, 3, 3), (2,) * 5]
+    cases = [(sides, 1) for sides in cases]
+    for i in range(200):
+        d = 1 + i % 5
+        sides = tuple(rng.randint(1, largest[d]) for _ in range(d))
+        cases.append((sides, rng.choice((1, 2, 3))))
+    calls = []
+    kinds = set()
+    for sides, multiple in cases:
+        h = math.lcm(*sides) * multiple
+        normal = tuple(h // a for a in sides)
+        calls.append((normal, h, sides))
+        if multiple == 1:
+            cone = lift_halfspaces(
+                newton_polyhedron(MonomialIdeal.pure_powers(sides))
+            )
+            box = tuple(map(sum, zip(*cone.rays)))
+            assert cone_module._residue_sides(cone, box) == calls[-1], sides
+        expected = _brute_residue_generators(normal, h, sides)
+        walked = cone_module._residue_generators(normal, h, sides)
+        assert walked == expected, (sides, multiple)
+        rho = [
+            (sum(n * c for n, c in zip(normal, z)) - 1) % h
+            for z in itertools.product(*(range(1, a + 1) for a in sides))
+        ]
+        if rho[0] == 0:
+            kinds.add("gorenstein")
+            assert len(expected) == 1, sides
+        else:
+            kinds.add("zero partway" if 0 in rho else "no zero")
+    assert kinds == {"gorenstein", "zero partway", "no zero"}
+
+    walk = cone_module._residue_generators
+    source, start = inspect.getsourcelines(walk)
+    marks = {}
+    for mark in ("break", "slab[slot] = zero", "slab[slot] = other"):
+        (index,) = [i for i, line in enumerate(source) if mark in line]
+        marks[mark] = start + index
+    ran = _lines_run(walk, lambda: [walk(*call) for call in calls])
+    assert {mark for mark, line in marks.items() if line in ran} == set(marks)
 
 
 def test_filtration_reduction_number():
