@@ -38,7 +38,6 @@ from .errors import (
     ConeGeometryError,
     DimensionMismatchError,
     InapplicableError,
-    IncompleteSearchError,
     InvalidIdealError,
     InvariantViolationError,
     NotAReductionError,
@@ -65,7 +64,6 @@ __all__ = [
     "FacetSystem",
     "HalfSpace",
     "InapplicableError",
-    "IncompleteSearchError",
     "InvalidIdealError",
     "InvariantViolationError",
     "MonomialIdeal",

@@ -35,11 +35,12 @@ on the search region that route 2 relies on.
 
 Route 2's generators come from one of two kernels. A cone with one
 bounded facet reads them off its residue box in closed form
-(`_residue_generators`); its search and sweep boxes are then the boxes
-of that proof, the sum of the extreme rays and one more, and nothing is
-searched in them. Every other cone runs the column scan
-(`_swept_generators`) over those boxes, and its sweep certifies that
-the search box was large enough.
+(`_residue_generators`). Every other cone runs the column scan
+(`_swept_generators`) over the search box, the sum of the extreme
+rays, which holds every minimal generator by the lemma of
+`_canonical_scan`. That lemma needs the true extreme rays, in the
+nonnegative orthant, and `ReesCone` refuses any others when it is
+built.
 
 A disagreement raises InvariantViolationError rather than returning
 either answer.
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
-    IncompleteSearchError,
+    ConeGeometryError,
     InapplicableError,
     InvariantViolationError,
     NotMPrimaryError,
@@ -65,6 +66,7 @@ from .polyhedra import (
     _check_column_budget,
     _column_scan,
     _dot,
+    _double_description,
     _facets_for,
     extreme_rays,
 )
@@ -82,16 +84,35 @@ class ReesCone:
     Refuses, as `FacetSystem` and `HalfSpace` refuse their own data, a
     matrix row or ray that fails `_exact_vector` at length dim + 1:
     malformed input is named here, not later as a wrong index or a
-    violated invariant."""
+    violated invariant. Then refuses, with ConeGeometryError naming
+    them, rays other than the sorted primitive extreme rays of the
+    matrix's cone (what `extreme_rays` returns for the matrix), and
+    rays with a negative entry; a matrix whose cone is not pointed or
+    not full dimensional raises the kernel's own ConeGeometryError.
+    The search box of `_canonical_scan` rests on both refusals. The rays are solved by the kernel of `extreme_rays`
+    through the job memo, so inside a job, where `lift_halfspaces` has
+    just solved the same rows, the check costs a lookup."""
 
     dim: int
     matrix: Tuple[Vector, ...]
     rays: Tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        where = f"a cone in {self.dim + 1} coordinates"
+        n = self.dim + 1
+        where = f"a cone in {n} coordinates"
         for v in (*self.matrix, *self.rays):
-            _exact_vector(v, self.dim + 1, where)
+            _exact_vector(v, n, where)
+        true = _once(_double_description, tuple(map(tuple, self.matrix)), n)
+        rays = tuple(map(tuple, self.rays))
+        if rays != true:
+            raise ConeGeometryError(
+                f"rays {rays} are not the extreme rays {true} of the matrix"
+            )
+        if min(itertools.chain(*rays), default=0) < 0:
+            outside = [r for r in rays if min(r) < 0]
+            raise ConeGeometryError(
+                f"extreme rays {outside} leave the nonnegative orthant"
+            )
 
     def relint_member(self, v: Sequence[int]) -> bool:
         """Is v a lattice point of the relative interior, every facet
@@ -154,11 +175,12 @@ def compute_q(cone: ReesCone) -> int:
 @dataclass(frozen=True)
 class CanonicalData:
     """Canonical module of the normalized algebra: minimal generators
-    of the interior-point module, with the boxes they were found in.
-    For a cone with several bounded facets the boxes are the column
-    scan's search certificate. For a one-facet cone they are the boxes
-    of the closed form's proof (the sum of the extreme rays, and one
-    more on every side), and no point of them is searched."""
+    of the interior-point module, with two boxes. The search box is
+    the sum of the extreme rays, which holds every minimal generator
+    (the lemma of `_canonical_scan`); a cone with several bounded
+    facets is scanned over it, and a one-facet cone searches none of
+    it. The sweep box, one more on every side, is the box the column
+    budget is checked on."""
 
     q: int
     generators: Tuple[Vector, ...]
@@ -178,9 +200,8 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     frozen `CanonicalData` of ints, bools and tuples. So within one
     job (`ideals._job`) it runs once per cone and a repeat returns
     what a fresh scan would (the lemma of `ideals._once`). Its
-    refusals (IncompleteSearchError, BudgetExceededError,
-    InvariantViolationError) are stored by no job: each is raised
-    again, in the same words.
+    refusals (BudgetExceededError, InvariantViolationError) are stored
+    by no job: each is raised again, in the same words.
     """
     return _once(_canonical_scan, cone)
 
@@ -189,34 +210,41 @@ def _canonical_scan(cone: ReesCone) -> CanonicalData:
     """Minimal generators of the module of interior lattice points,
     with q, the a-invariant and the invariant checks on them.
 
-    Every minimal generator lies, coordinatewise, under the sum of the
-    extreme rays, the search box (a point beyond that splits off an
-    extreme ray while staying interior); the sweep box is one more on
-    every side. The column budget is checked on the sweep box, in
-    input order, before either kernel runs, so an oversized input
-    fails with that box in its message on both paths.
+    Lemma (the search box). Every minimal generator lies in the
+    zonotope sum_r [0, 1] * r over the extreme rays r, so it lies,
+    coordinatewise, under the sum of the rays, the search box. Write
+    an interior lattice point v = sum_r mu_r * r with every mu_r >= 0,
+    as the rays generate the cone, and suppose mu_s > 1 for a ray s.
+    Then v - s = sum_{r != s} mu_r * r + (mu_s - 1) * s lies in the
+    cone. A row f of the matrix, an integer vector, with f(s) = 0 has
+    f(v - s) = f(v) >= 1. Any other row has f(s) > 0, and
+    f(v - s) >= (mu_s - 1) * f(s) > 0, as f is >= 0 on every ray; the
+    value is an integer, so it is >= 1. So v - s is an interior
+    lattice point, and v = (v - s) + s, s a lattice point of the cone,
+    is not minimal. The rays are >= 0, so the zonotope lies under their
+    sum. `ReesCone` refuses rays that are not the extreme rays of its
+    matrix or that leave the orthant, so the lemma holds for every
+    cone: the box is a proved bound, and nothing is swept at run time.
+
+    The sweep box, one more on every side, is what the column budget
+    is checked on, in input order, before either kernel runs, so an
+    oversized input fails with that box in its message on both paths.
 
     A one-facet cone that passes the gate of `_residue_sides` reads
     its generators off its residue box, by `_residue_generators`. Any
-    other cone runs the column scan `_swept_generators`. The scan's
-    outcome depends only on the facet matrix and the search box, and
-    the gate holds exactly when the matrix is the one-facet matrix of
-    `_residue_generators` and the box is the sum of that cone's true
-    extreme rays. On such a cone the box holds every minimal
-    generator, so the scan accepts exactly the minimal generators and
-    its sweep finds every interior point generated: it returns the
-    list that `_residue_generators` proves, and raises nothing. A cone
-    built with other rays fails the gate and keeps the scan's verdict,
-    `IncompleteSearchError` included, in the same words.
+    other cone runs the column scan `_swept_generators` over the search
+    box. On a one-facet cone the scan would accept exactly the minimal
+    generators the box holds, which by the lemma are all of them: the
+    list that `_residue_generators` proves.
     """
     d = cone.dim
     q = compute_q(cone)
     box = tuple(map(sum, zip(*cone.rays)))
     sweep = tuple(b + 1 for b in box)
     _check_column_budget(sweep[:d])
-    facet = _residue_sides(cone, box)
+    facet = _residue_sides(cone)
     if facet is None:
-        accepted = _swept_generators(cone, box, sweep)
+        accepted = _swept_generators(cone, box)
     else:
         accepted = _residue_generators(*facet)
 
@@ -246,17 +274,17 @@ def _canonical_scan(cone: ReesCone) -> CanonicalData:
 
 
 def _residue_sides(
-    cone: ReesCone, box: Tuple[int, ...]
+    cone: ReesCone,
 ) -> Optional[Tuple[Tuple[int, ...], int, Tuple[int, ...]]]:
     """(n, h, a) when the generators of the cone can be read off its
     residue box, else None.
 
     That is when the matrix is one lifted row (n - h*1, h) and the d
-    coordinate rows, every a_i = h / n_i is a positive integer, and
-    the search box is (a_1, ..., a_d, 1 + sum_i (a_i - 1)). That box
-    is the sum of the true extreme rays of this matrix's cone: the
-    cone is simplicial, with one ray per facet left out. Leaving out
-    the lifted row gives e_{d+1}. Leaving out coordinate row i gives
+    coordinate rows, and every a_i = h / n_i is a positive integer.
+    The search box is then (a_1, ..., a_d, 1 + sum_i (a_i - 1)), the
+    sum of the true extreme rays, the only rays `ReesCone` accepts:
+    the cone is simplicial, with one ray per facet left out. Leaving out the
+    lifted row gives e_{d+1}. Leaving out coordinate row i gives
     z = z_i e_i with n_i z_i - h z_i + h t = 0, whose least lattice
     point is (a_i e_i, a_i - 1), primitive since a_i and a_i - 1 are
     coprime. A cone built by `lift_halfspaces` from an ideal whose
@@ -274,10 +302,7 @@ def _residue_sides(
     normal = tuple(c + h for c in head)
     if any(n <= 0 or h % n for n in normal):
         return None
-    sides = tuple(h // n for n in normal)
-    if box != sides + (1 + sum(sides) - d,):
-        return None
-    return normal, h, sides
+    return normal, h, tuple(h // n for n in normal)
 
 
 def _residue_generators(
@@ -412,49 +437,37 @@ def _residue_generators(
     return found
 
 
-def _swept_generators(
-    cone: ReesCone, box: Tuple[int, ...], sweep: Tuple[int, ...]
-) -> List[Vector]:
+def _swept_generators(cone: ReesCone, box: Tuple[int, ...]) -> List[Vector]:
     """Minimal generators of the module of interior lattice points, by
-    a column scan over the search and sweep boxes, sorted by
-    (coordinate sum, v).
+    a column scan over the search box, sorted by (coordinate sum, v).
 
-    Every minimal generator lies, coordinatewise, under the sum of the
-    extreme rays (a point beyond that splits off an extreme ray while
-    staying interior). Interior points of that box are generators iff
-    they are not a previously accepted generator plus a cone point. A
-    sweep over the enlarged box checks that the accepted set generates
-    every interior point there, so an undersized search region fails
-    loudly instead of returning a short list.
-
-    Both the search and the sweep visit only the least interior point
-    of each column (the points sharing their first d coordinates), and
-    stay exact:
+    The box holds every minimal generator (the lemma of
+    `_canonical_scan`). Interior points of the box are generators iff
+    they are not a previously accepted generator plus a cone point.
+    The scan visits only the least interior point of each column (the
+    points sharing their first d coordinates), and stays exact:
 
     - e_{d+1} is in the cone: the coordinate rows are 0 on it and the
       lifted rows equal h > 0.
     - So the interior points of each column are upward-closed.
     - A point above its column minimum m is m plus a multiple of
-      e_{d+1}, so it is generated whenever m is. So no such point is
-      ever a minimal generator, and the sweep fails on it only if it
-      fails on m, which lies in the same box.
+      e_{d+1}, so it is generated whenever m is, and is never a
+      minimal generator.
 
-    One scan over the sweep box serves both, in one pass in the scan's
-    lexicographic order. Its column minima inside the search box are
-    the candidates; every other one up to the sweep height must be
-    generated by the accepted set.
+    The column minima over the first d sides of the box are the
+    candidates, whatever their t. Every minimal generator is one of
+    them, and the lemma below shows that the scan accepts exactly the
+    minimal generators, so none above the box's height t <= box[d].
 
     The scan is oriented: it runs with the first d coordinates
-    permuted so that the longest of the first d sweep sides, side k,
-    comes last among them and becomes the column coordinate x, while t
-    stays last. The scan yields one batch per prefix of the other
-    d - 1 coordinates, so this makes the number of batches, and the
+    permuted so that the longest of the first d sides, side k, comes
+    last among them and becomes the column coordinate x, while t stays
+    last. The scan yields one batch per prefix of the other d - 1
+    coordinates, so this makes the number of batches, and the
     per-batch overhead, the least the box allows, whatever the order
     in which the variables are labelled. Each point is mapped back to
     input coordinates by putting x in again at position k, so the
-    generators, both boxes and every message are in input
-    coordinates. The budget is checked on the sweep box in input
-    order before the scan, so its message names that box too.
+    generators are in input coordinates.
 
     Lemma. If v - g lies in the cone, then g comes no later than v in
     the lexicographic order of any permutation of the first d
@@ -463,19 +476,14 @@ def _swept_generators(
     in any order of them. When z_g = z_v a lifted row (a - h*1, h),
     h > 0, takes the value h * (t_v - t_g) >= 0 at v - g, so
     t_g <= t_v. Every point that generates v thus comes no later in
-    the oriented scan. So a candidate is a minimal generator iff no
-    candidate accepted before it generates it: a generating candidate
-    that was itself rejected is generated by an accepted one, and so
-    is v, since the cone is closed under addition. A sweep point is
-    generated by the final accepted set iff it is generated by the
-    part accepted before it. So the accepted set, and the set of
-    ungenerated sweep points, do not depend on the orientation. The
-    lexicographically least ungenerated sweep point in input
-    coordinates is kept, and raised with the full accepted list once
-    the pass ends. The accepted generators are sorted by
-    (coordinate sum, v) at the end. The prefix is tested against the
-    search box once per batch, and only x <= box[k] and t <= box[d]
-    per column.
+    the oriented scan. So the scan accepts a candidate v iff v is a
+    minimal generator, by induction along the scan. A minimal v is
+    generated by no other interior point. A v that is not minimal is
+    generated by a minimal generator g != v, which lies in the box and
+    is a column minimum, so g is a candidate that comes before v and
+    was accepted. So the accepted set does not depend on the
+    orientation. The accepted generators are sorted by
+    (coordinate sum, v) at the end.
 
     The generated-by test compares slacks instead of forming v - g.
     Every row is linear, so row . (v - g) >= 0 for every row of the
@@ -489,36 +497,21 @@ def _swept_generators(
     """
     d = cone.dim
     # the longest side becomes x (the last such side on a tie)
-    k = max(range(d), key=lambda i: (sweep[i], i))
+    k = max(range(d), key=lambda i: (box[i], i))
     order = [*range(k), *range(k + 1, d), k, d]
     rows = [(tuple(row[i] for i in order), 1) for row in cone.matrix]
-    _, guard, batches = _column_scan(rows, [sweep[i] for i in order[:d]])
-    outer_box = box[:k] + box[k + 1 : d]
-    x_box, t_box, t_sweep = box[k], box[d], sweep[d]
+    _, guard, batches = _column_scan(rows, [box[i] for i in order[:d]])
     accepted: List[Vector] = []
     floors: List[int] = []
-    missed: Optional[Vector] = None
     for prefix, xs, ts, slacks in batches:
-        inside = all(map(operator.le, prefix, outer_box))
         for x, t, slack in zip(xs, ts, slacks):
-            if t > t_sweep:
-                continue
             for floor in floors:
                 if (slack - floor) & guard == guard:
                     break
             else:
-                point = prefix[:k] + (x,) + prefix[k:] + (t,)
-                if inside and x <= x_box and t <= t_box:
-                    accepted.append(point)
-                    floors.append(slack ^ guard)
-                elif missed is None or point < missed:
-                    missed = point
+                accepted.append(prefix[:k] + (x,) + prefix[k:] + (t,))
+                floors.append(slack ^ guard)
     accepted.sort(key=lambda v: (sum(v), v))
-    if missed is not None:
-        raise IncompleteSearchError(
-            f"interior point {missed} is not generated by {accepted}; "
-            f"search box {box} was too small"
-        )
     return accepted
 
 

@@ -29,7 +29,8 @@ class NotAReductionError(ValueError):
 
 class ConeGeometryError(ValueError):
     """A cone fails a structural requirement (not pointed, not full
-    dimensional), so the requested invariant is undefined."""
+    dimensional, or given rays that are not its extreme rays in the
+    nonnegative orthant), so the requested invariant is undefined."""
 
 
 class InapplicableError(ValueError):
@@ -46,9 +47,3 @@ class InvariantViolationError(RuntimeError):
     """Two routes that must agree by theorem disagreed, or a certified
     bound failed. Indicates a bug or a refuted assumption; the message
     carries the concrete witness."""
-
-
-class IncompleteSearchError(RuntimeError):
-    """A certified search region turned out not to contain everything it
-    had to contain; the witness point is in the message."""
-

@@ -171,7 +171,8 @@ def _once(kernel: Callable, *args):
     The memo lives in this module, the lowest layer, so every layer
     reads the same one. Its kernels: `_product` and `_join` here (the
     work of `*` and `&`), `polyhedra._double_description` (inside
-    `extreme_rays`), `polyhedra._plane_rays` and
+    `extreme_rays` and the ray check of `cone.ReesCone`),
+    `polyhedra._plane_rays` and
     `polyhedra._facet_system` (inside `newton_polyhedron`),
     `polyhedra._dilate_minimal_points` (inside `closure_power`) and
     `cone._canonical_scan` (inside `canonical_generators`). `**` calls

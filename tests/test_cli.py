@@ -39,7 +39,6 @@ from reesgor.errors import (
     BudgetExceededError,
     ConeGeometryError,
     InapplicableError,
-    IncompleteSearchError,
     InvariantViolationError,
     NotAReductionError,
     NotMPrimaryError,
@@ -196,7 +195,6 @@ def test_cone_needs_m_primary(job, capsys):
 def test_classify_failure_table():
     assert classify_failure(InapplicableError("x")) == EXIT_INAPPLICABLE
     assert classify_failure(InvariantViolationError("x")) == EXIT_UNTRUSTED
-    assert classify_failure(IncompleteSearchError("x")) == EXIT_UNTRUSTED
     assert classify_failure(BudgetExceededError("x")) == EXIT_UNTRUSTED
     assert classify_failure(MemoryError()) == EXIT_UNTRUSTED
     assert classify_failure(NotMPrimaryError("x")) == EXIT_USAGE
@@ -474,6 +472,17 @@ def test_main_builds_its_parser_once_per_process(job, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _package_env():
+    """The environment with the package's source first on PYTHONPATH,
+    for a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
+
+
 def test_the_parser_is_not_built_at_import():
     # Importing the command line builds no parser, so the import time
     # of a process stays what it was.
@@ -488,14 +497,9 @@ def test_the_parser_is_not_built_at_import():
         "import reesgor.cli\n"
         "print(len(built))\n"
     )
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=env,
+        env=_package_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -503,19 +507,34 @@ def test_the_parser_is_not_built_at_import():
     assert out.strip() == "0"
 
 
+def test_random_is_imported_by_the_corpus_alone():
+    # A command run does not load `random`; the first self-check case
+    # does. -S leaves out the site start-up, which may import it itself.
+    code = (
+        "import sys\n"
+        "import reesgor.cli\n"
+        "print('random' in sys.modules)\n"
+        "reesgor.cli._corpus_ideals(0, 0)\n"
+        "print('random' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=_package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == ["False", "True"]
+
+
 def test_python_dash_m_runs_the_command_line(job, capsys):
     # `python -m reesgor` is the in-process main: the same stdout bytes
     # on success, and the same exit code and reason on a refusal.
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
 
     def run(*argv):
         return subprocess.run(
             [sys.executable, "-m", "reesgor", *argv],
-            env=env,
+            env=_package_env(),
             capture_output=True,
         )
 
@@ -1047,8 +1066,8 @@ def _flipped_fast_test(ideal):
     return dataclasses.replace(test, gorenstein=not test.gorenstein)
 
 
-def _incomplete_search(ideal, facets=None):
-    raise IncompleteSearchError("search box too small")
+def _failed_search(ideal, facets=None):
+    raise InvariantViolationError("(1, 1, 1, 2) is missing from the generators")
 
 
 @pytest.mark.parametrize(
@@ -1064,8 +1083,8 @@ def _incomplete_search(ideal, facets=None):
          "closure generator (5, 5, 5) not minimal"),
         ("pure_power_gorenstein_test", _flipped_fast_test,
          "fast and full Gorenstein tests disagree"),
-        ("is_gorenstein_normalization", _incomplete_search,
-         "search box too small"),
+        ("is_gorenstein_normalization", _failed_search,
+         "(1, 1, 1, 2) is missing from the generators"),
     ],
     ids=["colon", "intersect", "outside", "not-minimal", "fast", "search"],
 )
@@ -1266,10 +1285,11 @@ def test_outside_a_job_every_call_runs_its_kernel(monkeypatch):
         is_gorenstein_normalization(ideal, facets)
         ideal * ideal
         ideal & ideal
-    # the facets above, then two double descriptions per round: the
-    # facets again and the lift of the cone
+    # the facets above, then three double descriptions per round: the
+    # facets again, the lift of the cone and the ray check of the cone
+    # it builds
     assert counts == {
-        "_double_description": 1 + 2 * 2,
+        "_double_description": 1 + 3 * 2,
         "_dilate_minimal_points": 2,
         "_canonical_scan": 2,
         "_product": 2,

@@ -25,9 +25,9 @@ from reesgor.cone import CanonicalData
 from reesgor.polyhedra import _slack_fields
 from reesgor.errors import (
     BudgetExceededError,
+    ConeGeometryError,
     DimensionMismatchError,
     InapplicableError,
-    IncompleteSearchError,
     InvalidIdealError,
     InvariantViolationError,
     NotMPrimaryError,
@@ -352,13 +352,15 @@ def test_column_scan_matches_full_box_scan():
         assert gorenstein == _interior_shift_route(cone, box, data.q), ideal
 
 
-def _reference_canonical_generators(cone):
-    """`canonical_generators` with the generated-by test it had before
-    the row-value kernel: form v - g for every accepted g and test it
-    for cone membership row by row."""
+def _reference_scan(cone, box):
+    """The column scan of `canonical_generators` with the generated-by
+    test it had before the row-value kernel, and with the sweep it had
+    before its search box was proved: (accepted, missed), the
+    generators accepted among the column minima over the first d sides
+    of box, by forming v - g for every accepted g and testing it for
+    cone membership row by row, and the other column minima of the
+    sweep box, one more on every side, that they do not generate."""
     d = cone.dim
-    q = compute_q(cone)
-    box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
     sweep = tuple(b + 1 for b in box)
     rows = [(row, 1) for row in cone.matrix]
     accepted = []
@@ -372,19 +374,26 @@ def _reference_canonical_generators(cone):
     candidates = []
     rest = []
     for v in column_minima(rows, sweep[:d]):
-        if all(a <= b for a, b in zip(v, box)):
+        if all(a <= b for a, b in zip(v[:d], box)):
             candidates.append(v)
         elif v[d] <= sweep[d]:
             rest.append(v)
     for v in sorted(candidates, key=lambda v: (sum(v), v)):
         if not generated(v):
             accepted.append(v)
-    for v in rest:
-        if not generated(v):
-            raise IncompleteSearchError(
-                f"interior point {v} is not generated by {accepted}; "
-                f"search box {box} was too small"
-            )
+    return accepted, [v for v in rest if not generated(v)]
+
+
+def _reference_canonical_generators(cone):
+    """`canonical_generators` by `_reference_scan` over the sum of the
+    rays, asserting that the box holds every generator and that its
+    sweep finds every interior point generated."""
+    d = cone.dim
+    q = compute_q(cone)
+    box = tuple(sum(r[i] for r in cone.rays) for i in range(d + 1))
+    accepted, missed = _reference_scan(cone, box)
+    assert all(v[d] <= box[d] for v in accepted), (cone, accepted)
+    assert not missed, (cone, missed)
 
     base = (1,) * d + (q,)
     if base not in accepted:
@@ -407,18 +416,32 @@ def _reference_canonical_generators(cone):
         gorenstein=gorenstein,
         a_invariant=a_inv,
         search_box=box,
-        sweep_box=sweep,
+        sweep_box=tuple(b + 1 for b in box),
     )
 
 
 def _outcome(scan, cone):
     try:
         return scan(cone)
-    except (IncompleteSearchError, InvariantViolationError) as e:
+    except InvariantViolationError as e:
         return type(e), str(e)
 
 
+def _shrunk(rays):
+    return tuple(tuple(max(0, c - 1) for c in r) for r in rays)
+
+
+def _refused_rays(cone, rays):
+    """Building cone with rays other than its own is refused, naming
+    them."""
+    with pytest.raises(ConeGeometryError, match="are not the extreme rays"):
+        dataclasses.replace(cone, rays=rays)
+
+
 def test_canonical_generators_match_the_reference_scan():
+    # True cones match the reference. Rays cut down by one, reordered
+    # or scaled, which once gave search boxes too small for the sweep
+    # or for the base point, are refused when the cone is built.
     rng = seeded(82)
     cones = [cone_of(((3, 0, 0, 0, 0), (0, 5, 0, 0, 0), (0, 0, 7, 0, 0),
                       (0, 0, 0, 11, 0), (0, 0, 0, 0, 13)))]
@@ -426,27 +449,73 @@ def test_canonical_generators_match_the_reference_scan():
         d = 1 + i % 5
         ideal = random_m_primary(rng, d, max_coord=5 if d < 4 else 3)
         cones.append(lift_halfspaces(newton_polyhedron(ideal)))
-    # Rays cut down by one give search boxes too small for the sweep
-    # or for the base point, so the errors are compared as well.
-    shrunk = [
-        dataclasses.replace(
-            cone,
-            rays=tuple(tuple(max(0, c - 1) for c in r) for r in cone.rays),
-        )
-        for cone in cones[1:13]
-    ]
-    errors = 0
-    for cone in cones + shrunk:
+    for cone in cones:
         expected = _outcome(_reference_canonical_generators, cone)
         assert _outcome(canonical_generators, cone) == expected, cone.matrix
-        errors += isinstance(expected, tuple)
-    assert errors > 0
+    for cone in cones[1:13]:
+        _refused_rays(cone, _shrunk(cone.rays))
+        _refused_rays(cone, cone.rays[::-1])
+        _refused_rays(cone, tuple(tuple(2 * c for c in r) for r in cone.rays))
+    # The cone x >= 0, x + t >= 0 has the true rays (0, 1) and (1, -1).
+    rows = ((1, 0), (1, 1))
+    assert extreme_rays(rows, 2) == ((0, 1), (1, -1))
+    outside = r"extreme rays \[\(1, -1\)\] leave the nonnegative orthant"
+    with pytest.raises(ConeGeometryError, match=outside) as refused:
+        cone_module.ReesCone(dim=1, matrix=rows, rays=((0, 1), (1, -1)))
+    assert classify_failure(refused.value) == EXIT_USAGE
+
+
+def _several_facets(rng, d):
+    """Pure powers with the product of two variables below their
+    simplex: a Newton polyhedron with several bounded facets."""
+    exps = [rng.randint(2, 4 if d < 4 else 3) for _ in range(d)]
+    pair = rng.sample(range(d), 2)
+    for i in pair:
+        exps[i] = max(exps[i], 3)
+    extra = tuple(int(i in pair) for i in range(d))
+    return MonomialIdeal(d, (*MonomialIdeal.pure_powers(exps).gens, extra))
+
+
+def test_the_search_box_holds_every_generator_the_sweep_would_find():
+    # The lemma of `_canonical_scan` by the reference's sweep, on true
+    # cones in d = 2..5 (seeded draws, most with several bounded facets,
+    # and the bases of both benchmark pools that are not pure powers):
+    # the sweep box, one more on every side, holds no interior point the
+    # generators do not generate. On the small cones the full box scan
+    # finds the same generators in the sweep box as in the search box.
+    rng = seeded(44)
+    ideals = [_several_facets(rng, 2 + i % 4) for i in range(48)]
+    ideals += [random_m_primary(rng, 2 + i % 4, max_coord=3)
+               for i in range(16)]
+    for workload in ("report", "gorenstein"):
+        for entry in _pinned_entries(workload):
+            gens = tuple(map(tuple, entry["gens"]))
+            ideal = MonomialIdeal(entry["dim"], gens)
+            if entry["variant"] == 0 and ideal.pure_power_exponents() is None:
+                ideals.append(ideal)
+    cones = []
+    for ideal in ideals:
+        facets = newton_polyhedron(ideal)
+        if facets.is_m_primary_source():
+            cones.append(lift_halfspaces(facets))
+    several = {cone.dim for cone in cones if len(cone.matrix) > cone.dim + 1}
+    assert several == {2, 3, 4, 5}
+    small = set()
+    for cone in cones:
+        data = canonical_generators(cone)
+        assert _reference_canonical_generators(cone) == data, cone.matrix
+        if math.prod(b + 2 for b in data.search_box) <= 2500:
+            small.add(len(cone.matrix) > cone.dim + 1)
+            assert _full_box_generators(cone, data.sweep_box) == (
+                _full_box_generators(cone, data.search_box)
+            ), cone.matrix
+    assert small == {False, True}
 
 
 def test_canonical_data_follows_every_relabelling_of_the_variables(
     monkeypatch,
 ):
-    # The scan is oriented along the longest side of the sweep box, so
+    # The scan is oriented along the longest side of the search box, so
     # each relabelling scans in another order; the answer must be the
     # relabelled answer, boxes included. The seeded draws all have one
     # bounded facet and read the residue box; the two cones with two
@@ -469,12 +538,12 @@ def test_canonical_data_follows_every_relabelling_of_the_variables(
             ),
         ),
     ]
-    swept = []
-    sweep_kernel = cone_module._swept_generators
+    scanned = []
+    scan_kernel = cone_module._swept_generators
 
-    def counted(cone, box, sweep):
-        swept.append(sweep)
-        return sweep_kernel(cone, box, sweep)
+    def counted(cone, box):
+        scanned.append(box)
+        return scan_kernel(cone, box)
 
     monkeypatch.setattr(cone_module, "_swept_generators", counted)
     checked = 0
@@ -501,41 +570,40 @@ def test_canonical_data_follows_every_relabelling_of_the_variables(
             checked += max(got.sweep_box[:d]) != got.sweep_box[d - 1]
     assert checked > 0
     # 1 + 6 and 1 + 24 scans: each cone and every relabelling of it
-    assert len(swept) == 32
-    assert any(max(s[:-1]) != s[-2] for s in swept)
+    assert len(scanned) == 32
+    assert any(max(s[:-1]) != s[-2] for s in scanned)
 
 
 def test_shrunk_cones_oriented_off_the_last_side_match_the_reference():
-    # Search boxes cut down by one make most of these cones fail. Where
-    # the longest side is not the last one the scan visits points in
-    # another order than the reference, yet both must name the same
-    # missed point (the least in the order of the variables).
+    # Where the longest side is not the last one the scan visits points
+    # in another order than the reference, yet both must accept the
+    # same generators. The same cones with their rays cut down by one,
+    # whose search boxes once made most of them fail, are refused when
+    # built.
     rng = seeded(5)
-    kinds = set()
+    oriented = 0
     for i in range(300):
         d = 2 + i % 3
         ideal = random_m_primary(rng, d, max_coord=5 if d < 4 else 3)
         cone = lift_halfspaces(newton_polyhedron(ideal))
-        small = dataclasses.replace(
-            cone,
-            rays=tuple(tuple(max(0, c - 1) for c in r) for r in cone.rays),
-        )
-        sides = [sum(r[j] for r in small.rays) for j in range(d)]
+        _refused_rays(cone, _shrunk(cone.rays))
+        sides = [sum(r[j] for r in cone.rays) for j in range(d)]
         if max(sides) == sides[-1]:
             continue
-        expected = _outcome(_reference_canonical_generators, small)
-        assert _outcome(canonical_generators, small) == expected, ideal
-        kinds.add(expected[0] if isinstance(expected, tuple) else None)
-    assert kinds == {None, IncompleteSearchError, InvariantViolationError}
+        expected = _outcome(_reference_canonical_generators, cone)
+        assert _outcome(canonical_generators, cone) == expected, ideal
+        oriented += 1
+    assert oriented > 50
 
 
 def test_wide_slack_fields_match_the_reference_generators():
     # Pure powers with exponents near 2^35 (2^70 in d = 1) lift to rows
     # with entries near 2^70, so the packed slacks have fields wider
     # than 64 bits. Their true rays span boxes far past the column
-    # budget, so each cone gets small rays instead: e_j + e_{d+1}
-    # scaled by 1, 2 or 3, and e_{d+1}. Generator sets of one and of
-    # several points, and too small search boxes, all occur.
+    # budget, so the scan runs on small boxes instead: the sums of
+    # e_j + e_{d+1} scaled by 1, 2 or 3, and e_{d+1}. Generator sets of
+    # one and of several points, and boxes too small to hold every
+    # generator, all occur.
     big = 1 << 35
     ideals = [
         ((big * big + 1,),),
@@ -547,33 +615,28 @@ def test_wide_slack_fields_match_the_reference_generators():
     for gens in ideals:
         cone = cone_of(gens)
         d = cone.dim
-        top = tuple(int(i == d) for i in range(d + 1))
         for scale in (1, 2, 3):
-            rays = tuple(
-                tuple(scale if i in (j, d) else 0 for i in range(d + 1))
-                for j in range(d)
-            ) + (top,)
-            small = dataclasses.replace(cone, rays=rays)
-            expected = _outcome(_reference_canonical_generators, small)
-            assert _outcome(canonical_generators, small) == expected, (
+            box = (scale,) * d + (d * scale + 1,)
+            expected, missed = _reference_scan(cone, box)
+            assert cone_module._swept_generators(cone, box) == expected, (
                 gens,
                 scale,
             )
-            sweep = [sum(r[i] for r in rays) + 1 for i in range(d)]
-            rows = [(row, 1) for row in small.matrix]
-            assert _slack_fields(rows, sweep)[0] > 64
-            if isinstance(expected, tuple):
-                outcomes.add("error")
-            else:
-                outcomes.add(len(expected.generators) > 1)
-    assert outcomes == {"error", False, True}
+            rows = [(row, 1) for row in cone.matrix]
+            assert _slack_fields(rows, box[:d])[0] > 64
+            outcomes.add("short" if missed else len(expected) > 1)
+    assert outcomes == {"short", False, True}
+
+
+def _pinned_entries(workload):
+    with open(PINS / f"{workload}.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            yield json.loads(line)
 
 
 def _pinned_ideals(workload):
-    with open(PINS / f"{workload}.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            entry = json.loads(line)
-            yield MonomialIdeal(entry["dim"], tuple(map(tuple, entry["gens"])))
+    for entry in _pinned_entries(workload):
+        yield MonomialIdeal(entry["dim"], tuple(map(tuple, entry["gens"])))
 
 
 def test_one_facet_cones_read_the_scans_generators_off_the_residue_box():
@@ -599,31 +662,24 @@ def test_one_facet_cones_read_the_scans_generators_off_the_residue_box():
     for ideal in ideals:
         cone = lift_halfspaces(newton_polyhedron(ideal))
         data = canonical_generators(cone)
-        box = data.search_box
-        assert cone_module._residue_sides(cone, box) is not None, ideal
-        swept = cone_module._swept_generators(cone, box, data.sweep_box)
+        assert cone_module._residue_sides(cone) is not None, ideal
+        swept = cone_module._swept_generators(cone, data.search_box)
         assert data.generators == tuple(swept), ideal
 
 
 def test_cones_off_the_gate_keep_the_scans_outcome_in_its_words():
-    # One-facet cones whose rays are cut down by one, and hand-built
-    # one-row cones whose facet normal does not divide h or whose rows
-    # are not the coordinate rows, fail the gate: each takes the scan,
-    # errors and their messages included.
+    # Hand-built one-row cones whose facet normal does not divide h or
+    # whose rows are not the coordinate rows fail the gate: each takes
+    # the scan, errors and their messages included. One-facet cones
+    # whose rays are cut down by one, which once failed the gate too,
+    # are refused when built.
     rng = seeded(38)
-    cones = []
     for i in range(40):
         cone = lift_halfspaces(
             newton_polyhedron(single_facet_ideal(rng, 2 + i % 3)[0])
         )
-        cones.append(
-            dataclasses.replace(
-                cone,
-                rays=tuple(
-                    tuple(max(0, c - 1) for c in r) for r in cone.rays
-                ),
-            )
-        )
+        _refused_rays(cone, _shrunk(cone.rays))
+    cones = []
     # the last one divides h, but its second coordinate row is y >= x
     for normal, h, skew in (
         ((2, 3), 5, 0), ((3, 4), 6, 0), ((4, 6, 3), 8, 0), ((2, 3), 6, -1)
@@ -638,14 +694,10 @@ def test_cones_off_the_gate_keep_the_scans_outcome_in_its_words():
                 dim=d, matrix=tuple(rows), rays=extreme_rays(rows, d + 1)
             )
         )
-    kinds = set()
     for cone in cones:
-        box = tuple(sum(r[i] for r in cone.rays) for i in range(cone.dim + 1))
-        assert cone_module._residue_sides(cone, box) is None, cone
+        assert cone_module._residue_sides(cone) is None, cone
         expected = _outcome(_reference_canonical_generators, cone)
         assert _outcome(canonical_generators, cone) == expected, cone
-        kinds.add(expected[0] if isinstance(expected, tuple) else None)
-    assert kinds == {None, IncompleteSearchError, InvariantViolationError}
 
 
 def _brute_residue_generators(normal, h, sides):
@@ -711,8 +763,10 @@ def test_the_residue_walk_matches_the_brute_force_definition():
             cone = lift_halfspaces(
                 newton_polyhedron(MonomialIdeal.pure_powers(sides))
             )
+            assert cone_module._residue_sides(cone) == calls[-1], sides
+            # the search box is the residue box, one more side for t
             box = tuple(map(sum, zip(*cone.rays)))
-            assert cone_module._residue_sides(cone, box) == calls[-1], sides
+            assert box == sides + (1 + sum(sides) - len(sides),), sides
         expected = _brute_residue_generators(normal, h, sides)
         walked = cone_module._residue_generators(normal, h, sides)
         assert walked == expected, (sides, multiple)
@@ -816,12 +870,14 @@ def test_oversized_box_is_named_in_the_order_of_the_variables():
 
 
 def test_undersized_search_box_is_reported():
-    # With the unit vectors as rays the search box is (1, 1, 1), which
-    # holds no interior point; the sweep then meets (1, 1, 2) outside it.
+    # The unit vectors as rays once gave the search box (1, 1, 1), which
+    # holds no interior point, and the sweep then met (1, 1, 2) outside
+    # it. Such rays are now refused when the cone is built, naming them
+    # and the true ones.
     cone = cone_of(((3, 0), (1, 1), (0, 3)))
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(IncompleteSearchError) as info:
+    with pytest.raises(ConeGeometryError) as info:
         canonical_generators(dataclasses.replace(cone, rays=units))
     message = str(info.value)
-    assert "interior point (1, 1, 2)" in message
-    assert "search box (1, 1, 1)" in message
+    assert f"rays {units} are not the extreme rays" in message
+    assert f"{cone.rays} of the matrix" in message
