@@ -16,7 +16,6 @@ enforces that bound and raises rather than looping on.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .cone import is_gorenstein_normalization
@@ -26,7 +25,7 @@ from .errors import (
     InvariantViolationError,
     NotAReductionError,
 )
-from .ideals import MonomialIdeal, _exact_int, _power_cache
+from .ideals import MonomialIdeal, _Value, _exact_int, _power_cache
 from .polyhedra import (
     FacetSystem,
     _facets_for,
@@ -226,8 +225,7 @@ def _pure_power_reduction(
     return reduction
 
 
-@dataclass(frozen=True)
-class QGVerdict:
+class QGVerdict(_Value):
     """Outcome of the quasi-Gorenstein colon test.
 
     When the verdict is positive, `a` is the unique degree making the
@@ -244,6 +242,24 @@ class QGVerdict:
     reduction_number: int
     nilpotency_index: int
     checked_range: Tuple[int, int]
+
+    def __init__(
+        self,
+        quasi_gorenstein: bool,
+        a: Optional[int],
+        u: Optional[int],
+        reduction: MonomialIdeal,
+        reduction_number: int,
+        nilpotency_index: int,
+        checked_range: Tuple[int, int],
+    ) -> None:
+        object.__setattr__(self, "quasi_gorenstein", quasi_gorenstein)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "reduction", reduction)
+        object.__setattr__(self, "reduction_number", reduction_number)
+        object.__setattr__(self, "nilpotency_index", nilpotency_index)
+        object.__setattr__(self, "checked_range", checked_range)
 
 
 def quasi_gorenstein_test(
@@ -348,8 +364,7 @@ def quasi_gorenstein_test(
     )
 
 
-@dataclass(frozen=True)
-class CMVerdict:
+class CMVerdict(_Value):
     """Outcome of the intersection-absorption test for the
     Cohen-Macaulay property of the extended Rees algebra."""
 
@@ -357,6 +372,18 @@ class CMVerdict:
     reduction: MonomialIdeal
     reduction_number: int
     first_failure: Optional[int]
+
+    def __init__(
+        self,
+        cohen_macaulay: bool,
+        reduction: MonomialIdeal,
+        reduction_number: int,
+        first_failure: Optional[int],
+    ) -> None:
+        object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
+        object.__setattr__(self, "reduction", reduction)
+        object.__setattr__(self, "reduction_number", reduction_number)
+        object.__setattr__(self, "first_failure", first_failure)
 
 
 def cohen_macaulay_test(
@@ -563,13 +590,26 @@ def conductor_exponent(
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
+class ConsistencyCheck(_Value):
     name: str
     applicable: bool
     ok: bool
     expected: Optional[int]
     actual: Optional[int]
+
+    def __init__(
+        self,
+        name: str,
+        applicable: bool,
+        ok: bool,
+        expected: Optional[int],
+        actual: Optional[int],
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
 
 def a_invariant_consistency(

@@ -51,7 +51,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -60,7 +59,14 @@ from .errors import (
     InvariantViolationError,
     NotMPrimaryError,
 )
-from .ideals import MonomialIdeal, Vector, _axes, _exact_vector, _once
+from .ideals import (
+    MonomialIdeal,
+    Vector,
+    _Value,
+    _axes,
+    _exact_vector,
+    _once,
+)
 from .polyhedra import (
     FacetSystem,
     _check_column_budget,
@@ -72,8 +78,7 @@ from .polyhedra import (
 )
 
 
-@dataclass(frozen=True)
-class ReesCone:
+class ReesCone(_Value):
     """Facet matrix and extreme rays of the semigroup cone, in the
     orthant coordinates described in the module docstring. The matrix
     is all a consumer reads of the facets of NP(I): a row with last
@@ -89,30 +94,58 @@ class ReesCone:
     matrix's cone (what `extreme_rays` returns for the matrix), and
     rays with a negative entry; a matrix whose cone is not pointed or
     not full dimensional raises the kernel's own ConeGeometryError.
-    The search box of `_canonical_scan` rests on both refusals. The rays are solved by the kernel of `extreme_rays`
-    through the job memo, so inside a job, where `lift_halfspaces` has
-    just solved the same rows, the check costs a lookup."""
+    The search box of `_canonical_scan` rests on both refusals. The
+    rays are solved by the kernel of `extreme_rays` through the job
+    memo, so inside a job the check costs a lookup. `lift_halfspaces`
+    builds its cones through `_trusted`, which skips the ray solve and
+    the type checks by the lemma in its docstring."""
 
     dim: int
     matrix: Tuple[Vector, ...]
     rays: Tuple[Vector, ...]
 
-    def __post_init__(self) -> None:
-        n = self.dim + 1
+    def __init__(
+        self, dim: int, matrix: Tuple[Vector, ...], rays: Tuple[Vector, ...]
+    ) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rays", rays)
+        n = dim + 1
         where = f"a cone in {n} coordinates"
-        for v in (*self.matrix, *self.rays):
+        for v in (*matrix, *rays):
             _exact_vector(v, n, where)
-        true = _once(_double_description, tuple(map(tuple, self.matrix)), n)
-        rays = tuple(map(tuple, self.rays))
+        true = _once(_double_description, tuple(map(tuple, matrix)), n)
+        rays = tuple(map(tuple, rays))
         if rays != true:
             raise ConeGeometryError(
                 f"rays {rays} are not the extreme rays {true} of the matrix"
             )
-        if min(itertools.chain(*rays), default=0) < 0:
-            outside = [r for r in rays if min(r) < 0]
-            raise ConeGeometryError(
-                f"extreme rays {outside} leave the nonnegative orthant"
-            )
+        _refuse_outside(rays)
+
+    @classmethod
+    def _trusted(
+        cls, dim: int, matrix: Tuple[Vector, ...], rays: Tuple[Vector, ...]
+    ) -> "ReesCone":
+        """The cone of matrix and rays, built without the ray solve and
+        the type checks of `__init__`; only `lift_halfspaces` calls it.
+
+        Lemma. There, matrix is the tuple of the rows lifted from a
+        checked `FacetSystem`, made of the ints its `HalfSpace`s
+        stored, and rays is what `extreme_rays` returns for exactly
+        these rows at dim + 1: it refuses a row of another length or
+        with an entry that is no int, and returns the output of the
+        kernel `_double_description` on them, tuples of ints of length
+        dim + 1. The check of `__init__` solves the same rows with the
+        same kernel, so it would find rays again, and its type checks
+        pass on what `extreme_rays` already checked. Outside a job
+        that check is a second full double description. The orthant
+        check is cheap and stays."""
+        cone = cls.__new__(cls)
+        object.__setattr__(cone, "dim", dim)
+        object.__setattr__(cone, "matrix", matrix)
+        object.__setattr__(cone, "rays", rays)
+        _refuse_outside(rays)
+        return cone
 
     def relint_member(self, v: Sequence[int]) -> bool:
         """Is v a lattice point of the relative interior, every facet
@@ -121,6 +154,17 @@ class ReesCone:
         where = f"a cone in {self.dim + 1} coordinates"
         w = _exact_vector(v, self.dim + 1, where)
         return all(_dot(row, w) >= 1 for row in self.matrix)
+
+
+def _refuse_outside(rays: Tuple[Vector, ...]) -> None:
+    """Refuse, with ConeGeometryError naming them, rays with a negative
+    entry: the search box of `_canonical_scan` lies under their sum
+    only inside the orthant."""
+    if min(itertools.chain(*rays), default=0) < 0:
+        outside = [r for r in rays if min(r) < 0]
+        raise ConeGeometryError(
+            f"extreme rays {outside} leave the nonnegative orthant"
+        )
 
 
 def lift_halfspaces(facets: FacetSystem) -> ReesCone:
@@ -140,7 +184,7 @@ def lift_halfspaces(facets: FacetSystem) -> ReesCone:
         for f in facets.bounded
     ] + _axes((1,) * d, d + 1)
     rays = extreme_rays(rows, d + 1)
-    return ReesCone(dim=d, matrix=tuple(rows), rays=rays)
+    return ReesCone._trusted(d, tuple(rows), rays)
 
 
 def compute_q(cone: ReesCone) -> int:
@@ -172,8 +216,7 @@ def compute_q(cone: ReesCone) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class CanonicalData:
+class CanonicalData(_Value):
     """Canonical module of the normalized algebra: minimal generators
     of the interior-point module, with two boxes. The search box is
     the sum of the extreme rays, which holds every minimal generator
@@ -188,6 +231,22 @@ class CanonicalData:
     a_invariant: int
     search_box: Tuple[int, ...]
     sweep_box: Tuple[int, ...]
+
+    def __init__(
+        self,
+        q: int,
+        generators: Tuple[Vector, ...],
+        gorenstein: bool,
+        a_invariant: int,
+        search_box: Tuple[int, ...],
+        sweep_box: Tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "gorenstein", gorenstein)
+        object.__setattr__(self, "a_invariant", a_invariant)
+        object.__setattr__(self, "search_box", search_box)
+        object.__setattr__(self, "sweep_box", sweep_box)
 
 
 def canonical_generators(cone: ReesCone) -> CanonicalData:
@@ -538,8 +597,7 @@ def is_gorenstein_normalization(
     return route2, data
 
 
-@dataclass(frozen=True)
-class PurePowerTest:
+class PurePowerTest(_Value):
     """Closed-form Gorenstein test for ideals of pure powers.
 
     With L = lcm(a_1, ..., a_d), write sum_i L / a_i = j * L + p with
@@ -561,6 +619,20 @@ class PurePowerTest:
     quotient: int
     remainder: int
     gorenstein: bool
+
+    def __init__(
+        self,
+        exponents: Tuple[int, ...],
+        lcm: int,
+        quotient: int,
+        remainder: int,
+        gorenstein: bool,
+    ) -> None:
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "lcm", lcm)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "remainder", remainder)
+        object.__setattr__(self, "gorenstein", gorenstein)
 
 
 def pure_power_gorenstein_test(ideal: MonomialIdeal) -> PurePowerTest:

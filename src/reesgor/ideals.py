@@ -3,16 +3,16 @@
 An ideal in d variables is stored by its unique minimal monomial
 generating set: the componentwise-minimal exponent vectors, with
 duplicates removed, sorted lexicographically. Because the stored form
-is canonical, dataclass equality is semantic equality of ideals. The
-zero ideal has an empty generator tuple; the unit ideal is generated by
-the zero vector. The minimal set is found over the lexicographically
-sorted candidates by one of three exact methods (see minimalize): in
-two variables a running minimum over the staircase; for at most
-SCAN_LIMIT = 16 distinct candidates a scan that compares each one
-with those kept before it; above that one bitset pass per coordinate.
-On the three-variable calls of the pinned report jobs the scan wins
-up to k = 15 distinct candidates, ties at k = 18 and loses from k = 19
-(about 22 against 15 us).
+is canonical, equality of the stored fields is semantic equality of
+ideals. The zero ideal has an empty generator tuple; the unit ideal is
+generated by the zero vector. The minimal set is found over the
+lexicographically sorted candidates by one of three exact methods (see
+minimalize): in two variables a running minimum over the staircase;
+for at most SCAN_LIMIT = 16 distinct candidates a scan that compares
+each one with those kept before it; above that one bitset pass per
+coordinate. On the three-variable calls of the pinned report jobs the
+scan wins up to k = 15 distinct candidates, ties at k = 18 and loses
+from k = 19 (about 22 against 15 us).
 
 Every ideal is built through minimalize, which has two entries. Any
 input is validated and minimalized: one walk checks dim and the
@@ -49,7 +49,6 @@ import contextlib
 import contextvars
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
@@ -137,6 +136,66 @@ class _Minimal(tuple):
 
 
 # -------------------------------------------------------------------- #
+# frozen values
+
+
+class _Value:
+    """Base of the package's immutable values: `MonomialIdeal`, the
+    facet and cone data, the verdicts, `report.JobSpec` and
+    `oracle.Box`. The fields of a class are the names it annotates, in
+    order, read once into `_fields` when the class is made. Each class
+    sets them in its own `__init__`, with `object.__setattr__`, and
+    runs its own checks there.
+
+    Two values are equal iff they have the same class and equal
+    fields; the hash is that of the tuple of fields; `repr` is
+    `Name(field=value, ...)`. Assigning or deleting an attribute
+    raises `dataclasses.FrozenInstanceError`, whose module is imported
+    only on that path. A pickle stores the class and the fields, so
+    loading one builds the value through its constructor, checks
+    included."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        get = operator.attrgetter(*fields)
+        # the tuple of field values; attrgetter makes one of two or more
+        cls._values = staticmethod(
+            get if len(fields) > 1 else lambda value: (get(value),)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields
+        )
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
+
+
+# -------------------------------------------------------------------- #
 # the job memo
 
 # The memo of the job running in this context, from (kernel, its
@@ -182,7 +241,7 @@ def _once(kernel: Callable, *args):
     immutable values compared by value: ints, tuples of ints, and
     frozen `FacetSystem` and `cone.ReesCone` objects whose fields are
     ints and tuples, as every one the package builds is. It returns
-    an immutable value (tuples and frozen dataclasses). So within one
+    an immutable value (tuples and frozen `_Value`s). So within one
     job a stored result is exactly what a fresh run would return, and
     handing it out again changes nothing but time. A hand-made facet
     system with a list field, such as `FacetSystem(2, [HalfSpace((1,
@@ -381,10 +440,10 @@ def _join(
     return _Minimal(_minimal(sorted(joins), dim))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """A monomial ideal, canonicalized on construction."""
 
+    __slots__ = ("dim", "gens")
     dim: int
     gens: Tuple[Vector, ...]
 
@@ -393,6 +452,16 @@ class MonomialIdeal:
         object.__setattr__(self, "gens", minimalize(gens, dim))
         # an int subclass is kept as its int
         object.__setattr__(self, "dim", dim if type(dim) is int else int(dim))
+
+    # The contract of `_Value.__eq__` and `__hash__`, written out: ideals
+    # are compared and hashed far more often than any other value.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.gens == other.gens
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.gens))
 
     # ---------------------------------------------------------------- #
     # constructors

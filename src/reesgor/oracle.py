@@ -24,23 +24,24 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceededError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _Value
 
 Vector = Tuple[int, ...]
 
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Value):
     """The integer box prod_j [0, bounds_j]; size, and so points(),
     refuses one of more than DEFAULT_BUDGET points."""
 
     bounds: Tuple[int, ...]
+
+    def __init__(self, bounds: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def size(self) -> int:

@@ -32,7 +32,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -46,6 +45,7 @@ from .ideals import (
     MonomialIdeal,
     Vector,
     _Minimal,
+    _Value,
     _axes,
     _check_dim,
     _exact_int,
@@ -273,8 +273,7 @@ def _double_description(
 # facet systems
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(_Value):
     """The half-space {v : <normal, v> >= offset}. Refuses, with
     InvalidIdealError naming it, a normal entry or an offset that fails
     `_exact_int`, and stores an int subclass as the int it equals.
@@ -287,16 +286,17 @@ class HalfSpace:
     normal: Tuple[int, ...]
     offset: int
 
-    def __post_init__(self) -> None:
-        normal = tuple(self.normal)
-        if not (all(map(_exact_int, normal)) and _exact_int(self.offset)):
+    def __init__(self, normal: Tuple[int, ...], offset: int) -> None:
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
+        normal = tuple(normal)
+        if not (all(map(_exact_int, normal)) and _exact_int(offset)):
             raise InvalidIdealError(f"non-integer entry in facet {self}")
         object.__setattr__(self, "normal", tuple(map(int, normal)))
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", int(offset))
 
 
-@dataclass(frozen=True)
-class FacetSystem:
+class FacetSystem(_Value):
     """Facet description of a Newton polyhedron.
 
     `bounded` holds the facets with positive offset, sorted by normal:
@@ -322,11 +322,15 @@ class FacetSystem:
     bounded: Tuple[HalfSpace, ...]
     coordinate: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if type(self.dim) is not int:  # an int subclass, kept as its int
-            object.__setattr__(self, "dim", int(self.dim))
-        for f in self.bounded:
+    def __init__(
+        self, dim: int, bounded: Tuple[HalfSpace, ...], coordinate: Tuple[int, ...]
+    ) -> None:
+        _check_dim(dim)
+        # an int subclass is kept as its int
+        object.__setattr__(self, "dim", dim if type(dim) is int else int(dim))
+        object.__setattr__(self, "bounded", bounded)
+        object.__setattr__(self, "coordinate", coordinate)
+        for f in bounded:
             if len(f.normal) != self.dim:
                 raise InvalidIdealError(
                     f"facet {f} has {len(f.normal)} normal entries, "

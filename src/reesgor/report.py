@@ -16,7 +16,6 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
 from typing import Dict, List, Optional
 
 from .analysis import (
@@ -36,16 +35,23 @@ from .cone import (
     pure_power_gorenstein_test,
 )
 from .errors import InapplicableError, NotAReductionError, NotMPrimaryError
-from .ideals import MonomialIdeal, _exact_int
+from .ideals import MonomialIdeal, _Value, _exact_int
 from .polyhedra import closure_power, newton_polyhedron
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(_Value):
     ideal: MonomialIdeal
     reduction: Optional[MonomialIdeal]
+
+    def __init__(
+        self,
+        ideal: MonomialIdeal,
+        reduction: Optional[MonomialIdeal],
+    ) -> None:
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "reduction", reduction)
 
 
 def _exponent_lists(data: Dict, key: str) -> tuple:
@@ -123,9 +129,9 @@ def ideal_dict(ideal: MonomialIdeal) -> Dict:
 
 def _plain(value: object) -> object:
     """A verdict in JSON types: a tuple becomes a list, a MonomialIdeal
-    its ideal_dict, and a dataclass the dict of its fields, each entry
-    and field converted in turn. So a section's keys are the field
-    names of its verdict dataclass (in analysis.py, cone.py or
+    its ideal_dict, and any other `_Value` the dict of its `_fields`,
+    each entry and field converted in turn. So a section's keys are the
+    field names of its verdict class (in analysis.py, cone.py or
     polyhedra.py), stated there once: renaming a field renames the key,
     and a builder adds only what its verdict does not store. An int in
     a tuple is copied without a call, since boxes and exponent vectors
@@ -134,8 +140,8 @@ def _plain(value: object) -> object:
         return [v if type(v) is int else _plain(v) for v in value]
     if isinstance(value, MonomialIdeal):
         return ideal_dict(value)
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, _Value):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
     return value
 
 

@@ -1,6 +1,5 @@
 """The lifted semigroup cone and the canonical module read off it."""
 
-import dataclasses
 import inspect
 import itertools
 import json
@@ -159,6 +158,36 @@ def test_membership_helpers_refuse_a_vector_of_the_wrong_length():
             facets.contains_power(v, 1)
 
 
+def _rebuilt(cone, **changes):
+    """A ReesCone built through its checked constructor from the fields
+    of cone, with the given ones changed."""
+    fields = {"dim": cone.dim, "matrix": cone.matrix, "rays": cone.rays}
+    return cone_module.ReesCone(**{**fields, **changes})
+
+
+def test_trusted_cones_equal_the_checked_construction():
+    # lift_halfspaces builds its cone without the ray solve and the type
+    # checks of ReesCone. On every ideal of both pinned pools (all
+    # m-primary) and on seeded ones in d = 2..5, the checked constructor
+    # accepts the same fields, and the cone holds plain ints.
+    ideals = [
+        ideal
+        for workload in ("report", "gorenstein")
+        for ideal in _pinned_ideals(workload)
+    ]
+    rng = seeded(2605)
+    for d in (2, 3, 4, 5):
+        ideals += [random_m_primary(rng, d) for _ in range(25)]
+    assert len(ideals) == 986 + 100
+    for ideal in ideals:
+        trusted = lift_halfspaces(newton_polyhedron(ideal))
+        assert _rebuilt(trusted) == trusted, ideal
+        for v in (*trusted.matrix, *trusted.rays):
+            assert type(v) is tuple and {*map(type, v)} == {int}, ideal
+    with pytest.raises(ConeGeometryError, match=r"rays \[\(1, -1\)\] leave"):
+        cone_module.ReesCone._trusted(1, ((1, 0), (0, 1)), ((1, -1),))
+
+
 def test_rees_cone_refuses_malformed_rows_and_rays_when_built():
     # A short ray once made canonical_generators raise IndexError, and
     # short matrix rows a violated invariant, which the exit table reads
@@ -172,15 +201,15 @@ def test_rees_cone_refuses_malformed_rows_and_rays_when_built():
             DimensionMismatchError,
             match="length 2 against a cone in 3 coordinates",
         ) as refused:
-            dataclasses.replace(cone, **bad)
+            _rebuilt(cone, **bad)
         assert classify_failure(refused.value) == EXIT_USAGE
     for bad in (
         {"matrix": cone.matrix + ((1, 0.5, 0),)},
         {"rays": cone.rays + ((1, 0, True),)},
     ):
         with pytest.raises(InvalidIdealError, match="non-integer exponent in"):
-            dataclasses.replace(cone, **bad)
-    assert dataclasses.replace(cone) == cone
+            _rebuilt(cone, **bad)
+    assert _rebuilt(cone) == cone
 
 
 def test_matrix_and_rays_are_mutually_dual():
@@ -435,7 +464,7 @@ def _refused_rays(cone, rays):
     """Building cone with rays other than its own is refused, naming
     them."""
     with pytest.raises(ConeGeometryError, match="are not the extreme rays"):
-        dataclasses.replace(cone, rays=rays)
+        _rebuilt(cone, rays=rays)
 
 
 def test_canonical_generators_match_the_reference_scan():
@@ -877,7 +906,7 @@ def test_undersized_search_box_is_reported():
     cone = cone_of(((3, 0), (1, 1), (0, 3)))
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ConeGeometryError) as info:
-        canonical_generators(dataclasses.replace(cone, rays=units))
+        canonical_generators(_rebuilt(cone, rays=units))
     message = str(info.value)
     assert f"rays {units} are not the extreme rays" in message
     assert f"{cone.rays} of the matrix" in message

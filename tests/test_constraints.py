@@ -66,15 +66,16 @@ def test_arithmetic_stays_exact(path):
 def test_the_oracle_is_independent_of_the_algorithms():
     """An agreement between the oracle and the algorithms is evidence
     only if the oracle computes its answers itself: from the package it
-    may import the error types and the MonomialIdeal container, and it
-    names no algorithmic routine of the ideal or polyhedron code."""
+    may import the error types, the MonomialIdeal container and the
+    frozen value base `_Value` that its Box builds on, and it names no
+    algorithmic routine of the ideal or polyhedron code."""
     (path,) = [p for p in SOURCES if p.name == "oracle.py"]
     for node in ast.walk(_tree(path)):
         where = (path.name, getattr(node, "lineno", None))
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             names = {alias.name for alias in node.names}
             assert node.module == "errors" or (
-                node.module == "ideals" and names == {"MonomialIdeal"}
+                node.module == "ideals" and names == {"MonomialIdeal", "_Value"}
             ), where
         elif isinstance(node, ast.Name):
             assert node.id not in ALGORITHM_NAMES, where
@@ -198,6 +199,20 @@ def test_only_the_named_methods_build_the_trusted_marker():
         for path in SOURCES
         for use in _uses_of(_tree(path), "_Valid")
     ]
+
+
+def test_only_the_lift_builds_trusted_cones():
+    """`cone.ReesCone._trusted` builds a cone without solving its rays
+    again or checking the types of its rows and rays. Its one caller
+    is `lift_halfspaces`, whose rays are the kernel's output for
+    exactly the rows it passes (the lemma in `_trusted`'s docstring):
+    a new caller is a reviewed change."""
+    uses = {
+        (path.name, where, how)
+        for path in SOURCES
+        for where, how in _uses_of(_tree(path), "_trusted")
+    }
+    assert uses == {("cone.py", "lift_halfspaces", "builds")}
 
 
 def _raised_name(node):

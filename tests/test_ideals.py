@@ -16,12 +16,17 @@ from reesgor import (
     FacetSystem,
     HalfSpace,
     MonomialIdeal,
+    a_invariant_consistency,
+    canonical_generators,
     closure_power,
+    cohen_macaulay_test,
     core_compute,
     extreme_rays,
     lift_halfspaces,
     minimalize,
     newton_polyhedron,
+    pure_power_gorenstein_test,
+    quasi_gorenstein_test,
 )
 from reesgor.errors import (
     DimensionMismatchError,
@@ -30,7 +35,7 @@ from reesgor.errors import (
 )
 from reesgor import ideals
 from reesgor.ideals import SCAN_LIMIT, leq
-from reesgor.oracle import oracle_colon, oracle_intersect
+from reesgor.oracle import Box, oracle_colon, oracle_intersect
 from reesgor.report import JobSpec, build_report, job_from_dict, to_json
 
 from conftest import random_ideal, random_m_primary, seeded, single_facet_ideal
@@ -603,9 +608,9 @@ def test_the_slotted_ideal_keeps_its_dataclass_contract(monkeypatch):
         ideal.gens = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         del ideal.gens
-    # A name that is no field has no slot. The frozen __setattr__ of a
-    # slotted dataclass refers to the class before slots were added,
-    # so on Python 3.10-3.13 it raises TypeError from super() there.
+    # A name that is no field has no slot. The frozen value base raises
+    # FrozenInstanceError for it as for a field; the slotted dataclass
+    # this class once was raised TypeError from super() there.
     with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
         ideal.extra = 1
     assert not hasattr(ideal, "__dict__") and not hasattr(ideal, "extra")
@@ -614,10 +619,6 @@ def test_the_slotted_ideal_keeps_its_dataclass_contract(monkeypatch):
     assert hash(ideal) == hash(I(2, (0, 2), (2, 0))) == hash(
         (2, ((0, 2), (2, 0)))
     )
-    assert [f.name for f in dataclasses.fields(ideal)] == ["dim", "gens"]
-    # replace builds through the constructor, so it canonicalizes
-    assert dataclasses.replace(ideal, gens=[(1, 1), (2, 2)]) == I(2, (1, 1))
-    assert dataclasses.replace(ideal).gens == ((0, 2), (2, 0))
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(ideal, protocol))
         assert copy == ideal and type(copy) is MonomialIdeal, protocol
@@ -671,6 +672,101 @@ def test_the_slotted_ideal_keeps_its_dataclass_contract(monkeypatch):
     with ideals._job():
         build_report(JobSpec(anchor, None))
     assert len(calls) == len(built) > 300
+
+
+def _m_squared():
+    return I(2, (2, 0), (1, 1), (0, 2))
+
+
+def _cone():
+    return lift_halfspaces(newton_polyhedron(_m_squared()))
+
+
+# One value of each class built on ideals._Value, and its repr: the
+# string the class gave when it was a frozen dataclass.
+VALUES = {
+    "MonomialIdeal": (
+        _m_squared,
+        "MonomialIdeal(dim=2, gens=((0, 2), (1, 1), (2, 0)))",
+    ),
+    "HalfSpace": (
+        lambda: HalfSpace((2, 2, 1), 4),
+        "HalfSpace(normal=(2, 2, 1), offset=4)",
+    ),
+    "FacetSystem": (
+        lambda: newton_polyhedron(_m_squared()),
+        "FacetSystem(dim=2, bounded=(HalfSpace(normal=(1, 1), offset=2),),"
+        " coordinate=(0, 1))",
+    ),
+    "ReesCone": (
+        _cone,
+        "ReesCone(dim=2, matrix=((-1, -1, 2), (1, 0, 0), (0, 1, 0)),"
+        " rays=((0, 0, 1), (0, 2, 1), (2, 0, 1)))",
+    ),
+    "CanonicalData": (
+        lambda: canonical_generators(_cone()),
+        "CanonicalData(q=2, generators=((1, 1, 2), (1, 2, 2), (2, 1, 2)),"
+        " gorenstein=False, a_invariant=0, search_box=(2, 2, 3),"
+        " sweep_box=(3, 3, 4))",
+    ),
+    "PurePowerTest": (
+        lambda: pure_power_gorenstein_test(MonomialIdeal.pure_powers((2, 3))),
+        "PurePowerTest(exponents=(2, 3), lcm=6, quotient=0, remainder=5,"
+        " gorenstein=False)",
+    ),
+    "QGVerdict": (
+        lambda: quasi_gorenstein_test(_m_squared()),
+        "QGVerdict(quasi_gorenstein=False, a=None, u=None,"
+        " reduction=MonomialIdeal(dim=2, gens=((0, 2), (2, 0))),"
+        " reduction_number=1, nilpotency_index=1, checked_range=(1, 1))",
+    ),
+    "CMVerdict": (
+        lambda: cohen_macaulay_test(_m_squared()),
+        "CMVerdict(cohen_macaulay=True,"
+        " reduction=MonomialIdeal(dim=2, gens=((0, 2), (2, 0))),"
+        " reduction_number=1, first_failure=None)",
+    ),
+    "ConsistencyCheck": (
+        lambda: a_invariant_consistency(_m_squared())[0],
+        "ConsistencyCheck(name='closure-index', applicable=True, ok=True,"
+        " expected=0, actual=0)",
+    ),
+    "JobSpec": (
+        lambda: job_from_dict({"dim": 2, "gens": [[2, 0], [1, 1], [0, 2]]}),
+        "JobSpec(ideal=MonomialIdeal(dim=2, gens=((0, 2), (1, 1), (2, 0))),"
+        " reduction=None)",
+    ),
+    "Box": (lambda: Box((2, 3)), "Box(bounds=(2, 3))"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_every_value_keeps_the_frozen_dataclass_contract(name):
+    build, shown = VALUES[name]
+    value = build()
+    assert type(value).__name__ == name and isinstance(value, ideals._Value)
+    assert repr(value) == shown
+    fields = type(value)._fields
+    for field in fields:
+        with pytest.raises(
+            dataclasses.FrozenInstanceError,
+            match=f"^cannot assign to field '{field}'$",
+        ):
+            setattr(value, field, None)
+        with pytest.raises(
+            dataclasses.FrozenInstanceError,
+            match=f"^cannot delete field '{field}'$",
+        ):
+            delattr(value, field)
+    assert repr(value) == shown
+    twin = build()
+    assert twin is not value and twin == value and not twin != value
+    values = tuple(getattr(value, field) for field in fields)
+    assert hash(twin) == hash(value) == hash(values)
+    assert value.__eq__(values) is NotImplemented and value != values
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert copy == value and type(copy) is type(value), protocol
 
 
 # ------------------------------------------------------------------ #

@@ -20,14 +20,20 @@ fork and exec, so that figure is at least this process's RSS at the
 fork. Prints one line per input: exit code, process time, peak RSS and
 the sha256 of the standard output, then of standard error.
 
-The last line is the cold start: the wall time of a whole fresh
+The last two lines are the cold start: the wall time of a whole fresh
 `python -m reesgor --json report JOB` process on the anchor, interpreter
 start and imports included, as the median of 11 processes with the
-extremes. The processes write and read their bytecode under a
-PYTHONPYCACHEPREFIX folder of their own, with PYTHONDONTWRITEBYTECODE
-removed, and one untimed process per tree fills it first, so every
-timed process runs from cached bytecode, whatever `__pycache__` the
-trees hold and whether the caller's environment stops bytecode writes.
+extremes. For the first, the processes write and read their bytecode
+under a PYTHONPYCACHEPREFIX folder of their own, with
+PYTHONDONTWRITEBYTECODE removed, and one untimed process per tree
+fills it first, so every timed process runs from cached bytecode,
+whatever `__pycache__` the trees hold and whether the caller's
+environment stops bytecode writes. For the second, the processes run
+with PYTHONDONTWRITEBYTECODE=1 and an empty PYTHONPYCACHEPREFIX folder
+of their own, so each compiles from source every module it imports
+that the interpreter has not frozen, the standard library's included:
+the price of a first import, and of every import in a checkout whose
+bytecode cannot be written.
 
 With --against, the same inputs also run on the package of a second
 checkout (its src/reesgor), in a child of its own, the tree that runs
@@ -146,14 +152,19 @@ def _run(src, argv, folder):
             *digests)
 
 
-def _start(src, argv, folder):
+def _start(src, argv, folder, cached):
     """(wall seconds, exit code, stdout sha256, stderr sha256) of one
     fresh `python -m reesgor` process on argv, importing the package
-    from src, run in folder so that its own directory adds no package,
-    with its bytecode cached under folder/pycache."""
+    from src, run in folder so that its own directory adds no package.
+    If cached, its bytecode is cached under folder/pycache; if not, it
+    reads no bytecode from folder/empty and writes none."""
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPYCACHEPREFIX"] = str(pathlib.Path(folder) / "pycache")
+    if cached:
+        env["PYTHONPYCACHEPREFIX"] = str(pathlib.Path(folder) / "pycache")
+    else:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        env["PYTHONPYCACHEPREFIX"] = str(pathlib.Path(folder) / "empty")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                       if p])
@@ -163,21 +174,23 @@ def _start(src, argv, folder):
     return time.perf_counter() - start, *result
 
 
-def _cold_start(trees, folder):
-    """The cold-start line: each tree's median wall time over STARTS
-    fresh processes, the tree that starts first alternating."""
+def _cold_start(trees, folder, cached):
+    """A cold-start line: each tree's median wall time over STARTS
+    fresh processes, the tree that starts first alternating, from
+    cached bytecode or compiled from source (see `_start`)."""
     job = pathlib.Path(folder) / "job.json"
     job.write_text(json.dumps({"dim": 3, "gens": ANCHOR}))
     argv = ["--json", "report", str(job)]
-    for src in trees.values():  # untimed: caches the bytecode
-        _start(src, argv, folder)
+    if cached:
+        for src in trees.values():  # untimed: caches the bytecode
+            _start(src, argv, folder, cached)
     runs = {tree: [] for tree in trees}
     for index in range(STARTS):
         order = list(trees)
         if index % 2:
             order.reverse()
         for tree in order:
-            runs[tree].append(_start(trees[tree], argv, folder))
+            runs[tree].append(_start(trees[tree], argv, folder, cached))
 
     def show(tree):
         times = sorted(1000 * run[0] for run in runs[tree])
@@ -186,8 +199,9 @@ def _cold_start(trees, folder):
                 f"({times[0]:.1f}-{times[-1]:.1f}), exit {code}, "
                 f"out {out[:12]}, err {err[:12]}")
 
+    how = "bytecode cached" if cached else "compiled from source"
     line = (f"cold start --json report anchor, {STARTS} processes, "
-            f"bytecode cached: {show('this')}")
+            f"{how}: {show('this')}")
     if "against" in trees:
         same = len({run[1:] for tree in trees for run in runs[tree]}) == 1
         line += (f"; against {show('against')}; "
@@ -235,7 +249,8 @@ def main() -> None:
                     line += (f"; against {_show(results['against'])}; "
                              f"output {'same' if same else 'DIFFERS'}")
                 print(line, flush=True)
-        print(_cold_start(trees, folder), flush=True)
+        for cached in (True, False):
+            print(_cold_start(trees, folder, cached), flush=True)
 
 
 if __name__ == "__main__":
