@@ -243,24 +243,6 @@ class QGVerdict(_Value):
     nilpotency_index: int
     checked_range: Tuple[int, int]
 
-    def __init__(
-        self,
-        quasi_gorenstein: bool,
-        a: Optional[int],
-        u: Optional[int],
-        reduction: MonomialIdeal,
-        reduction_number: int,
-        nilpotency_index: int,
-        checked_range: Tuple[int, int],
-    ) -> None:
-        object.__setattr__(self, "quasi_gorenstein", quasi_gorenstein)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "reduction_number", reduction_number)
-        object.__setattr__(self, "nilpotency_index", nilpotency_index)
-        object.__setattr__(self, "checked_range", checked_range)
-
 
 def quasi_gorenstein_test(
     ideal: MonomialIdeal, reduction: Optional[MonomialIdeal] = None
@@ -372,18 +354,6 @@ class CMVerdict(_Value):
     reduction: MonomialIdeal
     reduction_number: int
     first_failure: Optional[int]
-
-    def __init__(
-        self,
-        cohen_macaulay: bool,
-        reduction: MonomialIdeal,
-        reduction_number: int,
-        first_failure: Optional[int],
-    ) -> None:
-        object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
-        object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "reduction_number", reduction_number)
-        object.__setattr__(self, "first_failure", first_failure)
 
 
 def cohen_macaulay_test(
@@ -596,20 +566,6 @@ class ConsistencyCheck(_Value):
     ok: bool
     expected: Optional[int]
     actual: Optional[int]
-
-    def __init__(
-        self,
-        name: str,
-        applicable: bool,
-        ok: bool,
-        expected: Optional[int],
-        actual: Optional[int],
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
 
 
 def a_invariant_consistency(

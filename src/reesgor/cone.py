@@ -89,7 +89,8 @@ class ReesCone(_Value):
     Refuses, as `FacetSystem` and `HalfSpace` refuse their own data, a
     matrix row or ray that fails `_exact_vector` at length dim + 1:
     malformed input is named here, not later as a wrong index or a
-    violated invariant. Then refuses, with ConeGeometryError naming
+    violated invariant; rows and rays are stored as the tuples that
+    check builds. Then refuses, with ConeGeometryError naming
     them, rays other than the sorted primitive extreme rays of the
     matrix's cone (what `extreme_rays` returns for the matrix), and
     rays with a negative entry; a matrix whose cone is not pointed or
@@ -107,15 +108,14 @@ class ReesCone(_Value):
     def __init__(
         self, dim: int, matrix: Tuple[Vector, ...], rays: Tuple[Vector, ...]
     ) -> None:
+        n = dim + 1
+        where = f"a cone in {n} coordinates"
+        matrix = tuple(_exact_vector(row, n, where) for row in matrix)
+        rays = tuple(_exact_vector(ray, n, where) for ray in rays)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rays", rays)
-        n = dim + 1
-        where = f"a cone in {n} coordinates"
-        for v in (*matrix, *rays):
-            _exact_vector(v, n, where)
-        true = _once(_double_description, tuple(map(tuple, matrix)), n)
-        rays = tuple(map(tuple, rays))
+        true = _once(_double_description, matrix, n)
         if rays != true:
             raise ConeGeometryError(
                 f"rays {rays} are not the extreme rays {true} of the matrix"
@@ -231,22 +231,6 @@ class CanonicalData(_Value):
     a_invariant: int
     search_box: Tuple[int, ...]
     sweep_box: Tuple[int, ...]
-
-    def __init__(
-        self,
-        q: int,
-        generators: Tuple[Vector, ...],
-        gorenstein: bool,
-        a_invariant: int,
-        search_box: Tuple[int, ...],
-        sweep_box: Tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "gorenstein", gorenstein)
-        object.__setattr__(self, "a_invariant", a_invariant)
-        object.__setattr__(self, "search_box", search_box)
-        object.__setattr__(self, "sweep_box", sweep_box)
 
 
 def canonical_generators(cone: ReesCone) -> CanonicalData:
@@ -619,20 +603,6 @@ class PurePowerTest(_Value):
     quotient: int
     remainder: int
     gorenstein: bool
-
-    def __init__(
-        self,
-        exponents: Tuple[int, ...],
-        lcm: int,
-        quotient: int,
-        remainder: int,
-        gorenstein: bool,
-    ) -> None:
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "lcm", lcm)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "remainder", remainder)
-        object.__setattr__(self, "gorenstein", gorenstein)
 
 
 def pure_power_gorenstein_test(ideal: MonomialIdeal) -> PurePowerTest:

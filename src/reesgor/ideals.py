@@ -143,9 +143,15 @@ class _Value:
     """Base of the package's immutable values: `MonomialIdeal`, the
     facet and cone data, the verdicts, `report.JobSpec` and
     `oracle.Box`. The fields of a class are the names it annotates, in
-    order, read once into `_fields` when the class is made. Each class
-    sets them in its own `__init__`, with `object.__setattr__`, and
-    runs its own checks there.
+    order, read once into `_fields` when the class is made. A class
+    that defines no `__init__` of its own gets one then, compiled once
+    from `_fields`: `__init__(self, <fields in annotation order>)`,
+    which stores each argument as its field with
+    `object.__setattr__`, with no defaults and no checks. The verdicts,
+    `CanonicalData`, `PurePowerTest`, `ConsistencyCheck`, `JobSpec`
+    and `oracle.Box` take it. The four that check or convert their
+    fields, `MonomialIdeal`, `HalfSpace`, `FacetSystem` and `ReesCone`,
+    write their own, with the same signature.
 
     Two values are equal iff they have the same class and equal
     fields; the hash is that of the tuple of fields; `repr` is
@@ -166,6 +172,16 @@ class _Value:
         cls._values = staticmethod(
             get if len(fields) > 1 else lambda value: (get(value),)
         )
+        if "__init__" not in vars(cls):
+            # one store per field, compiled once, as dataclasses does
+            space = {"_store": object.__setattr__, "__name__": cls.__module__}
+            exec(
+                f"def __init__(self, {', '.join(fields)}):\n"
+                + "".join(f"    _store(self, {f!r}, {f})\n" for f in fields),
+                space,
+            )
+            init = cls.__init__ = space["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -240,14 +256,12 @@ def _once(kernel: Callable, *args):
     Lemma. Each kernel passed here reads only its arguments, which are
     immutable values compared by value: ints, tuples of ints, and
     frozen `FacetSystem` and `cone.ReesCone` objects whose fields are
-    ints and tuples, as every one the package builds is. It returns
-    an immutable value (tuples and frozen `_Value`s). So within one
-    job a stored result is exactly what a fresh run would return, and
-    handing it out again changes nothing but time. A hand-made facet
-    system with a list field, such as `FacetSystem(2, [HalfSpace((1,
-    1), 2)], [])`, is no such value, since a list has no hash: passed
-    to `closure_power` inside `_job()`, its lookup raises TypeError
-    (unhashable type: 'list'), where outside a job the scan runs.
+    ints and tuples. That holds for every one of them, hand-built ones
+    included, since both constructors store the sequences they are
+    given as tuples. It returns an immutable value (tuples and frozen
+    `_Value`s). So within one job a stored result is exactly what a
+    fresh run would return, and handing it out again changes nothing
+    but time.
 
     Outside a job the kernel runs on every call, as the reference the
     memo is tested against. Only returned results are stored: a kernel

@@ -40,9 +40,6 @@ class Box(_Value):
 
     bounds: Tuple[int, ...]
 
-    def __init__(self, bounds: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "bounds", bounds)
-
     @property
     def size(self) -> int:
         n = 1

@@ -309,7 +309,8 @@ class FacetSystem(_Value):
     them bounded. `coordinate` lists the axes whose coordinate
     hyperplane is a genuine facet. Membership tests always include the
     full set of coordinate half-spaces (they are valid for any Newton
-    polyhedron, whether or not they are facets). Refuses with
+    polyhedron, whether or not they are facets). Both are stored as
+    tuples, whatever sequences they were given as. Refuses with
     InvalidIdealError a dim that is no positive int, as `minimalize`
     does, and, naming the facet, a bounded facet whose normal has
     another length, a negative entry, or whose offset is <= 0. Every
@@ -328,9 +329,9 @@ class FacetSystem(_Value):
         _check_dim(dim)
         # an int subclass is kept as its int
         object.__setattr__(self, "dim", dim if type(dim) is int else int(dim))
-        object.__setattr__(self, "bounded", bounded)
-        object.__setattr__(self, "coordinate", coordinate)
-        for f in bounded:
+        object.__setattr__(self, "bounded", tuple(bounded))
+        object.__setattr__(self, "coordinate", tuple(coordinate))
+        for f in self.bounded:
             if len(f.normal) != self.dim:
                 raise InvalidIdealError(
                     f"facet {f} has {len(f.normal)} normal entries, "

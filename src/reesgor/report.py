@@ -45,14 +45,6 @@ class JobSpec(_Value):
     ideal: MonomialIdeal
     reduction: Optional[MonomialIdeal]
 
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        reduction: Optional[MonomialIdeal],
-    ) -> None:
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "reduction", reduction)
-
 
 def _exponent_lists(data: Dict, key: str) -> tuple:
     """The generators under data[key], which must be a list of lists."""

@@ -21,6 +21,7 @@ from reesgor import (
 )
 from reesgor import cone as cone_module
 from reesgor.cone import CanonicalData
+from reesgor.ideals import _job
 from reesgor.polyhedra import _slack_fields
 from reesgor.errors import (
     BudgetExceededError,
@@ -186,6 +187,21 @@ def test_trusted_cones_equal_the_checked_construction():
             assert type(v) is tuple and {*map(type, v)} == {int}, ideal
     with pytest.raises(ConeGeometryError, match=r"rays \[\(1, -1\)\] leave"):
         cone_module.ReesCone._trusted(1, ((1, 0), (0, 1)), ((1, -1),))
+
+
+def test_a_cone_built_from_lists_stores_tuples():
+    # ReesCone stores the tuples its check builds. A cone given lists
+    # once passed every check and stored them, and canonical_generators
+    # then raised TypeError (unhashable type: 'list'), outside a job too.
+    rays = ((0, 0, 1), (0, 2, 1), (2, 0, 1))
+    built = cone_module.ReesCone(2, [[-1, -1, 2], [1, 0, 0], [0, 1, 0]], rays)
+    tuples = cone_module.ReesCone(2, ((-1, -1, 2), (1, 0, 0), (0, 1, 0)), rays)
+    assert built == tuples == cone_of(((2, 0), (1, 1), (0, 2)))
+    assert hash(built) == hash(tuples)
+    expected = canonical_generators(tuples)
+    assert canonical_generators(built) == expected
+    with _job():
+        assert canonical_generators(built) == expected
 
 
 def test_rees_cone_refuses_malformed_rows_and_rays_when_built():

@@ -215,6 +215,54 @@ def test_only_the_lift_builds_trusted_cones():
     assert uses == {("cone.py", "lift_halfspaces", "builds")}
 
 
+def _only_stores_its_parameters(init):
+    """Is the body of init, past a docstring, nothing but statements
+    `object.__setattr__(self, "<f>", <f>)`, each f a parameter?"""
+    body = init.body
+    if isinstance(body[0], ast.Expr) and isinstance(
+        body[0].value, ast.Constant
+    ):
+        body = body[1:]
+    stores = {
+        f"object.__setattr__(self, {arg.arg!r}, {arg.arg})"
+        for arg in init.args.args + init.args.kwonlyargs
+    }
+    return bool(body) and all(ast.unparse(line) in stores for line in body)
+
+
+def test_values_take_the_generated_constructor():
+    """`ideals._Value` compiles, once per class, the `__init__` that
+    stores each argument as its field, so a `_Value` subclass that
+    writes that constructor out by hand only repeats it: a class
+    defines its own `__init__` when it checks or converts its fields,
+    as the four named below do. Compiling the constructor is the
+    package's one `exec`."""
+    inits = {
+        (path.name, node.name): member
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith("_Value") for base in node.bases)
+        for member in node.body
+        if isinstance(member, ast.FunctionDef) and member.name == "__init__"
+    }
+    assert set(inits) >= {
+        ("ideals.py", "MonomialIdeal"),
+        ("polyhedra.py", "HalfSpace"),
+        ("polyhedra.py", "FacetSystem"),
+        ("cone.py", "ReesCone"),
+    }
+    assert not [
+        key for key, init in inits.items() if _only_stores_its_parameters(init)
+    ]
+    uses = {
+        (path.name, where, how)
+        for path in SOURCES
+        for where, how in _uses_of(_tree(path), "exec")
+    }
+    assert uses == {("ideals.py", "_Value.__init_subclass__", "builds")}
+
+
 def _raised_name(node):
     """The class name a `raise` statement names, or None."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import enum
+import inspect
 import itertools
 import math
 import pickle
@@ -767,6 +768,13 @@ def test_every_value_keeps_the_frozen_dataclass_contract(name):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(value, protocol))
         assert copy == value and type(copy) is type(value), protocol
+    # the constructor takes the fields, in order, as the dataclass's did
+    cls = type(value)
+    assert tuple(inspect.signature(cls).parameters) == fields
+    assert cls(**dict(zip(fields, values))) == value == cls(*values)
+    with pytest.raises(TypeError) as missing:
+        cls(*values[:-1])
+    assert str(missing.value).startswith(f"{name}.__init__() missing 1 ")
 
 
 # ------------------------------------------------------------------ #

@@ -20,6 +20,7 @@ from reesgor import (
     polyhedra,
 )
 from reesgor import cone as cone_module
+from reesgor.ideals import _job
 from reesgor.errors import (
     BudgetExceededError,
     ConeGeometryError,
@@ -931,6 +932,21 @@ def test_hand_made_facets_are_checked_at_construction():
     made = FacetSystem(2, (HalfSpace([1, 1], 2),), (0, 1))
     assert made == newton_polyhedron(ideal)
     assert closure_power(ideal, 3, made) == closure_power(ideal, 3)
+
+
+def test_a_facet_system_built_from_lists_stores_tuples():
+    # FacetSystem stores its facets and axes as tuples. Given lists, it
+    # once compared unequal to the same system of tuples, and inside a
+    # job closure_power raised TypeError (unhashable type: 'list').
+    ideal = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
+    built = FacetSystem(2, [HalfSpace((1, 1), 2)], [0, 1])
+    tuples = FacetSystem(2, (HalfSpace((1, 1), 2),), (0, 1))
+    assert built == tuples == newton_polyhedron(ideal)
+    assert hash(built) == hash(tuples)
+    expected = closure_power(ideal, 3)
+    assert closure_power(ideal, 3, built) == expected
+    with _job():
+        assert closure_power(ideal, 3, built) == expected
 
 
 class Power(int):
