@@ -39,8 +39,8 @@ bounded facet reads them off its residue box in closed form
 (`_swept_generators`) over the search box, the sum of the extreme
 rays, which holds every minimal generator by the lemma of
 `_canonical_scan`. That lemma needs the true extreme rays, in the
-nonnegative orthant, and `ReesCone` refuses any others when it is
-built.
+nonnegative orthant: `ReesCone` solves its rays from its matrix and
+refuses a cone whose rays leave the orthant.
 
 A disagreement raises InvariantViolationError rather than returning
 either answer.
@@ -64,6 +64,7 @@ from .ideals import (
     Vector,
     _Value,
     _axes,
+    _check_dim,
     _exact_vector,
     _once,
 )
@@ -72,80 +73,47 @@ from .polyhedra import (
     _check_column_budget,
     _column_scan,
     _dot,
-    _double_description,
     _facets_for,
     extreme_rays,
 )
 
 
 class ReesCone(_Value):
-    """Facet matrix and extreme rays of the semigroup cone, in the
-    orthant coordinates described in the module docstring. The matrix
+    """Facet matrix of the semigroup cone, in the orthant coordinates
+    described in the module docstring, and its extreme rays. The matrix
     is all a consumer reads of the facets of NP(I): a row with last
     entry h > 0 is the lifted row (a - h*1, h) of the bounded facet
     <a, x> >= h, and the d rows with last entry 0 are the coordinate
     rows. That layout is written only in `lift_halfspaces`.
 
-    Refuses, as `FacetSystem` and `HalfSpace` refuse their own data, a
-    matrix row or ray that fails `_exact_vector` at length dim + 1:
-    malformed input is named here, not later as a wrong index or a
-    violated invariant; rows and rays are stored as the tuples that
-    check builds. Then refuses, with ConeGeometryError naming
-    them, rays other than the sorted primitive extreme rays of the
-    matrix's cone (what `extreme_rays` returns for the matrix), and
-    rays with a negative entry; a matrix whose cone is not pointed or
-    not full dimensional raises the kernel's own ConeGeometryError.
-    The search box of `_canonical_scan` rests on both refusals. The
-    rays are solved by the kernel of `extreme_rays` through the job
-    memo, so inside a job the check costs a lookup. `lift_halfspaces`
-    builds its cones through `_trusted`, which skips the ray solve and
-    the type checks by the lemma in its docstring."""
+    The fields are dim and matrix, so equality, hash, repr and pickle
+    read those two; the rows are stored as tuples. `rays` is no field
+    but a value worked out from them when the cone is built: the sorted
+    primitive extreme rays `extreme_rays(matrix, dim + 1)` returns,
+    solved through the job memo. Refuses, with InvalidIdealError, a dim
+    that is no positive int, and, by `extreme_rays`, a row of another
+    length or with an entry that is no int; a matrix whose cone is not
+    pointed or not full dimensional raises the kernel's own
+    ConeGeometryError. Then refuses, with ConeGeometryError naming
+    them, rays with a negative entry. The search box of
+    `_canonical_scan` rests on rays that are the true ones and lie in
+    the orthant."""
 
     dim: int
     matrix: Tuple[Vector, ...]
-    rays: Tuple[Vector, ...]
 
-    def __init__(
-        self, dim: int, matrix: Tuple[Vector, ...], rays: Tuple[Vector, ...]
-    ) -> None:
-        n = dim + 1
-        where = f"a cone in {n} coordinates"
-        matrix = tuple(_exact_vector(row, n, where) for row in matrix)
-        rays = tuple(_exact_vector(ray, n, where) for ray in rays)
+    def __init__(self, dim: int, matrix: Tuple[Vector, ...]) -> None:
+        _check_dim(dim)
+        matrix = tuple(map(tuple, matrix))
+        rays = extreme_rays(matrix, dim + 1)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rays", rays)
-        true = _once(_double_description, matrix, n)
-        if rays != true:
+        if min(itertools.chain(*rays), default=0) < 0:
+            outside = [r for r in rays if min(r) < 0]
             raise ConeGeometryError(
-                f"rays {rays} are not the extreme rays {true} of the matrix"
+                f"extreme rays {outside} leave the nonnegative orthant"
             )
-        _refuse_outside(rays)
-
-    @classmethod
-    def _trusted(
-        cls, dim: int, matrix: Tuple[Vector, ...], rays: Tuple[Vector, ...]
-    ) -> "ReesCone":
-        """The cone of matrix and rays, built without the ray solve and
-        the type checks of `__init__`; only `lift_halfspaces` calls it.
-
-        Lemma. There, matrix is the tuple of the rows lifted from a
-        checked `FacetSystem`, made of the ints its `HalfSpace`s
-        stored, and rays is what `extreme_rays` returns for exactly
-        these rows at dim + 1: it refuses a row of another length or
-        with an entry that is no int, and returns the output of the
-        kernel `_double_description` on them, tuples of ints of length
-        dim + 1. The check of `__init__` solves the same rows with the
-        same kernel, so it would find rays again, and its type checks
-        pass on what `extreme_rays` already checked. Outside a job
-        that check is a second full double description. The orthant
-        check is cheap and stays."""
-        cone = cls.__new__(cls)
-        object.__setattr__(cone, "dim", dim)
-        object.__setattr__(cone, "matrix", matrix)
-        object.__setattr__(cone, "rays", rays)
-        _refuse_outside(rays)
-        return cone
 
     def relint_member(self, v: Sequence[int]) -> bool:
         """Is v a lattice point of the relative interior, every facet
@@ -154,17 +122,6 @@ class ReesCone(_Value):
         where = f"a cone in {self.dim + 1} coordinates"
         w = _exact_vector(v, self.dim + 1, where)
         return all(_dot(row, w) >= 1 for row in self.matrix)
-
-
-def _refuse_outside(rays: Tuple[Vector, ...]) -> None:
-    """Refuse, with ConeGeometryError naming them, rays with a negative
-    entry: the search box of `_canonical_scan` lies under their sum
-    only inside the orthant."""
-    if min(itertools.chain(*rays), default=0) < 0:
-        outside = [r for r in rays if min(r) < 0]
-        raise ConeGeometryError(
-            f"extreme rays {outside} leave the nonnegative orthant"
-        )
 
 
 def lift_halfspaces(facets: FacetSystem) -> ReesCone:
@@ -183,8 +140,7 @@ def lift_halfspaces(facets: FacetSystem) -> ReesCone:
         tuple(a - f.offset for a in f.normal) + (f.offset,)
         for f in facets.bounded
     ] + _axes((1,) * d, d + 1)
-    rays = extreme_rays(rows, d + 1)
-    return ReesCone._trusted(d, tuple(rows), rays)
+    return ReesCone(d, rows)
 
 
 def compute_q(cone: ReesCone) -> int:
@@ -239,8 +195,9 @@ def canonical_generators(cone: ReesCone) -> CanonicalData:
     kernels prove it.
 
     Solved once per job. `_canonical_scan` reads only the cone, a frozen
-    `ReesCone` of tuples of ints compared by value, and returns a
-    frozen `CanonicalData` of ints, bools and tuples. So within one
+    `ReesCone` compared by value on its dim and matrix of tuples of
+    ints, its rays a function of these two, and returns a frozen
+    `CanonicalData` of ints, bools and tuples. So within one
     job (`ideals._job`) it runs once per cone and a repeat returns
     what a fresh scan would (the lemma of `ideals._once`). Its
     refusals (BudgetExceededError, InvariantViolationError) are stored
@@ -265,9 +222,9 @@ def _canonical_scan(cone: ReesCone) -> CanonicalData:
     value is an integer, so it is >= 1. So v - s is an interior
     lattice point, and v = (v - s) + s, s a lattice point of the cone,
     is not minimal. The rays are >= 0, so the zonotope lies under their
-    sum. `ReesCone` refuses rays that are not the extreme rays of its
-    matrix or that leave the orthant, so the lemma holds for every
-    cone: the box is a proved bound, and nothing is swept at run time.
+    sum. `ReesCone` solves its rays from its matrix and refuses rays
+    that leave the orthant, so the lemma holds for every cone: the box
+    is a proved bound, and nothing is swept at run time.
 
     The sweep box, one more on every side, is what the column budget
     is checked on, in input order, before either kernel runs, so an
@@ -325,15 +282,15 @@ def _residue_sides(
     That is when the matrix is one lifted row (n - h*1, h) and the d
     coordinate rows, and every a_i = h / n_i is a positive integer.
     The search box is then (a_1, ..., a_d, 1 + sum_i (a_i - 1)), the
-    sum of the true extreme rays, the only rays `ReesCone` accepts:
-    the cone is simplicial, with one ray per facet left out. Leaving out the
-    lifted row gives e_{d+1}. Leaving out coordinate row i gives
-    z = z_i e_i with n_i z_i - h z_i + h t = 0, whose least lattice
-    point is (a_i e_i, a_i - 1), primitive since a_i and a_i - 1 are
-    coprime. A cone built by `lift_halfspaces` from an ideal whose
-    Newton polyhedron has one bounded facet <n, x> >= h therefore
-    passes: that facet holds the vertex a_i e_i on every axis, so
-    n_i a_i = h.
+    sum of the true extreme rays, which `ReesCone` solves from its
+    matrix: the cone is simplicial, with one ray per facet left out.
+    Leaving out the lifted row gives e_{d+1}. Leaving out coordinate
+    row i gives z = z_i e_i with n_i z_i - h z_i + h t = 0, whose least
+    lattice point is (a_i e_i, a_i - 1), primitive since a_i and
+    a_i - 1 are coprime. A cone built by `lift_halfspaces` from an
+    ideal whose Newton polyhedron has one bounded facet <n, x> >= h
+    therefore passes: that facet holds the vertex a_i e_i on every
+    axis, so n_i a_i = h.
     """
     d = cone.dim
     lifted = [row for row in cone.matrix if row[d] > 0]

@@ -29,8 +29,8 @@ class NotAReductionError(ValueError):
 
 class ConeGeometryError(ValueError):
     """A cone fails a structural requirement (not pointed, not full
-    dimensional, or given rays that are not its extreme rays in the
-    nonnegative orthant), so the requested invariant is undefined."""
+    dimensional, or with extreme rays outside the nonnegative orthant),
+    so the requested invariant is undefined."""
 
 
 class InapplicableError(ValueError):

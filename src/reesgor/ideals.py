@@ -151,7 +151,8 @@ class _Value:
     `CanonicalData`, `PurePowerTest`, `ConsistencyCheck`, `JobSpec`
     and `oracle.Box` take it. The four that check or convert their
     fields, `MonomialIdeal`, `HalfSpace`, `FacetSystem` and `ReesCone`,
-    write their own, with the same signature.
+    write their own, with the same signature. `ReesCone` also stores
+    its rays, solved from its fields, as an attribute that is no field.
 
     Two values are equal iff they have the same class and equal
     fields; the hash is that of the tuple of fields; `repr` is
@@ -246,7 +247,7 @@ def _once(kernel: Callable, *args):
     The memo lives in this module, the lowest layer, so every layer
     reads the same one. Its kernels: `_product` and `_join` here (the
     work of `*` and `&`), `polyhedra._double_description` (inside
-    `extreme_rays` and the ray check of `cone.ReesCone`),
+    `extreme_rays`, which `cone.ReesCone` calls for its rays),
     `polyhedra._plane_rays` and
     `polyhedra._facet_system` (inside `newton_polyhedron`),
     `polyhedra._dilate_minimal_points` (inside `closure_power`) and
@@ -258,10 +259,10 @@ def _once(kernel: Callable, *args):
     frozen `FacetSystem` and `cone.ReesCone` objects whose fields are
     ints and tuples. That holds for every one of them, hand-built ones
     included, since both constructors store the sequences they are
-    given as tuples. It returns an immutable value (tuples and frozen
-    `_Value`s). So within one job a stored result is exactly what a
-    fresh run would return, and handing it out again changes nothing
-    but time.
+    given as tuples; a cone's rays are solved from its fields. It
+    returns an immutable value (tuples and frozen `_Value`s). So within
+    one job a stored result is exactly what a fresh run would return,
+    and handing it out again changes nothing but time.
 
     Outside a job the kernel runs on every call, as the reference the
     memo is tested against. Only returned results are stored: a kernel

@@ -312,8 +312,10 @@ class FacetSystem(_Value):
     polyhedron, whether or not they are facets). Both are stored as
     tuples, whatever sequences they were given as. Refuses with
     InvalidIdealError a dim that is no positive int, as `minimalize`
-    does, and, naming the facet, a bounded facet whose normal has
-    another length, a negative entry, or whose offset is <= 0. Every
+    does, and, naming the entry, a bounded entry that is no `HalfSpace`,
+    a bounded facet whose normal has another length, a negative entry,
+    or whose offset is <= 0, and a coordinate entry that is no int
+    (`_exact_int`) in range(dim). Every
     bounded facet of a Newton polyhedron has a normal >= 0 and a
     positive offset, and the closure scan's box and slack widths rest
     on both (see `_dilate_minimal_points`): a hand-made facet such as
@@ -332,6 +334,8 @@ class FacetSystem(_Value):
         object.__setattr__(self, "bounded", tuple(bounded))
         object.__setattr__(self, "coordinate", tuple(coordinate))
         for f in self.bounded:
+            if not isinstance(f, HalfSpace):
+                raise InvalidIdealError(f"bounded facet {f!r} is no HalfSpace")
             if len(f.normal) != self.dim:
                 raise InvalidIdealError(
                     f"facet {f} has {len(f.normal)} normal entries, "
@@ -340,6 +344,11 @@ class FacetSystem(_Value):
             if min(f.normal) < 0 or f.offset <= 0:
                 raise InvalidIdealError(
                     f"bounded facet {f} needs a normal >= 0 and an offset > 0"
+                )
+        for axis in self.coordinate:
+            if not (_exact_int(axis) and 0 <= axis < self.dim):
+                raise InvalidIdealError(
+                    f"coordinate facet {axis!r} is no int in range({self.dim})"
                 )
 
     def contains_power(self, v: Sequence[int], n: int) -> bool:

@@ -201,20 +201,6 @@ def test_only_the_named_methods_build_the_trusted_marker():
     ]
 
 
-def test_only_the_lift_builds_trusted_cones():
-    """`cone.ReesCone._trusted` builds a cone without solving its rays
-    again or checking the types of its rows and rays. Its one caller
-    is `lift_halfspaces`, whose rays are the kernel's output for
-    exactly the rows it passes (the lemma in `_trusted`'s docstring):
-    a new caller is a reviewed change."""
-    uses = {
-        (path.name, where, how)
-        for path in SOURCES
-        for where, how in _uses_of(_tree(path), "_trusted")
-    }
-    assert uses == {("cone.py", "lift_halfspaces", "builds")}
-
-
 def _only_stores_its_parameters(init):
     """Is the body of init, past a docstring, nothing but statements
     `object.__setattr__(self, "<f>", <f>)`, each f a parameter?"""

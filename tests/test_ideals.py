@@ -701,8 +701,7 @@ VALUES = {
     ),
     "ReesCone": (
         _cone,
-        "ReesCone(dim=2, matrix=((-1, -1, 2), (1, 0, 0), (0, 1, 0)),"
-        " rays=((0, 0, 1), (0, 2, 1), (2, 0, 1)))",
+        "ReesCone(dim=2, matrix=((-1, -1, 2), (1, 0, 0), (0, 1, 0)))",
     ),
     "CanonicalData": (
         lambda: canonical_generators(_cone()),

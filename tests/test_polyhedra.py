@@ -20,6 +20,7 @@ from reesgor import (
     polyhedra,
 )
 from reesgor import cone as cone_module
+from reesgor.cli import EXIT_USAGE, classify_failure
 from reesgor.ideals import _job
 from reesgor.errors import (
     BudgetExceededError,
@@ -932,6 +933,35 @@ def test_hand_made_facets_are_checked_at_construction():
     made = FacetSystem(2, (HalfSpace([1, 1], 2),), (0, 1))
     assert made == newton_polyhedron(ideal)
     assert closure_power(ideal, 3, made) == closure_power(ideal, 3)
+
+
+def test_a_facet_system_refuses_a_bounded_entry_that_is_no_half_space():
+    # A bare normal once raised AttributeError on its missing .normal;
+    # a refused entry is bad input, exit 1, named in the message
+    for bounded, shown in (
+        ([(1, 1)], "(1, 1)"),
+        ((HalfSpace((1, 1), 2), "x + y >= 2"), "'x + y >= 2'"),
+    ):
+        with pytest.raises(InvalidIdealError) as caught:
+            FacetSystem(2, bounded, (0, 1))
+        assert str(caught.value) == f"bounded facet {shown} is no HalfSpace"
+        assert classify_failure(caught.value) == EXIT_USAGE
+
+
+def test_a_facet_system_refuses_a_coordinate_entry_outside_its_axes():
+    # ['a', 7] was once stored as it stood; every entry must be an
+    # exact int naming one of the dim axes
+    for coordinate, shown in (
+        (["a", 7], "'a'"), ((0, 7), "7"), ((-1,), "-1"), ((True,), "True"),
+        ((1.0,), "1.0"),
+    ):
+        with pytest.raises(InvalidIdealError) as caught:
+            FacetSystem(2, [], coordinate)
+        assert str(caught.value) == (
+            f"coordinate facet {shown} is no int in range(2)"
+        )
+        assert classify_failure(caught.value) == EXIT_USAGE
+    assert FacetSystem(2, [], [1, 0]).coordinate == (1, 0)
 
 
 def test_a_facet_system_built_from_lists_stores_tuples():
