@@ -39,8 +39,10 @@ bounded facet reads them off its residue box in closed form
 (`_swept_generators`) over the search box, the sum of the extreme
 rays, which holds every minimal generator by the lemma of
 `_canonical_scan`. That lemma needs the true extreme rays, in the
-nonnegative orthant: `ReesCone` solves its rays from its matrix and
-refuses a cone whose rays leave the orthant.
+nonnegative orthant, and both kernels need e_(d+1) in the cone, every
+row's last entry >= 0: `ReesCone` solves its rays from its matrix and
+refuses a cone whose rays leave the orthant or that has a row with a
+negative last entry.
 
 A disagreement raises InvariantViolationError rather than returning
 either answer.
@@ -87,28 +89,34 @@ class ReesCone(_Value):
     rows. That layout is written only in `lift_halfspaces`.
 
     The fields are dim and matrix, so equality, hash, repr and pickle
-    read those two; the rows are stored as tuples. `rays` is no field
-    but a value worked out from them when the cone is built: the sorted
-    primitive extreme rays `extreme_rays(matrix, dim + 1)` returns,
-    solved through the job memo. Refuses, with InvalidIdealError, a dim
-    that is no positive int, and, by `extreme_rays`, a row of another
-    length or with an entry that is no int; a matrix whose cone is not
-    pointed or not full dimensional raises the kernel's own
+    read those two; the rows are stored as tuples, and dim as the plain
+    int `_check_dim` returns. `rays` is no field but a value worked out
+    from them when the cone is built: the sorted primitive extreme rays
+    `extreme_rays(matrix, dim + 1)` returns, solved through the job
+    memo. Refuses, with InvalidIdealError, a dim that is no positive
+    int, and, by `extreme_rays`, a row of another length or with an
+    entry that is no int, the first flawed row deciding; a matrix whose
+    cone is not pointed or not full dimensional raises the kernel's own
     ConeGeometryError. Then refuses, with ConeGeometryError naming
-    them, rays with a negative entry. The search box of
+    them, rows whose last entry is negative, so that e_(d+1) lies
+    outside the cone, and rays with a negative entry. The search box of
     `_canonical_scan` rests on rays that are the true ones and lie in
-    the orthant."""
+    the orthant, and both kernels on e_(d+1) in the cone. No lift has
+    such a row or ray: its rows end in h > 0 or 0."""
 
     dim: int
     matrix: Tuple[Vector, ...]
 
     def __init__(self, dim: int, matrix: Tuple[Vector, ...]) -> None:
-        _check_dim(dim)
+        dim = _check_dim(dim)
         matrix = tuple(map(tuple, matrix))
         rays = extreme_rays(matrix, dim + 1)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rays", rays)
+        below = [row for row in matrix if row[dim] < 0]
+        if below:
+            raise ConeGeometryError(f"rows {below} have a negative last entry")
         if min(itertools.chain(*rays), default=0) < 0:
             outside = [r for r in rays if min(r) < 0]
             raise ConeGeometryError(
@@ -235,7 +243,9 @@ def _canonical_scan(cone: ReesCone) -> CanonicalData:
     other cone runs the column scan `_swept_generators` over the search
     box. On a one-facet cone the scan would accept exactly the minimal
     generators the box holds, which by the lemma are all of them: the
-    list that `_residue_generators` proves.
+    set that `_residue_generators` proves. Each kernel returns its
+    generators in the order it finds them; they are sorted here, once,
+    by (coordinate sum, v).
     """
     d = cone.dim
     q = compute_q(cone)
@@ -247,6 +257,7 @@ def _canonical_scan(cone: ReesCone) -> CanonicalData:
         accepted = _swept_generators(cone, box)
     else:
         accepted = _residue_generators(*facet)
+    accepted.sort(key=lambda v: (sum(v), v))
 
     base = (1,) * d + (q,)
     if base not in accepted:
@@ -310,8 +321,8 @@ def _residue_generators(
 ) -> List[Vector]:
     """Minimal generators of the interior-point module of the cone cut
     out by the lifted row (n - h*1, h) and the coordinate rows, where
-    every a_i = h / n_i is a positive integer, sorted by
-    (coordinate sum, v) as the scan sorts them.
+    every a_i = h / n_i is a positive integer, in the order the walk
+    finds them (`_canonical_scan` sorts them).
 
     Write N(z) = <n, z> for z in Z^d. The lifted row takes the value
     N(z) - h*(sum(z) - t) at (z, t), so (z, t) is interior iff z >= 1
@@ -432,14 +443,13 @@ def _residue_generators(
             slab[slot] = other
         if not slot and not slab[slot][0]:  # a corner at 0: stop
             break
-    del slab  # freed before the sort builds its keys
-    found.sort(key=lambda v: (sum(v), v))
     return found
 
 
 def _swept_generators(cone: ReesCone, box: Tuple[int, ...]) -> List[Vector]:
     """Minimal generators of the module of interior lattice points, by
-    a column scan over the search box, sorted by (coordinate sum, v).
+    a column scan over the search box, in the order the scan accepts
+    them (`_canonical_scan` sorts them).
 
     The box holds every minimal generator (the lemma of
     `_canonical_scan`). Interior points of the box are generators iff
@@ -447,8 +457,9 @@ def _swept_generators(cone: ReesCone, box: Tuple[int, ...]) -> List[Vector]:
     The scan visits only the least interior point of each column (the
     points sharing their first d coordinates), and stays exact:
 
-    - e_{d+1} is in the cone: the coordinate rows are 0 on it and the
-      lifted rows equal h > 0.
+    - e_{d+1} is in the cone: every row takes its last entry there,
+      which is >= 0, as `ReesCone` refuses any other (on a lift, the
+      coordinate rows are 0 on it and the lifted rows equal h > 0).
     - So the interior points of each column are upward-closed.
     - A point above its column minimum m is m plus a multiple of
       e_{d+1}, so it is generated whenever m is, and is never a
@@ -471,19 +482,17 @@ def _swept_generators(cone: ReesCone, box: Tuple[int, ...]) -> List[Vector]:
 
     Lemma. If v - g lies in the cone, then g comes no later than v in
     the lexicographic order of any permutation of the first d
-    coordinates followed by t. The coordinate rows give z_g <= z_v
+    coordinates followed by t. The cone lies in the orthant, as its
+    rays do (`ReesCone` refuses others), so v - g >= 0: z_g <= z_v
     coordinatewise, z the first d coordinates, and so z_g <=_lex z_v
-    in any order of them. When z_g = z_v a lifted row (a - h*1, h),
-    h > 0, takes the value h * (t_v - t_g) >= 0 at v - g, so
-    t_g <= t_v. Every point that generates v thus comes no later in
+    in any order of them, and t_g <= t_v. Every point that generates v thus comes no later in
     the oriented scan. So the scan accepts a candidate v iff v is a
     minimal generator, by induction along the scan. A minimal v is
     generated by no other interior point. A v that is not minimal is
     generated by a minimal generator g != v, which lies in the box and
     is a column minimum, so g is a candidate that comes before v and
     was accepted. So the accepted set does not depend on the
-    orientation. The accepted generators are sorted by
-    (coordinate sum, v) at the end.
+    orientation, though the order the scan accepts it in does.
 
     The generated-by test compares slacks instead of forming v - g.
     Every row is linear, so row . (v - g) >= 0 for every row of the
@@ -511,7 +520,6 @@ def _swept_generators(cone: ReesCone, box: Tuple[int, ...]) -> List[Vector]:
             else:
                 accepted.append(prefix[:k] + (x,) + prefix[k:] + (t,))
                 floors.append(slack ^ guard)
-    accepted.sort(key=lambda v: (sum(v), v))
     return accepted
 
 

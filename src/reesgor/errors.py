@@ -29,8 +29,9 @@ class NotAReductionError(ValueError):
 
 class ConeGeometryError(ValueError):
     """A cone fails a structural requirement (not pointed, not full
-    dimensional, or with extreme rays outside the nonnegative orthant),
-    so the requested invariant is undefined."""
+    dimensional, with extreme rays outside the nonnegative orthant, or
+    with a facet row whose last entry is negative, so that e_(d+1)
+    lies outside it), so the requested invariant is undefined."""
 
 
 class InapplicableError(ValueError):

@@ -380,10 +380,12 @@ def minimalize(vectors: Iterable[Sequence[int]], dim: int) -> Tuple[Vector, ...]
     return _minimal(sorted(_check_each(vectors, dim)), dim)
 
 
-def _check_dim(dim: int) -> None:
-    """Refuse a dim that is no positive int, by `_exact_int`."""
+def _check_dim(dim: int) -> int:
+    """dim as a plain int, refused unless it is a positive int by
+    `_exact_int`: an int subclass passes and is returned as its int."""
     if not _exact_int(dim) or dim < 1:
         raise InvalidIdealError("ambient dimension must be a positive int")
+    return dim if type(dim) is int else int(dim)
 
 
 def _minimal(candidates: List[Vector], dim: int) -> Tuple[Vector, ...]:
@@ -516,19 +518,21 @@ class MonomialIdeal(_Value):
         """If the ideal is exactly (x_1^{a_1}, ..., x_d^{a_d}), return
         (a_1, ..., a_d); otherwise None.
 
-        The gens are a minimal generating set, so no two of them are
-        powers of one variable: of two such powers one divides the
-        other. So d generators, each on one variable, cover all d
-        variables, and every a_i is set."""
-        if len(self.gens) != self.dim:
+        One pass over the gens. Sorted, the gens of such an ideal are
+        the powers a_j e_j with j falling, so gens[k] is the power of
+        x_(d-k): a_(d-k) = gens[k][-1 - k]. Conversely, if there are d
+        gens and each gens[k] has its whole sum, at least 1, at entry
+        -1 - k (entries are >= 0), then gens[k] is a positive power of
+        x_(d-k) alone, one for each variable. The bound >= 1 leaves out
+        the unit ideal in d = 1, whose one generator (0,) has its sum
+        there; the zero ideal has no gens."""
+        gens = self.gens
+        if len(gens) != self.dim:
             return None
-        exps = [0] * self.dim
-        for g in self.gens:
-            support = [i for i, e in enumerate(g) if e > 0]
-            if len(support) != 1:
-                return None
-            exps[support[0]] = g[support[0]]
-        return tuple(exps)
+        powers = [g[-1 - k] for k, g in enumerate(gens)]
+        if powers != list(map(sum, gens)) or min(powers) < 1:
+            return None
+        return tuple(reversed(powers))
 
     def is_subset(self, other: "MonomialIdeal") -> bool:
         """Is self contained in other, i.e. does some generator of other
@@ -542,11 +546,9 @@ class MonomialIdeal(_Value):
         other iff the prefix is not empty and that generator's second
         entry is at most v[1] (its first entry is at most v[0]).
 
-        A pure-power other (x_1^a_1, ..., x_d^a_d): x^v lies in it iff
-        v_i >= a_i for some i, one comparison per entry. Its sorted gens
-        are the powers a_j e_j with j falling, so gens[k] is the power
-        of x_(d-k), and a generator holds a single power iff its entry
-        there is its sum (entries are >= 0).
+        A pure-power other (x_1^a_1, ..., x_d^a_d), as
+        `pure_power_exponents` tells it: x^v lies in it iff v_i >= a_i
+        for some i, one comparison per entry.
 
         Otherwise each generator of self is tested against every
         generator of other."""
@@ -558,11 +560,9 @@ class MonomialIdeal(_Value):
                 if not i or gens[i - 1][1] > v[1]:
                     return False
             return True
-        if len(gens) == self.dim:
-            powers = [g[-1 - k] for k, g in enumerate(gens)]
-            if powers == list(map(sum, gens)):
-                powers.reverse()
-                return all(any(map(operator.ge, v, powers)) for v in self.gens)
+        powers = other.pure_power_exponents()
+        if powers is not None:
+            return all(any(map(operator.ge, v, powers)) for v in self.gens)
         return all(map(_divides_some, repeat(gens), self.gens))
 
     # ---------------------------------------------------------------- #

@@ -1,9 +1,11 @@
 """The lifted semigroup cone and the canonical module read off it."""
 
+import collections
 import inspect
 import itertools
 import json
 import math
+import operator
 import pathlib
 import pickle
 import sys
@@ -217,12 +219,12 @@ def test_rees_cone_refuses_a_dim_that_is_no_positive_int():
 
 def test_rees_cone_refuses_malformed_rows_and_rays_when_built():
     # Short matrix rows once made a violated invariant, which the exit
-    # table reads as an untrusted result rather than as bad input. The
-    # rays are solved from the rows, and a cone whose rays leave the
-    # orthant is refused.
+    # table reads as an untrusted result rather than as bad input; the
+    # refusal names the length. The rays are solved from the rows, and
+    # a cone whose rays leave the orthant is refused.
     cone = cone_of(((2, 0), (0, 2)))
     with pytest.raises(
-        DimensionMismatchError, match="constraint row of wrong length"
+        DimensionMismatchError, match="vector of length 2 against dimension 3"
     ) as refused:
         cone_module.ReesCone(cone.dim, tuple(r[1:] for r in cone.matrix))
     assert classify_failure(refused.value) == EXIT_USAGE
@@ -236,6 +238,80 @@ def test_rees_cone_refuses_malformed_rows_and_rays_when_built():
     with pytest.raises(ConeGeometryError, match=outside) as refused:
         cone_module.ReesCone(1, rows)
     assert classify_failure(refused.value) == EXIT_USAGE
+
+
+def test_rees_cone_stores_an_int_subclass_dim_as_its_int():
+    class Dim(int):
+        pass
+
+    cone = cone_of(((2, 0), (0, 2)))
+    built = cone_module.ReesCone(Dim(2), cone.matrix)
+    assert type(built.dim) is int and built == cone
+
+
+def _brute_generators(matrix, d):
+    # The minimal generators by their definition, over the sum of the
+    # rays one larger on every side: the interior points that are no
+    # other interior point plus a point of the cone. The cone lies in
+    # the orthant, so such a point lies under the generator, in the box.
+    box = [sum(r) + 1 for r in zip(*extreme_rays(matrix, d + 1))]
+
+    def inside(v, least):
+        return all(sum(map(operator.mul, row, v)) >= least for row in matrix)
+
+    points = itertools.product(*(range(b + 1) for b in box))
+    interior = [v for v in points if inside(v, 1)]
+    found = [
+        v
+        for v in interior
+        if not any(
+            u != v and inside([a - b for a, b in zip(v, u)], 0)
+            for u in interior
+        )
+    ]
+    return tuple(sorted(found, key=lambda v: (sum(v), v)))
+
+
+def test_rees_cone_refuses_rows_with_a_negative_last_entry():
+    # e_(d+1) lies outside such a cone, and both kernels rest on it:
+    # this matrix, whose rays lie in the orthant, was answered with the
+    # generators ((1, 1, 1), (1, 2, 2)), though the first row is 0 at
+    # (1, 2, 2) and the definition finds ((1, 1, 1),) alone.
+    matrix = ((2, 1, -2), (0, -1, 2), (1, 2, 3), (1, 0, 0), (0, 1, 0))
+    assert min(itertools.chain(*extreme_rays(matrix, 3))) >= 0
+    assert _brute_generators(matrix, 2) == ((1, 1, 1),)
+    named = r"rows \[\(2, 1, -2\)\] have a negative last entry"
+    with pytest.raises(ConeGeometryError, match=named) as refused:
+        cone_module.ReesCone(2, matrix)
+    assert classify_failure(refused.value) == EXIT_USAGE
+
+
+def test_hand_built_cones_match_the_brute_force_definition():
+    # Seeded cones in d = 2..3: the coordinate rows and one to three
+    # random rows with a last entry >= 0. Those the constructor accepts
+    # and whose box is small are answered as the definition answers, or
+    # refused by an invariant check that names its witness.
+    rng = seeded(48)
+    answered = collections.Counter()
+    for n in range(2000):
+        d = 2 + n % 2
+        rows = [
+            tuple(rng.randint(-3, 3) for _ in range(d)) + (rng.randint(0, 3),)
+            for _ in range(rng.randint(1, 3))
+        ] + [tuple(int(i == j) for i in range(d + 1)) for j in range(d)]
+        try:
+            cone = cone_module.ReesCone(d, rows)
+        except ConeGeometryError:
+            continue
+        if math.prod(sum(r) + 2 for r in zip(*cone.rays)) > 400:
+            continue
+        try:
+            data = canonical_generators(cone)
+        except InvariantViolationError:
+            continue
+        assert data.generators == _brute_generators(cone.matrix, d), rows
+        answered[data.gorenstein] += 1
+    assert answered[True] > 100 and answered[False] > 50, answered
 
 
 def test_matrix_and_rays_are_mutually_dual():
@@ -692,6 +768,7 @@ def test_one_facet_cones_read_the_scans_generators_off_the_residue_box():
         data = canonical_generators(cone)
         assert cone_module._residue_sides(cone) is not None, ideal
         swept = cone_module._swept_generators(cone, data.search_box)
+        swept.sort(key=lambda v: (sum(v), v))
         assert data.generators == tuple(swept), ideal
 
 
@@ -785,6 +862,7 @@ def test_the_residue_walk_matches_the_brute_force_definition():
             assert box == sides + (1 + sum(sides) - len(sides),), sides
         expected = _brute_residue_generators(normal, h, sides)
         walked = cone_module._residue_generators(normal, h, sides)
+        walked.sort(key=lambda v: (sum(v), v))
         assert walked == expected, (sides, multiple)
         rho = [
             (sum(n * c for n, c in zip(normal, z)) - 1) % h

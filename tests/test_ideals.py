@@ -601,6 +601,52 @@ def test_fast_containment_paths_agree_with_the_scan():
         assert reached[path, True] > 100 and reached[path, False] > 100, reached
 
 
+def _supported_pure_powers(ideal):
+    """pure_power_exponents by its definition: d generators, each with
+    exactly one nonzero entry, read off that entry."""
+    if len(ideal.gens) != ideal.dim:
+        return None
+    exps = [0] * ideal.dim
+    for g in ideal.gens:
+        support = [i for i, e in enumerate(g) if e > 0]
+        if len(support) != 1:
+            return None
+        exps[support[0]] = g[support[0]]
+    return tuple(exps)
+
+
+def test_pure_power_exponents_match_the_support_definition():
+    # Pure powers, pure powers with one power dropped or one mixed
+    # generator added, random ideals, and the zero and unit ideals, in
+    # d = 1..5. Against each pure power, is_subset's comparison per
+    # entry answers as the divisor scan does.
+    rng = seeded(49)
+    seen = collections.Counter()
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        exps = [rng.randint(1, 5) for _ in range(dim)]
+        pure = MonomialIdeal.pure_powers(exps)
+        ideals = [
+            pure,
+            I(dim, *pure.gens[1:]),
+            I(dim, *pure.gens, tuple(rng.randint(0, 3) for _ in range(dim))),
+            random_ideal(rng, dim, max_gens=dim + 1, max_coord=4),
+            MonomialIdeal(dim, ()),
+            MonomialIdeal.unit(dim),
+        ]
+        for ideal in ideals:
+            expected = _supported_pure_powers(ideal)
+            assert ideal.pure_power_exponents() == expected, ideal
+            seen["pure powers", expected is not None] += 1
+        assert pure.pure_power_exponents() == tuple(exps)
+        for left in ideals:
+            expected = _scanned_subset(left, pure)
+            assert left.is_subset(pure) is expected, (left, pure)
+            seen["subset", expected] += 1
+    assert MonomialIdeal.unit(1).pure_power_exponents() is None
+    assert min(seen.values()) > 300 and len(seen) == 4, seen
+
+
 def test_the_slotted_ideal_keeps_its_dataclass_contract(monkeypatch):
     ideal = I(2, (2, 0), (0, 2), (1, 3))
     with pytest.raises(dataclasses.FrozenInstanceError):

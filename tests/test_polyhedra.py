@@ -561,8 +561,15 @@ def test_extreme_rays_refuse_entries_that_are_not_ints(rows):
 
 
 def test_extreme_rays_keep_the_length_check_before_the_entry_check():
-    with pytest.raises(DimensionMismatchError, match="row of wrong length"):
+    # Within a row the length is checked first, and the refusal names
+    # it; across rows the first flawed row decides.
+    with pytest.raises(
+        DimensionMismatchError, match="vector of length 3 against dimension 2"
+    ):
         extreme_rays([(1.5, 0, 0), (0, 1)], 2)
+    flawed = r"non-integer exponent in \(1\.5, 0\)"
+    with pytest.raises(InvalidIdealError, match=flawed):
+        extreme_rays([(1.5, 0), (0, 1, 0)], 2)
 
 
 @pytest.mark.parametrize(

@@ -19,15 +19,21 @@ number of jobs, as each is, neither tree runs first more often, for
 any number of passes: with one order per pass, a tree timed against a
 copy of itself read 0.4% slower on `gorenstein` when it ran first in
 3 of 5 passes (2 cores, Python 3.11.7). Each line then gives both
-sums, the change from the other tree to this one in per cent, and the
-number of runs whose exit code or output differed between the trees
-(on the last pass). Nothing is checked: the tool prints and exits 0.
+sums, the change from the other tree to this one in per cent, to two
+decimals, and the number of runs whose exit code or output differed
+between the trees (on the last pass). Nothing is checked: the tool
+prints and exits 0.
 
-With --runs N the whole comparison is repeated N times, each run
-printing its lines as above. Then one line per workload gives the
-median over the runs of the change in per cent, and its quartiles
-(without --against, of the sums in seconds). A control is the tree
-timed against a copy of itself. Run from the root of the repository:
+With --runs N, N > 1, the script runs itself N times in turn, each
+time in a fresh interpreter with --runs 1 and the same other options,
+and prints each run's lines as above. Then one line per workload gives
+the median over the runs of the change in per cent, and its quartiles
+(without --against, of the sums in seconds), read off those lines.
+Runs within one process share its heap, caches and code layout: two
+invocations of one comparison, three runs each in one process, gave
+disjoint gorenstein quartiles, +0.55..+0.73% and +0.41..+0.50%. A
+control is the tree timed against a copy of itself. Run from the root
+of the repository:
 
     python3 tools/pooltime.py --passes 10 --runs 3 --against ../parent
 """
@@ -38,8 +44,10 @@ import importlib
 import io
 import json
 import pathlib
+import re
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -48,6 +56,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINS = ROOT / "perfbench" / "pins"
 CORPUS_SEEDS = range(1000, 1060)
 THIS_NAME, OTHER_NAME = "reesgor_this", "reesgor_that"
+# a workload's line: its sum for this tree, then its change, if timed
+# against another tree
+LINE = re.compile(
+    r"(\w+): sum over .*?: ([\d.]+) s(?: against .*?\(([-+][\d.]+)%\))?")
 
 
 def _runs(folder):
@@ -95,20 +107,8 @@ def _compare(trees, argvs, passes):
     return {name: sum(times) for name, times in best.items()}, outputs
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--passes", type=int, default=5,
-                        help="passes over every pool (default 5)")
-    parser.add_argument("--runs", type=int, default=1,
-                        help="repeats of the whole timing (default 1)")
-    parser.add_argument("--against", type=pathlib.Path,
-                        help="root of a second checkout to time side by side")
-    args = parser.parse_args()
-    if args.passes < 1:
-        parser.error("--passes must be at least 1")
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-
+def _time(args, parser):
+    """One comparison in this process, one line per workload."""
     sources = {"this": (ROOT, THIS_NAME)}
     if args.against is not None:
         sources["against"] = (args.against, OTHER_NAME)
@@ -122,31 +122,63 @@ def main() -> None:
             shutil.copytree(source, pathlib.Path(folder) / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
             trees[label] = importlib.import_module(f"{name}.cli").main
-        pools = _runs(folder)
-        figures = {workload: [] for workload in pools}
-        for _ in range(args.runs):
-            for workload, argvs in pools.items():
-                sums, outputs = _compare(trees, argvs, args.passes)
-                line = (f"{workload}: sum over {len(argvs)} runs of the best "
-                        f"of {args.passes}: {sums['this']:.3f} s")
-                if "against" in trees:
-                    change = 100 * (sums["this"] / sums["against"] - 1)
-                    differ = sum(a != b for a, b in zip(outputs["this"],
-                                                        outputs["against"]))
-                    line += (f" against {sums['against']:.3f} s "
-                             f"({change:+.1f}%), output differs on {differ}")
-                    figures[workload].append(change)
-                else:
-                    figures[workload].append(sums["this"])
-                print(line, flush=True)
-        if args.runs > 1:
-            form = "{:+.2f}%" if "against" in trees else "{:.3f} s"
-            for workload, values in figures.items():
-                low, median, high = statistics.quantiles(
-                    values, n=4, method="inclusive")
-                print(f"{workload}: median of {args.runs} runs "
-                      f"{form.format(median)}, quartiles "
-                      f"{form.format(low)}..{form.format(high)}", flush=True)
+        for workload, argvs in _runs(folder).items():
+            sums, outputs = _compare(trees, argvs, args.passes)
+            line = (f"{workload}: sum over {len(argvs)} runs of the best "
+                    f"of {args.passes}: {sums['this']:.3f} s")
+            if "against" in trees:
+                change = 100 * (sums["this"] / sums["against"] - 1)
+                differ = sum(a != b for a, b in zip(outputs["this"],
+                                                    outputs["against"]))
+                line += (f" against {sums['against']:.3f} s "
+                         f"({change:+.2f}%), output differs on {differ}")
+            print(line, flush=True)
+
+
+def _repeat(args):
+    """args.runs comparisons, each by this script in a fresh
+    interpreter with --runs 1, their lines echoed, then the median and
+    quartiles per workload of the figures read off those lines."""
+    argv = [sys.executable, str(pathlib.Path(__file__).resolve()),
+            "--passes", str(args.passes), "--runs", "1"]
+    if args.against is not None:
+        argv += ["--against", str(args.against)]
+    figures = {}
+    for _ in range(args.runs):
+        run = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
+        print(run.stdout, end="", flush=True)
+        if run.returncode:
+            sys.exit(run.returncode)
+        for workload, total, change in LINE.findall(run.stdout):
+            figures.setdefault(workload, []).append(float(change or total))
+    form = "{:+.2f}%" if args.against is not None else "{:.3f} s"
+    for workload, values in figures.items():
+        low, median, high = statistics.quantiles(
+            values, n=4, method="inclusive")
+        print(f"{workload}: median of {args.runs} runs "
+              f"{form.format(median)}, quartiles "
+              f"{form.format(low)}..{form.format(high)}", flush=True)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--passes", type=int, default=5,
+                        help="passes over every pool (default 5)")
+    parser.add_argument("--runs", type=int, default=1,
+                        help="comparisons, each in a fresh interpreter "
+                             "(default 1)")
+    parser.add_argument("--against", type=pathlib.Path,
+                        help="root of a second checkout to time side by side")
+    args = parser.parse_args()
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    if args.runs == 1:
+        _time(args, parser)
+    else:
+        _repeat(args)
+
 
 if __name__ == "__main__":
     main()
