@@ -293,15 +293,14 @@ def _residue_sides(
     That is when the matrix is one lifted row (n - h*1, h) and the d
     coordinate rows, and every a_i = h / n_i is a positive integer.
     The search box is then (a_1, ..., a_d, 1 + sum_i (a_i - 1)), the
-    sum of the true extreme rays, which `ReesCone` solves from its
-    matrix: the cone is simplicial, with one ray per facet left out.
-    Leaving out the lifted row gives e_{d+1}. Leaving out coordinate
-    row i gives z = z_i e_i with n_i z_i - h z_i + h t = 0, whose least
-    lattice point is (a_i e_i, a_i - 1), primitive since a_i and
-    a_i - 1 are coprime. A cone built by `lift_halfspaces` from an
-    ideal whose Newton polyhedron has one bounded facet <n, x> >= h
-    therefore passes: that facet holds the vertex a_i e_i on every
-    axis, so n_i a_i = h.
+    sum of the extreme rays `ReesCone` solves from its matrix. The
+    matrix has the shape of the one-row lemma of
+    `polyhedra._cone_rays`, which gives the rays e_{d+1} and
+    primitive(h e_i + (h - n_i) e_{d+1}) = (a_i e_i, a_i - 1), as
+    h = n_i a_i and a_i, a_i - 1 are coprime. A cone built by
+    `lift_halfspaces` from an ideal whose Newton polyhedron has one
+    bounded facet <n, x> >= h therefore passes: that facet holds the
+    vertex a_i e_i on every axis, so n_i a_i = h.
     """
     d = cone.dim
     lifted = [row for row in cone.matrix if row[d] > 0]

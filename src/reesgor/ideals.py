@@ -246,9 +246,9 @@ def _once(kernel: Callable, *args):
 
     The memo lives in this module, the lowest layer, so every layer
     reads the same one. Its kernels: `_product` and `_join` here (the
-    work of `*` and `&`), `polyhedra._double_description` (inside
-    `extreme_rays`, which `cone.ReesCone` calls for its rays),
-    `polyhedra._plane_rays` and
+    work of `*` and `&`), `polyhedra._cone_rays` (inside
+    `extreme_rays`, which `cone.ReesCone` calls for its rays; a closed
+    form or the double description), `polyhedra._plane_rays` and
     `polyhedra._facet_system` (inside `newton_polyhedron`),
     `polyhedra._dilate_minimal_points` (inside `closure_power`) and
     `cone._canonical_scan` (inside `canonical_generators`). `**` calls

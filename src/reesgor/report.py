@@ -94,16 +94,30 @@ def _refuse_repeated_keys(pairs: List[tuple]) -> Dict:
     return data
 
 
+# One decoder for every job file, as json keeps one for json.loads
+# without options: `json.load` with a hook builds a decoder and its
+# scanner on every call, which took the decoding of a pooled job file
+# from 1.7 to 3.5 us (Python 3.11.7).
+_DECODER = json.JSONDecoder(object_pairs_hook=_refuse_repeated_keys)
+
+
 def load_job(path: str) -> JobSpec:
     """The job in the file at path. A repeated key and nesting too deep
     for the json decoder raise ValueError, like any other malformed
     job, rather than letting the last value win or a RecursionError
-    escape."""
+    escape. A leading byte order mark is refused in the words of
+    `json.loads`, which checks it before it calls a decoder; every
+    other message is the decoder's."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
-        except RecursionError:
-            raise ValueError("job file is nested too deeply") from None
+        text = fh.read()
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+        )
+    try:
+        data = _DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("job file is nested too deeply") from None
     return job_from_dict(data)
 
 

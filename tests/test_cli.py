@@ -5,6 +5,7 @@ import enum
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -111,6 +112,33 @@ def test_too_deeply_nested_job_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "reesgor: job file is nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'\xef\xbb\xbf{"dim": 2, "gens": [[2, 0], [0, 2]]}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        (b"{not json", "Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"dim": 2} x', "Extra data: line 1 column 12 (char 11)"),
+        (b"[1, 2", "Expecting ',' delimiter: line 1 column 6 (char 5)"),
+    ],
+    ids=["bom", "unquoted-key", "empty", "extra-data", "unclosed"],
+)
+def test_undecodable_job_file_is_refused_in_the_decoders_words(
+    tmp_path, capsys, data, message
+):
+    # a job file is read as utf-8, so a leading byte order mark is
+    # refused as json.loads refuses it, not skipped
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(data)
+    assert main(["--json", "np", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"reesgor: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1229,7 +1257,7 @@ def test_int_subclass_powers_are_written_as_ints():
 # (home, name) of each memoized kernel and of the public function
 # that reads it
 KERNELS = (
-    (polyhedra, "_double_description"),
+    (polyhedra, "_cone_rays"),
     (polyhedra, "_dilate_minimal_points"),
     (cone, "_canonical_scan"),
     (ideals, "_product"),
@@ -1287,6 +1315,38 @@ def test_kernels_run_once_per_input_and_every_call_stays(
     assert tuple(counts[name] for _, name in READERS) == calls
 
 
+# the three routes of the ray kernel `polyhedra._cone_rays`, and how
+# often each runs on each anchor's `--json report` and over the pinned
+# `gorenstein` pool: a closed form that stopped firing would change no
+# output, only time
+ROUTES = (
+    (polyhedra, "_pure_power_rays"),
+    (polyhedra, "_one_row_rays"),
+    (polyhedra, "_double_description"),
+)
+ANCHOR_ROUTES = ((1, 1, 1), (0, 1, 0))
+GORENSTEIN_POOL = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "perfbench" / "pins" / "gorenstein.jsonl"
+)
+
+
+def test_the_ray_kernel_takes_its_closed_forms(job, capsys, monkeypatch):
+    counts = _count(monkeypatch, ROUTES)
+    for (payload, _), routes in zip(ANCHOR_REPORT_DIGESTS, ANCHOR_ROUTES):
+        counts.update(dict.fromkeys(counts, 0))
+        assert main(["--json", "report", job(payload)]) == EXIT_OK
+        assert tuple(counts[name] for _, name in ROUTES) == routes
+    counts.update(dict.fromkeys(counts, 0))
+    with open(GORENSTEIN_POOL, encoding="utf-8") as fh:
+        for line in fh:
+            entry = json.loads(line)
+            path = job({"dim": entry["dim"], "gens": entry["gens"]})
+            assert main(["--json", "gorenstein", path]) == entry["exit"]
+            capsys.readouterr()
+    assert tuple(counts[name] for _, name in ROUTES) == (492, 704, 244)
+
+
 def test_outside_a_job_every_call_runs_its_kernel(monkeypatch):
     counts = _count(monkeypatch, KERNELS)
     ideal = MonomialIdeal(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
@@ -1297,10 +1357,10 @@ def test_outside_a_job_every_call_runs_its_kernel(monkeypatch):
         is_gorenstein_normalization(ideal, facets)
         ideal * ideal
         ideal & ideal
-    # the facets above, then two double descriptions per round: the
-    # facets again and the lift of the cone, which builds it trusted
+    # the facets above, then two ray solves per round: the facets
+    # again and the lift of the cone
     assert counts == {
-        "_double_description": 1 + 2 * 2,
+        "_cone_rays": 1 + 2 * 2,
         "_dilate_minimal_points": 2,
         "_canonical_scan": 2,
         "_product": 2,
@@ -1367,7 +1427,7 @@ CUBES_FACETS = newton_polyhedron(CUBES)
 REFUSALS = (
     # rows that do not span: the cone is not pointed
     (
-        "_double_description",
+        "_cone_rays",
         lambda: polyhedra.extreme_rays([(1, 0, 0), (0, 1, 0)], 3),
         ConeGeometryError,
     ),

@@ -21,7 +21,7 @@ from reesgor import (
 )
 from reesgor import cone as cone_module
 from reesgor.cli import EXIT_USAGE, classify_failure
-from reesgor.ideals import _job
+from reesgor.ideals import _axes, _job
 from reesgor.errors import (
     BudgetExceededError,
     ConeGeometryError,
@@ -34,8 +34,10 @@ from reesgor.polyhedra import (
     FacetSystem,
     HalfSpace,
     _column_scan,
+    _cone_rays,
     _dilate_minimal_points,
     _dot,
+    _double_description,
     _plane_rays,
     _slack_fields,
 )
@@ -198,6 +200,88 @@ def test_plane_rays_match_double_description():
         "on an edge",
         "above the hull",
         "off both axes",
+    }
+
+
+def _pure_power_rows(powers):
+    """The rows `newton_polyhedron` makes for the pure powers x_i^a_i:
+    the lifted generators (a_i e_i, 1), then the unit rows."""
+    d = len(powers)
+    units = _axes((1,) * d, d + 1)
+    return [e[:-1] + (1,) for e in _axes(powers, d + 1)] + units
+
+
+def _one_row_rows(rng, n):
+    """The unit rows e_1, ..., e_(n-1) and one row with last entry in
+    1..30 and other entries in -30..30, a fifth of them 0."""
+    head = [rng.randint(-30, 30) if rng.random() < 0.8 else 0
+            for _ in range(n - 1)]
+    return _axes((1,) * (n - 1), n) + [tuple(head) + (rng.randint(1, 30),)]
+
+
+def _near_misses(rng, rows, dim):
+    """Row sets one step off a closed form's shape: a unit row
+    repeated or dropped, a second row with a positive last entry, a
+    row that is no unit row with its last entry set to 0 or -1, and in
+    a pure power such a row with a second nonzero entry."""
+    units = _axes((1,) * (dim - 1), dim)
+    others = [row for row in rows if row not in units]
+    other = others[0]
+    unit = rng.choice(units)
+    yield rows + [unit]
+    yield [row for row in rows if row != unit]
+    yield rows + [tuple(rng.randint(-3, 3) for _ in range(dim - 1)) + (2,)]
+    if len(others) > 1:
+        bent = list(other)
+        bent[other.index(0)] = rng.randint(1, 3)
+        yield [tuple(bent) if row == other else row for row in rows]
+    for last in (0, -1):
+        yield [other[:-1] + (last,) if row == other else row for row in rows]
+
+
+def test_closed_form_rays_match_double_description(monkeypatch):
+    # every pure power with a_i in 1..6 for d = 2..4 and in 1..4 for
+    # d = 5, rows shuffled, and seeded one-row cones in n = 2..6 take a
+    # closed form and give the loop's rays; the near misses of both
+    # shapes take the loop, and so agree with it
+    rng = seeded(50)
+    shaped = []
+    for d, top in ((2, 6), (3, 6), (4, 6), (5, 4)):
+        for powers in itertools.product(range(1, top + 1), repeat=d):
+            rows = _pure_power_rows(powers)
+            rng.shuffle(rows)
+            shaped.append((rows, d + 1))
+    assert len(shaped) == 2572
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        rows = _one_row_rows(rng, n)
+        rng.shuffle(rows)
+        shaped.append((rows, n))
+    missed = [
+        (rows, dim)
+        for base, dim in rng.sample(shaped[:2572], 150) + shaped[2572::10]
+        for rows in _near_misses(rng, base, dim)
+    ]
+    loops = []
+
+    def loop(constraints, dim):
+        loops.append(dim)
+        return _double_description(constraints, dim)
+
+    monkeypatch.setattr(polyhedra, "_double_description", loop)
+    for rows, dim in shaped:
+        rows = tuple(rows)
+        assert _cone_rays(rows, dim) == _double_description(rows, dim), rows
+    assert loops == []
+    outcomes = set()
+    for rows, dim in missed:
+        rows = tuple(rows)
+        expected = _outcome(_double_description, rows, dim)
+        assert _outcome(_cone_rays, rows, dim) == expected, rows
+        outcomes.add(expected[1] if isinstance(expected[0], type) else "rays")
+    assert len(loops) == len(missed)
+    assert outcomes == {
+        "rays", "cone is not pointed: constraint normals do not span"
     }
 
 
